@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, EIG_FLOOR, RANK_RTOL, dag, frob, min_eig, vec
+from .linalg import DEFAULT_TOL, EIG_FLOOR, RANK_RTOL, dag, frob, min_eig, residual_max, vec
 
 __all__ = [
     "StructuralError",
@@ -76,7 +76,7 @@ class VerificationReport:
 
     @property
     def worst_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
+        return residual_max(*(c.residual for c in self.checks))
 
     @property
     def failures(self) -> list[CheckResult]:
@@ -252,11 +252,11 @@ def verify_algebra(algebra: MatrixStarAlgebra, tol: float = DEFAULT_TOL) -> Veri
 
     left = np.einsum("ab,ibc->iac", algebra.unit, b) - b
     right = np.einsum("iab,bc->iac", b, algebra.unit) - b
-    report.add("unit-law", max(frob(left), frob(right)), tol)
+    report.add("unit-law", residual_max(frob(left), frob(right)), tol)
 
     herm = frob(algebra.unit - dag(algebra.unit))
     idem = frob(algebra.unit @ algebra.unit - algebra.unit)
-    report.add("unit-projection", max(herm, idem), tol)
+    report.add("unit-projection", residual_max(herm, idem), tol)
     return report
 
 
@@ -496,7 +496,7 @@ def verify_positive_map(pmap: PositiveMap, tol: float = DEFAULT_TOL) -> Verifica
         report.add("state-unital", abs(pmap.apply(pmap.domain.unit)[0, 0] - 1.0), tol)
         rho = induced_density(pmap)
         report.add("density-hermitian", frob(rho - dag(rho)), tol)
-        report.add("density-positive", max(0.0, -min_eig(rho)), -eig_floor)
+        report.add("density-positive", residual_max(-min_eig(rho)), -eig_floor)
         return report
 
     if pmap.kind is MapKind.CONDITIONAL_EXPECTATION:
@@ -515,13 +515,13 @@ def verify_positive_map(pmap: PositiveMap, tol: float = DEFAULT_TOL) -> Verifica
                 sandw = np.einsum("ab,kbc,cd->kad", bi, pmap.domain.basis, bj)
                 lhs = pmap.apply_many(sandw)
                 rhs = np.einsum("ab,kbc,cd->kad", bi, dom_images, bj)
-                worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+                worst = residual_max(worst, float(np.linalg.norm(lhs - rhs)))
         report.add("bimodule", worst, tol)
-        report.add("completely-positive", max(0.0, -min_eig(cp_kernel(pmap))), -eig_floor)
+        report.add("completely-positive", residual_max(-min_eig(cp_kernel(pmap))), -eig_floor)
         return report
 
     # general CP map
-    report.add("completely-positive", max(0.0, -min_eig(cp_kernel(pmap))), -eig_floor)
+    report.add("completely-positive", residual_max(-min_eig(cp_kernel(pmap))), -eig_floor)
     unital_res = frob(pmap.apply(pmap.domain.unit) - pmap.codomain.unit)
     report.checks.append(
         CheckResult("unital", float(unital_res), True, "informational: unitality is not required of a CP map")

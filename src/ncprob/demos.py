@@ -49,7 +49,7 @@ from .independence import (
     monotone_realize,
     tensor_moment_formula,
 )
-from .linalg import frob
+from .linalg import frob, residual_max
 from .serialization import SCHEMA_TAG
 from .suites import RunConfig
 
@@ -122,7 +122,7 @@ def demo_two_time(config: RunConfig) -> dict:
             got = complex(real.scalar_moment(word))
             want = complex(phi1.apply(f)[0, 0]) * complex(phi2.apply(g)[0, 0])
             gap = abs(got - want)
-            worst_ordered = max(worst_ordered, gap)
+            worst_ordered = residual_max(worst_ordered, gap)
             rows.append([fname, gname, got.real, want.real, gap])
     ordered_table = _table(
         "ordered two-time moments: phi(f(X1) g(X2)) vs phi1(f) phi2(g)",
@@ -141,7 +141,7 @@ def demo_two_time(config: RunConfig) -> dict:
                 got = complex(real.scalar_moment(word))
                 naive = complex(tensor_moment_formula(word, phi1, phi2))
                 gap = abs(got - naive)
-                best_gap = max(best_gap, gap)
+                best_gap = residual_max(best_gap, gap)
                 rows.append([gname, fname, gpname, got.real, naive.real, gap])
     reversed_table = _table(
         "reversed words: phi(g(X2) f(X1) g'(X2)) vs the symmetric guess",
@@ -162,7 +162,7 @@ def demo_two_time(config: RunConfig) -> dict:
             real.embed1(fp) @ real.embed2(g) @ real.embed1(f),
             mean * real.embed1(fp @ f),
         )
-        worst_collapse = max(worst_collapse, gap)
+        worst_collapse = residual_max(worst_collapse, gap)
         rows.append([float(np.real(mean)), gap])
     collapse_table = _table(
         "collapse: f'(X1) g(X2) f(X1) = phi2(g) . (f'f)(X1) as operators",
@@ -174,7 +174,7 @@ def demo_two_time(config: RunConfig) -> dict:
         _check("ordered-factorization", worst_ordered, tol, "9 observable pairs"),
         _check(
             "order-sensitivity-witness",
-            max(0.0, 1e-3 - best_gap),
+            residual_max(1e-3 - best_gap),
             0.0,
             f"largest gap {best_gap:.6g}; reversed words must not factor",
         ),
@@ -225,8 +225,8 @@ def demo_coins(config: RunConfig, bias1: float = 0.7, bias2: float = 0.3) -> dic
             split = s1.functional.apply(f) @ s2.functional.apply(g)
             classical = classical_coins_oracle(f, g, bias1, bias2)
             gap = frob(joint - split)
-            worst_split = max(worst_split, gap)
-            worst_classical = max(worst_classical, frob(joint - classical))
+            worst_split = residual_max(worst_split, gap)
+            worst_classical = residual_max(worst_classical, frob(joint - classical))
             rows.append(
                 [
                     f"[X1={_OUTCOMES[i]}]",
@@ -253,7 +253,7 @@ def demo_coins(config: RunConfig, bias1: float = 0.7, bias2: float = 0.3) -> dic
         h = base.combine(rng.uniform(-1, 1, size=2))
         via1 = product.realization.moment(AlternatingWord([(1, f @ h), (2, g)]))
         via2 = product.realization.moment(AlternatingWord([(1, f), (2, h @ g)]))
-        worst_insert = max(worst_insert, frob(via1 - via2))
+        worst_insert = residual_max(worst_insert, frob(via1 - via2))
 
     checks = [
         _check(
@@ -312,7 +312,7 @@ def demo_markov(config: RunConfig) -> dict:
             chi = np.diag([1.0 if k == j else 0.0 for k in range(2)]).astype(complex)
             got = model.module_moment([(chi, n)])
             gap = frob(got - np.diag(pn[:, j]).astype(complex))
-            worst_recovery = max(worst_recovery, gap)
+            worst_recovery = residual_max(worst_recovery, gap)
             rows.append(
                 [
                     n,
@@ -343,7 +343,7 @@ def demo_markov(config: RunConfig) -> dict:
                 path = model.path_moment(obs)
                 module = model.module_moment(obs)
                 gap = frob(path - module)
-                worst_two_time = max(worst_two_time, gap)
+                worst_two_time = residual_max(worst_two_time, gap)
                 rows.append(
                     [
                         f"X_{s},X_{t}={label}",

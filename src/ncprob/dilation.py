@@ -49,6 +49,7 @@ from .hilbert_module import (
     compose_blocks,
     dagger_blocks,
     gns_construct,
+    identity_operator,
     inner_product,
     left_action_operator,
     rank_one,
@@ -57,7 +58,7 @@ from .hilbert_module import (
     trivial_left_action,
     verify_module,
 )
-from .linalg import DEFAULT_TOL, dag, frob
+from .linalg import DEFAULT_TOL, block_matrix, dag, frob, residual_max, unblock
 
 __all__ = [
     "HorizonError",
@@ -103,7 +104,10 @@ class DiscreteProductSystem:
     ``words[k]`` lists the letter tuple of each generator of ``E_k``;
     ``tensors[k]`` is the tensor structure realizing ``E_k = E_{k-1} (x) E_1``
     for ``k >= 2``.  All identifications ``E_m (x) E_n = E_{m+n}`` reduce to
-    letter concatenation through :meth:`extend`.
+    letter concatenation through :meth:`extend`, one fixed linear map per
+    level and letter: the base coordinates of the coefficients times the
+    cached matrix ``letter_maps[j]`` (row m is ``beta_m . e_j``), followed by
+    the level's rewrite onto its surviving generators.
     """
 
     base: MatrixStarAlgebra
@@ -114,6 +118,12 @@ class DiscreteProductSystem:
     words: list[list[tuple[int, ...]]]
     units: list[np.ndarray]
     index: list[dict[tuple[int, ...], int]]
+    letter_maps: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # letter_maps[j][m] is beta_m . e_j, flattened to n1 * d0 * d0 entries
+        acts = self.fiber.left.blocks @ self.base.unit
+        self.letter_maps = np.moveaxis(acts, 2, 0).reshape(self.fiber.rank, len(acts), -1)
 
     @classmethod
     def build(
@@ -171,37 +181,55 @@ class DiscreteProductSystem:
     # -- vector plumbing ----------------------------------------------------
 
     def extend(self, v: np.ndarray, letter: int, level: int) -> np.ndarray:
-        """Image of v (x) e_letter under E_level (x) E_1 = E_{level+1}."""
+        """Image of v (x) e_letter under E_level (x) E_1 = E_{level+1}.
+
+        ``v`` may be a stack (..., n_level, d0, d0) of vectors.
+        """
         if level + 1 > self.horizon:
             raise HorizonError(f"cannot extend past the horizon {self.horizon}")
-        if level == 0:
-            # b (x) y = b . y
-            return apply_blocks(
-                self.fiber.left.blocks_of(v[0]), self.fiber.generator(letter)
-            )
-        return self.tensors[level + 1].tensor_vector(v, self.fiber.generator(letter))
+        d0 = self.base.ambient_dim
+        lead = v.shape[:-3]
+        # (v (x) e_j) on the raw pair (i, k) is (v[i] . e_j)[k]
+        coeffs = self.fiber.left.coords_of(v.reshape(-1, d0, d0))
+        raw = (coeffs @ self.letter_maps[letter]).reshape(*lead, -1, d0)
+        if level > 0:
+            raw = block_matrix(self.tensors[level + 1].info.rewrite) @ raw
+        return raw.reshape(*lead, -1, d0, d0)
+
+    def _extend_words(self, vs: np.ndarray, level: int, tails: list) -> np.ndarray:
+        """vs[p] extended by the letters of ``tail`` for each (p, tail) in ``tails``.
+
+        ``vs`` stacks vectors of E_level and the tails share one length t; the
+        images in E_{level+t} come back stacked in the order of ``tails``.
+        Common prefixes are extended once, with one :meth:`extend` per letter
+        and step.
+        """
+        rows = {(p,): p for p in range(len(vs))}
+        for step in range(len(tails[0][1])):
+            keys = list(dict.fromkeys((p, *tail[: step + 1]) for p, tail in tails))
+            rank = self.powers[level + step + 1].rank
+            out = np.empty((len(keys), rank, *vs.shape[2:]), dtype=complex)
+            for letter in sorted({key[-1] for key in keys}):
+                sel = [r for r, key in enumerate(keys) if key[-1] == letter]
+                out[sel] = self.extend(vs[[rows[keys[r][:-1]] for r in sel]], letter, level + step)
+            rows = {key: r for r, key in enumerate(keys)}
+            vs = out
+        return vs[[rows[(p, *tail)] for p, tail in tails]]
 
     def reduce_word(self, letters: tuple[int, ...]) -> np.ndarray:
         """Coefficients of an arbitrary raw letter word over the survivors."""
-        v = self.powers[0].generator(0)
-        for level, letter in enumerate(letters):
-            v = self.extend(v, letter, level)
-        return v
+        return self._extend_words(self.powers[0].generator(0)[None], 0, [(0, tuple(letters))])[0]
 
     def identify(self, m: int, n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The Gram-preserving identification E_m (x) E_n -> E_{m+n}."""
         if m + n > self.horizon:
             raise HorizonError("identification lands past the horizon")
-        out = np.zeros_like(self.powers[m + n].zero_vector())
-        for widx, w in enumerate(self.words[n]):
-            coeff = y[widx]
-            if not np.any(coeff):
-                continue
-            v = x
-            for step, letter in enumerate(w):
-                v = self.extend(v, letter, m + step)
-            out = out + right_multiply(v, coeff)
-        return out
+        used = [k for k in range(len(self.words[n])) if np.any(y[k])]
+        if not used:
+            return self.powers[m + n].zero_vector()
+        images = self._extend_words(x[None], m, [(0, self.words[n][k]) for k in used])
+        # sum_w (x (x) e_w) y[w]: the images are the columns of one operator
+        return apply_blocks(_columns_to_blocks(images), y[used])
 
     # -- operator plumbing --------------------------------------------------
 
@@ -216,16 +244,10 @@ class DiscreteProductSystem:
             raise StructuralError("operator does not live on the stated level")
         if steps == 0:
             return np.asarray(blocks, dtype=complex)
-        n_t = self.powers[target].rank
-        d0 = self.base.ambient_dim
-        out = np.zeros((n_t, n_t, d0, d0), dtype=complex)
-        for col, w in enumerate(self.words[target]):
-            prefix, past = w[:L], w[L:]
-            v = blocks[:, self.index[L][prefix]]
-            for step, letter in enumerate(past):
-                v = self.extend(v, letter, L + step)
-            out[:, col] = v
-        return out
+        # column w of the lift is column w[:L] of the operator, extended by w[L:]
+        tails = [(self.index[L][w[:L]], w[L:]) for w in self.words[target]]
+        columns = self._extend_words(np.swapaxes(blocks, 0, 1), L, tails)
+        return _columns_to_blocks(columns)
 
     def level_of(self, op: AdjointableOperator) -> int:
         """Which power of the tower an operator lives on (by identity)."""
@@ -245,23 +267,15 @@ class DiscreteProductSystem:
         if gap < 0:
             raise HorizonError("window is wider than the ambient level")
         d0 = self.base.ambient_dim
-        n_lv, n_w = self.powers[level].rank, self.powers[width].rank
-        v = np.zeros((n_lv, n_w, d0, d0), dtype=complex)
-        for col, w in enumerate(self.words[width]):
-            vec = self.units[gap]
-            for step, letter in enumerate(w):
-                vec = self.extend(vec, letter, gap + step)
-            v[:, col] = vec
-        vstar = np.zeros((n_w, n_lv, d0, d0), dtype=complex)
-        e_gap = self.powers[gap]
-        for col, w in enumerate(self.words[level]):
-            prefix, rest = w[:gap], w[gap:]
-            overlap = e_gap.inner(self.units[gap], e_gap.generator(self.index[gap][prefix]))
-            reduced = self.reduce_word(rest)
-            vstar[:, col] = apply_blocks(
-                self.powers[width].left.blocks_of(overlap), reduced
-            )
-        return v, vstar
+        v = self._extend_words(self.units[gap][None], gap, [(0, w) for w in self.words[width]])
+        # <xi_gap, e_p> for every generator p of E_gap, as vectors of E_0 = B;
+        # the identifications are left B-linear, so <xi, e_p> . e_rest is the
+        # overlap extended by the letters of rest
+        row = self.units[gap].reshape(-1, d0).conj().T @ block_matrix(self.powers[gap].gram)
+        overlaps = np.swapaxes(row.reshape(d0, -1, d0), 0, 1) @ self.base.unit
+        splits = [(self.index[gap][w[:gap]], w[gap:]) for w in self.words[level]]
+        vstar = self._extend_words(overlaps[:, None], 0, splits)
+        return _columns_to_blocks(v), _columns_to_blocks(vstar)
 
     def embed_window(self, op: AdjointableOperator, start: int) -> AdjointableOperator:
         """Operator of the time window [start, start+width] inside B^a(E_N).
@@ -311,6 +325,12 @@ class DiscreteProductSystem:
         """Blocks of the projection onto xi_{N-s} (x) E_s."""
         v, vstar = self.isometry_blocks(s, self.horizon)
         return compose_blocks(v, vstar)
+
+
+def _columns_to_blocks(columns: np.ndarray) -> np.ndarray:
+    """Operator blocks, as a flat-matrix view, from a stack of its columns."""
+    d0 = columns.shape[-1]
+    return unblock(block_matrix(np.swapaxes(columns, 0, 1)), d0)
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +427,8 @@ def central_unit_fiber(base: MatrixStarAlgebra, copies: int = 2) -> tuple[Matrix
     trivial: <xi, b xi> = b.  This is the standard nontrivial white noise.
     """
     d0 = base.ambient_dim
-    gram = np.zeros((copies, copies, d0, d0), dtype=complex)
-    for i in range(copies):
-        gram[i, i] = base.unit
-    blocks = np.zeros((base.dim, copies, copies, d0, d0), dtype=complex)
-    for m in range(base.dim):
-        for i in range(copies):
-            blocks[m, i, i] = base.basis[m]
+    gram = unblock(np.kron(np.eye(copies), base.unit), d0)
+    blocks = unblock(np.kron(np.eye(copies), base.basis), d0)
     xi = np.zeros((copies, d0, d0), dtype=complex)
     xi[0] = base.unit
     fiber = HilbertModule(base, gram, LeftAction(base, blocks), {"unit": xi})
@@ -500,9 +515,7 @@ def verify_product_system(
     worst_unit = 0.0
     for n in range(system.horizon + 1):
         xi = system.units[n]
-        worst_unit = max(
-            worst_unit, frob(system.powers[n].inner(xi, xi) - base.unit)
-        )
+        worst_unit = residual_max(worst_unit, frob(system.powers[n].inner(xi, xi) - base.unit))
     report.add("unit-vectors-normalized", worst_unit, tol)
 
     worst_gram = 0.0
@@ -530,11 +543,11 @@ def verify_product_system(
                                 en.generator(b),
                                 apply_blocks(en.left.blocks_of(cross), en.generator(d)),
                             )
-                            worst_gram = max(worst_gram, frob(direct - want))
+                            worst_gram = residual_max(worst_gram, frob(direct - want))
             glued = system.identify(m, n, system.units[m], system.units[n])
             diff = glued - system.units[m + n]
-            gap = np.sqrt(max(0.0, float(np.linalg.norm(target.inner(diff, diff), 2))))
-            worst_units = max(worst_units, gap)
+            gap = np.sqrt(residual_max(np.linalg.norm(target.inner(diff, diff), 2)))
+            worst_units = residual_max(worst_units, gap)
     report.add("identification-preserves-grams", worst_gram, tol)
     report.add("units-compose", worst_units, tol)
     return report
@@ -556,13 +569,13 @@ def verify_dilation(
         xi = system.units[n]
         for b in base.basis:
             via_module = e.inner(xi, apply_blocks(e.left.blocks_of(b), xi))
-            worst = max(worst, frob(tn.apply(b) - via_module))
+            worst = residual_max(worst, frob(tn.apply(b) - via_module))
     report.add("semigroup-recovery", worst, tol)
 
     worst = 0.0
     for b in base.basis:
         got = system.expectation(system.corner_embedding(b))
-        worst = max(worst, frob(got - b))
+        worst = residual_max(worst, frob(got - b))
     report.add("corner-expectation-splits-embedding", worst, tol)
 
     rng = np.random.default_rng(seed)
@@ -579,35 +592,24 @@ def verify_dilation(
         tb = system.theta_blocks(b_op.blocks, level, steps)
         tab = system.theta_blocks(compose_blocks(a.blocks, b_op.blocks), level, steps)
         gram = system.powers[n_top].gram
-        worst_mult = max(
-            worst_mult,
-            frob(compose_blocks(gram, tab - compose_blocks(ta, tb))),
+        worst_mult = residual_max(
+            worst_mult, frob(compose_blocks(gram, tab - compose_blocks(ta, tb)))
         )
         ta_star = system.theta_blocks(a.adjoint_blocks, level, steps)
-        worst_star = max(
+        worst_star = residual_max(
             worst_star,
-            frob(
-                compose_blocks(gram, ta_star)
-                - dagger_blocks(compose_blocks(gram, ta))
-            ),
+            frob(compose_blocks(gram, ta_star) - dagger_blocks(compose_blocks(gram, ta))),
         )
-        ident = np.zeros_like(system.powers[level].gram)
-        for i in range(system.powers[level].rank):
-            ident[i, i] = base.unit
-        lifted = system.theta_blocks(ident, level, steps)
-        target_ident = np.zeros_like(system.powers[n_top].gram)
-        for i in range(system.powers[n_top].rank):
-            target_ident[i, i] = base.unit
-        worst_unital = max(worst_unital, frob(lifted - target_ident))
+        lifted = system.theta_blocks(identity_operator(system.powers[level]).blocks, level, steps)
+        target_ident = identity_operator(system.powers[n_top]).blocks
+        worst_unital = residual_max(worst_unital, frob(lifted - target_ident))
         # composition: theta_m o theta_n = theta_{m+n} on a deeper operator
         if steps >= 2:
             inner_level = level
             once = system.theta_blocks(a.blocks, inner_level, 1)
             twice = system.theta_blocks(once, inner_level + 1, steps - 1)
             direct = system.theta_blocks(a.blocks, inner_level, steps)
-            worst_comp = max(
-                worst_comp, frob(compose_blocks(gram, twice - direct))
-            )
+            worst_comp = residual_max(worst_comp, frob(compose_blocks(gram, twice - direct)))
     report.add("theta-multiplicative", worst_mult, tol)
     report.add("theta-star", worst_star, tol)
     report.add("theta-exactly-unital", worst_unital, 0.0)
@@ -633,7 +635,7 @@ class IncrementReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals, default=0.0)
+        return residual_max(*self.residuals)
 
     @property
     def passed(self) -> bool:
@@ -709,7 +711,7 @@ def white_noise_increment_check(
             )
             xi_low = system.units[level]
             local = system.powers[level].inner(xi_low, a(xi_low))
-            invariance = max(invariance, frob(system.expectation(shifted) - local))
+            invariance = residual_max(invariance, frob(system.expectation(shifted) - local))
     mode = "white-noise" if invariance <= tol else "markov-property"
 
     gens = scenario.increment_generators(r, s)
@@ -836,14 +838,8 @@ class MarkovModel:
                     "this is only an adjointable block operator over a "
                     "commutative base"
                 )
-            blocks = np.zeros_like(e.gram)
-            fd = dag(f)
-            for i in range(e.rank):
-                blocks[i, i] = f
-            adj = np.zeros_like(blocks)
-            for i in range(e.rank):
-                adj[i, i] = fd
-            return AdjointableOperator(e, blocks, adj)
+            diagonal = [unblock(np.kron(np.eye(e.rank), g), len(g)) for g in (f, dag(f))]
+            return AdjointableOperator(e, *diagonal)
         if time == level:
             return left_action_operator(e, f)
         inner_level = level - time + 1
@@ -907,7 +903,7 @@ class MarkovModel:
                 (np.diag(rng.uniform(-1, 1, size=s)).astype(complex), int(rng.integers(0, n + 1)))
                 for _ in range(count)
             ]
-            worst = max(worst, frob(self.path_moment(obs) - self.module_moment(obs)))
+            worst = residual_max(worst, frob(self.path_moment(obs) - self.module_moment(obs)))
         report.add("path-space-agreement", worst, tol)
 
         worst = 0.0
@@ -926,8 +922,8 @@ class MarkovModel:
             )
             diff = glued - direct
             top = self.system.powers[n]
-            gap = np.sqrt(max(0.0, float(np.linalg.norm(top.inner(diff, diff), 2))))
-            worst = max(worst, gap)
+            gap = np.sqrt(residual_max(np.linalg.norm(top.inner(diff, diff), 2)))
+            worst = residual_max(worst, gap)
         report.add("shift-preserves-inner-products", worst, tol)
 
         if n >= 2:

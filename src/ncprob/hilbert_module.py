@@ -9,6 +9,14 @@ coefficients: ``x = sum_i e_i x[i]``.  An operator is an ``(n, n, d0, d0)``
 block matrix acting on coefficients; adjointability is a property we verify,
 not an assumption.
 
+That block layout is the public one at every function boundary, but the
+arithmetic runs on the flat view: an operator is an element of M_n(B), an
+``(n*d0, n*d0)`` matrix, and a vector an ``(n*d0, d0)`` matrix, so composing
+is ``A @ B``, applying is ``A @ X`` and the inner product is
+``<x, y> = X^H G Y``, each one BLAS matmul.  The block arrays made here are
+views of such flat matrices (:func:`~ncprob.linalg.unblock`), so handing
+them from kernel to kernel copies nothing.
+
 Since generators may be dependent, equality of vectors and operators is
 always decided through the inner product, never through raw coefficients.
 The :func:`quotient_null_space` routine extracts a minimal generating subset
@@ -30,7 +38,17 @@ from .algebra_core import (
     VerificationReport,
     scalar_algebra,
 )
-from .linalg import DEFAULT_TOL, EIG_FLOOR, RANK_RTOL, block_matrix, dag, frob, min_eig
+from .linalg import (
+    DEFAULT_TOL,
+    EIG_FLOOR,
+    RANK_RTOL,
+    block_matrix,
+    dag,
+    frob,
+    min_eig,
+    residual_max,
+    unblock,
+)
 
 __all__ = [
     "HilbertModule",
@@ -47,8 +65,6 @@ __all__ = [
     "rank_one",
     "left_action_operator",
     "operator_distance",
-    "compose_adjointable",
-    "apply",
     "vector_norm",
     "solve_adjoint",
     "extended_gram",
@@ -68,17 +84,29 @@ __all__ = [
 # coefficient arithmetic
 
 
+def _flat_vector(x: np.ndarray) -> np.ndarray:
+    """The (n*d0, d0) matrix of an (n, d0, d0) vector (a view)."""
+    return x.reshape(-1, x.shape[-1])
+
+
+def _flat_backed(blocks: np.ndarray) -> np.ndarray:
+    """The same blocks as a view of their flat matrix, copied only if needed."""
+    blocks = np.asarray(blocks, dtype=complex)
+    return unblock(block_matrix(blocks), blocks.shape[-1])
+
+
 def inner_product(gram: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Base-valued inner product <x, y> = sum_ij x_i^* G_ij y_j."""
-    return np.einsum("iba,ijbc,jcd->ad", x.conj(), gram, y)
+    """Base-valued inner product <x, y> = sum_ij x_i^* G_ij y_j = X^H G Y."""
+    return _flat_vector(x).conj().T @ (block_matrix(gram) @ _flat_vector(y))
 
 
 def apply_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.einsum("ijab,jbc->iac", blocks, x)
+    return (block_matrix(blocks) @ _flat_vector(x)).reshape(blocks.shape[0], *x.shape[1:])
 
 
 def compose_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ikab,kjbc->ijac", a, b)
+    """Blocks of a b; stacks of operators broadcast like matmul operands."""
+    return unblock(block_matrix(a) @ block_matrix(b), a.shape[-1])
 
 
 def dagger_blocks(m: np.ndarray) -> np.ndarray:
@@ -88,7 +116,7 @@ def dagger_blocks(m: np.ndarray) -> np.ndarray:
 
 def right_multiply(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Right module action on coefficients."""
-    return np.einsum("iab,bc->iac", x, b)
+    return x @ b
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +134,22 @@ class LeftAction:
     algebra: MatrixStarAlgebra
     blocks: np.ndarray  # (m, n, n, d0, d0)
 
-    def blocks_of(self, a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-        c, res = self.algebra.coords(a)
+    def __post_init__(self):
+        self.blocks = _flat_backed(self.blocks)
+
+    def coords_of(self, elements: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+        """Coordinates of a stack (k, d0, d0) of elements of the acting algebra.
+
+        Raises when one of them is not in the acting algebra.
+        """
+        c, res = self.algebra.coords_many(elements)
         if res > tol:
             raise StructuralError(f"element is not in the acting algebra (residual {res:.3e})")
-        return np.einsum("k,kijab->ijab", c, self.blocks)
+        return c
+
+    def blocks_of(self, a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+        c = self.coords_of(np.asarray(a)[None], tol)[0]
+        return unblock(np.tensordot(c, block_matrix(self.blocks), 1), self.blocks.shape[-1])
 
 
 class HilbertModule:
@@ -128,7 +167,7 @@ class HilbertModule:
                 f"gram must have shape (n, n, {d0}, {d0}), got {gram.shape}"
             )
         self.base = base
-        self.gram = gram
+        self.gram = _flat_backed(gram)
         self.left = left
         self.distinguished = dict(distinguished or {})
         if left is not None and left.blocks.shape[1:] != (self.rank, self.rank, d0, d0):
@@ -161,7 +200,7 @@ class HilbertModule:
 def vector_norm(module: HilbertModule, x: np.ndarray) -> float:
     """Module norm sqrt(||<x, x>||); zero exactly for null vectors."""
     g = module.inner(x, x)
-    return float(np.sqrt(max(0.0, np.linalg.norm(g, 2))))
+    return float(np.sqrt(residual_max(np.linalg.norm(g, 2))))
 
 
 @dataclass
@@ -209,25 +248,20 @@ class AdjointableOperator:
 
 
 def identity_operator(module: HilbertModule) -> AdjointableOperator:
-    n, d0 = module.rank, module.base.ambient_dim
-    blocks = np.zeros((n, n, d0, d0), dtype=complex)
-    for i in range(n):
-        blocks[i, i] = module.base.unit
-    return AdjointableOperator(module, blocks, blocks.copy())
+    blocks = unblock(np.kron(np.eye(module.rank), module.base.unit), module.base.ambient_dim)
+    return AdjointableOperator(module, blocks, np.copy(blocks))
 
 
 def zero_operator(module: HilbertModule) -> AdjointableOperator:
-    n, d0 = module.rank, module.base.ambient_dim
-    blocks = np.zeros((n, n, d0, d0), dtype=complex)
-    return AdjointableOperator(module, blocks, blocks.copy())
+    return 0.0 * identity_operator(module)
 
 
 def rank_one(module: HilbertModule, x: np.ndarray, y: np.ndarray) -> AdjointableOperator:
-    """|x><y| : z -> x <y, z>; its adjoint is |y><x|."""
+    """|x><y| : z -> x <y, z>, the flat product X (Y^H G); its adjoint is |y><x|."""
+    gram = block_matrix(module.gram)
 
     def one_side(u, v):
-        w = np.einsum("kba,kjbc->jac", v.conj(), module.gram)
-        return np.einsum("iab,jbc->ijac", u, w)
+        return unblock(_flat_vector(u) @ (_flat_vector(v).conj().T @ gram), u.shape[-1])
 
     return AdjointableOperator(module, one_side(x, y), one_side(y, x))
 
@@ -246,15 +280,6 @@ def left_action_operator(module: HilbertModule, a: np.ndarray) -> AdjointableOpe
 def operator_distance(s: AdjointableOperator, t: AdjointableOperator) -> float:
     """Distance in the sesquilinear form; zero iff the operators agree."""
     return frob(s.matrix_form() - t.matrix_form())
-
-
-def compose_adjointable(a: AdjointableOperator, b: AdjointableOperator) -> AdjointableOperator:
-    """The product a b, with (a b)* = b* a* assembled from the given adjoints."""
-    return a @ b
-
-
-def apply(op: AdjointableOperator, x: np.ndarray) -> np.ndarray:
-    return op(x)
 
 
 def solve_adjoint(module: HilbertModule, blocks: np.ndarray, tol: float = 1e-8) -> AdjointableOperator:
@@ -296,9 +321,11 @@ def extended_gram(module: HilbertModule) -> np.ndarray:
     """
     beta = module.base.basis
     d0 = module.base.ambient_dim
-    # tau(beta_m^dag G beta_p) = sum_{b,c} G[b,c] (beta_p beta_m^dag)[c,b]
+    # tau(beta_m^dag G beta_p) = sum_{b,c} G[b,c] (beta_p beta_m^dag)[c,b];
+    # einsum's summation order follows the memory layout, so rank decisions
+    # are taken on one fixed (C-ordered) layout
     pair = np.einsum("pcx,mbx->mpcb", beta, beta.conj())
-    s = np.einsum("ijbc,mpcb->imjp", module.gram, pair) / d0
+    s = np.einsum("ijbc,mpcb->imjp", np.ascontiguousarray(module.gram), pair) / d0
     n, nb = module.rank, module.base.dim
     return s.reshape(n * nb, n * nb)
 
@@ -312,10 +339,14 @@ class QuotientInfo:
     residual: float
     threshold: float
 
+    def __post_init__(self):
+        self.rewrite = _flat_backed(self.rewrite)
+
     def rewrite_vector(self, x: np.ndarray) -> np.ndarray:
         return apply_blocks(self.rewrite, x)
 
     def rewrite_operator_blocks(self, blocks: np.ndarray, inject: np.ndarray) -> np.ndarray:
+        """R blocks J, for one operator or a stack of them."""
         return compose_blocks(self.rewrite, compose_blocks(blocks, inject))
 
 
@@ -348,19 +379,18 @@ def quotient_null_space(module: HilbertModule, rtol: float = RANK_RTOL) -> Quoti
         sl = slice(i * nb, (i + 1) * nb)
         pivot = work[sl, sl]
         inv = np.linalg.pinv(pivot, rcond=1e-12, hermitian=True)
-        work = work - work[:, sl] @ inv @ work[sl, :]
+        work -= work[:, sl] @ inv @ work[sl, :]
 
     survivors.sort()
     idx = [i * nb + m for i in survivors for m in range(nb)]
     rewrite = np.zeros((len(survivors), n, d0, d0), dtype=complex)
     dropped = [i for i in range(n) if i not in survivors]
     residual = 0.0
-    for a, s in enumerate(survivors):
-        rewrite[a, s] = base.unit
+    rewrite[np.arange(len(survivors)), survivors] = base.unit
     if dropped:
         s_surv = s_ext[np.ix_(idx, idx)]
         # <e_s beta_p, e_i>_tau = tau(beta_p^dag G[s, i])
-        sub = module.gram[np.ix_(survivors, dropped)]
+        sub = np.ascontiguousarray(module.gram)[np.ix_(survivors, dropped)]
         # tau(beta_p^dag G) = (1/d0) sum_{b,c} conj(beta_p[b,c]) G[b,c]
         rhs = np.einsum("sibc,pbc->spi", sub, base.basis.conj()).reshape(
             len(idx), len(dropped)
@@ -373,18 +403,15 @@ def quotient_null_space(module: HilbertModule, rtol: float = RANK_RTOL) -> Quoti
         cross = np.real(np.einsum("ki,ki->i", rhs.conj(), gamma))
         residual = float(np.sqrt(np.abs(self_norms - cross).max(initial=0.0)))
         coeffs = gamma.reshape(len(survivors), nb, len(dropped))
-        blocks = np.einsum("apj,pcd->ajcd", coeffs, base.basis)
-        for col, i in enumerate(dropped):
-            rewrite[:, i] = blocks[:, col]
+        rewrite[:, dropped] = np.einsum("apj,pcd->ajcd", coeffs, base.basis)
     return QuotientInfo(survivors, rewrite, residual, threshold)
 
 
 def _injection(info: QuotientInfo, n_old: int, base: MatrixStarAlgebra) -> np.ndarray:
-    d0 = base.ambient_dim
-    inj = np.zeros((n_old, len(info.survivors), d0, d0), dtype=complex)
-    for a, s in enumerate(info.survivors):
-        inj[s, a] = base.unit
-    return inj
+    """J: the survivors among the old generators, as (n_old, n_new) blocks."""
+    select = np.zeros((n_old, len(info.survivors)))
+    select[info.survivors, np.arange(len(info.survivors))] = 1.0
+    return unblock(np.kron(select, base.unit), base.ambient_dim)
 
 
 def quotient_module(module: HilbertModule, rtol: float = RANK_RTOL) -> tuple[HilbertModule, QuotientInfo]:
@@ -398,9 +425,7 @@ def quotient_module(module: HilbertModule, rtol: float = RANK_RTOL) -> tuple[Hil
     inj = _injection(info, module.rank, module.base)
     left = None
     if module.left is not None:
-        blocks = np.stack(
-            [info.rewrite_operator_blocks(b, inj) for b in module.left.blocks]
-        )
+        blocks = info.rewrite_operator_blocks(module.left.blocks, inj)
         left = LeftAction(module.left.algebra, blocks)
     distinguished = {k: info.rewrite_vector(v) for k, v in module.distinguished.items()}
     return HilbertModule(module.base, gram, left, distinguished), info
@@ -468,7 +493,8 @@ class ModuleTensor:
     """Interior tensor product of two modules over the left factor's base.
 
     ``pairs[k] = (i, j)`` names the image of ``e_i o e_j`` among the raw
-    generators; the published ``module`` is the reduced one when
+    generators, row-major (``k = i * n2 + j``, which the flat products rely
+    on); the published ``module`` is the reduced one when
     ``reduce=True`` was requested (the default), and ``info`` maps raw
     generators to it.
     """
@@ -484,38 +510,30 @@ class ModuleTensor:
         e2 = self.right_factor
         if e2.left is None:
             raise StructuralError("right factor has no left action of the base")
-        n1 = self.left_factor.rank
-        raw = np.zeros((len(self.pairs), *y.shape[1:]), dtype=complex)
-        moved = np.stack([apply_blocks(e2.left.blocks_of(x[i]), y) for i in range(n1)])
-        for k, (i, j) in enumerate(self.pairs):
-            raw[k] = moved[i, j]
-        return self.info.rewrite_vector(raw)
+        # (x o y) on the pair (i, j) is (x[i] . y)[j] = sum_m x[i]_m (beta_m . y)[j]
+        coeffs = e2.left.coords_of(x)
+        moved = block_matrix(e2.left.blocks) @ _flat_vector(y)
+        raw = coeffs @ moved.reshape(len(moved), -1)
+        return self.info.rewrite_vector(raw.reshape(-1, *y.shape[1:]))
 
     def op_left(self, s: AdjointableOperator) -> AdjointableOperator:
         """S o id for an adjointable S on the left factor."""
-        raw = self._op_left_raw(s.blocks)
-        raw_adj = self._op_left_raw(s.adjoint_blocks)
-        inj = _injection(self.info, len(self.pairs), self.module.base)
-        return AdjointableOperator(
-            self.module,
-            self.info.rewrite_operator_blocks(raw, inj),
-            self.info.rewrite_operator_blocks(raw_adj, inj),
-        )
+        raw = self._op_left_raw(np.stack([s.blocks, s.adjoint_blocks]))
+        return AdjointableOperator(self.module, *self._reduce(raw))
 
     def _op_left_raw(self, s_blocks: np.ndarray) -> np.ndarray:
-        e2 = self.right_factor
-        n_pairs = len(self.pairs)
-        d0 = self.module.base.ambient_dim
-        raw = np.zeros((n_pairs, n_pairs, d0, d0), dtype=complex)
-        # (S o id)(e_i o e_j) = sum_I e_I s[I, i] o e_j = sum_I e_I o (s[I, i] . e_j)
-        cache: dict[tuple[int, int], np.ndarray] = {}
-        for a, (ii, jj) in enumerate(self.pairs):
-            for bb, (i, j) in enumerate(self.pairs):
-                key = (ii, i)
-                if key not in cache:
-                    cache[key] = e2.left.blocks_of(s_blocks[ii, i])
-                raw[a, bb] = cache[key][jj, j]
-        return raw
+        """Flat S o id on the raw pairs, for a stack (k, n1, n1, d0, d0) of S.
+
+        (S o id)(e_i o e_j) = sum_I e_I o (s[I, i] . e_j): the coordinates of
+        every entry s[I, i] times the right factor's action, one product.
+        """
+        left = self.right_factor.left
+        k, n1, d0 = s_blocks.shape[0], s_blocks.shape[1], s_blocks.shape[-1]
+        acts = block_matrix(left.blocks)
+        nb, w = acts.shape[0], acts.shape[1]
+        coeffs = left.coords_of(s_blocks.reshape(-1, d0, d0))
+        raw = (coeffs @ acts.reshape(nb, -1)).reshape(k, n1, n1, w, w)
+        return raw.transpose(0, 1, 3, 2, 4).reshape(k, n1 * w, n1 * w)
 
     def op_right(self, s: AdjointableOperator, tol: float = 1e-8) -> AdjointableOperator:
         """id o S; requires S to commute with the base action on the right factor."""
@@ -530,24 +548,16 @@ class ModuleTensor:
                     "operator does not commute with the base action on the right "
                     f"factor (defect {gap:.3e}); id-tensor-S is not well defined"
                 )
-        raw = self._op_right_raw(s.blocks)
-        raw_adj = self._op_right_raw(s.adjoint_blocks)
-        inj = _injection(self.info, len(self.pairs), self.module.base)
-        return AdjointableOperator(
-            self.module,
-            self.info.rewrite_operator_blocks(raw, inj),
-            self.info.rewrite_operator_blocks(raw_adj, inj),
-        )
+        # (id o S)(e_i o e_j) = e_i o S e_j: S on the right slot of every e_i
+        both = block_matrix(np.stack([s.blocks, s.adjoint_blocks]))
+        raw = np.kron(np.eye(self.left_factor.rank), both)
+        return AdjointableOperator(self.module, *self._reduce(raw))
 
-    def _op_right_raw(self, s_blocks: np.ndarray) -> np.ndarray:
-        n_pairs = len(self.pairs)
-        d0 = self.module.base.ambient_dim
-        raw = np.zeros((n_pairs, n_pairs, d0, d0), dtype=complex)
-        for a, (ii, jj) in enumerate(self.pairs):
-            for bb, (i, j) in enumerate(self.pairs):
-                if ii == i:
-                    raw[a, bb] = s_blocks[jj, j]
-        return raw
+    def _reduce(self, raw: np.ndarray) -> np.ndarray:
+        """R raw J: flat operators on the raw pairs, rewritten over the survivors."""
+        base = self.module.base
+        inject = _injection(self.info, len(self.pairs), base)
+        return self.info.rewrite_operator_blocks(unblock(raw, base.ambient_dim), inject)
 
 
 def tensor_over_base(
@@ -574,44 +584,30 @@ def tensor_over_base(
     base = e2.base
     d0 = base.ambient_dim
 
-    # raw gram over pairs: G[(i,j),(I,J)] = < e_j, G1[i,I] . e_J >
+    # raw gram over pairs: G[(i,j),(I,J)] = < e_j, G1[i,I] . e_J >, with the
+    # einsums on C-ordered operands (their summation order follows the layout)
     coords, res = e1.base.coords_many(e1.gram.reshape(n1 * n1, *e1.gram.shape[2:]))
     if res > 1e-8:
         raise StructuralError("left factor inner products are not in its base algebra")
-    acts = np.einsum("pm,mjkab->pjkab", coords, e2.left.blocks).reshape(
-        n1, n1, n2, n2, d0, d0
-    )
-    gram = np.einsum("jkab,iIkJbc->ijIJac", e2.gram, acts).reshape(
-        n1 * n2, n1 * n2, d0, d0
-    )
+    acts = np.einsum("pm,mjkab->pjkab", coords, np.ascontiguousarray(e2.left.blocks))
+    gram = np.einsum(
+        "jkab,iIkJbc->ijIJac", np.ascontiguousarray(e2.gram), acts.reshape(n1, n1, n2, n2, d0, d0)
+    ).reshape(n1 * n2, n1 * n2, d0, d0)
+    raw = HilbertModule(base, gram)
+    del acts, gram  # free them: the quotient and the lifts below are a build's memory peak
 
     pairs = [(i, j) for i in range(n1) for j in range(n2)]
-    raw = HilbertModule(base, gram)
     if reduce:
         reduced, info = quotient_module(raw, rtol)
     else:
         reduced, info = raw, QuotientInfo(
-            list(range(n1 * n2)),
-            np.stack([raw.generator(i) for i in range(n1 * n2)]),
-            0.0,
-            0.0,
+            list(range(n1 * n2)), identity_operator(raw).blocks, 0.0, 0.0
         )
     tensor = ModuleTensor(reduced, pairs, info, e1, e2)
 
     # push the left action and distinguished vectors through
     if e1.left is not None:
-        blocks = np.stack(
-            [
-                tensor.op_left(
-                    AdjointableOperator(
-                        e1,
-                        e1.left.blocks[k],
-                        e1.left.blocks_of(dag(e1.left.algebra.basis[k])),
-                    )
-                ).blocks
-                for k in range(e1.left.algebra.dim)
-            ]
-        )
+        blocks = tensor._reduce(tensor._op_left_raw(e1.left.blocks))
         reduced.left = LeftAction(e1.left.algebra, blocks)
     for name1, v1 in e1.distinguished.items():
         for name2, v2 in e2.distinguished.items():
@@ -632,11 +628,8 @@ def restrict_left_action(left: LeftAction, subalgebra: MatrixStarAlgebra) -> Lef
 
 def trivial_left_action(rank: int, base: MatrixStarAlgebra) -> LeftAction:
     """Scalars acting by multiplication; always available."""
-    d0 = base.ambient_dim
-    blocks = np.zeros((1, rank, rank, d0, d0), dtype=complex)
-    for i in range(rank):
-        blocks[0, i, i] = base.unit
-    return LeftAction(scalar_algebra(), blocks)
+    blocks = unblock(np.kron(np.eye(rank), base.unit), base.ambient_dim)
+    return LeftAction(scalar_algebra(), blocks[None])
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +649,7 @@ def verify_module(module: HilbertModule, tol: float = DEFAULT_TOL) -> Verificati
     report.add("gram-in-base", res, tol)
 
     floor = min(EIG_FLOOR, -tol)
-    report.add("gram-positive", max(0.0, -min_eig(block_matrix(g))), -floor)
+    report.add("gram-positive", residual_max(-min_eig(block_matrix(g))), -floor)
 
     for name, v in module.distinguished.items():
         _, res = base.coords_many(v)
@@ -685,11 +678,11 @@ def verify_module(module: HilbertModule, tol: float = DEFAULT_TOL) -> Verificati
             # <e_i, a* e_j> must equal <a e_i, e_j>
             lhs = compose_blocks(g, star)
             rhs = dagger_blocks(compose_blocks(g, bk))
-            worst_star = max(worst_star, frob(lhs - rhs))
+            worst_star = residual_max(worst_star, frob(lhs - rhs))
             for l in range(alg.dim):
                 prod = module.left.blocks_of(alg.basis[k] @ alg.basis[l])
                 com = compose_blocks(bk, module.left.blocks[l])
-                worst_mult = max(worst_mult, frob(compose_blocks(g, prod - com)))
+                worst_mult = residual_max(worst_mult, frob(compose_blocks(g, prod - com)))
         report.add("left-action-multiplicative", worst_mult, tol)
         report.add("left-action-star", worst_star, tol)
     return report

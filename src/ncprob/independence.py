@@ -53,7 +53,7 @@ from .hilbert_module import (
     tensor_over_base,
     trivial_left_action,
 )
-from .linalg import DEFAULT_TOL, dag, frob, random_hermitian
+from .linalg import DEFAULT_TOL, dag, frob, random_hermitian, residual_max
 
 __all__ = [
     "QuantumProbabilitySpace",
@@ -180,11 +180,11 @@ class JointRealization:
             worst_star = 0.0
             ops = [self.embed(leg, b) for b in alg.basis]
             for i, b in enumerate(alg.basis):
-                worst_star = max(
+                worst_star = residual_max(
                     worst_star, operator_distance(self.embed(leg, dag(b)), ops[i].H)
                 )
                 for j, c in enumerate(alg.basis):
-                    worst_mult = max(
+                    worst_mult = residual_max(
                         worst_mult,
                         operator_distance(self.embed(leg, b @ c), ops[i] @ ops[j]),
                     )
@@ -200,14 +200,9 @@ class JointRealization:
                 u = self.embed(leg, alg.unit)
                 report.add(f"leg{leg}-unit-is-idempotent", operator_distance(u @ u, u), tol)
                 report.checks[-1].detail = f"distance to identity {unit_gap:.3e}"
-        gap = frob(self.carrier.inner(self.vacuum, self.vacuum) - _vacuum_target(self))
+        gap = frob(self.carrier.inner(self.vacuum, self.vacuum) - self.carrier.base.unit)
         report.add("vacuum-normalized", gap, tol)
         return report
-
-
-def _vacuum_target(real: JointRealization) -> np.ndarray:
-    base = real.carrier.base
-    return base.unit
 
 
 # ---------------------------------------------------------------------------
@@ -370,34 +365,25 @@ def conditional_monotone_embed(
     tensor = tensor_over_base(e1, e2b)
     carrier = tensor.module
     vac = carrier.distinguished["unit"]
-    n1 = e1.rank
-    d0 = base.ambient_dim
 
-    # <xi1, e_i> for every generator of the first factor
-    overlaps = np.stack([e1.inner(xi1, e1.generator(i)) for i in range(n1)])
+    # x2 -> 1 o x2 as blocks from E2 to the carrier, and the column of every
+    # surviving pair (i, j): <1, e_i> . e_j, the overlap moved across
+    put = np.stack([tensor.tensor_vector(xi1, e2.generator(k)) for k in range(e2.rank)], axis=1)
+    moves = [e2b.left.blocks_of(e1.inner(xi1, e1.generator(i))) for i in range(e1.rank)]
+    survivors = [tensor.pairs[s] for s in tensor.info.survivors]
+    moved = np.stack([apply_blocks(moves[i], e2.generator(j)) for i, j in survivors], axis=1)
 
     def embed1(a):
         return tensor.op_left(left_action_operator(e1, a))
 
     def embed2(a):
+        # the adjoint replaces a2 by a2* and keeps the projection, since
+        # <T(x), y> = <x, T*(y)> moves the overlap to the other side symmetrically
+        def side(x):
+            return compose_blocks(put, compose_blocks(e2.left.blocks_of(x), moved))
+
         a = np.asarray(a, dtype=complex)
-        act = e2.left.blocks_of(a)
-        act_star = e2.left.blocks_of(dag(a))
-        blocks = np.zeros((carrier.rank, carrier.rank, d0, d0), dtype=complex)
-        adj_blocks = np.zeros_like(blocks)
-        # columns only over the surviving pairs; the adjoint replaces a2 by
-        # a2* and keeps the projection, since <T(x), y> = <x, T*(y)> moves
-        # the overlap coefficient to the other side symmetrically
-        for col, s in enumerate(tensor.info.survivors):
-            i, j = tensor.pairs[s]
-            move = e2b.left.blocks_of(overlaps[i])
-            blocks[:, col] = tensor.tensor_vector(
-                xi1, apply_blocks(compose_blocks(act, move), e2.generator(j))
-            )
-            adj_blocks[:, col] = tensor.tensor_vector(
-                xi1, apply_blocks(compose_blocks(act_star, move), e2.generator(j))
-            )
-        return AdjointableOperator(carrier, blocks, adj_blocks)
+        return AdjointableOperator(carrier, side(a), side(dag(a)))
 
     return JointRealization(
         carrier, vac, embed1, embed2, algebra1, algebra2, (True, False), base
@@ -487,9 +473,6 @@ class ConditionalTensorProduct:
     algebra: MatrixStarAlgebra
     expectation: PositiveMap
     realization: JointRealization
-    represent1: "callable"
-    represent2: "callable"
-    represent_base: "callable"
 
 
 def conditional_tensor_realize(
@@ -590,22 +573,7 @@ def conditional_tensor_realize(
             "amalgamated expectation failed verification: "
             + "; ".join(f"{c.name}={c.residual:.2e}" for c in report.failures)
         )
-
-    def represent1(a):
-        return flatten(embed1(a))
-
-    def represent2(a):
-        return flatten(embed2(a))
-
-    def represent_base(b):
-        c, res = base.coords(b)
-        if res > 1e-8:
-            raise StructuralError("element is not in the base algebra")
-        return np.einsum("m,mab->ab", c, base_images)
-
-    return ConditionalTensorProduct(
-        amalg, expectation, real, represent1, represent2, represent_base
-    )
+    return ConditionalTensorProduct(amalg, expectation, real)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +652,7 @@ class IndependenceReport:
 
     @property
     def max_residual(self) -> float:
-        return max((r.residual for r in self.results), default=0.0)
+        return residual_max(*(r.residual for r in self.results))
 
     @property
     def passed(self) -> bool:

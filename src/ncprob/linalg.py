@@ -41,15 +41,36 @@ def min_eig(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitian_part(m))[0])
 
 
-def is_psd(m: np.ndarray, floor: float = EIG_FLOOR) -> bool:
-    return min_eig(m) >= floor
+def residual_max(*values: float) -> float:
+    """The largest of ``values`` and 0, or NaN as soon as one of them is NaN.
+
+    Residual accumulators use this instead of ``max``: Python's
+    ``max(0.0, nan)`` is ``0.0``, which would let a NaN residual pass.
+    """
+    out = 0.0
+    for v in values:
+        v = float(v)
+        if v != v:
+            return v
+        if v > out:
+            out = v
+    return out
 
 
 def block_matrix(blocks: np.ndarray) -> np.ndarray:
-    """Assemble an (n, n, d, d) array of blocks into an (n*d, n*d) matrix."""
-    n = blocks.shape[0]
-    d = blocks.shape[2]
-    return blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+    """The (n*d, m*d) matrix of an (..., n, m, d, d) block array.
+
+    A view, without a copy, when ``blocks`` is itself a view made by
+    :func:`unblock`.
+    """
+    *lead, n, m, d, _ = blocks.shape
+    return np.swapaxes(blocks, -3, -2).reshape(*lead, n * d, m * d)
+
+
+def unblock(mat: np.ndarray, d: int) -> np.ndarray:
+    """The (..., n, m, d, d) block view of an (..., n*d, m*d) matrix."""
+    *lead, rows, cols = mat.shape
+    return np.swapaxes(mat.reshape(*lead, rows // d, d, cols // d, d), -3, -2)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, radius: float = 2.0) -> np.ndarray:
@@ -65,9 +86,3 @@ def random_density(dim: int, rng: np.random.Generator, min_weight: float = 0.05)
     w = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = w @ dag(w) + min_weight * np.eye(dim)
     return rho / np.trace(rho).real
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))

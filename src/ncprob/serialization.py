@@ -129,14 +129,42 @@ def _field(node: dict, name: str, pointer: str) -> Any:
     return node[name]
 
 
+class _NonFinite(str):
+    """A NaN/Infinity literal, kept as a marker until its pointer is known."""
+
+
+def _non_finite_pointer(node: Any, pointer: str = "") -> str | None:
+    if isinstance(node, _NonFinite):
+        return pointer
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        found = _non_finite_pointer(child, f"{pointer}/{key}")
+        if found is not None:
+            return found
+    return None
+
+
 def load_json_file(path: str) -> Any:
+    """Parse a JSON file; NaN and Infinity literals are rejected, not read."""
+    seen: list[str] = []
+
+    def non_finite(literal: str) -> _NonFinite:
+        seen.append(literal)
+        return _NonFinite(literal)
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh, parse_constant=non_finite)
     except OSError as err:
         raise SchemaError(f"cannot read file: {err}", "") from err
     except json.JSONDecodeError as err:
         raise SchemaError(f"not valid JSON: {err.msg} (line {err.lineno})", "") from err
+    if seen:
+        raise SchemaError(f"non-finite number {seen[0]} is not allowed", _non_finite_pointer(doc))
+    return doc
 
 
 # ---------------------------------------------------------------------------

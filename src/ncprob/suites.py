@@ -62,7 +62,7 @@ from .independence import (
     tensor_moment_formula,
     tensor_realize,
 )
-from .linalg import frob, random_density
+from .linalg import frob, random_density, residual_max
 
 __all__ = ["RunConfig", "SUITE_NAMES", "run_suite", "SCHEMA_TAG"]
 
@@ -91,8 +91,8 @@ class RunConfig:
     output_format: str = "json"
 
     def validate(self) -> None:
-        if not (self.tolerance > 0.0):
-            raise StructuralError("tolerance must be positive")
+        if not (0.0 < self.tolerance < float("inf")):
+            raise StructuralError("tolerance must be a positive finite number")
         for name in ("max_word_length", "trials", "horizon", "budget"):
             if getattr(self, name) < 1:
                 raise StructuralError(f"{name} must be at least 1")
@@ -183,7 +183,7 @@ def suite_module(config: RunConfig) -> list[dict]:
         for b in pmap.domain.basis:
             acted = apply_blocks(module.left.blocks_of(b), xi)
             gap = frob(module.inner(xi, acted) - pmap.apply(b))
-            if gap > worst:
+            if gap > worst or np.isnan(gap):
                 worst, worst_label = gap, f"map #{k} ({pmap.kind.value})"
     rows.append(_row("gns-representation", worst, gns_tol, f"worst: {worst_label}; fixed tolerance 1e-10"))
 
@@ -197,7 +197,7 @@ def suite_module(config: RunConfig) -> list[dict]:
         right_first = tensor_over_base(e2, e3, reduce=False)
         g_left = tensor_over_base(left_first.module, e3, reduce=False).module.gram
         g_right = tensor_over_base(e1, right_first.module, reduce=False).module.gram
-        worst = max(worst, float(np.abs(g_left - g_right).max()))
+        worst = residual_max(worst, float(np.abs(g_left - g_right).max()))
     rows.append(_row("tensor-associativity", worst, assoc_tol, "10 seeded module triples; fixed tolerance 1e-10"))
 
     # reductions preserve moments
@@ -215,7 +215,7 @@ def suite_module(config: RunConfig) -> list[dict]:
                 reduced.distinguished["unit"],
                 apply_blocks(reduced.left.blocks_of(b), reduced.distinguished["unit"]),
             )
-            worst = max(worst, frob(lhs - rhs))
+            worst = residual_max(worst, frob(lhs - rhs))
     rows.append(_row("quotient-preserves-moments", worst, config.tolerance))
 
     base, fiber = central_unit_fiber(m2, 2)
@@ -247,15 +247,15 @@ def suite_monotone(config: RunConfig) -> list[dict]:
         got = mono.scalar_moment(word)
         want = monotone_moment_formula(word, s1.functional, s2.functional)
         gap = abs(got - want)
-        if gap > worst_mono:
+        if gap > worst_mono or np.isnan(gap):
             worst_mono, worst_word = gap, _word_label(word)
-        worst_tens = max(
+        worst_tens = residual_max(
             worst_tens,
             abs(tens.scalar_moment(word) - tensor_moment_formula(word, s1.functional, s2.functional)),
         )
         naive = tensor_moment_formula(word, s1.functional, s2.functional)
         cross = abs(want - naive)
-        if cross > witness_gap:
+        if cross > witness_gap or np.isnan(cross):
             witness_gap, witness_word = cross, _word_label(word)
     rows.append(_row("realization-matches-formula", worst_mono, tol, f"worst word: {worst_word}"))
     rows.append(_row("tensor-realization-matches-formula", worst_tens, tol))
@@ -267,7 +267,7 @@ def suite_monotone(config: RunConfig) -> list[dict]:
         g = s2.algebra.element(_random_hermitian_in(s2.algebra, rng))
         word = AlternatingWord([(1, f), (2, g)])
         split = complex(s1.functional.apply(f)[0, 0]) * complex(s2.functional.apply(g)[0, 0])
-        worst = max(worst, abs(mono.scalar_moment(word) - split))
+        worst = residual_max(worst, abs(mono.scalar_moment(word) - split))
     rows.append(_row("ordered-two-letter-factorization", worst, tol))
 
     # at least one reversed word must separate monotone from tensor values;
@@ -282,9 +282,9 @@ def suite_monotone(config: RunConfig) -> list[dict]:
         want = monotone_moment_formula(word, s1.functional, s2.functional)
         naive = tensor_moment_formula(word, s1.functional, s2.functional)
         cross = abs(want - naive)
-        if cross > witness_gap:
+        if cross > witness_gap or np.isnan(cross):
             witness_gap, witness_word = cross, _word_label(word)
-    shortfall = max(0.0, 1e-3 - witness_gap)
+    shortfall = residual_max(1e-3 - witness_gap)
     rows.append(
         _row(
             "order-sensitivity-witness",
@@ -328,10 +328,10 @@ def suite_conditional_monotone(config: RunConfig) -> list[dict]:
         got = joint.moment(word)
         want = conditional_monotone_moment_formula(word, comp, comp)
         gap = frob(got - want)
-        if gap > worst:
+        if gap > worst or np.isnan(gap):
             worst, worst_word = gap, _word_label(word)
         _, res = base.coords(want)
-        worst_member = max(worst_member, res)
+        worst_member = residual_max(worst_member, res)
     rows.append(
         _row("realization-matches-formula", worst, tol, f"{config.trials} words (len <= {length}); worst: {worst_word}")
     )
@@ -346,7 +346,7 @@ def suite_conditional_monotone(config: RunConfig) -> list[dict]:
         c = _random_hermitian_in(m2, rng)
         lhs = joint.embed(2, a) @ joint.embed(1, b) @ joint.embed(2, c)
         rhs = joint.embed(2, a @ comp.apply(b) @ c)
-        worst = max(worst, operator_distance(lhs, rhs))
+        worst = residual_max(worst, operator_distance(lhs, rhs))
     rows.append(_row("sandwich-identity", worst, tol))
     rows.extend(_report_rows("realization", joint.verify(tol), tol))
     return rows
@@ -378,8 +378,8 @@ def suite_conditional_tensor(config: RunConfig) -> list[dict]:
             word = AlternatingWord([(1, f), (2, g)])
             joint = product.realization.moment(word)
             split = s1.functional.apply(f) @ s2.functional.apply(g)
-            worst = max(worst, frob(joint - split))
-            worst_cls = max(worst_cls, frob(joint - classical_coins_oracle(f, g)))
+            worst = residual_max(worst, frob(joint - split))
+            worst_cls = residual_max(worst_cls, frob(joint - classical_coins_oracle(f, g)))
     rows.append(_row("expectation-factorizes", worst, exact_tol, "16 indicator pairs; fixed tolerance 1e-12"))
     rows.append(_row("classical-oracle-agrees", worst_cls, exact_tol, "fixed tolerance 1e-12"))
 
@@ -392,7 +392,7 @@ def suite_conditional_tensor(config: RunConfig) -> list[dict]:
         h = base.combine(rng.uniform(-1, 1, size=2))
         via1 = product.realization.moment(AlternatingWord([(1, f @ h), (2, g)]))
         via2 = product.realization.moment(AlternatingWord([(1, f), (2, h @ g)]))
-        worst = max(worst, frob(via1 - via2))
+        worst = residual_max(worst, frob(via1 - via2))
     rows.append(_row("base-insertion-identity", worst, exact_tol, "fixed tolerance 1e-12"))
     rows.extend(
         _report_rows("amalgamated-expectation", verify_positive_map(product.expectation), config.tolerance)
@@ -436,7 +436,7 @@ def suite_dilation(config: RunConfig) -> list[dict]:
             xi = system.units[n]
             for b in system.base.basis:
                 gap = frob(e.inner(xi, apply_blocks(e.left.blocks_of(b), xi)) - tn.apply(b))
-                if gap > worst:
+                if gap > worst or np.isnan(gap):
                     worst, worst_label = gap, f"{label}, n={n}"
     rows.append(_row("semigroup-recovery", worst, tol, f"worst: {worst_label}"))
 

@@ -78,6 +78,15 @@ def test_verify_rejects_bad_counts(capsys):
 # seeds
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_verify_rejects_non_finite_tolerance(capsys, value):
+    # an infinite tolerance would pass every check, a NaN one would fail all
+    code, out, err = run_cli(capsys, "verify", "algebra", "--tolerance", value)
+    assert code == 2
+    assert out == ""
+    assert "tolerance must be a positive finite number" in err
+
+
 def test_env_seed_applies_and_flag_wins(capsys, monkeypatch):
     monkeypatch.setenv("NCPROB_SEED", "7")
     code, out, _ = run_cli(capsys, "verify", "algebra")
@@ -237,6 +246,18 @@ def test_moments_unnormalized_state_fails_verification(tmp_path, capsys):
     code, _, err = run_cli(capsys, "moments", scenario)
     assert code == 1
     assert "space2" in err
+
+
+def test_moments_nan_state_density_is_malformed_input(tmp_path, capsys):
+    doc = _scenario_doc(words=[_x_word(1)])
+    doc["space2"]["functional"]["matrix"][0][1] = [12345.5, 0.0]
+    path = tmp_path / "scenario.json"
+    path.write_text(emit_json(doc).replace("12345.5", "NaN") + "\n")
+    code, out, err = run_cli(capsys, "moments", str(path))
+    assert code == 2
+    assert out == ""
+    assert "non-finite number NaN" in err
+    assert "/space2/functional/matrix/0/1/0" in err
 
 
 def test_moments_missing_file(capsys):

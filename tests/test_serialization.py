@@ -304,3 +304,12 @@ def test_load_json_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(SchemaError, match="not valid JSON"):
         load_json_file(str(bad))
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_load_json_file_rejects_non_finite_literals(tmp_path, literal):
+    path = tmp_path / "doc.json"
+    path.write_text('{"words": [{"letters": [{"leg": 1, "element": [[[%s, 0]]]}]}]}' % literal)
+    with pytest.raises(SchemaError, match=f"non-finite number {literal}") as err:
+        load_json_file(str(path))
+    assert err.value.pointer == "/words/0/letters/0/element/0/0/0"
