@@ -15,11 +15,11 @@ numerical failures are returned in a :class:`VerificationReport`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, EIG_FLOOR, RANK_RTOL, dag, frob, min_eig, residual_max, vec
+from .linalg import DEFAULT_TOL, EIG_FLOOR, RANK_RTOL, dag, exceeds, frob, min_eig, residual_max, vec
 
 __all__ = [
     "StructuralError",
@@ -60,8 +60,12 @@ class StructuralError(ValueError):
 
 @dataclass
 class CheckResult:
+    """One decided check: its residual, the tolerance it was decided at, and
+    the verdict.  Reports copy these rows; they never re-decide them."""
+
     name: str
     residual: float
+    tolerance: float
     passed: bool
     detail: str = ""
 
@@ -83,7 +87,27 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
     def add(self, name: str, residual: float, tol: float, detail: str = "") -> None:
-        self.checks.append(CheckResult(name, float(residual), float(residual) <= tol, detail))
+        residual, tol = float(residual), float(tol)
+        self.checks.append(CheckResult(name, residual, tol, residual <= tol, detail))
+
+    def extend(self, prefix: str, other: "VerificationReport") -> None:
+        """Append ``other``'s checks, verdicts and tolerances as decided, named ``prefix:name``."""
+        self.checks.extend(replace(c, name=f"{prefix}:{c.name}") for c in other.checks)
+
+    def rows(self) -> list[dict]:
+        """The report rows {"name", "residual", "tolerance", "passed", "detail"}."""
+        return [
+            {"name": c.name, "residual": c.residual, "tolerance": c.tolerance,
+             "passed": c.passed, "detail": c.detail}
+            for c in self.checks
+        ]
+
+    def raise_on_failure(self, message: str) -> None:
+        """Raise :class:`StructuralError` naming every failed check after ``message``."""
+        if not self.passed:
+            raise StructuralError(
+                f"{message}: " + "; ".join(f"{c.name}={c.residual:.2e}" for c in self.failures)
+            )
 
 
 class MatrixStarAlgebra:
@@ -163,7 +187,7 @@ class MatrixStarAlgebra:
         """Return ``x`` checked for membership in the algebra span."""
         x = np.asarray(x, dtype=complex)
         _, res = self.coords(x)
-        if res > tol:
+        if exceeds(res, tol):
             raise StructuralError(f"matrix is not in the algebra span (residual {res:.3e})")
         return x
 
@@ -293,7 +317,7 @@ class PositiveMap:
     def apply(self, x: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         """Image of ``x``; raises if ``x`` is not in the domain span."""
         c, res = self.domain.coords(x)
-        if res > tol:
+        if exceeds(res, tol):
             raise StructuralError(f"argument is not in the domain span (residual {res:.3e})")
         return self.codomain.combine(self.matrix @ c)
 
@@ -319,7 +343,7 @@ def map_from_images(
             f"need one image per domain basis element ({domain.dim}), got {images.shape[0]}"
         )
     coeffs, res = codomain.coords_many(images)
-    if res > tol:
+    if exceeds(res, tol):
         raise StructuralError(f"images are not inside the codomain span (residual {res:.3e})")
     return PositiveMap(domain, codomain, coeffs.T, kind)
 
@@ -368,11 +392,11 @@ def average_with_involution(domain: MatrixStarAlgebra, u: np.ndarray) -> Positiv
     The image is the commutant of ``u`` inside the domain.
     """
     u = np.asarray(u, dtype=complex)
-    if frob(u @ u - np.eye(len(u))) > 1e-10 or frob(u - dag(u)) > 1e-10:
+    if exceeds(residual_max(frob(u @ u - np.eye(len(u))), frob(u - dag(u))), 1e-10):
         raise StructuralError("averaging element must be a Hermitian unitary")
     images = (domain.basis + np.einsum("ab,ibc,cd->iad", u, domain.basis, dag(u))) / 2
     coeffs, res = domain.coords_many(images)
-    if res > 1e-10:
+    if exceeds(res, 1e-10):
         raise StructuralError("averaged images left the domain span")
     # codomain basis: a maximal independent subset of the averaged images
     keep = independent_columns(images.reshape(len(images), -1).T)
@@ -412,9 +436,11 @@ def cp_from_stochastic(p: np.ndarray) -> PositiveMap:
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise StructuralError("transition matrix must be square")
+    if not np.all(np.isfinite(p)):
+        raise StructuralError("transition matrix has non-finite entries")
     if np.any(p < -1e-12):
         raise StructuralError("transition matrix has negative entries")
-    if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-9:
+    if exceeds(np.max(np.abs(p.sum(axis=1) - 1.0)), 1e-9):
         raise StructuralError("transition matrix rows must sum to one")
     alg = diagonal_algebra(p.shape[0])
     return PositiveMap(alg, alg, p.astype(complex), MapKind.CP_MAP)
@@ -478,7 +504,7 @@ def choi_matrix(pmap: PositiveMap) -> np.ndarray:
 def _embed_codomain(pmap: PositiveMap, tol: float) -> np.ndarray:
     """Coordinates of the codomain basis inside the domain span (CE only)."""
     coords, res = pmap.domain.coords_many(pmap.codomain.basis)
-    if res > max(tol, 1e-8):
+    if exceeds(res, max(tol, 1e-8)):
         raise StructuralError(
             f"codomain is not contained in the domain span (residual {res:.3e})"
         )
@@ -524,6 +550,6 @@ def verify_positive_map(pmap: PositiveMap, tol: float = DEFAULT_TOL) -> Verifica
     report.add("completely-positive", residual_max(-min_eig(cp_kernel(pmap))), -eig_floor)
     unital_res = frob(pmap.apply(pmap.domain.unit) - pmap.codomain.unit)
     report.checks.append(
-        CheckResult("unital", float(unital_res), True, "informational: unitality is not required of a CP map")
+        CheckResult("unital", unital_res, tol, True, "informational: unitality is not required of a CP map")
     )
     return report

@@ -1,9 +1,9 @@
 """Command-line interface: verification suites, demos, and moment tables.
 
 Exit codes follow the usual convention: 0 when every check passed, 1 when
-a numerical check failed (the offending identities are printed to
-stderr), 2 for usage errors and malformed input (schema errors carry the
-JSON pointer of the bad field).
+a numerical check failed, a non-finite residual included (the offending
+identities are printed to stderr), 2 for usage errors and malformed input
+(schema errors carry the JSON pointer of the bad field).
 
 The seed defaults to 42; the environment variable NCPROB_SEED overrides
 the default and an explicit ``--seed`` flag wins over both.  Reports are
@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -183,9 +184,31 @@ def _render_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+def _finite_or_null(value):
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _json_ready(report: dict) -> dict:
+    """The report with each non-finite residual and table cell written as null.
+
+    JSON has no NaN; a NaN residual is a failed check, and its report must
+    still be written.
+    """
+    out = dict(report)
+    for key in ("checks", "moments"):
+        if key in out:
+            out[key] = [{**row, "residual": _finite_or_null(row["residual"])} for row in out[key]]
+    if "tables" in out:
+        out["tables"] = [
+            {**table, "rows": [[_finite_or_null(v) for v in row] for row in table["rows"]]}
+            for table in out["tables"]
+        ]
+    return out
+
+
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return emit_json(report) + "\n"
+        return emit_json(_json_ready(report)) + "\n"
     if fmt == "csv":
         return _render_csv(report)
     return _render_text(report)
@@ -206,18 +229,22 @@ def _report_failures(report: dict) -> None:
             )
 
 
+def _finish(report: dict, config: RunConfig, out: str | None) -> int:
+    """Write the report, list its failures on stderr, and return the exit code."""
+    _write_output(_render(report, config.output_format), out)
+    if report["passed"]:
+        return 0
+    _report_failures(report)
+    return 1
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    report = run_suite(args.suite, config)
-    _write_output(_render(report, config.output_format), args.out)
-    if report["passed"]:
-        return 0
-    _report_failures(report)
-    return 1
+    return _finish(run_suite(args.suite, config), config, args.out)
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -225,12 +252,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.name == "coins":
         kwargs = {"bias1": args.bias1, "bias2": args.bias2}
-    report = run_demo(args.name, config, **kwargs)
-    _write_output(_render(report, config.output_format), args.out)
-    if report["passed"]:
-        return 0
-    _report_failures(report)
-    return 1
+    return _finish(run_demo(args.name, config, **kwargs), config, args.out)
 
 
 def _scalar_value(z: complex) -> list[float]:
@@ -312,11 +334,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
         "moments": moments,
         "passed": all(m["passed"] for m in moments),
     }
-    _write_output(_render(report, config.output_format), args.out)
-    if report["passed"]:
-        return 0
-    _report_failures(report)
-    return 1
+    return _finish(report, config, args.out)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ import numpy as np
 
 from .algebra_core import (
     StructuralError,
+    VerificationReport,
     full_matrix_algebra,
     diagonal_algebra,
     state_from_density,
@@ -43,51 +44,29 @@ from .hilbert_module import operator_distance
 from .independence import (
     AlternatingWord,
     QuantumProbabilitySpace,
-    classical_coins_oracle,
-    coins_game,
-    conditional_tensor_realize,
     monotone_realize,
     tensor_moment_formula,
 )
 from .linalg import frob, residual_max
 from .serialization import SCHEMA_TAG
-from .suites import RunConfig
+from .suites import RunConfig, coins_identities
 
 DEMO_NAMES = ("two-time", "coins", "markov", "white-noise")
-
-
-def _check(name: str, residual: float, tolerance: float, detail: str = "") -> dict:
-    row = {
-        "name": name,
-        "residual": float(residual),
-        "tolerance": float(tolerance),
-        "passed": bool(residual <= tolerance),
-    }
-    if detail:
-        row["detail"] = detail
-    return row
-
-
-def _verify_rows(prefix: str, report, tolerance: float) -> list[dict]:
-    return [
-        _check(f"{prefix}:{c.name}", c.residual, tolerance, c.detail)
-        for c in report.checks
-    ]
 
 
 def _table(title: str, columns: list[str], rows: list[list]) -> dict:
     return {"title": title, "columns": columns, "rows": rows}
 
 
-def _finish(name: str, config: RunConfig, narrative, tables, checks) -> dict:
+def _finish(name: str, config: RunConfig, narrative, tables, report: VerificationReport) -> dict:
     return {
         "schema": SCHEMA_TAG,
         "demo": name,
         "config": config.as_report_dict(),
         "narrative": list(narrative),
         "tables": tables,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
+        "checks": report.rows(),
+        "passed": report.passed,
     }
 
 
@@ -170,17 +149,16 @@ def demo_two_time(config: RunConfig) -> dict:
         rows,
     )
 
-    checks = [
-        _check("ordered-factorization", worst_ordered, tol, "9 observable pairs"),
-        _check(
-            "order-sensitivity-witness",
-            residual_max(1e-3 - best_gap),
-            0.0,
-            f"largest gap {best_gap:.6g}; reversed words must not factor",
-        ),
-        _check("collapse-identity", worst_collapse, tol, "5 seeded triples"),
-    ]
-    checks.extend(_verify_rows("realization", real.verify(tol), tol))
+    report = VerificationReport()
+    report.add("ordered-factorization", worst_ordered, tol, "9 observable pairs")
+    report.add(
+        "order-sensitivity-witness",
+        residual_max(1e-3 - best_gap),
+        0.0,
+        f"largest gap {best_gap:.6g}; reversed words must not factor",
+    )
+    report.add("collapse-identity", worst_collapse, tol, "5 seeded triples")
+    report.extend("realization", real.verify(tol))
     narrative = [
         "Fair coin measured at time 1, a 0.7-biased coin at time 2, jointly",
         "realized so that time 1 acts through the projection onto the later",
@@ -193,7 +171,7 @@ def demo_two_time(config: RunConfig) -> dict:
         config,
         narrative,
         [ordered_table, reversed_table, collapse_table],
-        checks,
+        report,
     )
 
 
@@ -207,80 +185,42 @@ _OUTCOMES = ("h,h", "h,t", "t,h", "t,t")  # (coin, fair coin), second slot fair
 def demo_coins(config: RunConfig, bias1: float = 0.7, bias2: float = 0.3) -> dict:
     """Conditional factorization for two coins driven by one fair coin."""
     exact_tol = 1e-12
-    s1, s2, base = coins_game(bias1, bias2)
-    product = conditional_tensor_realize(s1, s2)
-
-    def indicator(k: int) -> np.ndarray:
-        m = np.zeros((4, 4), dtype=complex)
-        m[k, k] = 1.0
-        return m
-
-    rows = []
-    worst_split = 0.0
-    worst_classical = 0.0
-    for i in range(4):
-        for j in range(4):
-            f, g = indicator(i), indicator(j)
-            joint = product.realization.moment(AlternatingWord([(1, f), (2, g)]))
-            split = s1.functional.apply(f) @ s2.functional.apply(g)
-            classical = classical_coins_oracle(f, g, bias1, bias2)
-            gap = frob(joint - split)
-            worst_split = residual_max(worst_split, gap)
-            worst_classical = residual_max(worst_classical, frob(joint - classical))
-            rows.append(
-                [
-                    f"[X1={_OUTCOMES[i]}]",
-                    f"[X2={_OUTCOMES[j]}]",
-                    float(np.real(joint[0, 0])),
-                    float(np.real(joint[1, 1])),
-                    float(np.real(split[0, 0])),
-                    float(np.real(split[1, 1])),
-                    gap,
-                ]
-            )
+    coins = coins_identities(config.seed, bias1, bias2)
+    rows = [
+        [
+            f"[X1={_OUTCOMES[i]}]",
+            f"[X2={_OUTCOMES[j]}]",
+            float(np.real(joint[0, 0])),
+            float(np.real(joint[1, 1])),
+            float(np.real(split[0, 0])),
+            float(np.real(split[1, 1])),
+            gap,
+        ]
+        for i, j, joint, split, gap in coins.pairs
+    ]
     factor_table = _table(
         "E[f(X1) g(X2) | Y] vs E[f | Y] E[g | Y] over all indicator pairs",
         ["f", "g", "joint|Y=h", "joint|Y=t", "split|Y=h", "split|Y=t", "residual"],
         rows,
     )
 
-    # functions of the fair coin slide across the tensor sign
-    rng = np.random.default_rng(config.seed)
-    worst_insert = 0.0
-    for _ in range(10):
-        f = np.diag(rng.uniform(-1, 1, size=4)).astype(complex)
-        g = np.diag(rng.uniform(-1, 1, size=4)).astype(complex)
-        h = base.combine(rng.uniform(-1, 1, size=2))
-        via1 = product.realization.moment(AlternatingWord([(1, f @ h), (2, g)]))
-        via2 = product.realization.moment(AlternatingWord([(1, f), (2, h @ g)]))
-        worst_insert = residual_max(worst_insert, frob(via1 - via2))
-
-    checks = [
-        _check(
-            "conditional-expectation-factorizes",
-            worst_split,
-            exact_tol,
-            "16 indicator pairs; fixed tolerance 1e-12",
-        ),
-        _check(
-            "eight-outcome-enumeration-agrees",
-            worst_classical,
-            exact_tol,
-            "fixed tolerance 1e-12",
-        ),
-        _check(
-            "base-insertion-identity",
-            worst_insert,
-            exact_tol,
-            "10 seeded triples; fixed tolerance 1e-12",
-        ),
-    ]
-    checks.extend(
-        _verify_rows(
-            "amalgamated-expectation",
-            verify_positive_map(product.expectation),
-            config.tolerance,
-        )
+    report = VerificationReport()
+    report.add(
+        "conditional-expectation-factorizes",
+        coins.worst_split,
+        exact_tol,
+        "16 indicator pairs; fixed tolerance 1e-12",
+    )
+    report.add("eight-outcome-enumeration-agrees", coins.worst_classical, exact_tol, "fixed tolerance 1e-12")
+    report.add(
+        "base-insertion-identity",
+        coins.worst_insert,
+        exact_tol,
+        "10 seeded triples; fixed tolerance 1e-12",
+    )
+    report.extend(
+        "amalgamated-expectation",
+        verify_positive_map(coins.product.expectation, config.tolerance),
     )
     narrative = [
         "One fair coin Y sets the biases of two others: given Y = h the",
@@ -290,7 +230,7 @@ def demo_coins(config: RunConfig, bias1: float = 0.7, bias2: float = 0.3) -> dic
         "product f(X1) g(X2) splits, and functions of Y attach to either",
         "factor.  Outcomes are labelled (coin, fair coin).",
     ]
-    return _finish("coins", config, narrative, [factor_table], checks)
+    return _finish("coins", config, narrative, [factor_table], report)
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +302,11 @@ def demo_markov(config: RunConfig) -> dict:
             )
         )
 
-    checks = [_check("n-step-recovery", worst_recovery, tol, f"n up to {n_top}")]
+    report = VerificationReport()
+    report.add("n-step-recovery", worst_recovery, tol, f"n up to {n_top}")
     if n_top >= 2:
-        checks.append(_check("two-time-agreement", worst_two_time, tol))
-    checks.extend(
-        _verify_rows("model", model.verify(tol, seed=config.seed, trials=25), tol)
-    )
+        report.add("two-time-agreement", worst_two_time, tol)
+    report.extend("model", model.verify(tol, seed=config.seed, trials=25))
     narrative = [
         "The chain P = [[0.5, 0.5], [0.3, 0.7]] on two states, dilated to a",
         f"product system of horizon {n_top}.  Compressing the unit vector",
@@ -380,7 +319,7 @@ def demo_markov(config: RunConfig) -> dict:
             "Horizon 1 exercises single-step recovery only; raise --horizon"
             " for correlations across two times."
         )
-    return _finish("markov", config, narrative, tables, checks)
+    return _finish("markov", config, narrative, tables, report)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +346,7 @@ def demo_white_noise(config: RunConfig) -> dict:
 
     trials = min(config.trials, 100)
     rows = []
-    checks = []
+    report = VerificationReport()
     for r, s, t in windows:
         inc = white_noise_increment_check(
             scenario,
@@ -429,21 +368,17 @@ def demo_white_noise(config: RunConfig) -> dict:
                 inc.generated_dimension,
             ]
         )
-        checks.append(
-            _check(
-                f"mode-is-white-noise[{r},{s},{t}]",
-                0.0 if inc.mode == "white-noise" else 1.0,
-                0.0,
-                f"reported {inc.mode}",
-            )
+        report.add(
+            f"mode-is-white-noise[{r},{s},{t}]",
+            0.0 if inc.mode == "white-noise" else 1.0,
+            0.0,
+            f"reported {inc.mode}",
         )
-        checks.append(
-            _check(
-                f"increments-factorize[{r},{s},{t}]",
-                inc.max_residual,
-                tol,
-                f"{inc.word_count} sampled words",
-            )
+        report.add(
+            f"increments-factorize[{r},{s},{t}]",
+            inc.max_residual,
+            tol,
+            f"{inc.word_count} sampled words",
         )
     window_table = _table(
         "conditional monotone factorization of increment windows",
@@ -451,9 +386,7 @@ def demo_white_noise(config: RunConfig) -> dict:
         rows,
     )
 
-    checks.extend(
-        _verify_rows("dilation", verify_dilation(scenario, tol, seed=config.seed), tol)
-    )
+    report.extend("dilation", verify_dilation(scenario, tol, seed=config.seed))
     narrative = [
         "The fiber M2 (x) C^2 with central unit vector induces the identity",
         "semigroup, so the corner functional is invariant under the time",
@@ -462,7 +395,7 @@ def demo_white_noise(config: RunConfig) -> dict:
         "p(w) = p(x_0) p(y_1 p(x_1) y_2 ... y_n) p(x_n) with interior",
         "insertions acting by left multiplication.",
     ]
-    return _finish("white-noise", config, narrative, [window_table], checks)
+    return _finish("white-noise", config, narrative, [window_table], report)
 
 
 # ---------------------------------------------------------------------------

@@ -141,12 +141,7 @@ class DiscreteProductSystem:
             raise StructuralError("fiber must carry a left action of the base")
         if "unit" not in fiber.distinguished:
             raise StructuralError("fiber has no distinguished unit vector")
-        fiber_report = verify_module(fiber)
-        if not fiber_report.passed:
-            raise StructuralError(
-                "fiber failed verification: "
-                + "; ".join(f"{c.name}={c.residual:.2e}" for c in fiber_report.failures)
-            )
+        verify_module(fiber).raise_on_failure("fiber failed verification")
 
         d0 = base.ambient_dim
         e0_gram = base.unit[None, None]
@@ -374,12 +369,7 @@ def dilate_discrete(
     """Dilation of a verified unital CP map up to the given horizon."""
     if not cp_map.domain.same_basis(cp_map.codomain):
         raise StructuralError("only endomaps of one algebra can be dilated")
-    report = verify_positive_map(cp_map)
-    if not report.passed:
-        raise StructuralError(
-            "map failed verification: "
-            + "; ".join(f"{c.name}={c.residual:.2e}" for c in report.failures)
-        )
+    verify_positive_map(cp_map).raise_on_failure("map failed verification")
     if not cp_map.is_unital():
         raise StructuralError("the map is not unital; its dilation has no unit vector")
     fiber = gns_construct(cp_map, verify=False)
@@ -447,12 +437,9 @@ def white_noise_scenario(
         ]
     )
     cp_map = map_from_images(base, base, images, MapKind.CP_MAP)
-    report = verify_positive_map(cp_map)
-    if not report.passed:
-        raise StructuralError(
-            "the map read off the unit vector failed verification: "
-            + "; ".join(f"{c.name}={c.residual:.2e}" for c in report.failures)
-        )
+    verify_positive_map(cp_map).raise_on_failure(
+        "the map read off the unit vector failed verification"
+    )
     system = DiscreteProductSystem.build(base, fiber, horizon, budget)
     return DilationScenario(cp_map, system)
 
@@ -924,7 +911,7 @@ class MarkovModel:
             top = self.system.powers[n]
             gap = np.sqrt(residual_max(np.linalg.norm(top.inner(diff, diff), 2)))
             worst = residual_max(worst, gap)
-        report.add("shift-preserves-inner-products", worst, tol)
+        report.add("shift-preserves-inner-products", worst, 1e-10, "fixed tolerance 1e-10")
 
         if n >= 2:
             mid = max(1, n // 2)

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra_core import (
-    CheckResult,
     MatrixStarAlgebra,
     PositiveMap,
     StructuralError,
@@ -44,6 +43,7 @@ from .linalg import (
     RANK_RTOL,
     block_matrix,
     dag,
+    exceeds,
     frob,
     min_eig,
     residual_max,
@@ -143,7 +143,7 @@ class LeftAction:
         Raises when one of them is not in the acting algebra.
         """
         c, res = self.algebra.coords_many(elements)
-        if res > tol:
+        if exceeds(res, tol):
             raise StructuralError(f"element is not in the acting algebra (residual {res:.3e})")
         return c
 
@@ -300,7 +300,7 @@ def solve_adjoint(module: HilbertModule, blocks: np.ndarray, tol: float = 1e-8) 
     r_mat = rhs.transpose(0, 2, 3, 1).reshape(n * d0 * d0, n)
     alpha, residual, *_ = np.linalg.lstsq(m_mat, r_mat, rcond=None)
     achieved = frob(m_mat @ alpha - r_mat)
-    if achieved > tol * max(1.0, frob(r_mat)):
+    if exceeds(achieved, tol * max(1.0, frob(r_mat))):
         raise StructuralError(
             f"operator has no adjoint with coefficients in the base algebra "
             f"(residual {achieved:.3e})"
@@ -451,12 +451,9 @@ def gns_construct(pmap: PositiveMap, reduce: bool = True, verify: bool = True) -
     if verify:
         from .algebra_core import verify_positive_map
 
-        report = verify_positive_map(pmap)
-        if not report.passed:
-            raise StructuralError(
-                "refusing to build a module over an unverified map: "
-                + "; ".join(f"{c.name}={c.residual:.2e}" for c in report.failures)
-            )
+        verify_positive_map(pmap).raise_on_failure(
+            "refusing to build a module over an unverified map"
+        )
     dom, cod = pmap.domain, pmap.codomain
     n, d0 = dom.dim, cod.ambient_dim
     b = dom.basis
@@ -467,14 +464,14 @@ def gns_construct(pmap: PositiveMap, reduce: bool = True, verify: bool = True) -
     prod_coords, res = dom.coords_many(
         np.einsum("kab,jbc->kjac", b, b).reshape(n * n, *b.shape[1:])
     )
-    if res > 1e-9:
+    if exceeds(res, 1e-9):
         raise StructuralError("domain basis is not multiplicatively closed")
     struct = prod_coords.reshape(n, n, n)  # struct[k, j, l]: a_k a_j = sum_l . a_l
     blocks = np.einsum("kjl,ab->kljab", struct, cod.unit)
     left = LeftAction(dom, blocks)
 
     unit_coords, res = dom.coords(dom.unit)
-    if res > 1e-9:
+    if exceeds(res, 1e-9):
         raise StructuralError("the domain unit is not in the domain span")
     xi = np.einsum("i,ab->iab", unit_coords, cod.unit)
 
@@ -543,7 +540,7 @@ class ModuleTensor:
                 e2, e2.left.blocks[k], e2.left.blocks_of(dag(e2.left.algebra.basis[k]))
             )
             gap = operator_distance(act @ s, s @ act)
-            if gap > tol:
+            if exceeds(gap, tol):
                 raise StructuralError(
                     "operator does not commute with the base action on the right "
                     f"factor (defect {gap:.3e}); id-tensor-S is not well defined"
@@ -587,7 +584,7 @@ def tensor_over_base(
     # raw gram over pairs: G[(i,j),(I,J)] = < e_j, G1[i,I] . e_J >, with the
     # einsums on C-ordered operands (their summation order follows the layout)
     coords, res = e1.base.coords_many(e1.gram.reshape(n1 * n1, *e1.gram.shape[2:]))
-    if res > 1e-8:
+    if exceeds(res, 1e-8):
         raise StructuralError("left factor inner products are not in its base algebra")
     acts = np.einsum("pm,mjkab->pjkab", coords, np.ascontiguousarray(e2.left.blocks))
     gram = np.einsum(

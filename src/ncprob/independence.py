@@ -23,7 +23,7 @@ lose value when an explicit unit letter is inserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .hilbert_module import (
     tensor_over_base,
     trivial_left_action,
 )
-from .linalg import DEFAULT_TOL, dag, frob, random_hermitian, residual_max
+from .linalg import DEFAULT_TOL, dag, exceeds, frob, random_hermitian, residual_max
 
 __all__ = [
     "QuantumProbabilitySpace",
@@ -71,7 +71,6 @@ __all__ = [
     "classical_coins_oracle",
     "random_alternating_word",
     "verify_independence",
-    "IndependenceReport",
 ]
 
 
@@ -130,7 +129,7 @@ class AlternatingWord:
         for k, (leg, mat) in enumerate(self.letters):
             alg = algebra1 if leg == 1 else algebra2
             _, res = alg.coords(mat)
-            if res > tol:
+            if exceeds(res, tol):
                 raise StructuralError(
                     f"letter {k} is not in the algebra of leg {leg} (residual {res:.3e})"
                 )
@@ -198,8 +197,10 @@ class JointRealization:
             else:
                 # the unit must land on a proper projection, strictly below one
                 u = self.embed(leg, alg.unit)
-                report.add(f"leg{leg}-unit-is-idempotent", operator_distance(u @ u, u), tol)
-                report.checks[-1].detail = f"distance to identity {unit_gap:.3e}"
+                report.add(
+                    f"leg{leg}-unit-is-idempotent", operator_distance(u @ u, u), tol,
+                    f"distance to identity {unit_gap:.3e}",
+                )
         gap = frob(self.carrier.inner(self.vacuum, self.vacuum) - self.carrier.base.unit)
         report.add("vacuum-normalized", gap, tol)
         return report
@@ -358,7 +359,7 @@ def conditional_monotone_embed(
         if "unit" not in e.distinguished:
             raise StructuralError(f"the {name} factor has no distinguished unit vector")
     xi1 = e1.distinguished["unit"]
-    if frob(e1.inner(xi1, xi1) - base.unit) > tol:
+    if exceeds(frob(e1.inner(xi1, xi1) - base.unit), tol):
         raise StructuralError("the first factor's unit vector is not normalized")
 
     e2b = _with_base_action(e2, base)
@@ -448,7 +449,7 @@ def conditional_monotone_moment_formula(
             chain = chain @ insert(expect1.apply(inner_a1)) @ next_a2
         value = first @ expect2.apply(chain) @ expect1.apply(a1s[-1])
     _, res = cod.coords(value)
-    if res > tol:
+    if exceeds(res, tol):
         raise StructuralError(
             f"moment left the base algebra (residual {res:.3e}); "
             "check that the expectations share their range"
@@ -534,7 +535,7 @@ def conditional_tensor_realize(
         coeffs, res = base.coords_many(
             np.einsum("ijab,pbc->ijpac", op.blocks, base.basis).reshape(-1, *base.unit.shape)
         )
-        if res > 1e-8:
+        if exceeds(res, 1e-8):
             raise StructuralError("operator blocks left the base algebra span")
         k = coeffs.reshape(n, n, nb, nb).transpose(0, 3, 1, 2).reshape(n * nb, n * nb)
         return (u.conj().T * root[:, None]) @ k @ (u / root[None, :])
@@ -561,18 +562,15 @@ def conditional_tensor_realize(
     for k in keep_idx:
         val = vacuum_value(pair_ops[k])
         c, res = base.coords(val)
-        if res > 1e-8:
+        if exceeds(res, 1e-8):
             raise StructuralError("vacuum functional left the base algebra")
         images.append(np.einsum("m,mab->ab", c, base_images))
     expectation = map_from_images(
         amalg, base_alg, np.stack(images), MapKind.CONDITIONAL_EXPECTATION
     )
-    report = verify_positive_map(expectation, tol)
-    if not report.passed:
-        raise StructuralError(
-            "amalgamated expectation failed verification: "
-            + "; ".join(f"{c.name}={c.residual:.2e}" for c in report.failures)
-        )
+    verify_positive_map(expectation, tol).raise_on_failure(
+        "amalgamated expectation failed verification"
+    )
     return ConditionalTensorProduct(amalg, expectation, real)
 
 
@@ -638,31 +636,6 @@ def classical_coins_oracle(
 # the harness
 
 
-@dataclass
-class WordResult:
-    word_length: int
-    legs: list[int]
-    residual: float
-
-
-@dataclass
-class IndependenceReport:
-    results: list[WordResult] = field(default_factory=list)
-    tolerance: float = DEFAULT_TOL
-
-    @property
-    def max_residual(self) -> float:
-        return residual_max(*(r.residual for r in self.results))
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
-
-    @property
-    def word_count(self) -> int:
-        return len(self.results)
-
-
 def random_alternating_word(
     algebra1: MatrixStarAlgebra,
     algebra2: MatrixStarAlgebra,
@@ -699,15 +672,14 @@ def verify_independence(
     oracle,
     words: list[AlternatingWord],
     tol: float = DEFAULT_TOL,
-) -> IndependenceReport:
-    """Compare vacuum expectations against the formula oracle on each word."""
-    report = IndependenceReport(tolerance=tol)
-    for word in words:
+) -> VerificationReport:
+    """Compare vacuum expectations against the formula oracle, one row per word."""
+    report = VerificationReport()
+    for k, word in enumerate(words):
         got = realization.moment(word)
         want = np.asarray(oracle(word))
         if want.shape == ():
             want = want.reshape(1, 1)
-        report.results.append(
-            WordResult(len(word), [leg for leg, _ in word.letters], frob(got - want))
-        )
+        legs = "".join(str(leg) for leg, _ in word.letters)
+        report.add(f"word {k}: legs {legs}", frob(got - want), tol)
     return report

@@ -57,6 +57,15 @@ def residual_max(*values: float) -> float:
     return out
 
 
+def exceeds(value: float, bound: float) -> bool:
+    """Whether ``value`` fails to stay within ``bound``; a NaN always does.
+
+    Input guards use this instead of ``value > bound``, which is False for
+    NaN and would let a NaN residual through.
+    """
+    return not value <= bound
+
+
 def block_matrix(blocks: np.ndarray) -> np.ndarray:
     """The (n*d, m*d) matrix of an (..., n, m, d, d) block array.
 

@@ -3,20 +3,22 @@
 Each suite is a pure function from a RunConfig to a list of check rows
 {"name", "residual", "tolerance", "passed", "detail"}; all randomness
 comes from the config seed, so identical configs give identical rows.
-Most rows compare against the config tolerance; rows that freeze a
-sharper bound (exact-arithmetic identities, GNS representation, shift
-isometry) carry their own tolerance and say so in the detail field.
+Every row is a :class:`VerificationReport` check, copied with the
+tolerance and verdict it was decided with.  Most rows compare against the
+config tolerance; rows that freeze a sharper bound (exact-arithmetic
+identities, GNS representation, shift isometry) carry their own tolerance
+and say so in the detail field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra_core import (
-    MapKind,
     StructuralError,
+    VerificationReport,
     cp_from_stochastic,
     diagonal_algebra,
     diagonal_compression,
@@ -50,6 +52,7 @@ from .hilbert_module import (
 )
 from .independence import (
     AlternatingWord,
+    ConditionalTensorProduct,
     QuantumProbabilitySpace,
     classical_coins_oracle,
     coins_game,
@@ -63,10 +66,9 @@ from .independence import (
     tensor_realize,
 )
 from .linalg import frob, random_density, residual_max
+from .serialization import SCHEMA_TAG
 
-__all__ = ["RunConfig", "SUITE_NAMES", "run_suite", "SCHEMA_TAG"]
-
-SCHEMA_TAG = "ncprob/1"
+__all__ = ["RunConfig", "SUITE_NAMES", "run_suite", "coins_identities"]
 
 SUITE_NAMES = (
     "algebra",
@@ -93,6 +95,10 @@ class RunConfig:
     def validate(self) -> None:
         if not (0.0 < self.tolerance < float("inf")):
             raise StructuralError("tolerance must be a positive finite number")
+        if self.tolerance > 1e-3:
+            raise StructuralError(
+                "tolerance must be at most 1e-3; a looser one makes the checks vacuous"
+            )
         for name in ("max_word_length", "trials", "horizon", "budget"):
             if getattr(self, name) < 1:
                 raise StructuralError(f"{name} must be at least 1")
@@ -110,24 +116,6 @@ class RunConfig:
         }
 
 
-def _row(name: str, residual: float, tolerance: float, detail: str = "") -> dict:
-    residual = float(residual)
-    return {
-        "name": name,
-        "residual": residual,
-        "tolerance": float(tolerance),
-        "passed": bool(residual <= tolerance),
-        "detail": detail,
-    }
-
-
-def _report_rows(prefix: str, report, tolerance: float) -> list[dict]:
-    return [
-        _row(f"{prefix}:{check.name}", check.residual, tolerance, check.detail)
-        for check in report.checks
-    ]
-
-
 def _word_label(word: AlternatingWord) -> str:
     return "legs " + "".join(str(leg) for leg, _ in word.letters)
 
@@ -137,14 +125,14 @@ def _word_label(word: AlternatingWord) -> str:
 
 def suite_algebra(config: RunConfig) -> list[dict]:
     tol = config.tolerance
-    rows: list[dict] = []
+    report = VerificationReport()
     rng = np.random.default_rng(config.seed)
     for label, algebra in (
         ("m2", full_matrix_algebra(2)),
         ("diag3", diagonal_algebra(3)),
         ("pauli", pauli_algebra()),
     ):
-        rows.extend(_report_rows(label, verify_algebra(algebra), tol))
+        report.extend(label, verify_algebra(algebra, tol))
     m2 = full_matrix_algebra(2)
     maps = [
         ("trace-state", normalized_trace_state(m2)),
@@ -154,12 +142,12 @@ def suite_algebra(config: RunConfig) -> list[dict]:
         ("random-cp", random_unital_cp(2, rng)),
     ]
     for label, pmap in maps:
-        rows.extend(_report_rows(label, verify_positive_map(pmap), tol))
-    return rows
+        report.extend(label, verify_positive_map(pmap, tol))
+    return report.rows()
 
 
 def suite_module(config: RunConfig) -> list[dict]:
-    rows: list[dict] = []
+    report = VerificationReport()
     rng = np.random.default_rng(config.seed)
     m2 = full_matrix_algebra(2)
 
@@ -185,7 +173,7 @@ def suite_module(config: RunConfig) -> list[dict]:
             gap = frob(module.inner(xi, acted) - pmap.apply(b))
             if gap > worst or np.isnan(gap):
                 worst, worst_label = gap, f"map #{k} ({pmap.kind.value})"
-    rows.append(_row("gns-representation", worst, gns_tol, f"worst: {worst_label}; fixed tolerance 1e-10"))
+    report.add("gns-representation", worst, gns_tol, f"worst: {worst_label}; fixed tolerance 1e-10")
 
     # tensor associativity on raw (unreduced) grams (fixed sharper bound)
     assoc_tol = 1e-10
@@ -198,7 +186,7 @@ def suite_module(config: RunConfig) -> list[dict]:
         g_left = tensor_over_base(left_first.module, e3, reduce=False).module.gram
         g_right = tensor_over_base(e1, right_first.module, reduce=False).module.gram
         worst = residual_max(worst, float(np.abs(g_left - g_right).max()))
-    rows.append(_row("tensor-associativity", worst, assoc_tol, "10 seeded module triples; fixed tolerance 1e-10"))
+    report.add("tensor-associativity", worst, assoc_tol, "10 seeded module triples; fixed tolerance 1e-10")
 
     # reductions preserve moments
     worst = 0.0
@@ -216,11 +204,11 @@ def suite_module(config: RunConfig) -> list[dict]:
                 apply_blocks(reduced.left.blocks_of(b), reduced.distinguished["unit"]),
             )
             worst = residual_max(worst, frob(lhs - rhs))
-    rows.append(_row("quotient-preserves-moments", worst, config.tolerance))
+    report.add("quotient-preserves-moments", worst, config.tolerance)
 
     base, fiber = central_unit_fiber(m2, 2)
-    rows.extend(_report_rows("central-unit-fiber", verify_module(fiber), config.tolerance))
-    return rows
+    report.extend("central-unit-fiber", verify_module(fiber, config.tolerance))
+    return report.rows()
 
 
 def _seeded_state_pair(rng: np.random.Generator):
@@ -232,7 +220,7 @@ def _seeded_state_pair(rng: np.random.Generator):
 
 def suite_monotone(config: RunConfig) -> list[dict]:
     tol = config.tolerance
-    rows: list[dict] = []
+    report = VerificationReport()
     rng = np.random.default_rng(config.seed)
     s1, s2 = _seeded_state_pair(rng)
 
@@ -257,8 +245,8 @@ def suite_monotone(config: RunConfig) -> list[dict]:
         cross = abs(want - naive)
         if cross > witness_gap or np.isnan(cross):
             witness_gap, witness_word = cross, _word_label(word)
-    rows.append(_row("realization-matches-formula", worst_mono, tol, f"worst word: {worst_word}"))
-    rows.append(_row("tensor-realization-matches-formula", worst_tens, tol))
+    report.add("realization-matches-formula", worst_mono, tol, f"worst word: {worst_word}")
+    report.add("tensor-realization-matches-formula", worst_tens, tol)
 
     # ordered two-letter factorization phi(f(X1) g(X2)) = phi1(f) phi2(g)
     worst = 0.0
@@ -268,7 +256,7 @@ def suite_monotone(config: RunConfig) -> list[dict]:
         word = AlternatingWord([(1, f), (2, g)])
         split = complex(s1.functional.apply(f)[0, 0]) * complex(s2.functional.apply(g)[0, 0])
         worst = residual_max(worst, abs(mono.scalar_moment(word) - split))
-    rows.append(_row("ordered-two-letter-factorization", worst, tol))
+    report.add("ordered-two-letter-factorization", worst, tol)
 
     # at least one reversed word must separate monotone from tensor values;
     # the witness shape g(X2) f(X1) g'(X2) is fixed, since single letters and
@@ -285,17 +273,15 @@ def suite_monotone(config: RunConfig) -> list[dict]:
         if cross > witness_gap or np.isnan(cross):
             witness_gap, witness_word = cross, _word_label(word)
     shortfall = residual_max(1e-3 - witness_gap)
-    rows.append(
-        _row(
-            "order-sensitivity-witness",
-            shortfall,
-            0.0,
-            f"largest monotone/tensor gap {witness_gap:.6f} on {witness_word or 'no word'};"
-            " must exceed 1e-3",
-        )
+    report.add(
+        "order-sensitivity-witness",
+        shortfall,
+        0.0,
+        f"largest monotone/tensor gap {witness_gap:.6f} on {witness_word or 'no word'};"
+        " must exceed 1e-3",
     )
-    rows.extend(_report_rows("monotone-realization", mono.verify(tol), tol))
-    return rows
+    report.extend("monotone-realization", mono.verify(tol))
+    return report.rows()
 
 
 def _random_hermitian_in(algebra, rng: np.random.Generator) -> np.ndarray:
@@ -309,7 +295,7 @@ def _random_hermitian_in(algebra, rng: np.random.Generator) -> np.ndarray:
 
 def suite_conditional_monotone(config: RunConfig) -> list[dict]:
     tol = config.tolerance
-    rows: list[dict] = []
+    report = VerificationReport()
     rng = np.random.default_rng(config.seed)
     m2 = full_matrix_algebra(2)
     comp = diagonal_compression(2, m2)
@@ -332,10 +318,10 @@ def suite_conditional_monotone(config: RunConfig) -> list[dict]:
             worst, worst_word = gap, _word_label(word)
         _, res = base.coords(want)
         worst_member = residual_max(worst_member, res)
-    rows.append(
-        _row("realization-matches-formula", worst, tol, f"{config.trials} words (len <= {length}); worst: {worst_word}")
+    report.add(
+        "realization-matches-formula", worst, tol, f"{config.trials} words (len <= {length}); worst: {worst_word}"
     )
-    rows.append(_row("formula-stays-in-base", worst_member, tol))
+    report.add("formula-stays-in-base", worst_member, tol)
 
     # sandwich identity: embedding a first-leg letter between second-leg
     # letters only sees its conditional expectation
@@ -347,62 +333,83 @@ def suite_conditional_monotone(config: RunConfig) -> list[dict]:
         lhs = joint.embed(2, a) @ joint.embed(1, b) @ joint.embed(2, c)
         rhs = joint.embed(2, a @ comp.apply(b) @ c)
         worst = residual_max(worst, operator_distance(lhs, rhs))
-    rows.append(_row("sandwich-identity", worst, tol))
-    rows.extend(_report_rows("realization", joint.verify(tol), tol))
-    return rows
+    report.add("sandwich-identity", worst, tol)
+    report.extend("realization", joint.verify(tol))
+    return report.rows()
+
+
+@dataclass
+class CoinsIdentities:
+    """The coins model's identities, computed once for its suite and its demo.
+
+    ``pairs`` holds ``(i, j, joint, split, gap)`` for every pair of outcome
+    indicators: the conditional moment E[f_i(X1) g_j(X2) | Y], the product
+    E[f_i | Y] E[g_j | Y], and the Frobenius distance between them.
+    """
+
+    product: ConditionalTensorProduct
+    pairs: list[tuple[int, int, np.ndarray, np.ndarray, float]]
+    worst_split: float
+    worst_classical: float
+    worst_insert: float
+
+
+def coins_identities(seed: int, bias1: float = 0.7, bias2: float = 0.3) -> CoinsIdentities:
+    """Factorization over the 16 indicator pairs, the eight-outcome oracle,
+    and the base-insertion identity on 10 seeded triples."""
+    s1, s2, base = coins_game(bias1, bias2)
+    product = conditional_tensor_realize(s1, s2)
+    moment = product.realization.moment
+
+    # the conditional expectation factorizes, exhaustively over indicator pairs
+    indicators = [np.diag(np.eye(4)[k]).astype(complex) for k in range(4)]
+    pairs = []
+    worst_split = worst_classical = 0.0
+    for i, f in enumerate(indicators):
+        for j, g in enumerate(indicators):
+            joint = moment(AlternatingWord([(1, f), (2, g)]))
+            split = s1.functional.apply(f) @ s2.functional.apply(g)
+            gap = frob(joint - split)
+            worst_split = residual_max(worst_split, gap)
+            worst_classical = residual_max(
+                worst_classical, frob(joint - classical_coins_oracle(f, g, bias1, bias2))
+            )
+            pairs.append((i, j, joint, split, gap))
+
+    # functions of the fair coin slide across the tensor sign
+    rng = np.random.default_rng(seed)
+    worst_insert = 0.0
+    for _ in range(10):
+        f = np.diag(rng.uniform(-1, 1, size=4)).astype(complex)
+        g = np.diag(rng.uniform(-1, 1, size=4)).astype(complex)
+        h = base.combine(rng.uniform(-1, 1, size=2))
+        via1 = moment(AlternatingWord([(1, f @ h), (2, g)]))
+        via2 = moment(AlternatingWord([(1, f), (2, h @ g)]))
+        worst_insert = residual_max(worst_insert, frob(via1 - via2))
+    return CoinsIdentities(product, pairs, worst_split, worst_classical, worst_insert)
 
 
 def suite_conditional_tensor(config: RunConfig) -> list[dict]:
-    rows: list[dict] = []
+    report = VerificationReport()
     exact_tol = 1e-12
-    s1, s2, base = coins_game()
-    product = conditional_tensor_realize(s1, s2)
-
-    def indicator(k: int) -> np.ndarray:
-        m = np.zeros((4, 4), dtype=complex)
-        m[k, k] = 1.0
-        return m
+    coins = coins_identities(config.seed)
+    product = coins.product
 
     # frozen value: both coins show head with conditional probability 0.21
     head = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
     got = product.realization.moment(AlternatingWord([(1, head), (2, head)]))
     frozen = frob(got - np.diag([0.21, 0.21, 0.21, 0.21]).astype(complex))
-    rows.append(_row("frozen-head-head-value", frozen, exact_tol, "fixed tolerance 1e-12"))
-
-    # conditional expectation factorizes, exhaustively over indicator pairs
-    worst = 0.0
-    worst_cls = 0.0
-    for i in range(4):
-        for j in range(4):
-            f, g = indicator(i), indicator(j)
-            word = AlternatingWord([(1, f), (2, g)])
-            joint = product.realization.moment(word)
-            split = s1.functional.apply(f) @ s2.functional.apply(g)
-            worst = residual_max(worst, frob(joint - split))
-            worst_cls = residual_max(worst_cls, frob(joint - classical_coins_oracle(f, g)))
-    rows.append(_row("expectation-factorizes", worst, exact_tol, "16 indicator pairs; fixed tolerance 1e-12"))
-    rows.append(_row("classical-oracle-agrees", worst_cls, exact_tol, "fixed tolerance 1e-12"))
-
-    # base insertions attach to either leg without changing the value
-    rng = np.random.default_rng(config.seed)
-    worst = 0.0
-    for _ in range(10):
-        f = np.diag(rng.uniform(-1, 1, size=4)).astype(complex)
-        g = np.diag(rng.uniform(-1, 1, size=4)).astype(complex)
-        h = base.combine(rng.uniform(-1, 1, size=2))
-        via1 = product.realization.moment(AlternatingWord([(1, f @ h), (2, g)]))
-        via2 = product.realization.moment(AlternatingWord([(1, f), (2, h @ g)]))
-        worst = residual_max(worst, frob(via1 - via2))
-    rows.append(_row("base-insertion-identity", worst, exact_tol, "fixed tolerance 1e-12"))
-    rows.extend(
-        _report_rows("amalgamated-expectation", verify_positive_map(product.expectation), config.tolerance)
-    )
-    return rows
+    report.add("frozen-head-head-value", frozen, exact_tol, "fixed tolerance 1e-12")
+    report.add("expectation-factorizes", coins.worst_split, exact_tol, "16 indicator pairs; fixed tolerance 1e-12")
+    report.add("classical-oracle-agrees", coins.worst_classical, exact_tol, "fixed tolerance 1e-12")
+    report.add("base-insertion-identity", coins.worst_insert, exact_tol, "fixed tolerance 1e-12")
+    report.extend("amalgamated-expectation", verify_positive_map(product.expectation, config.tolerance))
+    return report.rows()
 
 
 def suite_dilation(config: RunConfig) -> list[dict]:
     tol = config.tolerance
-    rows: list[dict] = []
+    report = VerificationReport()
     rng = np.random.default_rng(config.seed)
     m2 = full_matrix_algebra(2)
     horizon = config.horizon
@@ -413,13 +420,11 @@ def suite_dilation(config: RunConfig) -> list[dict]:
     grams_ok = all(
         np.array_equal(p.gram, m2.unit[None, None]) for p in trivial.system.powers
     )
-    rows.append(
-        _row(
-            "trivial-system-exact",
-            0.0 if (ranks_ok and grams_ok) else 1.0,
-            0.0,
-            f"ranks {[p.rank for p in trivial.system.powers]}; gram equality {grams_ok}",
-        )
+    report.add(
+        "trivial-system-exact",
+        0.0 if (ranks_ok and grams_ok) else 1.0,
+        0.0,
+        f"ranks {[p.rank for p in trivial.system.powers]}; gram equality {grams_ok}",
     )
 
     # semigroup recovery for random unital CP maps and the stochastic chain
@@ -438,13 +443,11 @@ def suite_dilation(config: RunConfig) -> list[dict]:
                 gap = frob(e.inner(xi, apply_blocks(e.left.blocks_of(b), xi)) - tn.apply(b))
                 if gap > worst or np.isnan(gap):
                     worst, worst_label = gap, f"{label}, n={n}"
-    rows.append(_row("semigroup-recovery", worst, tol, f"worst: {worst_label}"))
+    report.add("semigroup-recovery", worst, tol, f"worst: {worst_label}")
 
     sample = scenarios[1][1]
-    rows.extend(_report_rows("shift", verify_dilation(sample, tol, seed=config.seed), tol))
-    rows.extend(
-        _report_rows("product-system", verify_product_system(sample.system, tol), tol)
-    )
+    report.extend("shift", verify_dilation(sample, tol, seed=config.seed))
+    report.extend("product-system", verify_product_system(sample.system, tol))
 
     # resource guard: an over-budget request must raise with the dimension
     try:
@@ -454,13 +457,13 @@ def suite_dilation(config: RunConfig) -> list[dict]:
     except BudgetExceededError as err:
         guard = 0.0 if err.dimension > 10 else 1.0
         detail = f"raised with dimension {err.dimension}"
-    rows.append(_row("budget-guard", guard, 0.0, detail))
-    return rows
+    report.add("budget-guard", guard, 0.0, detail)
+    return report.rows()
 
 
 def suite_white_noise(config: RunConfig) -> list[dict]:
     tol = config.tolerance
-    rows: list[dict] = []
+    report = VerificationReport()
     horizon = config.horizon
     trials = min(config.trials, 100)
 
@@ -475,57 +478,40 @@ def suite_white_noise(config: RunConfig) -> list[dict]:
             scenario, r, s, t, trials=trials, seed=config.seed, tol=tol,
             max_word_length=config.max_word_length,
         )
-        rows.append(_row(f"{label}:invariance", inc.invariance_residual, tol))
-        rows.append(
-            _row(
-                f"{label}:mode-is-white-noise",
-                0.0 if inc.mode == "white-noise" else 1.0,
-                0.0,
-                f"mode {inc.mode}; windows {inc.window_past} / {inc.window_future}",
-            )
+        report.add(f"{label}:invariance", inc.invariance_residual, tol)
+        report.add(
+            f"{label}:mode-is-white-noise",
+            0.0 if inc.mode == "white-noise" else 1.0,
+            0.0,
+            f"mode {inc.mode}; windows {inc.window_past} / {inc.window_future}",
         )
-        rows.append(
-            _row(
-                f"{label}:increment-factorization",
-                inc.max_residual,
-                tol,
-                f"{inc.word_count} words; generated dimension {inc.generated_dimension}",
-            )
+        report.add(
+            f"{label}:increment-factorization",
+            inc.max_residual,
+            tol,
+            f"{inc.word_count} words; generated dimension {inc.generated_dimension}",
         )
-        rows.extend(
-            _report_rows(f"{label}:dilation", verify_dilation(scenario, tol, seed=config.seed), tol)
-        )
-    return rows
+        report.extend(f"{label}:dilation", verify_dilation(scenario, tol, seed=config.seed))
+    return report.rows()
 
 
 def suite_markov(config: RunConfig) -> list[dict]:
     tol = config.tolerance
-    shift_tol = 1e-10
-    rows: list[dict] = []
+    report = VerificationReport()
     model = markov_scenario(np.array([[0.5, 0.5], [0.3, 0.7]]), config.horizon, config.budget)
-    report = model.verify(tol=tol, seed=config.seed, trials=min(config.trials, 40))
-    for check in report.checks:
-        detail = check.detail
-        if check.name == "shift-preserves-inner-products":
-            row_tol = shift_tol
-            detail = (detail + "; " if detail else "") + "fixed tolerance 1e-10"
-        else:
-            row_tol = tol
-        rows.append(_row(f"chain:{check.name}", check.residual, row_tol, detail))
+    report.extend("chain", model.verify(tol=tol, seed=config.seed, trials=min(config.trials, 40)))
     inc = white_noise_increment_check(
         model.scenario, 0, max(1, config.horizon // 2), config.horizon,
         trials=min(config.trials, 60), seed=config.seed, tol=tol,
     )
-    rows.append(
-        _row(
-            "chain:increment-mode-reported",
-            0.0 if inc.mode == "markov-property" else 1.0,
-            0.0,
-            f"mode {inc.mode} (corner functional not shift-invariant)",
-        )
+    report.add(
+        "chain:increment-mode-reported",
+        0.0 if inc.mode == "markov-property" else 1.0,
+        0.0,
+        f"mode {inc.mode} (corner functional not shift-invariant)",
     )
-    rows.append(_row("chain:increment-factorization", inc.max_residual, tol))
-    return rows
+    report.add("chain:increment-factorization", inc.max_residual, tol)
+    return report.rows()
 
 
 _SUITE_FUNCTIONS = {

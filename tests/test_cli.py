@@ -1,5 +1,6 @@
 """Exit codes, output formats, and determinism of the command line."""
 
+import itertools
 import json
 
 import numpy as np
@@ -12,9 +13,11 @@ from ncprob import (
     emit_json,
     map_to_json,
     state_from_density,
+    suites,
     word_to_json,
 )
 from ncprob.cli import main
+from ncprob.linalg import frob
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +88,58 @@ def test_verify_rejects_non_finite_tolerance(capsys, value):
     assert code == 2
     assert out == ""
     assert "tolerance must be a positive finite number" in err
+
+
+@pytest.mark.parametrize("value", ["1e300", "1e-2"])
+def test_verify_rejects_a_tolerance_above_the_bound(capsys, value):
+    # a tolerance this loose would let every check pass whatever it computed
+    code, out, err = run_cli(capsys, "verify", "algebra", "--tolerance", value)
+    assert code == 2
+    assert out == ""
+    assert "tolerance must be at most 1e-3" in err
+
+
+def test_verify_accepts_the_tolerance_bound_itself(capsys):
+    code, out, _ = run_cli(capsys, "verify", "algebra", "--tolerance", "1e-3")
+    assert code == 0
+    assert json.loads(out)["config"]["tolerance"] == 1e-3
+
+
+def _nan_frob(monkeypatch):
+    # every Frobenius norm in the suites after the first one is NaN
+    calls = itertools.count()
+    monkeypatch.setattr(suites, "frob", lambda m: frob(m) if next(calls) == 0 else float("nan"))
+
+
+def test_nan_residual_is_a_numerical_failure(capsys, monkeypatch):
+    _nan_frob(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "module")
+    assert code == 1
+    report = json.loads(out)
+    rows = {c["name"]: c for c in report["checks"]}
+    assert rows["module/gns-representation"]["residual"] is None
+    assert rows["module/gns-representation"]["passed"] is False
+    assert report["passed"] is False
+    assert "FAIL module/gns-representation: residual nan" in err
+
+
+def test_nan_residual_in_a_demo_table_is_written_as_null(capsys, monkeypatch):
+    _nan_frob(monkeypatch)
+    code, out, err = run_cli(capsys, "demo", "coins")
+    assert code == 1
+    report = json.loads(out)
+    assert report["tables"][0]["rows"][1][-1] is None
+    assert "FAIL conditional-expectation-factorizes: residual nan" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_nan_residual_prints_as_nan(capsys, monkeypatch, fmt):
+    _nan_frob(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "module", "--format", fmt)
+    assert code == 1
+    [line] = [l for l in out.splitlines() if "gns-representation" in l]
+    assert ("module/gns-representation,nan," if fmt == "csv" else "FAIL  module/gns-representation: residual nan") in line
+    assert "FAIL module/gns-representation" in err
 
 
 def test_env_seed_applies_and_flag_wins(capsys, monkeypatch):

@@ -167,7 +167,7 @@ def test_formulas_match_realizations_on_matrix_states():
         words,
         tol=1e-9,
     )
-    assert rep.passed, f"monotone worst residual {rep.max_residual}"
+    assert rep.passed, f"monotone worst residual {rep.worst_residual}"
 
     tens = tensor_realize(s1, s2)
     rep = verify_independence(
@@ -176,7 +176,7 @@ def test_formulas_match_realizations_on_matrix_states():
         words,
         tol=1e-9,
     )
-    assert rep.passed, f"tensor worst residual {rep.max_residual}"
+    assert rep.passed, f"tensor worst residual {rep.worst_residual}"
 
 
 def test_wrong_oracle_is_rejected(coin_pair):

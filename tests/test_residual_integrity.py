@@ -13,10 +13,28 @@ import numpy as np
 import pytest
 
 from ncprob import dilation, hilbert_module, suites
-from ncprob.algebra_core import CheckResult, VerificationReport
+from ncprob.algebra_core import (
+    CheckResult,
+    MapKind,
+    StructuralError,
+    VerificationReport,
+    cp_from_stochastic,
+    diagonal_algebra,
+    full_matrix_algebra,
+    identity_map,
+    map_from_images,
+    state_from_density,
+)
 from ncprob.dilation import IncrementReport, dilate_discrete, random_unital_cp
-from ncprob.independence import IndependenceReport, WordResult
-from ncprob.linalg import frob, residual_max
+from ncprob.hilbert_module import gns_construct, solve_adjoint
+from ncprob.independence import (
+    AlternatingWord,
+    QuantumProbabilitySpace,
+    monotone_moment_formula,
+    monotone_realize,
+    verify_independence,
+)
+from ncprob.linalg import exceeds, frob, residual_max
 
 NAN = float("nan")
 
@@ -36,12 +54,22 @@ def test_residual_max_propagates_nan():
 
 
 def test_report_maxima_propagate_nan():
-    report = VerificationReport([CheckResult("a", 0.0, True), CheckResult("b", NAN, False)])
+    report = VerificationReport([CheckResult("a", 0.0, 1e-9, True), CheckResult("b", NAN, 1e-9, False)])
     assert np.isnan(report.worst_residual)
-    words = IndependenceReport([WordResult(1, [1], 0.0), WordResult(2, [1, 2], NAN)])
-    assert np.isnan(words.max_residual) and not words.passed
     inc = IncrementReport("white-noise", 0.0, [1e-16, NAN], 1e-9, (0, 1), (1, 2), 1)
     assert np.isnan(inc.max_residual) and not inc.passed
+
+
+def test_nan_word_residual_fails_verify_independence():
+    alg = diagonal_algebra(2)
+    space = QuantumProbabilitySpace(alg, state_from_density(alg, np.diag([0.5, 0.5])))
+    real = monotone_realize(space, space)
+    words = [AlternatingWord([(1, np.eye(2))]), AlternatingWord([(1, np.eye(2)), (2, np.eye(2))])]
+    formulas = iter([monotone_moment_formula(words[0], space.functional, space.functional), NAN])
+    report = verify_independence(real, lambda w: next(formulas), words)
+    assert [c.name for c in report.checks] == ["word 0: legs 1", "word 1: legs 12"]
+    assert report.checks[0].passed and not report.checks[1].passed and not report.passed
+    assert np.isnan(report.worst_residual)
 
 
 def test_nan_residual_fails_verify_dilation(monkeypatch):
@@ -72,3 +100,47 @@ def test_nan_residual_fails_a_suite(monkeypatch):
 def test_non_finite_tolerance_is_rejected(value):
     with pytest.raises(ValueError, match="finite"):
         suites.RunConfig(tolerance=value).validate()
+
+
+def test_exceeds_treats_nan_as_failing():
+    assert not exceeds(1e-9, 1e-9) and exceeds(2e-9, 1e-9)
+    assert exceeds(NAN, 1e-9) and exceeds(NAN, float("inf"))
+
+
+def _nan_in(m):
+    m = np.array(m, dtype=complex)
+    m.flat[0] = NAN
+    return m
+
+
+def _nan_adjoint_request():
+    module = gns_construct(identity_map(full_matrix_algebra(2)))
+    blocks = np.array(module.left.blocks_of(np.eye(2)))
+    blocks[0, 0, 0, 0] = NAN
+    return solve_adjoint(module, blocks)
+
+
+_NAN_GUARDS = {
+    "element": lambda: diagonal_algebra(2).element(_nan_in([[0, 1], [0, 0]])),
+    "PositiveMap.apply": lambda: state_from_density(diagonal_algebra(2), np.eye(2) / 2).apply(
+        _nan_in(np.eye(2))
+    ),
+    "LeftAction.coords_of": lambda: gns_construct(identity_map(full_matrix_algebra(2))).left.coords_of(
+        _nan_in(np.eye(2))[None]
+    ),
+    "map_from_images": lambda: map_from_images(
+        diagonal_algebra(2), diagonal_algebra(2), np.stack([_nan_in(np.eye(2)), np.eye(2)]), MapKind.CP_MAP
+    ),
+    "AlternatingWord.check_membership": lambda: AlternatingWord([(1, _nan_in(np.eye(2)))]).check_membership(
+        diagonal_algebra(2), diagonal_algebra(2)
+    ),
+    "solve_adjoint": _nan_adjoint_request,
+    "cp_from_stochastic": lambda: cp_from_stochastic([[NAN, 0.5], [0.3, 0.7]]),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(_NAN_GUARDS))
+def test_nan_input_is_rejected(guard):
+    # each guard compares a residual with a bound; a NaN must not slip past it
+    with pytest.raises(StructuralError):
+        _NAN_GUARDS[guard]()
