@@ -19,7 +19,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, EIG_FLOOR, RANK_RTOL, dag, exceeds, frob, min_eig, residual_max, vec
+from .linalg import (
+    DEFAULT_TOL,
+    EIG_FLOOR,
+    GUARD_TOL,
+    RANK_RTOL,
+    dag,
+    exceeds,
+    frob,
+    min_eig,
+    residual_max,
+    vec,
+)
 
 __all__ = [
     "StructuralError",
@@ -183,24 +194,24 @@ class MatrixStarAlgebra:
         """Matrix with the given basis coordinates."""
         return np.tensordot(coeffs, self.basis, axes=(0, 0))
 
-    def element(self, x: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    def element(self, x: np.ndarray) -> np.ndarray:
         """Return ``x`` checked for membership in the algebra span."""
         x = np.asarray(x, dtype=complex)
         _, res = self.coords(x)
-        if exceeds(res, tol):
+        if exceeds(res, GUARD_TOL):
             raise StructuralError(f"matrix is not in the algebra span (residual {res:.3e})")
         return x
 
-    def is_commutative(self, tol: float = DEFAULT_TOL) -> bool:
+    def is_commutative(self) -> bool:
         b = self.basis
         comm = np.einsum("iab,jbc->ijac", b, b) - np.einsum("jab,ibc->ijac", b, b)
-        return float(np.abs(comm).max(initial=0.0)) <= tol
+        return float(np.abs(comm).max(initial=0.0)) <= DEFAULT_TOL
 
-    def same_basis(self, other: "MatrixStarAlgebra", tol: float = DEFAULT_TOL) -> bool:
+    def same_basis(self, other: "MatrixStarAlgebra") -> bool:
         return (
             self.ambient_dim == other.ambient_dim
             and self.dim == other.dim
-            and frob(self.basis - other.basis) <= tol
+            and frob(self.basis - other.basis) <= DEFAULT_TOL
         )
 
 
@@ -314,10 +325,10 @@ class PositiveMap:
         self.matrix = matrix
         self.kind = MapKind(kind)
 
-    def apply(self, x: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    def apply(self, x: np.ndarray) -> np.ndarray:
         """Image of ``x``; raises if ``x`` is not in the domain span."""
         c, res = self.domain.coords(x)
-        if exceeds(res, tol):
+        if exceeds(res, GUARD_TOL):
             raise StructuralError(f"argument is not in the domain span (residual {res:.3e})")
         return self.codomain.combine(self.matrix @ c)
 
@@ -325,8 +336,8 @@ class PositiveMap:
         c, _ = self.domain.coords_many(xs)
         return np.einsum("ik,kab->iab", c @ self.matrix.T, self.codomain.basis)
 
-    def is_unital(self, tol: float = DEFAULT_TOL) -> bool:
-        return frob(self.apply(self.domain.unit) - self.codomain.unit) <= tol
+    def is_unital(self) -> bool:
+        return frob(self.apply(self.domain.unit) - self.codomain.unit) <= DEFAULT_TOL
 
 
 def map_from_images(
@@ -334,7 +345,6 @@ def map_from_images(
     codomain: MatrixStarAlgebra,
     images: np.ndarray,
     kind: MapKind,
-    tol: float = 1e-10,
 ) -> PositiveMap:
     """Build a map from the images of the domain basis, in order."""
     images = np.asarray(images, dtype=complex)
@@ -343,7 +353,7 @@ def map_from_images(
             f"need one image per domain basis element ({domain.dim}), got {images.shape[0]}"
         )
     coeffs, res = codomain.coords_many(images)
-    if exceeds(res, tol):
+    if exceeds(res, 1e-10):
         raise StructuralError(f"images are not inside the codomain span (residual {res:.3e})")
     return PositiveMap(domain, codomain, coeffs.T, kind)
 
@@ -404,7 +414,7 @@ def average_with_involution(domain: MatrixStarAlgebra, u: np.ndarray) -> Positiv
     return map_from_images(domain, cod, images, MapKind.CONDITIONAL_EXPECTATION)
 
 
-def independent_columns(a: np.ndarray, rtol: float = RANK_RTOL) -> list[int]:
+def independent_columns(a: np.ndarray) -> list[int]:
     """Indices of a maximal independent column subset, greedy by residual norm."""
     work = np.asarray(a, dtype=complex).copy()
     top = float(np.linalg.norm(work, axis=0).max(initial=0.0))
@@ -412,7 +422,7 @@ def independent_columns(a: np.ndarray, rtol: float = RANK_RTOL) -> list[int]:
     for _ in range(min(work.shape)):
         norms = np.linalg.norm(work, axis=0)
         k = int(np.argmax(norms))
-        if norms[k] <= rtol * max(top, 1.0):
+        if norms[k] <= RANK_RTOL * max(top, 1.0):
             break
         keep.append(k)
         v = work[:, k] / norms[k]
@@ -450,12 +460,12 @@ def identity_map(algebra: MatrixStarAlgebra, kind: MapKind = MapKind.CP_MAP) -> 
     return PositiveMap(algebra, algebra, np.eye(algebra.dim, dtype=complex), kind)
 
 
-def compose_maps(outer: PositiveMap, inner: PositiveMap, kind: MapKind | None = None) -> PositiveMap:
-    """outer o inner; the codomain of ``inner`` must match the domain of ``outer``."""
+def compose_maps(outer: PositiveMap, inner: PositiveMap) -> PositiveMap:
+    """outer o inner, of the kind of ``outer``; the codomain of ``inner`` must
+    match the domain of ``outer``."""
     if not inner.codomain.same_basis(outer.domain):
         raise StructuralError("composition mismatch: inner codomain differs from outer domain")
-    k = kind if kind is not None else outer.kind
-    return PositiveMap(inner.domain, outer.codomain, outer.matrix @ inner.matrix, k)
+    return PositiveMap(inner.domain, outer.codomain, outer.matrix @ inner.matrix, outer.kind)
 
 
 def iterate_map(t: PositiveMap, n: int) -> PositiveMap:
@@ -504,7 +514,7 @@ def choi_matrix(pmap: PositiveMap) -> np.ndarray:
 def _embed_codomain(pmap: PositiveMap, tol: float) -> np.ndarray:
     """Coordinates of the codomain basis inside the domain span (CE only)."""
     coords, res = pmap.domain.coords_many(pmap.codomain.basis)
-    if exceeds(res, max(tol, 1e-8)):
+    if exceeds(res, max(tol, GUARD_TOL)):
         raise StructuralError(
             f"codomain is not contained in the domain span (residual {res:.3e})"
         )

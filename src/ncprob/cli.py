@@ -306,7 +306,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
     base_valued = construction == "conditional-monotone"
     moments = []
     for i, word in enumerate(words):
-        label = f"{i}: legs " + "".join(str(leg) for leg, _ in word.letters)
+        label = f"{i}: {word.label()}"
         if base_valued:
             got = real.moment(word)
             want = formula(word)

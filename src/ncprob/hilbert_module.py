@@ -26,7 +26,7 @@ surviving generators keep their original inner products verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .algebra_core import (
 from .linalg import (
     DEFAULT_TOL,
     EIG_FLOOR,
+    GUARD_TOL,
     RANK_RTOL,
     block_matrix,
     dag,
@@ -61,7 +62,6 @@ __all__ = [
     "dagger_blocks",
     "right_multiply",
     "identity_operator",
-    "zero_operator",
     "rank_one",
     "left_action_operator",
     "operator_distance",
@@ -137,18 +137,18 @@ class LeftAction:
     def __post_init__(self):
         self.blocks = _flat_backed(self.blocks)
 
-    def coords_of(self, elements: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    def coords_of(self, elements: np.ndarray) -> np.ndarray:
         """Coordinates of a stack (k, d0, d0) of elements of the acting algebra.
 
         Raises when one of them is not in the acting algebra.
         """
         c, res = self.algebra.coords_many(elements)
-        if exceeds(res, tol):
+        if exceeds(res, GUARD_TOL):
             raise StructuralError(f"element is not in the acting algebra (residual {res:.3e})")
         return c
 
-    def blocks_of(self, a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-        c = self.coords_of(np.asarray(a)[None], tol)[0]
+    def blocks_of(self, a: np.ndarray) -> np.ndarray:
+        c = self.coords_of(np.asarray(a)[None])[0]
         return unblock(np.tensordot(c, block_matrix(self.blocks), 1), self.blocks.shape[-1])
 
 
@@ -192,6 +192,17 @@ class HilbertModule:
 
     def inner(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return inner_product(self.gram, x, y)
+
+    def vector_functional(self, x: np.ndarray, elements: np.ndarray) -> np.ndarray:
+        """<x, a x> for each ``a`` of a stack (k, d, d) of acting-algebra elements.
+
+        One batched X^H G (L X), with L the stacked operators of the elements;
+        raises when an element is not in the acting algebra.
+        """
+        c = self.left.coords_of(np.asarray(elements, dtype=complex))
+        acts = np.tensordot(c, block_matrix(self.left.blocks), 1)
+        flat = _flat_vector(x)
+        return flat.conj().T @ (block_matrix(self.gram) @ (acts @ flat))
 
     def zero_vector(self) -> np.ndarray:
         return np.zeros((self.rank, self.base.ambient_dim, self.base.ambient_dim), dtype=complex)
@@ -252,10 +263,6 @@ def identity_operator(module: HilbertModule) -> AdjointableOperator:
     return AdjointableOperator(module, blocks, np.copy(blocks))
 
 
-def zero_operator(module: HilbertModule) -> AdjointableOperator:
-    return 0.0 * identity_operator(module)
-
-
 def rank_one(module: HilbertModule, x: np.ndarray, y: np.ndarray) -> AdjointableOperator:
     """|x><y| : z -> x <y, z>, the flat product X (Y^H G); its adjoint is |y><x|."""
     gram = block_matrix(module.gram)
@@ -282,7 +289,7 @@ def operator_distance(s: AdjointableOperator, t: AdjointableOperator) -> float:
     return frob(s.matrix_form() - t.matrix_form())
 
 
-def solve_adjoint(module: HilbertModule, blocks: np.ndarray, tol: float = 1e-8) -> AdjointableOperator:
+def solve_adjoint(module: HilbertModule, blocks: np.ndarray) -> AdjointableOperator:
     """Find adjoint blocks with coefficients in the base algebra, or fail.
 
     Solves  sum_k G[i,k] A[k,j] = (G o S)[j,i]^dag  for A with entries
@@ -300,7 +307,7 @@ def solve_adjoint(module: HilbertModule, blocks: np.ndarray, tol: float = 1e-8) 
     r_mat = rhs.transpose(0, 2, 3, 1).reshape(n * d0 * d0, n)
     alpha, residual, *_ = np.linalg.lstsq(m_mat, r_mat, rcond=None)
     achieved = frob(m_mat @ alpha - r_mat)
-    if exceeds(achieved, tol * max(1.0, frob(r_mat))):
+    if exceeds(achieved, GUARD_TOL * max(1.0, frob(r_mat))):
         raise StructuralError(
             f"operator has no adjoint with coefficients in the base algebra "
             f"(residual {achieved:.3e})"
@@ -350,7 +357,7 @@ class QuotientInfo:
         return compose_blocks(self.rewrite, compose_blocks(blocks, inject))
 
 
-def quotient_null_space(module: HilbertModule, rtol: float = RANK_RTOL) -> QuotientInfo:
+def quotient_null_space(module: HilbertModule) -> QuotientInfo:
     """Greedy minimal generating subset over the base algebra.
 
     Pivoted block Cholesky on the extended Gram: repeatedly claim the
@@ -362,7 +369,7 @@ def quotient_null_space(module: HilbertModule, rtol: float = RANK_RTOL) -> Quoti
     n, nb, d0 = module.rank, base.dim, base.ambient_dim
     s_ext = extended_gram(module)
     scale = float(np.linalg.norm(s_ext, 2)) if s_ext.size else 0.0
-    threshold = scale * rtol
+    threshold = scale * RANK_RTOL
     work = s_ext.copy()
     survivors: list[int] = []
     remaining = list(range(n))
@@ -395,7 +402,7 @@ def quotient_null_space(module: HilbertModule, rtol: float = RANK_RTOL) -> Quoti
         rhs = np.einsum("sibc,pbc->spi", sub, base.basis.conj()).reshape(
             len(idx), len(dropped)
         ) / d0
-        gamma, *_ = np.linalg.lstsq(s_surv, rhs, rcond=rtol)
+        gamma, *_ = np.linalg.lstsq(s_surv, rhs, rcond=RANK_RTOL)
         # residual of each dropped generator in the tau-norm
         self_norms = np.array(
             [np.trace(module.gram[i, i]).real / d0 for i in dropped]
@@ -414,13 +421,13 @@ def _injection(info: QuotientInfo, n_old: int, base: MatrixStarAlgebra) -> np.nd
     return unblock(np.kron(select, base.unit), base.ambient_dim)
 
 
-def quotient_module(module: HilbertModule, rtol: float = RANK_RTOL) -> tuple[HilbertModule, QuotientInfo]:
+def quotient_module(module: HilbertModule) -> tuple[HilbertModule, QuotientInfo]:
     """The same module on a minimal generating subset.
 
     Surviving generators keep their rows and columns of the inner-product
     table unchanged; dropped generators are rewritten over the survivors.
     """
-    info = quotient_null_space(module, rtol)
+    info = quotient_null_space(module)
     gram = module.gram[np.ix_(info.survivors, info.survivors)]
     inj = _injection(info, module.rank, module.base)
     left = None
@@ -532,7 +539,7 @@ class ModuleTensor:
         raw = (coeffs @ acts.reshape(nb, -1)).reshape(k, n1, n1, w, w)
         return raw.transpose(0, 1, 3, 2, 4).reshape(k, n1 * w, n1 * w)
 
-    def op_right(self, s: AdjointableOperator, tol: float = 1e-8) -> AdjointableOperator:
+    def op_right(self, s: AdjointableOperator) -> AdjointableOperator:
         """id o S; requires S to commute with the base action on the right factor."""
         e2 = self.right_factor
         for k in range(e2.left.algebra.dim):
@@ -540,7 +547,7 @@ class ModuleTensor:
                 e2, e2.left.blocks[k], e2.left.blocks_of(dag(e2.left.algebra.basis[k]))
             )
             gap = operator_distance(act @ s, s @ act)
-            if exceeds(gap, tol):
+            if exceeds(gap, GUARD_TOL):
                 raise StructuralError(
                     "operator does not commute with the base action on the right "
                     f"factor (defect {gap:.3e}); id-tensor-S is not well defined"
@@ -557,12 +564,7 @@ class ModuleTensor:
         return self.info.rewrite_operator_blocks(unblock(raw, base.ambient_dim), inject)
 
 
-def tensor_over_base(
-    e1: HilbertModule,
-    e2: HilbertModule,
-    reduce: bool = True,
-    rtol: float = RANK_RTOL,
-) -> ModuleTensor:
+def tensor_over_base(e1: HilbertModule, e2: HilbertModule, reduce: bool = True) -> ModuleTensor:
     """Interior tensor product E1 (x)_B E2.
 
     ``e2`` must carry a left action of the base algebra of ``e1``; relations
@@ -584,7 +586,7 @@ def tensor_over_base(
     # raw gram over pairs: G[(i,j),(I,J)] = < e_j, G1[i,I] . e_J >, with the
     # einsums on C-ordered operands (their summation order follows the layout)
     coords, res = e1.base.coords_many(e1.gram.reshape(n1 * n1, *e1.gram.shape[2:]))
-    if exceeds(res, 1e-8):
+    if exceeds(res, GUARD_TOL):
         raise StructuralError("left factor inner products are not in its base algebra")
     acts = np.einsum("pm,mjkab->pjkab", coords, np.ascontiguousarray(e2.left.blocks))
     gram = np.einsum(
@@ -595,7 +597,7 @@ def tensor_over_base(
 
     pairs = [(i, j) for i in range(n1) for j in range(n2)]
     if reduce:
-        reduced, info = quotient_module(raw, rtol)
+        reduced, info = quotient_module(raw)
     else:
         reduced, info = raw, QuotientInfo(
             list(range(n1 * n2)), identity_operator(raw).blocks, 0.0, 0.0

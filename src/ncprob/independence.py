@@ -53,7 +53,7 @@ from .hilbert_module import (
     tensor_over_base,
     trivial_left_action,
 )
-from .linalg import DEFAULT_TOL, dag, exceeds, frob, random_hermitian, residual_max
+from .linalg import DEFAULT_TOL, GUARD_TOL, dag, exceeds, frob, random_hermitian, residual_max
 
 __all__ = [
     "QuantumProbabilitySpace",
@@ -69,6 +69,7 @@ __all__ = [
     "ConditionalTensorProduct",
     "coins_game",
     "classical_coins_oracle",
+    "random_hermitian_element",
     "random_alternating_word",
     "verify_independence",
 ]
@@ -124,12 +125,15 @@ class AlternatingWord:
     def swap_legs(self) -> "AlternatingWord":
         return AlternatingWord([(3 - leg, mat) for leg, mat in self.letters])
 
-    def check_membership(self, algebra1: MatrixStarAlgebra, algebra2: MatrixStarAlgebra,
-                         tol: float = 1e-8) -> None:
+    def label(self) -> str:
+        """The leg sequence, e.g. ``legs 1212``, as reports name a word."""
+        return "legs " + "".join(str(leg) for leg, _ in self.letters)
+
+    def check_membership(self, algebra1: MatrixStarAlgebra, algebra2: MatrixStarAlgebra) -> None:
         for k, (leg, mat) in enumerate(self.letters):
             alg = algebra1 if leg == 1 else algebra2
             _, res = alg.coords(mat)
-            if exceeds(res, tol):
+            if exceeds(res, GUARD_TOL):
                 raise StructuralError(
                     f"letter {k} is not in the algebra of leg {leg} (residual {res:.3e})"
                 )
@@ -333,7 +337,6 @@ def conditional_monotone_embed(
     e2: HilbertModule,
     algebra1: MatrixStarAlgebra,
     algebra2: MatrixStarAlgebra,
-    tol: float = 1e-9,
 ) -> JointRealization:
     """Joint model of two algebras on E1 (x)_B E2.
 
@@ -359,7 +362,7 @@ def conditional_monotone_embed(
         if "unit" not in e.distinguished:
             raise StructuralError(f"the {name} factor has no distinguished unit vector")
     xi1 = e1.distinguished["unit"]
-    if exceeds(frob(e1.inner(xi1, xi1) - base.unit), tol):
+    if exceeds(frob(e1.inner(xi1, xi1) - base.unit), DEFAULT_TOL):
         raise StructuralError("the first factor's unit vector is not normalized")
 
     e2b = _with_base_action(e2, base)
@@ -395,7 +398,6 @@ def conditional_monotone_moment_formula(
     word: AlternatingWord,
     expect1: PositiveMap,
     expect2: PositiveMap,
-    tol: float = 1e-8,
 ) -> np.ndarray:
     """Base-valued moment of an alternating word under the two expectations.
 
@@ -449,7 +451,7 @@ def conditional_monotone_moment_formula(
             chain = chain @ insert(expect1.apply(inner_a1)) @ next_a2
         value = first @ expect2.apply(chain) @ expect1.apply(a1s[-1])
     _, res = cod.coords(value)
-    if exceeds(res, tol):
+    if exceeds(res, GUARD_TOL):
         raise StructuralError(
             f"moment left the base algebra (residual {res:.3e}); "
             "check that the expectations share their range"
@@ -477,9 +479,7 @@ class ConditionalTensorProduct:
 
 
 def conditional_tensor_realize(
-    s1: QuantumProbabilitySpace,
-    s2: QuantumProbabilitySpace,
-    tol: float = 1e-9,
+    s1: QuantumProbabilitySpace, s2: QuantumProbabilitySpace
 ) -> ConditionalTensorProduct:
     """Tensor independence of two commutative algebras over a shared base.
 
@@ -535,7 +535,7 @@ def conditional_tensor_realize(
         coeffs, res = base.coords_many(
             np.einsum("ijab,pbc->ijpac", op.blocks, base.basis).reshape(-1, *base.unit.shape)
         )
-        if exceeds(res, 1e-8):
+        if exceeds(res, GUARD_TOL):
             raise StructuralError("operator blocks left the base algebra span")
         k = coeffs.reshape(n, n, nb, nb).transpose(0, 3, 1, 2).reshape(n * nb, n * nb)
         return (u.conj().T * root[:, None]) @ k @ (u / root[None, :])
@@ -562,13 +562,13 @@ def conditional_tensor_realize(
     for k in keep_idx:
         val = vacuum_value(pair_ops[k])
         c, res = base.coords(val)
-        if exceeds(res, 1e-8):
+        if exceeds(res, GUARD_TOL):
             raise StructuralError("vacuum functional left the base algebra")
         images.append(np.einsum("m,mab->ab", c, base_images))
     expectation = map_from_images(
         amalg, base_alg, np.stack(images), MapKind.CONDITIONAL_EXPECTATION
     )
-    verify_positive_map(expectation, tol).raise_on_failure(
+    verify_positive_map(expectation, DEFAULT_TOL).raise_on_failure(
         "amalgamated expectation failed verification"
     )
     return ConditionalTensorProduct(amalg, expectation, real)
@@ -636,17 +636,24 @@ def classical_coins_oracle(
 # the harness
 
 
+def random_hermitian_element(algebra: MatrixStarAlgebra, rng: np.random.Generator) -> np.ndarray:
+    """Hermitian element of ``algebra``: the Hermitian part of the projection
+    of a random Hermitian matrix with spectrum inside [-2, 2] onto its span."""
+    c, _ = algebra.coords(random_hermitian(algebra.ambient_dim, rng))
+    mat = algebra.combine(c)
+    return (mat + dag(mat)) / 2
+
+
 def random_alternating_word(
     algebra1: MatrixStarAlgebra,
     algebra2: MatrixStarAlgebra,
     rng: np.random.Generator,
     max_length: int = 6,
-    hermitian: bool = True,
 ) -> AlternatingWord:
     """Random word with letters drawn from the two algebras.
 
-    Letters are Hermitian with spectrum inside [-2, 2] (projected into the
-    algebra span), which keeps long products well-scaled.
+    Letters come from :func:`random_hermitian_element`, which keeps long
+    products well-scaled.
     """
     length = int(rng.integers(1, max_length + 1))
     legs = [int(rng.integers(1, 3))]
@@ -655,16 +662,9 @@ def random_alternating_word(
         # normalization
         nxt = 3 - legs[-1] if rng.random() < 0.8 else legs[-1]
         legs.append(nxt)
-    letters = []
-    for leg in legs:
-        alg = algebra1 if leg == 1 else algebra2
-        raw = random_hermitian(alg.ambient_dim, rng)
-        c, _ = alg.coords(raw)
-        mat = alg.combine(c)
-        if hermitian:
-            mat = (mat + dag(mat)) / 2
-        letters.append((leg, mat))
-    return AlternatingWord(letters)
+    return AlternatingWord(
+        [(leg, random_hermitian_element(algebra1 if leg == 1 else algebra2, rng)) for leg in legs]
+    )
 
 
 def verify_independence(
@@ -680,6 +680,5 @@ def verify_independence(
         want = np.asarray(oracle(word))
         if want.shape == ():
             want = want.reshape(1, 1)
-        legs = "".join(str(leg) for leg, _ in word.letters)
-        report.add(f"word {k}: legs {legs}", frob(got - want), tol)
+        report.add(f"word {k}: {word.label()}", frob(got - want), tol)
     return report

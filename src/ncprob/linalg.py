@@ -15,6 +15,10 @@ DEFAULT_TOL = 1e-9
 EIG_FLOOR = -1e-9
 # Relative threshold for rank decisions (rank-revealing pivoting).
 RANK_RTOL = 1e-10
+# Structural input guards raise StructuralError when their residual exceeds
+# this bound: span membership, commutation with the base action, and the
+# existence of an adjoint (relative to the size of the right-hand side).
+GUARD_TOL = 1e-8
 
 
 def dag(m: np.ndarray) -> np.ndarray:
@@ -82,16 +86,16 @@ def unblock(mat: np.ndarray, d: int) -> np.ndarray:
     return np.swapaxes(mat.reshape(*lead, rows // d, d, cols // d, d), -3, -2)
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, radius: float = 2.0) -> np.ndarray:
-    """Random Hermitian matrix with spectrum inside [-radius, radius]."""
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Random Hermitian matrix with spectrum inside [-2, 2]."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = hermitian_part(g)
     top = float(np.max(np.abs(np.linalg.eigvalsh(h)))) or 1.0
-    return h * (radius / top)
+    return h * (2.0 / top)
 
 
-def random_density(dim: int, rng: np.random.Generator, min_weight: float = 0.05) -> np.ndarray:
+def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random full-rank density matrix (positive definite, unit trace)."""
     w = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = w @ dag(w) + min_weight * np.eye(dim)
+    rho = w @ dag(w) + 0.05 * np.eye(dim)
     return rho / np.trace(rho).real

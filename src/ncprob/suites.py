@@ -24,7 +24,6 @@ from .algebra_core import (
     diagonal_compression,
     full_matrix_algebra,
     identity_map,
-    iterate_map,
     normalized_trace_state,
     pauli_algebra,
     state_from_density,
@@ -38,18 +37,15 @@ from .dilation import (
     markov_scenario,
     random_unital_cp,
     scalar_fiber,
+    semigroup_gaps,
     verify_dilation,
     verify_product_system,
     white_noise_increment_check,
     white_noise_scenario,
 )
-from .hilbert_module import (
-    apply_blocks,
-    gns_construct,
-    operator_distance,
-    tensor_over_base,
-    verify_module,
-)
+from .hilbert_module import gns_construct, operator_distance, tensor_over_base, verify_module
+# unused here, but perfbench's tracer self-test rewraps this second binding
+from .hilbert_module import apply_blocks  # noqa: F401
 from .independence import (
     AlternatingWord,
     ConditionalTensorProduct,
@@ -62,6 +58,7 @@ from .independence import (
     monotone_moment_formula,
     monotone_realize,
     random_alternating_word,
+    random_hermitian_element,
     tensor_moment_formula,
     tensor_realize,
 )
@@ -116,10 +113,6 @@ class RunConfig:
         }
 
 
-def _word_label(word: AlternatingWord) -> str:
-    return "legs " + "".join(str(leg) for leg, _ in word.letters)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -167,10 +160,9 @@ def suite_module(config: RunConfig) -> list[dict]:
     worst_label = ""
     for k, pmap in enumerate(maps):
         module = gns_construct(pmap)
-        xi = module.distinguished["unit"]
-        for b in pmap.domain.basis:
-            acted = apply_blocks(module.left.blocks_of(b), xi)
-            gap = frob(module.inner(xi, acted) - pmap.apply(b))
+        moments = module.vector_functional(module.distinguished["unit"], pmap.domain.basis)
+        for b, moment in zip(pmap.domain.basis, moments):
+            gap = frob(moment - pmap.apply(b))
             if gap > worst or np.isnan(gap):
                 worst, worst_label = gap, f"map #{k} ({pmap.kind.value})"
     report.add("gns-representation", worst, gns_tol, f"worst: {worst_label}; fixed tolerance 1e-10")
@@ -194,16 +186,9 @@ def suite_module(config: RunConfig) -> list[dict]:
         pmap = random_unital_cp(2, rng)
         full = gns_construct(pmap, reduce=False)
         reduced = gns_construct(pmap, reduce=True)
-        for b in m2.basis:
-            lhs = full.inner(
-                full.distinguished["unit"],
-                apply_blocks(full.left.blocks_of(b), full.distinguished["unit"]),
-            )
-            rhs = reduced.inner(
-                reduced.distinguished["unit"],
-                apply_blocks(reduced.left.blocks_of(b), reduced.distinguished["unit"]),
-            )
-            worst = residual_max(worst, frob(lhs - rhs))
+        lhs = full.vector_functional(full.distinguished["unit"], m2.basis)
+        rhs = reduced.vector_functional(reduced.distinguished["unit"], m2.basis)
+        worst = residual_max(worst, *(frob(l - r) for l, r in zip(lhs, rhs)))
     report.add("quotient-preserves-moments", worst, config.tolerance)
 
     base, fiber = central_unit_fiber(m2, 2)
@@ -236,7 +221,7 @@ def suite_monotone(config: RunConfig) -> list[dict]:
         want = monotone_moment_formula(word, s1.functional, s2.functional)
         gap = abs(got - want)
         if gap > worst_mono or np.isnan(gap):
-            worst_mono, worst_word = gap, _word_label(word)
+            worst_mono, worst_word = gap, word.label()
         worst_tens = residual_max(
             worst_tens,
             abs(tens.scalar_moment(word) - tensor_moment_formula(word, s1.functional, s2.functional)),
@@ -244,15 +229,15 @@ def suite_monotone(config: RunConfig) -> list[dict]:
         naive = tensor_moment_formula(word, s1.functional, s2.functional)
         cross = abs(want - naive)
         if cross > witness_gap or np.isnan(cross):
-            witness_gap, witness_word = cross, _word_label(word)
+            witness_gap, witness_word = cross, word.label()
     report.add("realization-matches-formula", worst_mono, tol, f"worst word: {worst_word}")
     report.add("tensor-realization-matches-formula", worst_tens, tol)
 
     # ordered two-letter factorization phi(f(X1) g(X2)) = phi1(f) phi2(g)
     worst = 0.0
     for _ in range(25):
-        f = s1.algebra.element(_random_hermitian_in(s1.algebra, rng))
-        g = s2.algebra.element(_random_hermitian_in(s2.algebra, rng))
+        f = s1.algebra.element(random_hermitian_element(s1.algebra, rng))
+        g = s2.algebra.element(random_hermitian_element(s2.algebra, rng))
         word = AlternatingWord([(1, f), (2, g)])
         split = complex(s1.functional.apply(f)[0, 0]) * complex(s2.functional.apply(g)[0, 0])
         worst = residual_max(worst, abs(mono.scalar_moment(word) - split))
@@ -263,15 +248,15 @@ def suite_monotone(config: RunConfig) -> list[dict]:
     # ordered pairs always factor and a short word-length cap must not mask
     # the asymmetry
     for _ in range(25):
-        f = _random_hermitian_in(s1.algebra, rng)
-        g = _random_hermitian_in(s2.algebra, rng)
-        gp = _random_hermitian_in(s2.algebra, rng)
+        f = random_hermitian_element(s1.algebra, rng)
+        g = random_hermitian_element(s2.algebra, rng)
+        gp = random_hermitian_element(s2.algebra, rng)
         word = AlternatingWord([(2, g), (1, f), (2, gp)])
         want = monotone_moment_formula(word, s1.functional, s2.functional)
         naive = tensor_moment_formula(word, s1.functional, s2.functional)
         cross = abs(want - naive)
         if cross > witness_gap or np.isnan(cross):
-            witness_gap, witness_word = cross, _word_label(word)
+            witness_gap, witness_word = cross, word.label()
     shortfall = residual_max(1e-3 - witness_gap)
     report.add(
         "order-sensitivity-witness",
@@ -282,15 +267,6 @@ def suite_monotone(config: RunConfig) -> list[dict]:
     )
     report.extend("monotone-realization", mono.verify(tol))
     return report.rows()
-
-
-def _random_hermitian_in(algebra, rng: np.random.Generator) -> np.ndarray:
-    from .linalg import random_hermitian
-
-    h = random_hermitian(algebra.ambient_dim, rng)
-    coeffs, _ = algebra.coords(h)
-    out = algebra.combine(coeffs)
-    return 0.5 * (out + out.conj().T)
 
 
 def suite_conditional_monotone(config: RunConfig) -> list[dict]:
@@ -315,7 +291,7 @@ def suite_conditional_monotone(config: RunConfig) -> list[dict]:
         want = conditional_monotone_moment_formula(word, comp, comp)
         gap = frob(got - want)
         if gap > worst or np.isnan(gap):
-            worst, worst_word = gap, _word_label(word)
+            worst, worst_word = gap, word.label()
         _, res = base.coords(want)
         worst_member = residual_max(worst_member, res)
     report.add(
@@ -327,9 +303,9 @@ def suite_conditional_monotone(config: RunConfig) -> list[dict]:
     # letters only sees its conditional expectation
     worst = 0.0
     for _ in range(10):
-        a = _random_hermitian_in(m2, rng)
-        b = _random_hermitian_in(m2, rng)
-        c = _random_hermitian_in(m2, rng)
+        a = random_hermitian_element(m2, rng)
+        b = random_hermitian_element(m2, rng)
+        c = random_hermitian_element(m2, rng)
         lhs = joint.embed(2, a) @ joint.embed(1, b) @ joint.embed(2, c)
         rhs = joint.embed(2, a @ comp.apply(b) @ c)
         worst = residual_max(worst, operator_distance(lhs, rhs))
@@ -434,13 +410,8 @@ def suite_dilation(config: RunConfig) -> list[dict]:
     for k in range(10):
         scenarios.append((f"random-cp-{k}", dilate_discrete(random_unital_cp(2, rng), horizon, config.budget)))
     for label, scenario in scenarios:
-        system = scenario.system
-        for n in range(horizon + 1):
-            tn = iterate_map(scenario.cp_map, n)
-            e = system.powers[n]
-            xi = system.units[n]
-            for b in system.base.basis:
-                gap = frob(e.inner(xi, apply_blocks(e.left.blocks_of(b), xi)) - tn.apply(b))
+        for n, gaps in enumerate(semigroup_gaps(scenario)):
+            for gap in gaps:
                 if gap > worst or np.isnan(gap):
                     worst, worst_label = gap, f"{label}, n={n}"
     report.add("semigroup-recovery", worst, tol, f"worst: {worst_label}")

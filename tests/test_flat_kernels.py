@@ -229,6 +229,15 @@ def test_identify_matches_word_loop(tower):
     assert system.identify(1, 2, x, np.zeros_like(y)).shape == system.units[3].shape
 
 
+def test_vector_functional_matches_loop(tower):
+    # <x, a x> one basis element at a time, through each element's operator
+    top = tower.powers[tower.horizon]
+    x = random_window_operator(tower, tower.horizon, np.random.default_rng(4)).blocks[:, 0]
+    basis = tower.base.basis
+    want = np.stack([top.inner(x, apply_blocks(top.left.blocks_of(b), x)) for b in basis])
+    assert frob(top.vector_functional(x, basis) - want) < 1e-12
+
+
 def test_coefficients_outside_the_base_still_raise(chain):
     # over the diagonal base of a chain an off-diagonal coefficient is not a
     # vector of the module; the batched plumbing must refuse it
@@ -240,3 +249,5 @@ def test_coefficients_outside_the_base_still_raise(chain):
     blocks = np.ones((chain.fiber.rank, chain.fiber.rank, 2, 2), dtype=complex)
     with pytest.raises(StructuralError, match="not in the acting algebra"):
         chain.tensors[2].op_left(AdjointableOperator(chain.fiber, blocks, blocks))
+    with pytest.raises(StructuralError, match="not in the acting algebra"):
+        chain.fiber.vector_functional(chain.units[1], outside[:1])

@@ -23,6 +23,7 @@ from ncprob.algebra_core import (
     full_matrix_algebra,
     identity_map,
     map_from_images,
+    normalized_trace_state,
     state_from_density,
 )
 from ncprob.dilation import IncrementReport, dilate_discrete, random_unital_cp
@@ -34,7 +35,7 @@ from ncprob.independence import (
     monotone_realize,
     verify_independence,
 )
-from ncprob.linalg import exceeds, frob, residual_max
+from ncprob.linalg import GUARD_TOL, exceeds, frob, residual_max
 
 NAN = float("nan")
 
@@ -144,3 +145,28 @@ def test_nan_input_is_rejected(guard):
     # each guard compares a residual with a bound; a NaN must not slip past it
     with pytest.raises(StructuralError):
         _NAN_GUARDS[guard]()
+
+
+def _off_diagonal(eps):
+    # the identity plus an entry eps outside the diagonal algebra, which puts
+    # it at distance exactly eps from that algebra's span
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = eps
+    return m
+
+
+_SPAN_GUARDS = {
+    "element": lambda x: diagonal_algebra(2).element(x),
+    "PositiveMap.apply": lambda x: normalized_trace_state(diagonal_algebra(2)).apply(x),
+    "LeftAction.coords_of": lambda x: gns_construct(identity_map(diagonal_algebra(2))).left.coords_of(x[None]),
+    "AlternatingWord.check_membership": lambda x: AlternatingWord([(1, x)]).check_membership(
+        diagonal_algebra(2), diagonal_algebra(2)
+    ),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(_SPAN_GUARDS))
+def test_span_guards_decide_at_guard_tol(guard):
+    _SPAN_GUARDS[guard](_off_diagonal(GUARD_TOL / 10))
+    with pytest.raises(StructuralError, match="residual 1.000e-07"):
+        _SPAN_GUARDS[guard](_off_diagonal(10 * GUARD_TOL))
