@@ -23,7 +23,7 @@ lose value when an explicit unit letter is inserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +53,17 @@ from .hilbert_module import (
     tensor_over_base,
     trivial_left_action,
 )
-from .linalg import DEFAULT_TOL, GUARD_TOL, dag, exceeds, frob, random_hermitian, residual_max
+from .linalg import (
+    DEFAULT_TOL,
+    GUARD_TOL,
+    block_matrix,
+    dag,
+    exceeds,
+    frob,
+    random_hermitian,
+    residual_max,
+    unblock,
+)
 
 __all__ = [
     "QuantumProbabilitySpace",
@@ -131,12 +141,17 @@ class AlternatingWord:
 
     def check_membership(self, algebra1: MatrixStarAlgebra, algebra2: MatrixStarAlgebra) -> None:
         for k, (leg, mat) in enumerate(self.letters):
-            alg = algebra1 if leg == 1 else algebra2
-            _, res = alg.coords(mat)
-            if exceeds(res, GUARD_TOL):
-                raise StructuralError(
-                    f"letter {k} is not in the algebra of leg {leg} (residual {res:.3e})"
-                )
+            _letter_coords(k, leg, mat, algebra1 if leg == 1 else algebra2)
+
+
+def _letter_coords(k: int, leg: int, mat: np.ndarray, alg: MatrixStarAlgebra) -> np.ndarray:
+    """Coordinates of letter ``k`` over its leg's algebra; raises when it is outside."""
+    c, res = alg.coords(mat)
+    if exceeds(res, GUARD_TOL):
+        raise StructuralError(
+            f"letter {k} is not in the algebra of leg {leg} (residual {res:.3e})"
+        )
+    return c
 
 
 @dataclass
@@ -155,16 +170,47 @@ class JointRealization:
     algebra2: MatrixStarAlgebra
     unital_legs: tuple[bool, bool]
     base: MatrixStarAlgebra | None = None
+    # leg -> (flat basis images (dim, N, N), the operators they are blocks of);
+    # built on first use, held by this realization only
+    _basis_images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def embed(self, leg: int, mat: np.ndarray) -> AdjointableOperator:
         return self.embed1(mat) if leg == 1 else self.embed2(mat)
 
+    def basis_images(self, leg: int) -> tuple[np.ndarray, list[AdjointableOperator]]:
+        """``embed(leg, b_k)`` for the basis of the leg's algebra, built once.
+
+        Every embedding is linear in its letter, so these images determine it.
+        The operators' blocks are views of the flat stack that :meth:`moment`
+        applies, so :meth:`verify` checks exactly what ``moment`` uses.
+        """
+        if leg not in self._basis_images:
+            alg = self.algebra1 if leg == 1 else self.algebra2
+            ops = [self.embed(leg, b) for b in alg.basis]
+            flat = np.stack([block_matrix(op.blocks) for op in ops])
+            adjoints = np.stack([block_matrix(op.adjoint_blocks) for op in ops])
+            d0 = self.carrier.base.ambient_dim
+            self._basis_images[leg] = flat, [
+                AdjointableOperator(self.carrier, unblock(m, d0), unblock(m_adj, d0))
+                for m, m_adj in zip(flat, adjoints)
+            ]
+        return self._basis_images[leg]
+
     def moment(self, word: AlternatingWord) -> np.ndarray:
-        """Vacuum expectation of the word, as a base-algebra element."""
-        v = self.vacuum
-        for leg, mat in reversed(word.letters):
-            v = self.embed(leg, mat)(v)
-        return self.carrier.inner(self.vacuum, v)
+        """Vacuum expectation of the word, as a base-algebra element.
+
+        Each letter ``a = sum_k c_k b_k`` acts as ``sum_k c_k M_k`` through
+        the cached flat images ``M_k`` of the basis: one product of the
+        stacked images with the flat vector, then one contraction with ``c``.
+        """
+        v = self.vacuum.reshape(-1, self.vacuum.shape[-1])
+        for k in reversed(range(len(word.letters))):
+            leg, mat = word.letters[k]
+            c = _letter_coords(k, leg, mat, self.algebra1 if leg == 1 else self.algebra2)
+            images, _ = self.basis_images(leg)
+            moved = images.reshape(-1, v.shape[0]) @ v  # every M_k v, stacked
+            v = (c @ moved.reshape(len(c), -1)).reshape(v.shape)
+        return self.carrier.inner(self.vacuum, v.reshape(self.vacuum.shape))
 
     def scalar_moment(self, word: AlternatingWord) -> complex:
         m = self.moment(word)
@@ -181,7 +227,7 @@ class JointRealization:
         ):
             worst_mult = 0.0
             worst_star = 0.0
-            ops = [self.embed(leg, b) for b in alg.basis]
+            _, ops = self.basis_images(leg)
             for i, b in enumerate(alg.basis):
                 worst_star = residual_max(
                     worst_star, operator_distance(self.embed(leg, dag(b)), ops[i].H)

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncprob import dilation
 from ncprob.algebra_core import (
     MapKind,
     StructuralError,
@@ -62,7 +63,7 @@ from ncprob.hilbert_module import (
     operator_distance,
     verify_module,
 )
-from ncprob.linalg import frob
+from ncprob.linalg import DEFAULT_TOL, frob
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +211,22 @@ def test_product_system_invariants(chain, m2_noise):
         names = [c.name for c in report.checks]
         assert "identification-preserves-grams" in names
         assert "units-compose" in names
+
+
+def test_product_system_gram_row_fails_when_a_pair_is_skipped(chain, monkeypatch):
+    # horizon 3 has the level pairs (1, 1), (1, 2) and (2, 1); a bound of
+    # rank_1^2 keeps the first and skips the other two
+    system = chain.system
+    assert system.horizon == 3
+    monkeypatch.setattr(dilation, "GRAM_CHECK_MAX_PAIRS", system.powers[1].rank ** 2)
+    report = verify_product_system(system)
+    row = {c.name: c for c in report.checks}["identification-preserves-grams"]
+    assert not row.passed and not report.passed
+    assert "not checked for (m, n) = (1, 2), (2, 1)," in row.detail
+    assert row.tolerance == DEFAULT_TOL
+    assert [c.name for c in report.checks] == [
+        "unit-vectors-normalized", "identification-preserves-grams", "units-compose"
+    ]
 
 
 # ---------------------------------------------------------------------------

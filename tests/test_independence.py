@@ -388,6 +388,73 @@ def test_conditional_tensor_requires_conditional_expectations(coin_pair):
 
 
 # ---------------------------------------------------------------------------
+# moments from cached basis images against the operator chain
+
+
+def _realization_of(kind: str):
+    rng = np.random.default_rng(31)
+    m2 = full_matrix_algebra(2)
+    if kind in ("tensor", "monotone"):
+        s1, s2 = (
+            QuantumProbabilitySpace(m2, state_from_density(m2, random_density(2, rng)))
+            for _ in range(2)
+        )
+        return (tensor_realize if kind == "tensor" else monotone_realize)(s1, s2)
+    if kind == "conditional-monotone":
+        comp = diagonal_compression(2, m2)
+        return conditional_monotone_embed(gns_construct(comp), gns_construct(comp), m2, m2)
+    s1, s2, _ = coins_game()
+    return conditional_tensor_realize(s1, s2).realization
+
+
+def _operator_chain_moment(real, word):
+    # the reference: one embedded operator per letter, applied right to left
+    v = real.vacuum
+    for leg, mat in reversed(word.letters):
+        v = real.embed(leg, mat)(v)
+    return real.carrier.inner(real.vacuum, v)
+
+
+REALIZATION_KINDS = ["tensor", "monotone", "conditional-monotone", "conditional-tensor"]
+
+
+@pytest.mark.parametrize("kind", REALIZATION_KINDS)
+def test_moment_matches_operator_chain(kind):
+    real = _realization_of(kind)
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for _ in range(200):
+        word = random_alternating_word(real.algebra1, real.algebra2, rng)
+        worst = max(worst, frob(real.moment(word) - _operator_chain_moment(real, word)))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("kind", REALIZATION_KINDS)
+def test_verify_checks_the_operators_moment_applies(kind):
+    real = _realization_of(kind)
+    for leg in (1, 2):
+        images, ops = real.basis_images(leg)
+        assert real.basis_images(leg)[0] is images  # built once per realization
+        assert all(np.shares_memory(op.blocks, images) for op in ops)
+    report = real.verify()
+    assert report.passed, [(c.name, c.residual) for c in report.failures]
+
+
+def test_moment_rejects_a_letter_outside_its_leg():
+    # both realizations embed diagonal algebras, which hold no off-diagonal matrix
+    for real in (
+        monotone_realize(two_point_space(0.5), two_point_space(0.7)),
+        _realization_of("conditional-tensor"),
+    ):
+        d = real.algebra1.ambient_dim
+        off, unit = np.eye(d, k=1, dtype=complex), np.eye(d, dtype=complex)
+        with pytest.raises(StructuralError, match="letter 1 is not in the algebra of leg 2"):
+            real.moment(AlternatingWord([(1, unit), (2, off)]))
+        with pytest.raises(StructuralError, match="letter 0 is not in the algebra of leg 1"):
+            real.moment(AlternatingWord([(1, off), (2, unit)]))
+
+
+# ---------------------------------------------------------------------------
 # word mechanics
 
 

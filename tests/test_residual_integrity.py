@@ -121,6 +121,12 @@ def _nan_adjoint_request():
     return solve_adjoint(module, blocks)
 
 
+def _diagonal_monotone():
+    alg = diagonal_algebra(2)
+    space = QuantumProbabilitySpace(alg, normalized_trace_state(alg))
+    return monotone_realize(space, space)
+
+
 _NAN_GUARDS = {
     "element": lambda: diagonal_algebra(2).element(_nan_in([[0, 1], [0, 0]])),
     "PositiveMap.apply": lambda: state_from_density(diagonal_algebra(2), np.eye(2) / 2).apply(
@@ -135,6 +141,7 @@ _NAN_GUARDS = {
     "AlternatingWord.check_membership": lambda: AlternatingWord([(1, _nan_in(np.eye(2)))]).check_membership(
         diagonal_algebra(2), diagonal_algebra(2)
     ),
+    "JointRealization.moment": lambda: _diagonal_monotone().moment(AlternatingWord([(1, _nan_in(np.eye(2)))])),
     "solve_adjoint": _nan_adjoint_request,
     "cp_from_stochastic": lambda: cp_from_stochastic([[NAN, 0.5], [0.3, 0.7]]),
 }
@@ -162,6 +169,7 @@ _SPAN_GUARDS = {
     "AlternatingWord.check_membership": lambda x: AlternatingWord([(1, x)]).check_membership(
         diagonal_algebra(2), diagonal_algebra(2)
     ),
+    "JointRealization.moment": lambda x: _diagonal_monotone().moment(AlternatingWord([(2, x)])),
 }
 
 
