@@ -71,6 +71,7 @@ __all__ = [
     "quotient_null_space",
     "quotient_module",
     "gns_construct",
+    "tensor_gram",
     "tensor_over_base",
     "ModuleTensor",
     "restrict_left_action",
@@ -564,6 +565,23 @@ class ModuleTensor:
         return self.info.rewrite_operator_blocks(unblock(raw, base.ambient_dim), inject)
 
 
+def tensor_gram(e1: HilbertModule, e2: HilbertModule) -> np.ndarray:
+    """Inner products of the raw generators e_i o e_j of E1 (x)_B E2.
+
+    G[(i,j),(I,J)] = < e_j, G1[i,I] . e_J >, pairs row-major (i * n2 + j);
+    ``e2`` must carry a left action of the base.  The einsums run on
+    C-ordered operands, since their summation order follows the layout.
+    """
+    n1, n2, d0 = e1.rank, e2.rank, e2.base.ambient_dim
+    coords, res = e1.base.coords_many(e1.gram.reshape(n1 * n1, *e1.gram.shape[2:]))
+    if exceeds(res, GUARD_TOL):
+        raise StructuralError("left factor inner products are not in its base algebra")
+    acts = np.einsum("pm,mjkab->pjkab", coords, np.ascontiguousarray(e2.left.blocks))
+    return np.einsum(
+        "jkab,iIkJbc->ijIJac", np.ascontiguousarray(e2.gram), acts.reshape(n1, n1, n2, n2, d0, d0)
+    ).reshape(n1 * n2, n1 * n2, d0, d0)
+
+
 def tensor_over_base(e1: HilbertModule, e2: HilbertModule, reduce: bool = True) -> ModuleTensor:
     """Interior tensor product E1 (x)_B E2.
 
@@ -581,19 +599,7 @@ def tensor_over_base(e1: HilbertModule, e2: HilbertModule, reduce: bool = True) 
         )
     n1, n2 = e1.rank, e2.rank
     base = e2.base
-    d0 = base.ambient_dim
-
-    # raw gram over pairs: G[(i,j),(I,J)] = < e_j, G1[i,I] . e_J >, with the
-    # einsums on C-ordered operands (their summation order follows the layout)
-    coords, res = e1.base.coords_many(e1.gram.reshape(n1 * n1, *e1.gram.shape[2:]))
-    if exceeds(res, GUARD_TOL):
-        raise StructuralError("left factor inner products are not in its base algebra")
-    acts = np.einsum("pm,mjkab->pjkab", coords, np.ascontiguousarray(e2.left.blocks))
-    gram = np.einsum(
-        "jkab,iIkJbc->ijIJac", np.ascontiguousarray(e2.gram), acts.reshape(n1, n1, n2, n2, d0, d0)
-    ).reshape(n1 * n2, n1 * n2, d0, d0)
-    raw = HilbertModule(base, gram)
-    del acts, gram  # free them: the quotient and the lifts below are a build's memory peak
+    raw = HilbertModule(base, tensor_gram(e1, e2))
 
     pairs = [(i, j) for i in range(n1) for j in range(n2)]
     if reduce:

@@ -74,6 +74,7 @@ __all__ = [
     "tensor_moment_formula",
     "monotone_moment_formula",
     "conditional_monotone_embed",
+    "conditional_monotone_factorization",
     "conditional_monotone_moment_formula",
     "conditional_tensor_realize",
     "ConditionalTensorProduct",
@@ -356,22 +357,22 @@ def monotone_moment_formula(
     """Each leg-2 letter contributes its own expectation; leg-1 letters fuse.
 
     For the normalized word g0 f1 g1 ... fn gn the value is
-    prod_i phi2(g_i) * phi1(f1 f2 ... fn).  Missing g-slots amount to unit
-    letters on the unital leg and change nothing; an *explicit* unit among
-    the f's still splits its neighbours' leg-2 letters into separate factors,
-    which is the projection effect of the non-unital embedding.
+    prod_i phi2(g_i) * phi1(f1 f2 ... fn): the scalar case of
+    :func:`conditional_monotone_factorization` with the legs swapped, since
+    here leg 2 is the unital one.  Missing g-slots amount to unit letters on
+    the unital leg and change nothing; an *explicit* unit among the f's
+    still splits its neighbours' leg-2 letters into separate factors, which
+    is the projection effect of the non-unital embedding.
     """
-    w = word.normalized()
-    val = 1.0 + 0.0j
-    fused1 = None
-    for leg, mat in w.letters:
-        if leg == 2:
-            val *= complex(phi2.apply(mat)[0, 0])
-        else:
-            fused1 = mat if fused1 is None else fused1 @ mat
-    if fused1 is not None:
-        val *= complex(phi1.apply(fused1)[0, 0])
-    return val
+    unit1 = phi1.domain.unit
+    value = conditional_monotone_factorization(
+        word.swap_legs().normalized().letters,
+        phi2.apply,
+        phi1.apply,
+        lambda v: complex(v[0, 0]) * unit1,
+        np.ones((1, 1), dtype=complex),
+    )
+    return complex(value[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +441,32 @@ def conditional_monotone_embed(
     )
 
 
+def conditional_monotone_factorization(letters, expect1, expect2, insert, unit):
+    """E1(a0) . E2( b1 i(E1(a1)) b2 ... bn ) . E1(an) for an alternating word.
+
+    ``letters`` is a list of (leg, x) pairs alternating between the legs,
+    whose outer letters, when present, are on leg 1; a missing end counts as
+    ``unit``.  ``expect1`` and ``expect2`` are the two expectations, and
+    ``insert`` carries an interior leg-1 value into the leg-2 chain, where it
+    is multiplied *inside*.  Everything multiplies with ``@``: matrix letters
+    with base-valued expectations, or flat operators with a compression.
+    """
+    left = right = unit
+    if letters and letters[0][0] == 1:
+        left = expect1(letters[0][1])
+        letters = letters[1:]
+    if letters and letters[-1][0] == 1:
+        right = expect1(letters[-1][1])
+        letters = letters[:-1]
+    if not letters:
+        return left @ right
+    chain = None
+    for leg, x in letters:
+        factor = x if leg == 2 else insert(expect1(x))
+        chain = factor if chain is None else chain @ factor
+    return left @ expect2(chain) @ right
+
+
 def conditional_monotone_moment_formula(
     word: AlternatingWord,
     expect1: PositiveMap,
@@ -447,38 +474,24 @@ def conditional_monotone_moment_formula(
 ) -> np.ndarray:
     """Base-valued moment of an alternating word under the two expectations.
 
-    After padding both ends with leg-1 units (harmless, leg 1 is the unital
-    leg here) the word has the shape a1(0) a2(1) a1(1) ... a2(n) a1(n) and
-    the value is
+    Leg 1 is the unital leg here, so for the normalized word
+    a1(0) a2(1) a1(1) ... a2(n) a1(n) the value is
+    :func:`conditional_monotone_factorization`
 
         E1(a1(0)) . E2( a2(1) E1(a1(1)) a2(2) ... a2(n) ) . E1(a1(n)),
 
-    with the interior expectations multiplied *inside* the leg-2 chain.  The
-    result is checked to lie in the shared codomain algebra.
+    with missing outer letters counting as units.  The result is checked to
+    lie in the shared codomain algebra.
     """
     cod = expect1.codomain
     if not expect2.codomain.same_basis(cod):
         raise StructuralError("the two expectations must share their codomain")
-    letters = word.normalized().letters
-    if not letters:
-        return cod.unit.copy()
-    unit1 = expect1.domain.unit
-    if letters[0][0] == 2:
-        letters = [(1, unit1)] + letters
-    if letters[-1][0] == 2:
-        letters = letters + [(1, unit1)]
-    a1s = [mat for leg, mat in letters[0::2]]
-    a2s = [mat for leg, mat in letters[1::2]]
-    if any(leg != 1 for leg, _ in letters[0::2]) or any(
-        leg != 2 for leg, _ in letters[1::2]
-    ):
-        raise StructuralError("normalization failed to produce an alternating word")
+    amb = expect2.domain.ambient_dim
 
     def insert(value: np.ndarray) -> np.ndarray:
         # interior expectations multiply inside the second algebra; over a
         # scalar base that means "scalar times the unit", over a matrix base
         # the value is already an element of it
-        amb = expect2.domain.ambient_dim
         if value.shape == (amb, amb):
             return value
         if value.shape == (1, 1):
@@ -488,14 +501,9 @@ def conditional_monotone_moment_formula(
             f"ambient dimensions {value.shape[0]} vs {amb}"
         )
 
-    first = expect1.apply(a1s[0])
-    if not a2s:
-        value = first
-    else:
-        chain = a2s[0]
-        for inner_a1, next_a2 in zip(a1s[1:-1], a2s[1:]):
-            chain = chain @ insert(expect1.apply(inner_a1)) @ next_a2
-        value = first @ expect2.apply(chain) @ expect1.apply(a1s[-1])
+    value = conditional_monotone_factorization(
+        word.normalized().letters, expect1.apply, expect2.apply, insert, cod.unit
+    )
     _, res = cod.coords(value)
     if exceeds(res, GUARD_TOL):
         raise StructuralError(

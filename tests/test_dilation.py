@@ -26,7 +26,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncprob import dilation
 from ncprob.algebra_core import (
     MapKind,
     StructuralError,
@@ -55,7 +54,8 @@ from ncprob.dilation import (
     white_noise_increment_check,
     white_noise_scenario,
 )
-from ncprob.dilation import _corner_factorization, _sample_alternating_ops
+from ncprob.dilation import _sample_alternating_ops
+from ncprob.independence import conditional_monotone_factorization
 from ncprob.hilbert_module import (
     apply_blocks,
     compose_blocks,
@@ -63,7 +63,7 @@ from ncprob.hilbert_module import (
     operator_distance,
     verify_module,
 )
-from ncprob.linalg import DEFAULT_TOL, frob
+from ncprob.linalg import block_matrix, frob
 
 
 @pytest.fixture(scope="module")
@@ -213,20 +213,36 @@ def test_product_system_invariants(chain, m2_noise):
         assert "units-compose" in names
 
 
-def test_product_system_gram_row_fails_when_a_pair_is_skipped(chain, monkeypatch):
-    # horizon 3 has the level pairs (1, 1), (1, 2) and (2, 1); a bound of
-    # rank_1^2 keeps the first and skips the other two
-    system = chain.system
-    assert system.horizon == 3
-    monkeypatch.setattr(dilation, "GRAM_CHECK_MAX_PAIRS", system.powers[1].rank ** 2)
+@pytest.mark.parametrize("where", ["letter-map", "rewrite"])
+def test_product_system_rows_fail_when_the_identification_is_perturbed(where, monkeypatch):
+    # the reference Grams are fixed at build time; a perturbed letter map or
+    # level rewrite changes only the identifications both rows go through
+    system = dilate_discrete(random_unital_cp(2, np.random.default_rng(7)), horizon=3).system
+    names = ["unit-vectors-normalized", "identification-preserves-grams", "units-compose"]
+    clean = verify_product_system(system)
+    assert clean.passed and [c.name for c in clean.checks] == names
+    if where == "letter-map":
+        perturbed = system.letter_maps.copy()
+        perturbed[0] *= 1.0 + 1e-3
+        monkeypatch.setattr(system, "letter_maps", perturbed)
+    else:
+        info = system.tensors[2].info
+        monkeypatch.setattr(info, "rewrite", info.rewrite * (1.0 + 1e-3))
+    rows = {c.name: c for c in verify_product_system(system).checks}
+    assert rows["unit-vectors-normalized"].passed
+    for name in ("identification-preserves-grams", "units-compose"):
+        assert not rows[name].passed and rows[name].residual > 1e-6, (name, rows[name].residual)
+
+
+def test_horizon_four_product_system_checks_every_level_pair():
+    # the pairs (1, 3), (2, 2) and (3, 1) land on the rank-81 top level
+    system = dilate_discrete(random_unital_cp(2, np.random.default_rng(7)), horizon=4).system
+    assert [p.rank for p in system.powers] == [1, 3, 9, 27, 81]
     report = verify_product_system(system)
-    row = {c.name: c for c in report.checks}["identification-preserves-grams"]
-    assert not row.passed and not report.passed
-    assert "not checked for (m, n) = (1, 2), (2, 1)," in row.detail
-    assert row.tolerance == DEFAULT_TOL
     assert [c.name for c in report.checks] == [
         "unit-vectors-normalized", "identification-preserves-grams", "units-compose"
     ]
+    assert report.passed, report.failures
 
 
 # ---------------------------------------------------------------------------
@@ -318,36 +334,22 @@ def test_corner_factorization_needs_the_left_embedding(m2_noise):
     r, s, t = 0, 1, 3
     worst = 0.0
     for _ in range(60):
-        letters = _sample_alternating_ops(system, r, s, t, rng, 6)
-        embedded = [
-            (leg, system.embed_window(op, s if leg == 1 else r)) for leg, op in letters
+        letters = [
+            (leg, block_matrix(system.embed_window(op, s if leg == 1 else r).blocks))
+            for leg, op in _sample_alternating_ops(system, r, s, t, rng, 6)
         ]
-        word = None
-        for _, op in embedded:
-            word = op if word is None else word @ op
+        word = letters[0][1]
+        for _, x in letters[1:]:
+            word = word @ x
         lhs = system.expectation(word)
-        assert frob(lhs - _corner_factorization(system, embedded)) < 1e-10
-        lets = list(embedded)
-        outer_l = outer_r = system.base.unit
-        if lets and lets[0][0] == 1:
-            outer_l = system.expectation(lets[0][1])
-            lets = lets[1:]
-        if lets and lets[-1][0] == 1:
-            outer_r = system.expectation(lets[-1][1])
-            lets = lets[:-1]
-        if lets:
-            bad_chain = None
-            for leg, op in lets:
-                factor = (
-                    op
-                    if leg == 2
-                    else system.corner_embedding(system.expectation(op))
-                )
-                bad_chain = factor if bad_chain is None else bad_chain @ factor
-            bad = outer_l @ system.expectation(bad_chain) @ outer_r
-        else:
-            bad = outer_l @ outer_r
-        worst = max(worst, frob(lhs - bad))
+
+        def factorization(insert):
+            return conditional_monotone_factorization(
+                letters, system.expectation, system.expectation, insert, system.base.unit
+            )
+
+        assert frob(lhs - factorization(system.left_embedding)) < 1e-10
+        worst = max(worst, frob(lhs - factorization(system.corner_embedding)))
     assert worst > 0.01
 
 

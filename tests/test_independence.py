@@ -18,6 +18,7 @@ from ncprob import (
     classical_coins_oracle,
     coins_game,
     conditional_monotone_embed,
+    conditional_monotone_factorization,
     conditional_monotone_moment_formula,
     conditional_tensor_realize,
     diagonal_algebra,
@@ -256,6 +257,21 @@ def test_conditional_monotone_matches_formula(compressed_pair):
         want = conditional_monotone_moment_formula(word, comp, comp)
         worst = max(worst, frob(got - want))
     assert worst < 1e-9
+
+
+def test_dropping_the_interior_insertions_is_detected(compressed_pair):
+    """The factorization with every interior E1 value replaced by the unit
+    (the leg-2 chain b1 b2 ... bn) misses the realization's moments."""
+    m2, comp, real = compressed_pair
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(60):
+        word = random_alternating_word(m2, m2, rng, max_length=5)
+        dropped = conditional_monotone_factorization(
+            word.normalized().letters, comp.apply, comp.apply, lambda v: m2.unit, m2.unit
+        )
+        worst = max(worst, frob(real.moment(word) - dropped))
+    assert worst > 1e-3
 
 
 def test_conditional_monotone_realization_verifies(compressed_pair):
