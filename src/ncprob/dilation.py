@@ -16,11 +16,14 @@ dynamics sits compressed in a corner.
 
 Time-window subalgebras embed through the projected form: an operator ``x``
 on ``E_{s-r}`` becomes ``theta_r(V x V*)`` where ``V y = xi (x) y`` pastes
-the far future back on as the unit vector.  Products of such embeddings are
-where conditional monotone independence of increments shows up: the
-increment check evaluates the one factorization of
+the far future back on as the unit vector.  The embedding takes a stack of
+window operators and returns their flat operators on ``E_N`` together, with
+one isometry pair and one lift for the whole stack.  Products of such
+embeddings are where conditional monotone independence of increments shows
+up: the increment check draws its words, embeds each leg's letters in one
+call, and evaluates the one factorization of
 :func:`~ncprob.independence.conditional_monotone_factorization` on the flat
-operators of sampled words on ``E_N``, against the words' corner values.
+operators of each word on ``E_N``, against the word's corner value.
 The product-system check is one Gram identity per level pair ``(m, n)``:
 the images of all generator pairs in ``E_{m+n}`` against the raw Gram of
 ``E_m (x) E_n`` (:func:`~ncprob.hilbert_module.tensor_gram`).
@@ -232,20 +235,31 @@ class DiscreteProductSystem:
     # -- operator plumbing --------------------------------------------------
 
     def theta_blocks(self, blocks: np.ndarray, from_level: int, steps: int) -> np.ndarray:
-        """Lift operator blocks on E_from to E_{from+steps} as a (x) id."""
+        """Lift operator blocks on E_from to E_{from+steps} as a (x) id.
+
+        ``blocks`` may be a stack (..., n, n, d0, d0) of operators; the
+        columns of all of them are extended together.
+        """
         L, target = from_level, from_level + steps
         if target > self.horizon:
             raise HorizonError(
                 f"theta lands at level {target}, past the horizon {self.horizon}"
             )
-        if blocks.shape[0] != self.powers[L].rank:
+        n = self.powers[L].rank
+        if blocks.shape[-4:-2] != (n, n):
             raise StructuralError("operator does not live on the stated level")
         if steps == 0:
             return np.asarray(blocks, dtype=complex)
-        # column w of the lift is column w[:L] of the operator, extended by w[L:]
-        tails = [(self.index[L][w[:L]], w[L:]) for w in self.words[target]]
-        columns = self._extend_words(np.swapaxes(blocks, 0, 1), L, tails)
-        return _columns_to_blocks(columns)
+        lead, d0 = blocks.shape[:-4], blocks.shape[-1]
+        # column w of a lift is column w[:L] of its operator q, extended by w[L:]
+        columns = np.swapaxes(blocks, -4, -3).reshape(-1, n, d0, d0)
+        tails = [
+            (q * n + self.index[L][w[:L]], w[L:])
+            for q in range(len(columns) // n)
+            for w in self.words[target]
+        ]
+        lifted = self._extend_words(columns, L, tails)
+        return _columns_to_blocks(lifted.reshape(*lead, -1, *lifted.shape[1:]))
 
     def level_of(self, op: AdjointableOperator) -> int:
         """Which power of the tower an operator lives on (by identity)."""
@@ -275,28 +289,25 @@ class DiscreteProductSystem:
         vstar = self._extend_words(overlaps[:, None], 0, splits)
         return _columns_to_blocks(v), _columns_to_blocks(vstar)
 
-    def embed_window(self, op: AdjointableOperator, start: int) -> AdjointableOperator:
-        """Operator of the time window [start, start+width] inside B^a(E_N).
+    def embed_window(self, blocks: np.ndarray, width: int, start: int) -> np.ndarray:
+        """Flat operators on E_N of a stack of operators of the window [start, start+width].
 
-        Realizes theta_start(V op V*) per the projected embedding: project
-        the factor later than the window onto its unit vector, move the
-        inner product across as a base action, apply the operator, restore
-        the unit vector.
+        ``blocks`` stacks K operators on E_width as (K, n_w, n_w, d0, d0); the
+        result stacks their flat (n_N*d0, n_N*d0) matrices.  Each is
+        theta_start(V x V*) per the projected embedding: project the factor
+        later than the window onto its unit vector, move the inner product
+        across as a base action, apply the operator, restore the unit
+        vector.  One isometry pair and one lift serve the whole stack.
         """
-        level = self.level_of(op)
         mid = self.horizon - start
-        if level + start > self.horizon:
+        if width + start > self.horizon:
             raise HorizonError("window does not fit under the horizon")
-        v, vstar = self.isometry_blocks(level, mid)
-
-        def push(blocks):
-            return self.theta_blocks(
-                compose_blocks(v, compose_blocks(blocks, vstar)), mid, start
-            )
-
-        return AdjointableOperator(
-            self.powers[self.horizon], push(op.blocks), push(op.adjoint_blocks)
-        )
+        n_w = self.powers[width].rank
+        if blocks.ndim != 5 or blocks.shape[1:3] != (n_w, n_w):
+            raise StructuralError("operators do not live on the stated window level")
+        v, vstar = self.isometry_blocks(width, mid)
+        inner = compose_blocks(v, compose_blocks(blocks, vstar))
+        return block_matrix(self.theta_blocks(inner, mid, start))
 
     # -- the corner: flat (n*d0, n*d0) operators on E_N ---------------------
 
@@ -325,9 +336,9 @@ class DiscreteProductSystem:
 
 
 def _columns_to_blocks(columns: np.ndarray) -> np.ndarray:
-    """Operator blocks, as a flat-matrix view, from a stack of its columns."""
+    """Operator blocks, as flat-matrix views, from stacked columns (..., column, row, d0, d0)."""
     d0 = columns.shape[-1]
-    return unblock(block_matrix(np.swapaxes(columns, 0, 1)), d0)
+    return unblock(block_matrix(np.swapaxes(columns, -4, -3)), d0)
 
 
 # ---------------------------------------------------------------------------
@@ -340,28 +351,28 @@ class DilationScenario:
 
     cp_map: PositiveMap
     system: DiscreteProductSystem
-    increments: dict[tuple[int, int], list[AdjointableOperator]] = field(
-        default_factory=dict
-    )
+    increments: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
-    def increment_generators(self, start: int, stop: int) -> list[AdjointableOperator]:
+    def increment_generators(self, start: int, stop: int) -> np.ndarray:
         """Matrix-unit-style generators of the window algebra A[start, stop].
 
-        Images of the rank-one operators |e_i><e_j| of E_{stop-start}; the
-        list generates the increment algebra but is not claimed to exhaust
-        it at finite horizon.
+        Flat operators on E_N, stacked, of the rank-one operators |e_i><e_j|
+        of E_{stop-start}; they generate the increment algebra but are not
+        claimed to exhaust it at finite horizon.
         """
         key = (start, stop)
         if key not in self.increments:
             if not 0 <= start < stop <= self.system.horizon:
                 raise HorizonError(f"window [{start}, {stop}] does not fit the horizon")
             e = self.system.powers[stop - start]
-            ops = [
-                self.system.embed_window(rank_one(e, e.generator(i), e.generator(j)), start)
-                for i in range(e.rank)
-                for j in range(e.rank)
-            ]
-            self.increments[key] = ops
+            rank_ones = np.stack(
+                [
+                    rank_one(e, e.generator(i), e.generator(j)).blocks
+                    for i in range(e.rank)
+                    for j in range(e.rank)
+                ]
+            )
+            self.increments[key] = self.system.embed_window(rank_ones, stop - start, start)
         return self.increments[key]
 
 
@@ -666,7 +677,10 @@ def white_noise_increment_check(
 
     Both modes evaluate the one formula,
     :func:`~ncprob.independence.conditional_monotone_factorization`, on the
-    words' flat operators on E_N.
+    words' flat operators on E_N.  All ``trials`` words are drawn first (the
+    embedding draws nothing, so the random stream is the word-by-word one);
+    the letters of each leg are then embedded with one
+    :meth:`DiscreteProductSystem.embed_window` call.
     """
     system = scenario.system
     n_top = system.horizon
@@ -687,8 +701,7 @@ def white_noise_increment_check(
     mode = "white-noise" if invariance <= tol else "markov-property"
 
     gens = scenario.increment_generators(r, s)
-    flat = np.stack([op.blocks.reshape(-1) for op in gens])
-    sv = np.linalg.svd(flat, compute_uv=False)
+    sv = np.linalg.svd(gens.reshape(len(gens), -1), compute_uv=False)
     generated_dimension = int(np.sum(sv > max(sv) * 1e-10)) if len(sv) else 0
 
     if mode == "white-noise":
@@ -702,12 +715,17 @@ def white_noise_increment_check(
         def distance(gap):  # operators compare through the inner product
             return frob(gram @ gap)
 
+    # every word is drawn first; then each leg's letters are embedded in one call
+    words = [_sample_alternating_ops(system, r, s, t, rng, max_word_length) for _ in range(trials)]
+    embedded = {}
+    for leg, start, width in ((1, s, t - s), (2, r, s - r)):
+        ops = [op.blocks for word in words for letter_leg, op in word if letter_leg == leg]
+        if ops:
+            embedded[leg] = iter(system.embed_window(np.stack(ops), width, start))
+
     residuals = []
-    for _ in range(trials):
-        letters = [
-            (leg, block_matrix(system.embed_window(op, s if leg == 1 else r).blocks))
-            for leg, op in _sample_alternating_ops(system, r, s, t, rng, max_word_length)
-        ]
+    for word_ops in words:
+        letters = [(leg, next(embedded[leg])) for leg, _ in word_ops]
         word = letters[0][1]
         for _, x in letters[1:]:
             word = word @ x

@@ -508,6 +508,12 @@ def run_suite(name: str, config: RunConfig) -> dict:
         raise StructuralError(
             f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES + ('all',))}"
         )
+    cut = [suite for suite in names if suite in ("white-noise", "markov")]
+    if cut and config.horizon < 2:
+        raise StructuralError(
+            "--horizon must be at least 2 to cut time into the two increment "
+            f"windows of {' and '.join(cut)}"
+        )
     checks = []
     for suite in names:
         for row in _SUITE_FUNCTIONS[suite](config):

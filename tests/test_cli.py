@@ -77,6 +77,36 @@ def test_verify_rejects_bad_counts(capsys):
     assert "trials" in err
 
 
+@pytest.mark.parametrize("suite", ["white-noise", "markov", "all"])
+def test_verify_increment_suites_reject_horizon_one(capsys, monkeypatch, suite):
+    # horizon 1 leaves no room for a past and a future window; the run must
+    # stop before any suite runs, naming the flag and not a window it derived
+    ran = []
+
+    def recorder(name):
+        def suite_function(config):
+            ran.append(name)
+            return []
+
+        return suite_function
+
+    for name in list(suites._SUITE_FUNCTIONS):
+        monkeypatch.setitem(suites._SUITE_FUNCTIONS, name, recorder(name))
+    code, out, err = run_cli(capsys, "verify", suite, "--horizon", "1")
+    assert code == 2
+    assert out == ""
+    assert "--horizon must be at least 2" in err
+    assert ran == []
+
+
+def test_verify_dilation_runs_at_horizon_one(capsys):
+    code, out, _ = run_cli(capsys, "verify", "dilation", "--horizon", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert report["config"]["horizon"] == 1
+
+
 # ---------------------------------------------------------------------------
 # seeds
 

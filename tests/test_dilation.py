@@ -332,11 +332,15 @@ def test_corner_factorization_needs_the_left_embedding(m2_noise):
     system = m2_noise.system
     rng = np.random.default_rng(7)
     r, s, t = 0, 1, 3
+
+    def embed(leg, op):
+        width, start = (t - s, s) if leg == 1 else (s - r, r)
+        return system.embed_window(op.blocks[None], width, start)[0]
+
     worst = 0.0
     for _ in range(60):
         letters = [
-            (leg, block_matrix(system.embed_window(op, s if leg == 1 else r).blocks))
-            for leg, op in _sample_alternating_ops(system, r, s, t, rng, 6)
+            (leg, embed(leg, op)) for leg, op in _sample_alternating_ops(system, r, s, t, rng, 6)
         ]
         word = letters[0][1]
         for _, x in letters[1:]:
@@ -356,10 +360,74 @@ def test_corner_factorization_needs_the_left_embedding(m2_noise):
 def test_increment_generators_report_dimension(m2_noise):
     gens = m2_noise.increment_generators(1, 2)
     assert len(gens) == m2_noise.system.powers[1].rank ** 2
+    side = m2_noise.system.powers[3].rank * m2_noise.system.base.ambient_dim
+    assert gens.shape[1:] == (side, side)
     inc = white_noise_increment_check(m2_noise, 1, 2, 3, trials=5, seed=0)
     assert inc.generated_dimension >= 1
     assert inc.window_past == (1, 2)
     assert inc.window_future == (2, 3)
+
+
+def _white_noise_scenarios(m2):
+    return {
+        "m2-central-unit": white_noise_scenario(*central_unit_fiber(m2, 2), horizon=3),
+        "scalar-2dim": white_noise_scenario(*scalar_fiber(2), horizon=3),
+    }
+
+
+def test_batched_embed_window_matches_one_lift_per_operator(m2, chain):
+    """Each slice of a stacked embedding is theta_start(V x V*) of its own x."""
+    rng = np.random.default_rng(5)
+    # (width, start): future and past legs of (0, 1, 3) and (1, 2, 3), plus
+    # windows ending below the horizon
+    windows = [(2, 1), (1, 0), (1, 2), (1, 1), (2, 0), (3, 0)]
+    towers = {label: scenario.system for label, scenario in _white_noise_scenarios(m2).items()}
+    towers["markov-chain"] = chain.system
+    for label, system in towers.items():
+        n_top = system.horizon
+        for width, start in windows:
+            mid = n_top - start
+            v, vstar = system.isometry_blocks(width, mid)
+            for count in (1, 3):
+                ops = np.stack(
+                    [random_window_operator(system, width, rng).blocks for _ in range(count)]
+                )
+                got = system.embed_window(ops, width, start)
+                side = system.powers[n_top].rank * system.base.ambient_dim
+                assert got.shape == (count, side, side)
+                for x, flat in zip(ops, got):
+                    want = block_matrix(
+                        system.theta_blocks(compose_blocks(v, compose_blocks(x, vstar)), mid, start)
+                    )
+                    assert frob(flat - want) < 1e-12, (label, width, start, count)
+
+
+def test_embed_window_rejects_windows_past_the_horizon(m2_noise):
+    system = m2_noise.system
+    ops = np.stack([random_window_operator(system, 2, np.random.default_rng(0)).blocks])
+    with pytest.raises(HorizonError):
+        system.embed_window(ops, 2, 2)
+    with pytest.raises(StructuralError, match="window level"):
+        system.embed_window(ops, 1, 0)
+
+
+def test_future_letters_at_the_past_start_break_the_factorization(m2, monkeypatch):
+    """Negative control: embedding leg-1 letters at the past start must fail."""
+    r, s, t = 0, 1, 3
+    honest = DiscreteProductSystem.embed_window
+
+    def misplaced(self, blocks, width, start):
+        return honest(self, blocks, width, r if start == s else start)
+
+    scenarios = _white_noise_scenarios(m2)
+    for label, scenario in scenarios.items():
+        inc = white_noise_increment_check(scenario, r, s, t, trials=100, seed=7)
+        assert inc.mode == "white-noise" and inc.passed, label
+    monkeypatch.setattr(DiscreteProductSystem, "embed_window", misplaced)
+    for label, scenario in scenarios.items():
+        inc = white_noise_increment_check(scenario, r, s, t, trials=100, seed=7)
+        assert inc.mode == "white-noise", label
+        assert inc.max_residual > 0.1, (label, inc.max_residual)
 
 
 # ---------------------------------------------------------------------------
