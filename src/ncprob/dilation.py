@@ -53,14 +53,13 @@ from .hilbert_module import (
     HilbertModule,
     LeftAction,
     ModuleTensor,
+    adjoint_gap,
     apply_blocks,
     compose_blocks,
-    dagger_blocks,
     gns_construct,
     identity_operator,
     left_action_operator,
     rank_one,
-    right_multiply,
     tensor_gram,
     tensor_over_base,
     vector_norm,
@@ -323,7 +322,7 @@ class DiscreteProductSystem:
         """b -> |xi_N . b><xi_N|, the embedding split by the expectation."""
         xi = self.units[self.horizon]
         b = np.asarray(b, dtype=complex)
-        return block_matrix(rank_one(self.powers[self.horizon], right_multiply(xi, b), xi).blocks)
+        return block_matrix(rank_one(self.powers[self.horizon], xi @ b, xi).blocks)
 
     def left_embedding(self, b: np.ndarray) -> np.ndarray:
         """The unital embedding of the base: b acting from the left on E_N."""
@@ -406,11 +405,8 @@ def e0_apply(scenario: DilationScenario, steps: int, op: AdjointableOperator) ->
             f"shifting E_{level} by {steps} steps lands past the horizon "
             f"{system.horizon}"
         )
-    return AdjointableOperator(
-        system.powers[level + steps],
-        system.theta_blocks(op.blocks, level, steps),
-        system.theta_blocks(op.adjoint_blocks, level, steps),
-    )
+    lifted = system.theta_blocks(op.blocks, level, steps)
+    return AdjointableOperator(system.powers[level + steps], lifted)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +470,17 @@ def _random_module_vector(
     return np.einsum("im,mab->iab", coeffs, base.basis)
 
 
+def _random_window_pairs(
+    system: DiscreteProductSystem, width: int, rng: np.random.Generator
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The two (x, y) pairs of a random window operator |x1><y1| + |x2><y2|."""
+    e = system.powers[width]
+    return [
+        (_random_module_vector(e, system.base, rng), _random_module_vector(e, system.base, rng))
+        for _ in range(2)
+    ]
+
+
 def random_window_operator(
     system: DiscreteProductSystem, width: int, rng: np.random.Generator
 ) -> AdjointableOperator:
@@ -483,15 +490,8 @@ def random_window_operator(
     a generically nonzero overlap with every generator and with the unit.
     """
     e = system.powers[width]
-    op = None
-    for _ in range(2):
-        piece = rank_one(
-            e,
-            _random_module_vector(e, system.base, rng),
-            _random_module_vector(e, system.base, rng),
-        )
-        op = piece if op is None else op + piece
-    return op
+    (x1, y1), (x2, y2) = _random_window_pairs(system, width, rng)
+    return rank_one(e, x1, y1) + rank_one(e, x2, y2)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +569,11 @@ def verify_dilation(
     worst_comp = 0.0
     for steps in range(0, n_top):
         level = n_top - steps
-        a = random_window_operator(system, level, rng)
+        e = system.powers[level]
+        # a* is |y><x| summed over the pairs that make a = sum |x><y|
+        (x1, y1), (x2, y2) = _random_window_pairs(system, level, rng)
+        a = rank_one(e, x1, y1) + rank_one(e, x2, y2)
+        a_star = rank_one(e, y1, x1) + rank_one(e, y2, x2)
         b_op = random_window_operator(system, level, rng)
         ta = system.theta_blocks(a.blocks, level, steps)
         tb = system.theta_blocks(b_op.blocks, level, steps)
@@ -578,11 +582,8 @@ def verify_dilation(
         worst_mult = residual_max(
             worst_mult, frob(compose_blocks(gram, tab - compose_blocks(ta, tb)))
         )
-        ta_star = system.theta_blocks(a.adjoint_blocks, level, steps)
-        worst_star = residual_max(
-            worst_star,
-            frob(compose_blocks(gram, ta_star) - dagger_blocks(compose_blocks(gram, ta))),
-        )
+        ta_star = system.theta_blocks(a_star.blocks, level, steps)
+        worst_star = residual_max(worst_star, adjoint_gap(system.powers[n_top], ta, ta_star))
         lifted = system.theta_blocks(identity_operator(system.powers[level]).blocks, level, steps)
         target_ident = identity_operator(system.powers[n_top]).blocks
         worst_unital = residual_max(worst_unital, frob(lifted - target_ident))
@@ -775,8 +776,7 @@ class MarkovModel:
                     "this is only an adjointable block operator over a "
                     "commutative base"
                 )
-            diagonal = [unblock(np.kron(np.eye(e.rank), g), len(g)) for g in (f, dag(f))]
-            return AdjointableOperator(e, *diagonal)
+            return AdjointableOperator(e, unblock(np.kron(np.eye(e.rank), f), len(f)))
         if time == level:
             return left_action_operator(e, f)
         inner_level = level - time + 1

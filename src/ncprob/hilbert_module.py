@@ -6,8 +6,10 @@ generators (``d0`` is the ambient dimension of the base algebra), together
 with an optional left action of another algebra and a dictionary of
 distinguished vectors.  A vector is an ``(n, d0, d0)`` array of right
 coefficients: ``x = sum_i e_i x[i]``.  An operator is an ``(n, n, d0, d0)``
-block matrix acting on coefficients; adjointability is a property we verify,
-not an assumption.
+block matrix acting on coefficients and carries no adjoint; adjointability
+is a property we verify, not an assumption.  :func:`adjoint_gap` decides
+whether given blocks are an operator's adjoint, by the Gram identity
+``<x, S y> = <S* x, y>`` on all generator pairs.
 
 That block layout is the public one at every function boundary, but the
 arithmetic runs on the flat view: an operator is an element of M_n(B), an
@@ -60,12 +62,12 @@ __all__ = [
     "apply_blocks",
     "compose_blocks",
     "dagger_blocks",
-    "right_multiply",
     "identity_operator",
     "rank_one",
     "left_action_operator",
     "operator_distance",
     "vector_norm",
+    "adjoint_gap",
     "solve_adjoint",
     "extended_gram",
     "quotient_null_space",
@@ -77,7 +79,6 @@ __all__ = [
     "restrict_left_action",
     "trivial_left_action",
     "verify_module",
-    "verify_adjointable",
 ]
 
 
@@ -113,11 +114,6 @@ def compose_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def dagger_blocks(m: np.ndarray) -> np.ndarray:
     """Blockwise adjoint: (M^*)[i, j] = M[j, i]^dag."""
     return m.transpose(1, 0, 3, 2).conj()
-
-
-def right_multiply(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Right module action on coefficients."""
-    return x @ b
 
 
 # ---------------------------------------------------------------------------
@@ -217,40 +213,25 @@ def vector_norm(module: HilbertModule, x: np.ndarray) -> float:
 
 @dataclass
 class AdjointableOperator:
-    """Right-linear operator with a verified (or structurally known) adjoint."""
+    """Right-linear operator given by its blocks alone; see :func:`adjoint_gap`."""
 
     module: HilbertModule
     blocks: np.ndarray  # (n, n, d0, d0)
-    adjoint_blocks: np.ndarray
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return apply_blocks(self.blocks, x)
 
-    @property
-    def H(self) -> "AdjointableOperator":
-        return AdjointableOperator(self.module, self.adjoint_blocks, self.blocks)
-
     def __matmul__(self, other: "AdjointableOperator") -> "AdjointableOperator":
-        return AdjointableOperator(
-            self.module,
-            compose_blocks(self.blocks, other.blocks),
-            compose_blocks(other.adjoint_blocks, self.adjoint_blocks),
-        )
+        return AdjointableOperator(self.module, compose_blocks(self.blocks, other.blocks))
 
     def __add__(self, other: "AdjointableOperator") -> "AdjointableOperator":
-        return AdjointableOperator(
-            self.module, self.blocks + other.blocks, self.adjoint_blocks + other.adjoint_blocks
-        )
+        return AdjointableOperator(self.module, self.blocks + other.blocks)
 
     def __sub__(self, other: "AdjointableOperator") -> "AdjointableOperator":
-        return AdjointableOperator(
-            self.module, self.blocks - other.blocks, self.adjoint_blocks - other.adjoint_blocks
-        )
+        return AdjointableOperator(self.module, self.blocks - other.blocks)
 
     def __mul__(self, scalar: complex) -> "AdjointableOperator":
-        return AdjointableOperator(
-            self.module, scalar * self.blocks, np.conj(scalar) * self.adjoint_blocks
-        )
+        return AdjointableOperator(self.module, scalar * self.blocks)
 
     __rmul__ = __mul__
 
@@ -261,28 +242,21 @@ class AdjointableOperator:
 
 def identity_operator(module: HilbertModule) -> AdjointableOperator:
     blocks = unblock(np.kron(np.eye(module.rank), module.base.unit), module.base.ambient_dim)
-    return AdjointableOperator(module, blocks, np.copy(blocks))
+    return AdjointableOperator(module, blocks)
 
 
 def rank_one(module: HilbertModule, x: np.ndarray, y: np.ndarray) -> AdjointableOperator:
     """|x><y| : z -> x <y, z>, the flat product X (Y^H G); its adjoint is |y><x|."""
-    gram = block_matrix(module.gram)
-
-    def one_side(u, v):
-        return unblock(_flat_vector(u) @ (_flat_vector(v).conj().T @ gram), u.shape[-1])
-
-    return AdjointableOperator(module, one_side(x, y), one_side(y, x))
+    flat = _flat_vector(x) @ (_flat_vector(y).conj().T @ block_matrix(module.gram))
+    return AdjointableOperator(module, unblock(flat, x.shape[-1]))
 
 
 def left_action_operator(module: HilbertModule, a: np.ndarray) -> AdjointableOperator:
-    """Operator of a left-algebra element; adjoint comes from the algebra."""
+    """Operator of a left-algebra element; its adjoint is the operator of ``a*``
+    when the action is a *-representation (``left-action-star`` checks it)."""
     if module.left is None:
         raise StructuralError("module has no left action")
-    return AdjointableOperator(
-        module,
-        module.left.blocks_of(np.asarray(a, dtype=complex)),
-        module.left.blocks_of(dag(np.asarray(a, dtype=complex))),
-    )
+    return AdjointableOperator(module, module.left.blocks_of(np.asarray(a, dtype=complex)))
 
 
 def operator_distance(s: AdjointableOperator, t: AdjointableOperator) -> float:
@@ -290,13 +264,25 @@ def operator_distance(s: AdjointableOperator, t: AdjointableOperator) -> float:
     return frob(s.matrix_form() - t.matrix_form())
 
 
-def solve_adjoint(module: HilbertModule, blocks: np.ndarray) -> AdjointableOperator:
-    """Find adjoint blocks with coefficients in the base algebra, or fail.
+def adjoint_gap(module: HilbertModule, blocks: np.ndarray, adjoint: np.ndarray) -> float:
+    """How far ``adjoint`` is from being the adjoint of ``blocks``.
+
+    ``<x, S y> = <S* x, y>`` on all generator pairs reads ``G S* = (G S)^H``;
+    the residual is frob(G S* - (G S)^H), zero iff ``adjoint`` is an adjoint
+    of the operator (the two agree in the inner product).
+    """
+    g = module.gram
+    return frob(compose_blocks(g, adjoint) - dagger_blocks(compose_blocks(g, blocks)))
+
+
+def solve_adjoint(module: HilbertModule, blocks: np.ndarray) -> np.ndarray:
+    """Blocks of an adjoint with coefficients in the base algebra, or fail.
 
     Solves  sum_k G[i,k] A[k,j] = (G o S)[j,i]^dag  for A with entries
-    constrained to the span of the base algebra.  Raises when no solution
-    exists within tolerance — e.g. right multiplication by a non-central
-    element of a noncommutative base is not adjointable.
+    constrained to the span of the base algebra, and returns A's
+    ``(n, n, d0, d0)`` blocks, a candidate for :func:`adjoint_gap`.  Raises
+    when no solution exists within tolerance — e.g. right multiplication by a
+    non-central element of a noncommutative base is not adjointable.
     """
     base = module.base
     n, d0, nb = module.rank, base.ambient_dim, base.dim
@@ -313,8 +299,7 @@ def solve_adjoint(module: HilbertModule, blocks: np.ndarray) -> AdjointableOpera
             f"operator has no adjoint with coefficients in the base algebra "
             f"(residual {achieved:.3e})"
         )
-    adj = np.einsum("kmj,mab->kjab", alpha.reshape(n, nb, n), base.basis)
-    return AdjointableOperator(module, np.asarray(blocks, dtype=complex), adj)
+    return np.einsum("kmj,mab->kjab", alpha.reshape(n, nb, n), base.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +508,7 @@ class ModuleTensor:
 
     def op_left(self, s: AdjointableOperator) -> AdjointableOperator:
         """S o id for an adjointable S on the left factor."""
-        raw = self._op_left_raw(np.stack([s.blocks, s.adjoint_blocks]))
-        return AdjointableOperator(self.module, *self._reduce(raw))
+        return AdjointableOperator(self.module, self._reduce(self._op_left_raw(s.blocks[None])[0]))
 
     def _op_left_raw(self, s_blocks: np.ndarray) -> np.ndarray:
         """Flat S o id on the raw pairs, for a stack (k, n1, n1, d0, d0) of S.
@@ -544,9 +528,7 @@ class ModuleTensor:
         """id o S; requires S to commute with the base action on the right factor."""
         e2 = self.right_factor
         for k in range(e2.left.algebra.dim):
-            act = AdjointableOperator(
-                e2, e2.left.blocks[k], e2.left.blocks_of(dag(e2.left.algebra.basis[k]))
-            )
+            act = AdjointableOperator(e2, e2.left.blocks[k])
             gap = operator_distance(act @ s, s @ act)
             if exceeds(gap, GUARD_TOL):
                 raise StructuralError(
@@ -554,9 +536,8 @@ class ModuleTensor:
                     f"factor (defect {gap:.3e}); id-tensor-S is not well defined"
                 )
         # (id o S)(e_i o e_j) = e_i o S e_j: S on the right slot of every e_i
-        both = block_matrix(np.stack([s.blocks, s.adjoint_blocks]))
-        raw = np.kron(np.eye(self.left_factor.rank), both)
-        return AdjointableOperator(self.module, *self._reduce(raw))
+        raw = np.kron(np.eye(self.left_factor.rank), block_matrix(s.blocks))
+        return AdjointableOperator(self.module, self._reduce(raw))
 
     def _reduce(self, raw: np.ndarray) -> np.ndarray:
         """R raw J: flat operators on the raw pairs, rewritten over the survivors."""
@@ -680,24 +661,11 @@ def verify_module(module: HilbertModule, tol: float = DEFAULT_TOL) -> Verificati
         for k in range(alg.dim):
             bk = module.left.blocks[k]
             star = module.left.blocks_of(dag(alg.basis[k]))
-            # <e_i, a* e_j> must equal <a e_i, e_j>
-            lhs = compose_blocks(g, star)
-            rhs = dagger_blocks(compose_blocks(g, bk))
-            worst_star = residual_max(worst_star, frob(lhs - rhs))
+            worst_star = residual_max(worst_star, adjoint_gap(module, bk, star))
             for l in range(alg.dim):
                 prod = module.left.blocks_of(alg.basis[k] @ alg.basis[l])
                 com = compose_blocks(bk, module.left.blocks[l])
                 worst_mult = residual_max(worst_mult, frob(compose_blocks(g, prod - com)))
         report.add("left-action-multiplicative", worst_mult, tol)
         report.add("left-action-star", worst_star, tol)
-    return report
-
-
-def verify_adjointable(op: AdjointableOperator, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Check <x, S y> = <S* x, y> on all generator pairs."""
-    report = VerificationReport()
-    g = op.module.gram
-    lhs = compose_blocks(g, op.blocks)
-    rhs = dagger_blocks(compose_blocks(g, op.adjoint_blocks))
-    report.add("adjoint-identity", frob(lhs - rhs), tol)
     return report

@@ -41,6 +41,7 @@ from .algebra_core import (
 from .hilbert_module import (
     AdjointableOperator,
     HilbertModule,
+    adjoint_gap,
     apply_blocks,
     compose_blocks,
     extended_gram,
@@ -187,13 +188,10 @@ class JointRealization:
         """
         if leg not in self._basis_images:
             alg = self.algebra1 if leg == 1 else self.algebra2
-            ops = [self.embed(leg, b) for b in alg.basis]
-            flat = np.stack([block_matrix(op.blocks) for op in ops])
-            adjoints = np.stack([block_matrix(op.adjoint_blocks) for op in ops])
+            flat = np.stack([block_matrix(self.embed(leg, b).blocks) for b in alg.basis])
             d0 = self.carrier.base.ambient_dim
             self._basis_images[leg] = flat, [
-                AdjointableOperator(self.carrier, unblock(m, d0), unblock(m_adj, d0))
-                for m, m_adj in zip(flat, adjoints)
+                AdjointableOperator(self.carrier, unblock(m, d0)) for m in flat
             ]
         return self._basis_images[leg]
 
@@ -230,9 +228,8 @@ class JointRealization:
             worst_star = 0.0
             _, ops = self.basis_images(leg)
             for i, b in enumerate(alg.basis):
-                worst_star = residual_max(
-                    worst_star, operator_distance(self.embed(leg, dag(b)), ops[i].H)
-                )
+                star = self.embed(leg, dag(b)).blocks
+                worst_star = residual_max(worst_star, adjoint_gap(self.carrier, ops[i].blocks, star))
                 for j, c in enumerate(alg.basis):
                     worst_mult = residual_max(
                         worst_mult,
@@ -428,13 +425,8 @@ def conditional_monotone_embed(
         return tensor.op_left(left_action_operator(e1, a))
 
     def embed2(a):
-        # the adjoint replaces a2 by a2* and keeps the projection, since
-        # <T(x), y> = <x, T*(y)> moves the overlap to the other side symmetrically
-        def side(x):
-            return compose_blocks(put, compose_blocks(e2.left.blocks_of(x), moved))
-
-        a = np.asarray(a, dtype=complex)
-        return AdjointableOperator(carrier, side(a), side(dag(a)))
+        a2 = e2.left.blocks_of(np.asarray(a, dtype=complex))
+        return AdjointableOperator(carrier, compose_blocks(put, compose_blocks(a2, moved)))
 
     return JointRealization(
         carrier, vac, embed1, embed2, algebra1, algebra2, (True, False), base

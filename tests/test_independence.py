@@ -6,6 +6,8 @@ enumeration of classical outcomes for the coins game.  The module-based
 realizations must reproduce them.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from ncprob import (
     MapKind,
     QuantumProbabilitySpace,
     StructuralError,
+    adjoint_gap,
     classical_coins_oracle,
     coins_game,
     conditional_monotone_embed,
@@ -34,7 +37,6 @@ from ncprob import (
     state_from_density,
     tensor_moment_formula,
     tensor_realize,
-    verify_adjointable,
     verify_independence,
     verify_positive_map,
 )
@@ -286,8 +288,45 @@ def test_conditional_embed2_is_adjointable(compressed_pair):
     _, _, real = compressed_pair
     rng = np.random.default_rng(2)
     a = random_hermitian(2, rng) + 0.5j * np.array([[0, 1], [-1, 0]])
-    for op in (real.embed2(a), real.embed1(a)):
-        assert verify_adjointable(op).passed
+    for embed in (real.embed2, real.embed1):
+        assert adjoint_gap(real.carrier, embed(a).blocks, embed(dag(a)).blocks) <= 1e-9
+
+
+def _seed7_monotone():
+    # the state pair of `verify monotone --seed 7`
+    rng = np.random.default_rng(7)
+    m2 = full_matrix_algebra(2)
+    s1, s2 = (
+        QuantumProbabilitySpace(m2, state_from_density(m2, random_density(2, rng))) for _ in range(2)
+    )
+    return monotone_realize(s1, s2)
+
+
+def _m2_diagonal_compression():
+    m2 = full_matrix_algebra(2)
+    comp = diagonal_compression(2, m2)
+    return conditional_monotone_embed(gns_construct(comp), gns_construct(comp), m2, m2)
+
+
+@pytest.mark.parametrize("build", [_seed7_monotone, _m2_diagonal_compression])
+def test_a_similarity_on_leg2_fails_leg2_star_only(build):
+    """Negative control: leg 2 conjugated by S = 1 + N/2, N = embed1(E12).
+
+    N^2 = embed1(E12^2) = 0, so S^-1 = 1 - N/2 and the conjugated leg is
+    still a homomorphism; S is not unitary, so it is no longer a *-map.
+    """
+    real = build()
+    nil = 0.5 * real.embed1(np.array([[0, 1], [0, 0]], dtype=complex))
+    one = identity_operator(real.carrier)
+    s, s_inv = one + nil, one - nil
+    assert operator_distance(s @ s_inv, one) < 1e-12
+    similar = dataclasses.replace(real, embed2=lambda a: s @ real.embed2(a) @ s_inv)
+    honest = {c.name: c for c in real.verify().checks}
+    rows = {c.name: c for c in similar.verify().checks}
+    assert honest["leg2-star"].passed
+    assert not rows["leg2-star"].passed and rows["leg2-star"].residual > 0.1
+    assert rows["leg2-multiplicative"].passed
+    assert rows["leg1-star"].passed and rows["leg1-multiplicative"].passed
 
 
 def test_sandwich_identity(compressed_pair):
