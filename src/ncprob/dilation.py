@@ -2,11 +2,14 @@
 
 A unital completely positive map ``T`` on a matrix algebra ``B`` generates a
 tower of Hilbert modules ``E_0 = B, E_1, E_2 = E_1 (x) E_1, ...`` with
-``E_1`` the GNS module of ``T``.  Generators of ``E_n`` are labelled by
-length-``n`` letter words; the first letter is the *latest* time step, so
-every prefix of a surviving word survives at its own level.  The tower is a
-product system: ``E_m (x) E_n = E_{m+n}`` Gram-preservingly, the unit
-vectors ``xi_n = xi^{(x)n}`` compose accordingly, and
+``E_1`` the GNS module of ``T``; the quotient of ``E_1`` onto a minimal
+generating subset is the only rank decision, and ``E_n`` is the ``n``-th
+tensor power of ``E_1`` without the words that are exactly null (a chain's
+zero transitions).  Its generators are length-``n`` letter words in
+lexicographic order; the first letter is the *latest* time step.  The
+tower is a product system: ``E_m (x) E_n = E_{m+n}`` Gram-preservingly
+(pairs of generators go to their concatenated word), the unit vectors
+``xi_n = xi^{(x)n}`` compose accordingly, and
 
     T^n(b) = < xi_n, b xi_n >
 
@@ -24,8 +27,10 @@ up: the increment check draws its words, embeds each leg's letters in one
 call, and evaluates the one factorization of
 :func:`~ncprob.independence.conditional_monotone_factorization` on the flat
 operators of each word on ``E_N``, against the word's corner value.
-The product-system check is one Gram identity per level pair ``(m, n)``:
-the images of all generator pairs in ``E_{m+n}`` against the raw Gram of
+Every lift ``theta``, identification and isometry ``V`` is one contraction,
+:meth:`DiscreteProductSystem.extend`, with the base's left action on a
+power of the fiber.  The product-system check is one Gram identity per
+level pair ``(m, n)``: the Gram of ``E_{m+n}`` against the raw Gram of
 ``E_m (x) E_n`` (:func:`~ncprob.hilbert_module.tensor_gram`).
 """
 
@@ -59,6 +64,7 @@ from .hilbert_module import (
     gns_construct,
     identity_operator,
     left_action_operator,
+    quotient_module,
     rank_one,
     tensor_gram,
     tensor_over_base,
@@ -110,13 +116,17 @@ class BudgetExceededError(StructuralError):
 class DiscreteProductSystem:
     """The tower E_0, ..., E_N with its units and identifications.
 
-    ``words[k]`` lists the letter tuple of each generator of ``E_k``;
-    ``tensors[k]`` is the tensor structure realizing ``E_k = E_{k-1} (x) E_1``
-    for ``k >= 2``.  All identifications ``E_m (x) E_n = E_{m+n}`` reduce to
-    letter concatenation through :meth:`extend`, one fixed linear map per
-    level and letter: the base coordinates of the coefficients times the
-    cached matrix ``letter_maps[j]`` (row m is ``beta_m . e_j``), followed by
-    the level's rewrite onto its surviving generators.
+    ``fiber`` is E_1 on a minimal generating subset, the tower's one
+    quotient.  ``powers[k]`` is its k-th tensor power: ``tensors[k]``
+    realizes ``E_k = E_{k-1} (x) E_1`` for ``k >= 2`` and drops only the
+    pairs whose Gram diagonal block is exactly zero, by selection.
+    ``codes[k]`` lists the letter words of the generators of ``E_k`` as
+    numbers in base ``fiber.rank``, first letter leading, in increasing
+    order.  The identification ``E_m (x) E_n = E_{m+n}`` sends a pair of
+    generators to the generator of its concatenated word, or to zero when
+    that word was dropped as null.  Every lift, identification and isometry
+    is one contraction, :meth:`extend`, with the base's left action on a
+    power of the fiber.
     """
 
     base: MatrixStarAlgebra
@@ -124,15 +134,8 @@ class DiscreteProductSystem:
     horizon: int
     powers: list[HilbertModule]
     tensors: list[ModuleTensor | None]
-    words: list[list[tuple[int, ...]]]
+    codes: list[np.ndarray]
     units: list[np.ndarray]
-    index: list[dict[tuple[int, ...], int]]
-    letter_maps: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # letter_maps[j][m] is beta_m . e_j, flattened to n1 * d0 * d0 entries
-        acts = self.fiber.left.blocks @ self.base.unit
-        self.letter_maps = np.moveaxis(acts, 2, 0).reshape(self.fiber.rank, len(acts), -1)
 
     @classmethod
     def build(
@@ -151,114 +154,106 @@ class DiscreteProductSystem:
         if "unit" not in fiber.distinguished:
             raise StructuralError("fiber has no distinguished unit vector")
         verify_module(fiber).raise_on_failure("fiber failed verification")
+        fiber, _ = quotient_module(fiber)
+        n1 = fiber.rank
 
-        d0 = base.ambient_dim
         e0_gram = base.unit[None, None]
         e0_left = LeftAction(base, base.basis[:, None, None])
         e0 = HilbertModule(base, e0_gram, e0_left, {"unit": base.unit[None]})
 
         powers: list[HilbertModule] = [e0, fiber]
         tensors: list[ModuleTensor | None] = [None, None]
-        words: list[list[tuple[int, ...]]] = [[()], [(j,) for j in range(fiber.rank)]]
+        # word numbers reach n1**horizon; past int64 they stay Python integers
+        exact = np.int64 if n1**horizon < 2**63 else object
+        codes = [np.zeros(1, dtype=exact), np.arange(n1).astype(exact)]
         units: list[np.ndarray] = [e0.generator(0), fiber.distinguished["unit"]]
         for k in range(2, horizon + 1):
-            raw_dim = powers[k - 1].rank * fiber.rank * base.dim
+            raw_dim = powers[k - 1].rank * n1 * base.dim
             if raw_dim > budget:
                 raise BudgetExceededError(
                     f"power {k} would need {raw_dim} scalarized dimensions "
                     f"(budget {budget})",
                     raw_dim,
                 )
-            tensor = tensor_over_base(powers[k - 1], fiber)
+            tensor = tensor_over_base(powers[k - 1], fiber, reduce=False)
+            words = (codes[k - 1][:, None] * n1 + np.arange(n1)).ravel()
+            if tensor.info is not None:
+                words = words[tensor.info.survivors]
+            # a word whose tail is null is null, so every split of a kept
+            # word is a pair of kept words
+            if not np.isin(words % n1 ** (k - 1), codes[k - 1]).all():
+                raise StructuralError(f"E_{k} keeps a word whose tail E_{k - 1} dropped as null")
             tensors.append(tensor)
             powers.append(tensor.module)
-            words.append(
-                [
-                    words[k - 1][i] + (j,)
-                    for (i, j) in (tensor.pairs[s] for s in tensor.info.survivors)
-                ]
-            )
+            codes.append(words)
             units.append(tensor.tensor_vector(units[k - 1], units[1]))
-        index = [{w: i for i, w in enumerate(ws)} for ws in words]
-        return cls(base, fiber, horizon, powers, tensors, words, units, index)
+        return cls(base, fiber, horizon, powers, tensors, codes, units)
 
-    # -- vector plumbing ----------------------------------------------------
+    def _kept(self, level: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (i, u), row-major, of the generators of E_level and
+        E_steps whose concatenated word is a generator of E_{level+steps}."""
+        words = self.codes[level][:, None] * self.fiber.rank**steps + self.codes[steps]
+        return np.nonzero(np.isin(words, self.codes[level + steps]))
 
-    def extend(self, v: np.ndarray, letter: int, level: int) -> np.ndarray:
-        """Image of v (x) e_letter under E_level (x) E_1 = E_{level+1}.
+    def extend(self, xs: np.ndarray, level: int, steps: int) -> np.ndarray:
+        """Blocks of y -> x (x) y from E_steps into E_{level+steps}, per vector x of E_level.
 
-        ``v`` may be a stack (..., n_level, d0, d0) of vectors.
+        ``xs`` stacks vectors as (..., n_level, d0, d0); each gets the
+        (n_{level+steps}, n_steps, d0, d0) blocks whose row (i, u'), column u
+        is rho(x[i])[u', u], with rho the base's left action on E_steps:
+        the base coordinates of the entries times that action's blocks,
+        keeping the rows of the pairs (i, u') that are generators.  Raises
+        when an entry is not in the base.
         """
-        if level + 1 > self.horizon:
-            raise HorizonError(f"cannot extend past the horizon {self.horizon}")
-        d0 = self.base.ambient_dim
-        lead = v.shape[:-3]
-        # (v (x) e_j) on the raw pair (i, k) is (v[i] . e_j)[k]
-        coeffs = self.fiber.left.coords_of(v.reshape(-1, d0, d0))
-        raw = (coeffs @ self.letter_maps[letter]).reshape(*lead, -1, d0)
-        if level > 0:
-            raw = block_matrix(self.tensors[level + 1].info.rewrite) @ raw
-        return raw.reshape(*lead, -1, d0, d0)
-
-    def _extend_words(self, vs: np.ndarray, level: int, tails: list) -> np.ndarray:
-        """vs[p] extended by the letters of ``tail`` for each (p, tail) in ``tails``.
-
-        ``vs`` stacks vectors of E_level and the tails share one length t; the
-        images in E_{level+t} come back stacked in the order of ``tails``.
-        Common prefixes are extended once, with one :meth:`extend` per letter
-        and step.
-        """
-        rows = {(p,): p for p in range(len(vs))}
-        for step in range(len(tails[0][1])):
-            keys = list(dict.fromkeys((p, *tail[: step + 1]) for p, tail in tails))
-            rank = self.powers[level + step + 1].rank
-            out = np.empty((len(keys), rank, *vs.shape[2:]), dtype=complex)
-            for letter in sorted({key[-1] for key in keys}):
-                sel = [r for r, key in enumerate(keys) if key[-1] == letter]
-                out[sel] = self.extend(vs[[rows[keys[r][:-1]] for r in sel]], letter, level + step)
-            rows = {key: r for r, key in enumerate(keys)}
-            vs = out
-        return vs[[rows[(p, *tail)] for p, tail in tails]]
+        if min(level, steps) < 0 or level + steps > self.horizon:
+            raise HorizonError(
+                f"E_{level} (x) E_{steps} lands past the horizon {self.horizon}"
+            )
+        if xs.shape[-3] != self.powers[level].rank:
+            raise StructuralError(f"vectors do not live on E_{level}")
+        left = self.powers[steps].left
+        lead, n, d0 = xs.shape[:-3], xs.shape[-3], xs.shape[-1]
+        acts = block_matrix(left.blocks)
+        nb, cols = len(acts), acts.shape[2]
+        coeffs = left.coords_of(xs.reshape(-1, d0, d0))
+        i, u = self._kept(level, steps)
+        if len(i) == n * left.blocks.shape[1]:
+            flat = coeffs @ acts.reshape(nb, -1)
+        else:
+            # row u' of the action weighted by x[i]'s coordinates, kept pairs only
+            rows = acts.reshape(nb, -1, d0 * cols)[:, u]
+            flat = np.einsum("...pm,mpx->...px", coeffs.reshape(*lead, n, nb)[..., i, :], rows)
+        return unblock(flat.reshape(*lead, -1, cols), d0)
 
     def identify(self, m: int, n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The Gram-preserving identification E_m (x) E_n -> E_{m+n}."""
-        if m + n > self.horizon:
-            raise HorizonError("identification lands past the horizon")
-        used = [k for k in range(len(self.words[n])) if np.any(y[k])]
-        if not used:
-            return self.powers[m + n].zero_vector()
-        images = self._extend_words(x[None], m, [(0, self.words[n][k]) for k in used])
-        # sum_w (x (x) e_w) y[w]: the images are the columns of one operator
-        return apply_blocks(_columns_to_blocks(images), y[used])
-
-    # -- operator plumbing --------------------------------------------------
+        return apply_blocks(self.extend(x, m, n), y)
 
     def theta_blocks(self, blocks: np.ndarray, from_level: int, steps: int) -> np.ndarray:
         """Lift operator blocks on E_from to E_{from+steps} as a (x) id.
 
-        ``blocks`` may be a stack (..., n, n, d0, d0) of operators; the
-        columns of all of them are extended together.
+        ``blocks`` may be a stack (..., n, n, d0, d0) of operators.  Column
+        (w, u) of a lift is (a e_w) (x) e_u: :meth:`extend` of the columns,
+        with each column's index moved next to u, for the pairs (w, u) that
+        are generators.
         """
-        L, target = from_level, from_level + steps
+        target = from_level + steps
         if target > self.horizon:
             raise HorizonError(
                 f"theta lands at level {target}, past the horizon {self.horizon}"
             )
-        n = self.powers[L].rank
+        n = self.powers[from_level].rank
         if blocks.shape[-4:-2] != (n, n):
             raise StructuralError("operator does not live on the stated level")
         if steps == 0:
             return np.asarray(blocks, dtype=complex)
-        lead, d0 = blocks.shape[:-4], blocks.shape[-1]
-        # column w of a lift is column w[:L] of its operator q, extended by w[L:]
-        columns = np.swapaxes(blocks, -4, -3).reshape(-1, n, d0, d0)
-        tails = [
-            (q * n + self.index[L][w[:L]], w[L:])
-            for q in range(len(columns) // n)
-            for w in self.words[target]
-        ]
-        lifted = self._extend_words(columns, L, tails)
-        return _columns_to_blocks(lifted.reshape(*lead, -1, *lifted.shape[1:]))
+        d0 = blocks.shape[-1]
+        w, u = self._kept(from_level, steps)
+        # flat (..., w, (w', u'), u) -> ((w', u'), w, u) -> ((w', u'), kept (w, u))
+        flat = block_matrix(self.extend(np.swapaxes(blocks, -4, -3), from_level, steps))
+        lifted = np.swapaxes(flat, -3, -2)
+        pairs = lifted.reshape(*lifted.shape[:-1], -1, d0)[..., w, u, :]
+        return unblock(pairs.reshape(*lifted.shape[:-2], -1), d0)
 
     def level_of(self, op: AdjointableOperator) -> int:
         """Which power of the tower an operator lives on (by identity)."""
@@ -270,23 +265,22 @@ class DiscreteProductSystem:
     def isometry_blocks(self, width: int, level: int) -> tuple[np.ndarray, np.ndarray]:
         """V : E_width -> E_level, y -> xi_{level-width} (x) y, and V*.
 
-        ``V*`` splits each word at the far-future mark: the prefix is paired
-        against the unit vector and the remainder is reduced, with the
-        resulting base coefficient acting from the left.
+        ``V*`` sends e_p (x) e_u to <xi_gap, e_p> . e_u: the overlaps of the
+        unit vector with the generators of E_gap, as vectors of E_0, each
+        extended to an operator on E_width, side by side, for the pairs
+        (p, u) that are generators.
         """
         gap = level - width
         if gap < 0:
             raise HorizonError("window is wider than the ambient level")
         d0 = self.base.ambient_dim
-        v = self._extend_words(self.units[gap][None], gap, [(0, w) for w in self.words[width]])
-        # <xi_gap, e_p> for every generator p of E_gap, as vectors of E_0 = B;
-        # the identifications are left B-linear, so <xi, e_p> . e_rest is the
-        # overlap extended by the letters of rest
+        v = self.extend(self.units[gap], gap, width)
         row = self.units[gap].reshape(-1, d0).conj().T @ block_matrix(self.powers[gap].gram)
         overlaps = np.swapaxes(row.reshape(d0, -1, d0), 0, 1) @ self.base.unit
-        splits = [(self.index[gap][w[:gap]], w[gap:]) for w in self.words[level]]
-        vstar = self._extend_words(overlaps[:, None], 0, splits)
-        return _columns_to_blocks(v), _columns_to_blocks(vstar)
+        flat = block_matrix(self.extend(overlaps[:, None], 0, width))
+        p, u = self._kept(gap, width)
+        pairs = np.swapaxes(flat, 0, 1).reshape(flat.shape[1], len(flat), -1, d0)[:, p, u]
+        return v, unblock(pairs.reshape(flat.shape[1], -1), d0)
 
     def embed_window(self, blocks: np.ndarray, width: int, start: int) -> np.ndarray:
         """Flat operators on E_N of a stack of operators of the window [start, start+width].
@@ -334,12 +328,6 @@ class DiscreteProductSystem:
         return block_matrix(v) @ block_matrix(vstar)
 
 
-def _columns_to_blocks(columns: np.ndarray) -> np.ndarray:
-    """Operator blocks, as flat-matrix views, from stacked columns (..., column, row, d0, d0)."""
-    d0 = columns.shape[-1]
-    return unblock(block_matrix(np.swapaxes(columns, -4, -3)), d0)
-
-
 # ---------------------------------------------------------------------------
 # scenarios
 
@@ -384,7 +372,7 @@ def dilate_discrete(
     verify_positive_map(cp_map).raise_on_failure("map failed verification")
     if not cp_map.is_unital():
         raise StructuralError("the map is not unital; its dilation has no unit vector")
-    fiber = gns_construct(cp_map, verify=False)
+    fiber = gns_construct(cp_map, reduce=False, verify=False)
     system = DiscreteProductSystem.build(cp_map.domain, fiber, horizon, budget)
     return DilationScenario(cp_map, system)
 
@@ -501,13 +489,15 @@ def random_window_operator(
 def verify_product_system(system: DiscreteProductSystem, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Unit normalization, Gram coherence, and unit composition of the tower.
 
-    For every level pair (m, n) the images ``J`` of all generator pairs
-    e_a (x) e_b in E_{m+n} must satisfy ``J^H G_{m+n} J = G``, with ``G`` the
-    raw Gram of E_m (x) E_n; the residual is the worst block of the difference.
+    The identification E_m (x) E_n = E_{m+n} keeps the pairs of generators
+    whose word is a generator of E_{m+n}, so for every level pair (m, n) the
+    Gram of E_{m+n}, built by tensoring with E_1 one level at a time, must
+    equal the raw Gram of E_m (x) E_n on those pairs and the others must be
+    null; the residual is the worst block of the difference.  The units
+    compose through :meth:`DiscreteProductSystem.identify`.
     """
     report = VerificationReport()
     base = system.base
-    d0 = base.ambient_dim
     worst_unit = 0.0
     for n in range(system.horizon + 1):
         xi = system.units[n]
@@ -520,10 +510,10 @@ def verify_product_system(system: DiscreteProductSystem, tol: float = DEFAULT_TO
         for n in range(1, system.horizon - m + 1):
             em, en = system.powers[m], system.powers[n]
             target = system.powers[m + n]
-            generators = identity_operator(em).blocks
-            pairs = [(a, w) for a in range(em.rank) for w in system.words[n]]
-            j = block_matrix(_columns_to_blocks(system._extend_words(generators, m, pairs)))
-            gap = unblock(j.conj().T @ block_matrix(target.gram) @ j, d0) - tensor_gram(em, en)
+            gap = tensor_gram(em, en)
+            i, u = system._kept(m, n)
+            kept = i * en.rank + u
+            gap[np.ix_(kept, kept)] -= target.gram
             worst_gram = residual_max(worst_gram, np.linalg.norm(gap, axis=(2, 3)).max())
             glued = system.identify(m, n, system.units[m], system.units[n])
             worst_units = residual_max(worst_units, vector_norm(target, glued - system.units[m + n]))
@@ -869,7 +859,8 @@ def markov_scenario(p: np.ndarray, horizon: int, budget: int = 4096) -> MarkovMo
 
     Strictly positive entries keep every path weight nonzero, which is the
     discrete stand-in for mutually equivalent transition kernels; zeros are
-    allowed but prune the path space.
+    allowed, and the tower drops the words of paths through them, which are
+    exactly null.
     """
     cp_map = cp_from_stochastic(p)
     scenario = dilate_discrete(cp_map, horizon, budget)

@@ -68,7 +68,6 @@ __all__ = [
     "operator_distance",
     "vector_norm",
     "adjoint_gap",
-    "solve_adjoint",
     "extended_gram",
     "quotient_null_space",
     "quotient_module",
@@ -201,9 +200,6 @@ class HilbertModule:
         flat = _flat_vector(x)
         return flat.conj().T @ (block_matrix(self.gram) @ (acts @ flat))
 
-    def zero_vector(self) -> np.ndarray:
-        return np.zeros((self.rank, self.base.ambient_dim, self.base.ambient_dim), dtype=complex)
-
 
 def vector_norm(module: HilbertModule, x: np.ndarray) -> float:
     """Module norm sqrt(||<x, x>||); zero exactly for null vectors."""
@@ -275,33 +271,6 @@ def adjoint_gap(module: HilbertModule, blocks: np.ndarray, adjoint: np.ndarray) 
     return frob(compose_blocks(g, adjoint) - dagger_blocks(compose_blocks(g, blocks)))
 
 
-def solve_adjoint(module: HilbertModule, blocks: np.ndarray) -> np.ndarray:
-    """Blocks of an adjoint with coefficients in the base algebra, or fail.
-
-    Solves  sum_k G[i,k] A[k,j] = (G o S)[j,i]^dag  for A with entries
-    constrained to the span of the base algebra, and returns A's
-    ``(n, n, d0, d0)`` blocks, a candidate for :func:`adjoint_gap`.  Raises
-    when no solution exists within tolerance — e.g. right multiplication by a
-    non-central element of a noncommutative base is not adjointable.
-    """
-    base = module.base
-    n, d0, nb = module.rank, base.ambient_dim, base.dim
-    rhs = dagger_blocks(compose_blocks(module.gram, blocks))
-    # unknowns: A[k, j] = sum_m alpha[k, j, m] beta_m
-    # equations per (i, j): sum_{k, m} G[i, k] beta_m alpha[k, j, m] = rhs[i, j]
-    gb = np.einsum("ikab,mbc->ikmac", module.gram, base.basis)  # (n, n, nb, d0, d0)
-    m_mat = gb.transpose(0, 3, 4, 1, 2).reshape(n * d0 * d0, n * nb)
-    r_mat = rhs.transpose(0, 2, 3, 1).reshape(n * d0 * d0, n)
-    alpha, residual, *_ = np.linalg.lstsq(m_mat, r_mat, rcond=None)
-    achieved = frob(m_mat @ alpha - r_mat)
-    if exceeds(achieved, GUARD_TOL * max(1.0, frob(r_mat))):
-        raise StructuralError(
-            f"operator has no adjoint with coefficients in the base algebra "
-            f"(residual {achieved:.3e})"
-        )
-    return np.einsum("kmj,mab->kjab", alpha.reshape(n, nb, n), base.basis)
-
-
 # ---------------------------------------------------------------------------
 # quotient by the length-zero subspace
 
@@ -328,19 +297,27 @@ class QuotientInfo:
     """Result of selecting a generating subset over the base algebra."""
 
     survivors: list[int]
-    rewrite: np.ndarray  # (n_new, n_old, d0, d0): old generators over new ones
+    # (n_new, n_old, d0, d0): old generators over new ones; None when every
+    # dropped generator is null, so that R only keeps the survivors' rows
+    rewrite: np.ndarray | None
     residual: float
     threshold: float
 
     def __post_init__(self):
-        self.rewrite = _flat_backed(self.rewrite)
+        if self.rewrite is not None:
+            self.rewrite = _flat_backed(self.rewrite)
 
     def rewrite_vector(self, x: np.ndarray) -> np.ndarray:
+        if self.rewrite is None:
+            return x[self.survivors]
         return apply_blocks(self.rewrite, x)
 
-    def rewrite_operator_blocks(self, blocks: np.ndarray, inject: np.ndarray) -> np.ndarray:
-        """R blocks J, for one operator or a stack of them."""
-        return compose_blocks(self.rewrite, compose_blocks(blocks, inject))
+    def rewrite_operator_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """R blocks J, for one operator or a stack of them; J keeps the survivors' columns."""
+        kept = blocks[..., self.survivors, :, :]
+        if self.rewrite is None:
+            return _flat_backed(kept[..., self.survivors, :, :, :])
+        return compose_blocks(self.rewrite, kept)
 
 
 def quotient_null_space(module: HilbertModule) -> QuotientInfo:
@@ -400,13 +377,6 @@ def quotient_null_space(module: HilbertModule) -> QuotientInfo:
     return QuotientInfo(survivors, rewrite, residual, threshold)
 
 
-def _injection(info: QuotientInfo, n_old: int, base: MatrixStarAlgebra) -> np.ndarray:
-    """J: the survivors among the old generators, as (n_old, n_new) blocks."""
-    select = np.zeros((n_old, len(info.survivors)))
-    select[info.survivors, np.arange(len(info.survivors))] = 1.0
-    return unblock(np.kron(select, base.unit), base.ambient_dim)
-
-
 def quotient_module(module: HilbertModule) -> tuple[HilbertModule, QuotientInfo]:
     """The same module on a minimal generating subset.
 
@@ -415,10 +385,9 @@ def quotient_module(module: HilbertModule) -> tuple[HilbertModule, QuotientInfo]
     """
     info = quotient_null_space(module)
     gram = module.gram[np.ix_(info.survivors, info.survivors)]
-    inj = _injection(info, module.rank, module.base)
     left = None
     if module.left is not None:
-        blocks = info.rewrite_operator_blocks(module.left.blocks, inj)
+        blocks = info.rewrite_operator_blocks(module.left.blocks)
         left = LeftAction(module.left.algebra, blocks)
     distinguished = {k: info.rewrite_vector(v) for k, v in module.distinguished.items()}
     return HilbertModule(module.base, gram, left, distinguished), info
@@ -484,14 +453,18 @@ class ModuleTensor:
 
     ``pairs[k] = (i, j)`` names the image of ``e_i o e_j`` among the raw
     generators, row-major (``k = i * n2 + j``, which the flat products rely
-    on); the published ``module`` is the reduced one when
-    ``reduce=True`` was requested (the default), and ``info`` maps raw
-    generators to it.
+    on).  With ``reduce=True`` (the default, as in the independence
+    realizations) the published ``module`` keeps a minimal generating
+    subset and ``info`` rewrites raw generators over it.  With
+    ``reduce=False`` (the product-system tower) only the pairs whose Gram
+    diagonal block is exactly zero are dropped: they are null, so ``info``
+    selects the others and rewrites nothing.  ``info`` is None when no pair
+    is dropped and ``module`` is the raw one.
     """
 
     module: HilbertModule
     pairs: list[tuple[int, int]]
-    info: QuotientInfo
+    info: QuotientInfo | None
     left_factor: HilbertModule
     right_factor: HilbertModule
 
@@ -503,8 +476,8 @@ class ModuleTensor:
         # (x o y) on the pair (i, j) is (x[i] . y)[j] = sum_m x[i]_m (beta_m . y)[j]
         coeffs = e2.left.coords_of(x)
         moved = block_matrix(e2.left.blocks) @ _flat_vector(y)
-        raw = coeffs @ moved.reshape(len(moved), -1)
-        return self.info.rewrite_vector(raw.reshape(-1, *y.shape[1:]))
+        raw = (coeffs @ moved.reshape(len(moved), -1)).reshape(-1, *y.shape[1:])
+        return raw if self.info is None else self.info.rewrite_vector(raw)
 
     def op_left(self, s: AdjointableOperator) -> AdjointableOperator:
         """S o id for an adjointable S on the left factor."""
@@ -541,9 +514,8 @@ class ModuleTensor:
 
     def _reduce(self, raw: np.ndarray) -> np.ndarray:
         """R raw J: flat operators on the raw pairs, rewritten over the survivors."""
-        base = self.module.base
-        inject = _injection(self.info, len(self.pairs), base)
-        return self.info.rewrite_operator_blocks(unblock(raw, base.ambient_dim), inject)
+        blocks = unblock(raw, self.module.base.ambient_dim)
+        return blocks if self.info is None else self.info.rewrite_operator_blocks(blocks)
 
 
 def tensor_gram(e1: HilbertModule, e2: HilbertModule) -> np.ndarray:
@@ -570,7 +542,8 @@ def tensor_over_base(e1: HilbertModule, e2: HilbertModule, reduce: bool = True) 
     x b o y = x o b y hold automatically because inner products are computed
     through that action:  < x1 o y1, x2 o y2 > = < y1, <x1, x2> . y2 >.
     The left action carried by the result is the one of ``e1``'s acting
-    algebra through ``a . (x o y) = (a x) o y``.
+    algebra through ``a . (x o y) = (a x) o y``.  What ``reduce`` keeps is
+    set out at :class:`ModuleTensor`.
     """
     if not e1.base.same_basis(e2.base):
         raise StructuralError("the factors are modules over different base algebras")
@@ -586,9 +559,12 @@ def tensor_over_base(e1: HilbertModule, e2: HilbertModule, reduce: bool = True) 
     if reduce:
         reduced, info = quotient_module(raw)
     else:
-        reduced, info = raw, QuotientInfo(
-            list(range(n1 * n2)), identity_operator(raw).blocks, 0.0, 0.0
-        )
+        # <x, x> = 0 makes x null by positivity: no tolerance, no elimination
+        nonnull = raw.gram[np.arange(n1 * n2), np.arange(n1 * n2)].any(axis=(1, 2))
+        reduced, info = raw, None
+        if not nonnull.all():
+            info = QuotientInfo(np.flatnonzero(nonnull).tolist(), None, 0.0, 0.0)
+            reduced = HilbertModule(base, raw.gram[np.ix_(info.survivors, info.survivors)])
     tensor = ModuleTensor(reduced, pairs, info, e1, e2)
 
     # push the left action and distinguished vectors through

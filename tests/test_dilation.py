@@ -59,6 +59,7 @@ from ncprob.independence import conditional_monotone_factorization
 from ncprob.hilbert_module import (
     apply_blocks,
     compose_blocks,
+    identity_operator,
     left_action_operator,
     operator_distance,
     verify_module,
@@ -104,6 +105,24 @@ def test_budget_is_checked_before_building_a_level(m2):
     with pytest.raises(BudgetExceededError) as err:
         dilate_discrete(cp, horizon=3, budget=10)
     assert err.value.dimension > 10
+
+
+def test_a_permutation_chain_stays_within_the_default_budget():
+    # every path of a cyclic permutation is fixed by its start, so each level
+    # keeps one word per state; keeping the null words instead would need
+    # 4**5 * 4 * 4 scalarized dimensions at the top level
+    model = markov_scenario(np.roll(np.eye(4), 1, axis=1), 6)
+    assert [p.rank for p in model.system.powers] == [1] + [4] * 6
+    assert model.verify(trials=5).passed
+
+
+def test_word_numbers_past_int64_stay_exact():
+    # an absorbing chain keeps k + 1 words at level k, so horizon 64 is cheap
+    # while its words, read as base-2 numbers, reach 2**64
+    system = markov_scenario(np.array([[1.0, 0.0], [0.5, 0.5]]), 64).system
+    assert [p.rank for p in system.powers] == list(range(1, 66))
+    lifted = system.theta_blocks(identity_operator(system.powers[54]).blocks, 54, 10)
+    assert np.array_equal(lifted, identity_operator(system.powers[64]).blocks)
 
 
 def test_non_unital_maps_are_rejected(m2):
@@ -213,21 +232,17 @@ def test_product_system_invariants(chain, m2_noise):
         assert "units-compose" in names
 
 
-@pytest.mark.parametrize("where", ["letter-map", "rewrite"])
-def test_product_system_rows_fail_when_the_identification_is_perturbed(where, monkeypatch):
-    # the reference Grams are fixed at build time; a perturbed letter map or
-    # level rewrite changes only the identifications both rows go through
+@pytest.mark.parametrize("level", [1, 2])
+def test_product_system_rows_fail_when_the_identification_is_perturbed(level, monkeypatch):
+    # the tower's Grams are fixed at build time; a perturbed left action of
+    # E_1 or E_2 changes only the raw Grams of E_m (x) E_level and the
+    # identifications the two rows go through
     system = dilate_discrete(random_unital_cp(2, np.random.default_rng(7)), horizon=3).system
     names = ["unit-vectors-normalized", "identification-preserves-grams", "units-compose"]
     clean = verify_product_system(system)
     assert clean.passed and [c.name for c in clean.checks] == names
-    if where == "letter-map":
-        perturbed = system.letter_maps.copy()
-        perturbed[0] *= 1.0 + 1e-3
-        monkeypatch.setattr(system, "letter_maps", perturbed)
-    else:
-        info = system.tensors[2].info
-        monkeypatch.setattr(info, "rewrite", info.rewrite * (1.0 + 1e-3))
+    left = system.powers[level].left
+    monkeypatch.setattr(left, "blocks", left.blocks * (1.0 + 1e-3))
     rows = {c.name: c for c in verify_product_system(system).checks}
     assert rows["unit-vectors-normalized"].passed
     for name in ("identification-preserves-grams", "units-compose"):
@@ -409,6 +424,21 @@ def test_embed_window_rejects_windows_past_the_horizon(m2_noise):
         system.embed_window(ops, 2, 2)
     with pytest.raises(StructuralError, match="window level"):
         system.embed_window(ops, 1, 0)
+
+
+def test_extend_rejects_products_past_the_horizon(m2_noise):
+    system = m2_noise.system
+    top = system.horizon
+    with pytest.raises(HorizonError):
+        system.extend(system.units[top], top, 1)
+    with pytest.raises(HorizonError):
+        system.extend(system.units[1], 1, top)
+    with pytest.raises(StructuralError, match="do not live on E_0"):
+        system.extend(system.units[1], 0, 1)
+    assert system.extend(system.units[1], 1, top - 1).shape[:2] == (
+        system.powers[top].rank,
+        system.powers[top - 1].rank,
+    )
 
 
 def test_future_letters_at_the_past_start_break_the_factorization(m2, monkeypatch):

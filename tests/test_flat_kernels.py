@@ -7,6 +7,8 @@ that follow the definitions of the tensor and tower plumbing one vector at
 a time.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,10 @@ from ncprob.hilbert_module import (
     HilbertModule,
     apply_blocks,
     compose_blocks,
+    identity_operator,
     inner_product,
     left_action_operator,
+    tensor_over_base,
     trivial_left_action,
 )
 from ncprob.linalg import block_matrix, frob, unblock
@@ -80,24 +84,30 @@ def test_kernel_results_are_views_of_their_flat_matrix(d0):
 # loop references on a horizon-3 tower
 
 
+def dependent_fiber():
+    """A fiber over the scalars whose generators satisfy e_1 = 2 e_0."""
+    base = scalar_algebra()
+    gram = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]).reshape(3, 3, 1, 1)
+    unit = np.eye(3)[0].reshape(3, 1, 1)
+    return HilbertModule(base, gram, trivial_left_action(3, base), {"unit": unit})
+
+
 @pytest.fixture(scope="module", params=["random-cp", "pruned-chain", "dependent-fiber"])
 def tower(request):
-    """Towers where every pair survives, where null pairs drop, and where
-    dependent pairs are rewritten over the survivors.
+    """Towers over a full matrix base, a pruned chain and a dependent fiber.
 
     In the pruned chain state 0 is absorbing, so paths leaving it have
-    weight zero.  The dependent fiber over the scalars has e_1 = 2 e_0, so
-    its tensor powers rewrite raw pairs with nonzero coefficients.
+    weight zero and the tower drops their words.  The tower quotients the
+    dependent fiber to its two independent generators.  The reduced tensor
+    products of :func:`reduced` drop null pairs and rewrite dependent pairs
+    over the survivors with nonzero coefficients.
     """
     if request.param == "random-cp":
         return dilate_discrete(random_unital_cp(2, np.random.default_rng(5)), 3).system
     if request.param == "pruned-chain":
         return markov_scenario(np.array([[1.0, 0.0], [0.5, 0.5]]), 3).system
-    base = scalar_algebra()
-    gram = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]).reshape(3, 3, 1, 1)
-    unit = np.eye(3)[0].reshape(3, 1, 1)
-    fiber = HilbertModule(base, gram, trivial_left_action(3, base), {"unit": unit})
-    return DiscreteProductSystem.build(base, fiber, 3)
+    fiber = dependent_fiber()
+    return DiscreteProductSystem.build(fiber.base, fiber, 3)
 
 
 @pytest.fixture(scope="module")
@@ -105,16 +115,57 @@ def chain():
     return markov_scenario(np.array([[0.5, 0.5], [0.3, 0.7]]), 3).system
 
 
+def reduced(system, level):
+    """E_level (x) F on a minimal generating subset of the raw pairs.
+
+    F is the tower's fiber, except over the scalars, where it is the
+    dependent fiber as given, before the tower quotients it.
+    """
+    right = dependent_fiber() if system.base.dim == 1 else system.fiber
+    return tensor_over_base(system.powers[level], right, reduce=True)
+
+
+def words(system, k):
+    """The generators of E_k: length-k letter words, lexicographic."""
+    n1 = system.fiber.rank
+    return [tuple(int(c) // n1 ** (k - 1 - t) % n1 for t in range(k)) for c in system.codes[k]]
+
+
+def word_index(system, w):
+    return words(system, len(w)).index(tuple(w))
+
+
 def loop_tensor_vector(tensor, x, y):
     """x o y by the definition: (x[i] . y)[j] on every raw pair (i, j)."""
     e2 = tensor.right_factor
     raw = np.stack([ref_apply(e2.left.blocks_of(x[i]), y)[j] for i, j in tensor.pairs])
-    return ref_apply(tensor.info.rewrite, raw)
+    info = tensor.info
+    if info is None:
+        return raw
+    if info.rewrite is None:
+        return raw[info.survivors]
+    return ref_apply(info.rewrite, raw)
 
 
 def loop_rewrite(tensor, raw_blocks):
-    """R raw J, with J selecting the survivors among the raw pairs."""
-    return ref_compose(tensor.info.rewrite, raw_blocks[:, tensor.info.survivors])
+    """R raw J, with J selecting the survivors among the raw pairs and R
+    rewriting the raw pairs over them, or selecting them when it is None."""
+    info = tensor.info
+    if info is None:
+        return raw_blocks
+    kept = raw_blocks[:, info.survivors]
+    if info.rewrite is None:
+        return kept[info.survivors]
+    return ref_compose(info.rewrite, kept)
+
+
+def loop_word_gram(fiber, word):
+    """<e_w, e_w> of a letter word by the definition, <e_j, <e_p, e_p> . e_j>."""
+    g = fiber.base.unit
+    for letter in word:
+        e = fiber.generator(letter)
+        g = ref_inner(fiber.gram, e, ref_apply(fiber.left.blocks_of(g), e))
+    return g
 
 
 def loop_op_left(tensor, s_blocks):
@@ -138,13 +189,13 @@ def loop_op_right(tensor, s_blocks):
 
 
 def loop_extend(system, v, letters, level):
-    """v extended one letter at a time through the tensor structures."""
+    """v (x) e_letters, one letter at a time through the tower's tensor structures."""
     for step, letter in enumerate(letters):
         gen = system.fiber.generator(letter)
         if level + step == 0:
             v = ref_apply(system.fiber.left.blocks_of(v[0]), gen)
         else:
-            v = loop_tensor_vector(system.tensors[level + step + 1], v, gen)
+            v = system.tensors[level + step + 1].tensor_vector(v, gen)
     return v
 
 
@@ -152,29 +203,62 @@ def test_tensor_vector_matches_loop(tower):
     system = tower
     rng = np.random.default_rng(0)
     for level in (1, 2):
-        tensor = system.tensors[level + 1]
         x = random_window_operator(system, level, rng).blocks[:, 0]
-        y = system.units[1] + 0.5 * system.fiber.generator(1)
-        assert frob(tensor.tensor_vector(x, y) - loop_tensor_vector(tensor, x, y)) < 1e-12
+        for tensor in (system.tensors[level + 1], reduced(system, level)):
+            right = tensor.right_factor
+            y = right.distinguished["unit"] + 0.5 * right.generator(1)
+            assert frob(tensor.tensor_vector(x, y) - loop_tensor_vector(tensor, x, y)) < 1e-12
 
 
 def test_op_left_matches_loop(tower):
     system = tower
     rng = np.random.default_rng(1)
     for level in (1, 2):
-        tensor = system.tensors[level + 1]
         s = random_window_operator(system, level, rng)
-        lifted = tensor.op_left(s)
-        assert frob(lifted.blocks - loop_op_left(tensor, s.blocks)) < 1e-12
+        for tensor in (system.tensors[level + 1], reduced(system, level)):
+            lifted = tensor.op_left(s)
+            assert frob(lifted.blocks - loop_op_left(tensor, s.blocks)) < 1e-12
 
 
 def test_op_right_matches_loop(chain):
     # over the commutative base of a chain, the action of a function commutes
-    # with the base action, so id o S is defined
-    tensor = chain.tensors[3]
-    s = left_action_operator(chain.fiber, np.diag([0.3, -1.2]).astype(complex))
-    right = tensor.op_right(s)
-    assert frob(right.blocks - loop_op_right(tensor, s.blocks)) < 1e-12
+    # with the base action, so id o S is defined; the pruned chain's reduced
+    # tensor rewrites over its surviving pairs
+    pruned = markov_scenario(np.array([[1.0, 0.0], [0.5, 0.5]]), 3).system
+    pruned_tensor = reduced(pruned, 2)
+    assert len(pruned_tensor.info.survivors) < len(pruned_tensor.pairs)
+    s_blocks = left_action_operator(chain.fiber, np.diag([0.3, -1.2]).astype(complex)).blocks
+    for system, tensor in ((chain, chain.tensors[3]), (pruned, pruned_tensor)):
+        right = tensor.op_right(AdjointableOperator(system.fiber, s_blocks))
+        assert frob(right.blocks - loop_op_right(tensor, s_blocks)) < 1e-12
+
+
+def test_tower_drops_exactly_the_null_words(tower):
+    system = tower
+    n1 = system.fiber.rank
+    for k in range(system.horizon + 1):
+        nonnull = [
+            w
+            for w in itertools.product(range(n1), repeat=k)
+            if frob(loop_word_gram(system.fiber, w)) > 1e-12
+        ]
+        assert words(system, k) == nonnull
+        assert system.powers[k].rank == len(nonnull)
+    for level in range(system.horizon + 1):
+        ident = identity_operator(system.powers[level]).blocks
+        for steps in range(system.horizon - level + 1):
+            lifted = system.theta_blocks(ident, level, steps)
+            assert np.array_equal(lifted, identity_operator(system.powers[level + steps]).blocks)
+
+
+def test_tower_ranks_drop_null_and_dependent_generators():
+    # the absorbing chain keeps one path per exit time; the dependent fiber
+    # is quotiented once, and its tensor powers keep every pair
+    pruned = markov_scenario(np.array([[1.0, 0.0], [0.5, 0.5]]), 5).system
+    assert [p.rank for p in pruned.powers] == [1, 2, 3, 4, 5, 6]
+    fiber = dependent_fiber()
+    tower = DiscreteProductSystem.build(fiber.base, fiber, 5)
+    assert [p.rank for p in tower.powers] == [1, 2, 4, 8, 16, 32]
 
 
 def test_theta_blocks_matches_column_loop(tower):
@@ -182,11 +266,10 @@ def test_theta_blocks_matches_column_loop(tower):
     rng = np.random.default_rng(2)
     for level, steps in ((1, 1), (1, 2), (2, 1), (0, 3)):
         a = random_window_operator(system, level, rng).blocks
-        target = level + steps
         want = np.stack(
             [
-                loop_extend(system, a[:, system.index[level][w[:level]]], w[level:], level)
-                for w in system.words[target]
+                loop_extend(system, a[:, word_index(system, w[:level])], w[level:], level)
+                for w in words(system, level + steps)
             ],
             axis=1,
         )
@@ -199,17 +282,17 @@ def test_isometry_blocks_match_word_loop(tower):
         gap = level - width
         v, vstar = system.isometry_blocks(width, level)
         want_v = np.stack(
-            [loop_extend(system, system.units[gap], w, gap) for w in system.words[width]], axis=1
+            [loop_extend(system, system.units[gap], w, gap) for w in words(system, width)], axis=1
         )
         assert frob(v - want_v) < 1e-12
         e_gap, e_w = system.powers[gap], system.powers[width]
         columns = []
-        for w in system.words[level]:
+        for w in words(system, level):
             overlap = ref_inner(
-                e_gap.gram, system.units[gap], e_gap.generator(system.index[gap][w[:gap]])
+                e_gap.gram, system.units[gap], e_gap.generator(word_index(system, w[:gap]))
             )
-            reduced = loop_extend(system, system.powers[0].generator(0), w[gap:], 0)
-            columns.append(ref_apply(e_w.left.blocks_of(overlap), reduced))
+            reduced_tail = loop_extend(system, system.powers[0].generator(0), w[gap:], 0)
+            columns.append(ref_apply(e_w.left.blocks_of(overlap), reduced_tail))
         assert frob(vstar - np.stack(columns, axis=1)) < 1e-12
 
 
@@ -218,9 +301,7 @@ def test_identify_matches_word_loop(tower):
     rng = np.random.default_rng(3)
     x = random_window_operator(system, 1, rng).blocks[:, 1]
     y = random_window_operator(system, 2, rng).blocks[:, 2]
-    want = sum(
-        loop_extend(system, x, w, 1) @ y[k] for k, w in enumerate(system.words[2])
-    )
+    want = sum(loop_extend(system, x, w, 1) @ y[k] for k, w in enumerate(words(system, 2)))
     assert frob(system.identify(1, 2, x, y) - want) < 1e-12
     assert frob(system.identify(1, 2, x, np.zeros_like(y))) == 0.0
     assert system.identify(1, 2, x, np.zeros_like(y)).shape == system.units[3].shape
@@ -242,7 +323,7 @@ def test_coefficients_outside_the_base_still_raise(chain):
     with pytest.raises(StructuralError, match="not in the acting algebra"):
         chain.tensors[2].tensor_vector(outside, chain.units[1])
     with pytest.raises(StructuralError, match="not in the acting algebra"):
-        chain.extend(outside, 0, 1)
+        chain.extend(outside, 1, 1)
     blocks = np.ones((chain.fiber.rank, chain.fiber.rank, 2, 2), dtype=complex)
     with pytest.raises(StructuralError, match="not in the acting algebra"):
         chain.tensors[2].op_left(AdjointableOperator(chain.fiber, blocks))

@@ -27,7 +27,7 @@ from ncprob.algebra_core import (
     state_from_density,
 )
 from ncprob.dilation import IncrementReport, dilate_discrete, random_unital_cp
-from ncprob.hilbert_module import gns_construct, solve_adjoint
+from ncprob.hilbert_module import gns_construct
 from ncprob.independence import (
     AlternatingWord,
     QuantumProbabilitySpace,
@@ -116,13 +116,6 @@ def _nan_in(m):
     return m
 
 
-def _nan_adjoint_request():
-    module = gns_construct(identity_map(full_matrix_algebra(2)))
-    blocks = np.array(module.left.blocks_of(np.eye(2)))
-    blocks[0, 0, 0, 0] = NAN
-    return solve_adjoint(module, blocks)
-
-
 def _diagonal_monotone():
     alg = diagonal_algebra(2)
     space = QuantumProbabilitySpace(alg, normalized_trace_state(alg))
@@ -144,7 +137,6 @@ _NAN_GUARDS = {
         diagonal_algebra(2), diagonal_algebra(2)
     ),
     "JointRealization.moment": lambda: _diagonal_monotone().moment(AlternatingWord([(1, _nan_in(np.eye(2)))])),
-    "solve_adjoint": _nan_adjoint_request,
     "cp_from_stochastic": lambda: cp_from_stochastic([[NAN, 0.5], [0.3, 0.7]]),
 }
 
