@@ -137,13 +137,19 @@ class MatrixStarAlgebra:
         basis = np.asarray(basis, dtype=complex)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
             raise StructuralError(f"basis must have shape (n, d, d), got {basis.shape}")
+        if not np.isfinite(basis).all():
+            raise StructuralError("basis has a non-finite entry")
         self.basis = basis
         d = basis.shape[1]
         self.unit = np.eye(d, dtype=complex) if unit is None else np.asarray(unit, dtype=complex)
         if self.unit.shape != (d, d):
             raise StructuralError(f"unit shape {self.unit.shape} does not match ambient dimension {d}")
-        # column-stacked basis and its pseudoinverse drive all coordinate work
-        self._stack = basis.reshape(len(basis), d * d).T
+        if not np.isfinite(self.unit).all():
+            raise StructuralError("unit has a non-finite entry")
+        # row- and column-stacked basis and the pseudoinverse drive all
+        # coordinate work
+        self._flat = basis.reshape(len(basis), d * d)
+        self._stack = self._flat.T
         overlaps = dag(self._stack) @ self._stack
         norms2 = np.diagonal(overlaps).real
         if np.any(norms2 <= 0.0):
@@ -180,8 +186,9 @@ class MatrixStarAlgebra:
 
     def coords(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """Least-squares coordinates of ``x`` over the basis and the residual."""
-        c = self._pinv @ vec(x)
-        return c, frob(self._stack @ c - vec(x))
+        v = vec(x)
+        c = self._pinv @ v
+        return c, frob(self._stack @ c - v)
 
     def coords_many(self, xs: np.ndarray) -> tuple[np.ndarray, float]:
         """Coordinates for a stack of matrices ``(m, d, d)``; worst residual."""
@@ -192,7 +199,10 @@ class MatrixStarAlgebra:
 
     def combine(self, coeffs: np.ndarray) -> np.ndarray:
         """Matrix with the given basis coordinates."""
-        return np.tensordot(coeffs, self.basis, axes=(0, 0))
+        # the one dot np.tensordot(coeffs, basis, axes=(0, 0)) makes after
+        # its reshapes, so the same bits
+        d = self.basis.shape[1]
+        return np.dot(coeffs.reshape(1, -1), self._flat).reshape(d, d)
 
     def element(self, x: np.ndarray) -> np.ndarray:
         """Return ``x`` checked for membership in the algebra span."""
@@ -208,6 +218,9 @@ class MatrixStarAlgebra:
         return float(np.abs(comm).max(initial=0.0)) <= DEFAULT_TOL
 
     def same_basis(self, other: "MatrixStarAlgebra") -> bool:
+        # the constructor rejects non-finite bases, so this norm would read 0
+        if other is self:
+            return True
         return (
             self.ambient_dim == other.ambient_dim
             and self.dim == other.dim

@@ -11,6 +11,8 @@ floats printed with 17 significant digits, no timestamps.
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
 import numpy as np
@@ -65,45 +67,71 @@ class SchemaError(StructuralError):
 
 
 def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise StructuralError(f"refusing to serialize a non-finite number: {x}")
     if x == 0.0:
         x = 0.0  # normalize -0.0
-    return format(float(x), ".17g")
+    return format(x, ".17g")
 
 
 def emit_json(obj: Any, indent: int = 0) -> str:
     """Serialize with a fixed layout: insertion order, 17-digit floats."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=True)
-    if isinstance(obj, complex):
-        raise StructuralError("complex values must be encoded as [re, im] pairs first")
-    if isinstance(obj, (list, tuple)):
+    return _emit(obj, indent)
+
+
+def _emit(obj: Any, indent: int) -> str:
+    # exact types first, most frequent first: a report is mostly floats
+    kind = type(obj)
+    if kind is float:
+        return _fmt_float(obj)
+    if kind is list or kind is tuple:
         if not obj:
             return "[]"
-        items = [emit_json(v, indent + 1) for v in obj]
-        if all("\n" not in it and len(it) < 24 for it in items) and sum(map(len, items)) < 72:
+        items = [_emit(v, indent + 1) for v in obj]
+        if sum(map(len, items)) < 72 and all(len(it) < 24 and "\n" not in it for it in items):
             return "[" + ", ".join(items) + "]"
-        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
+        return _block("[", items, "]", indent)
+    if kind is dict:
         if not obj:
             return "{}"
-        parts = []
+        items = []
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise StructuralError(f"JSON object keys must be strings, got {key!r}")
-            parts.append(inner + json.dumps(key) + ": " + emit_json(value, indent + 1))
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+            items.append(f"{_encode_str(key)}: {_emit(value, indent + 1)}")
+        return _block("{", items, "}", indent)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is int:
+        return str(obj)
+    if obj is None:
+        return "null"
+    return _emit(_builtin_value(obj), indent)
+
+
+def _block(opening: str, items: list[str], closing: str, indent: int) -> str:
+    """``items`` one per line, a level deeper than their brackets."""
+    pad = "  " * indent
+    separator = f",\n{pad}  "
+    return f"{opening}\n{pad}  {separator.join(items)}\n{pad}{closing}"
+
+
+def _builtin_value(obj: Any) -> Any:
+    """``obj`` (a numpy scalar or a subclass of a JSON type) as its Python base type."""
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    if isinstance(obj, str):
+        return str.__str__(obj)  # the characters, not a subclass's __str__
+    if isinstance(obj, complex):
+        raise StructuralError("complex values must be encoded as [re, im] pairs first")
+    if isinstance(obj, (list, tuple)):
+        return list(obj)
+    if isinstance(obj, dict):
+        return dict(obj)
     raise StructuralError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -186,8 +214,12 @@ def _complex_from_json(node: Any, pointer: str) -> complex:
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[complex_to_json(m[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])]
+    m = np.ascontiguousarray(m, dtype=complex)
+    # each complex128 viewed as its (re, im) float64 pair
+    return m.view(float).reshape(*m.shape, 2).tolist()
+
+
+_REAL = (float, int)
 
 
 def matrix_from_json(node: Any, pointer: str = "") -> np.ndarray:
@@ -207,8 +239,19 @@ def matrix_from_json(node: Any, pointer: str = "") -> np.ndarray:
                 f"ragged matrix: row has {len(cells)} entries, expected {width}",
                 f"{pointer}/{i}",
             )
-        out.append([_complex_from_json(c, f"{pointer}/{i}/{j}") for j, c in enumerate(cells)])
-    return np.array(out, dtype=complex)
+        for j, c in enumerate(cells):
+            # a parsed document's cells are [float|int, float|int] lists; any
+            # other cell is rejected by _complex_from_json, or is a numpy
+            # scalar pair it accepts
+            if not (type(c) is list and len(c) == 2 and type(c[0]) in _REAL and type(c[1]) in _REAL):
+                z = _complex_from_json(c, f"{pointer}/{i}/{j}")
+                if cells is row:
+                    cells = list(row)
+                cells[j] = [z.real, z.imag]
+        out.append(cells)
+    # [re, im] float pairs viewed as complex: the bits of complex(re, im);
+    # the copy owns its buffer, so no float array stays behind each matrix
+    return np.array(out, dtype=float).view(complex)[..., 0].copy()
 
 
 def _square_matrix_from_json(node: Any, dim: int | None, pointer: str) -> np.ndarray:

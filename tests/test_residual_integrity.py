@@ -16,6 +16,7 @@ from ncprob import dilation, hilbert_module, suites
 from ncprob.algebra_core import (
     CheckResult,
     MapKind,
+    MatrixStarAlgebra,
     StructuralError,
     VerificationReport,
     cp_from_stochastic,
@@ -146,6 +147,18 @@ def test_nan_input_is_rejected(guard):
     # each guard compares a residual with a bound; a NaN must not slip past it
     with pytest.raises(StructuralError):
         _NAN_GUARDS[guard]()
+
+
+@pytest.mark.parametrize("part", ["basis", "unit"])
+@pytest.mark.parametrize("value", [NAN, float("inf")])
+def test_non_finite_algebra_is_rejected(part, value):
+    # a NaN basis used to fail inside the SVD, and a NaN unit or an inf basis
+    # built an algebra that is not the same as itself
+    m2 = full_matrix_algebra(2)
+    basis, unit = m2.basis.copy(), m2.unit.copy()
+    (basis[1] if part == "basis" else unit)[0, 1] = value
+    with pytest.raises(StructuralError, match=f"{part} has a non-finite entry"):
+        MatrixStarAlgebra(basis, unit)
 
 
 def _off_diagonal(eps):

@@ -1,0 +1,351 @@
+"""The emitter and the matrix codec against their per-value originals.
+
+``reference_emit_json``, ``reference_matrix_from_json`` and
+``reference_matrix_to_json`` are the recursive emitter and the per-cell
+decoder and encoder the package used before its single-dispatch emitter and
+array-built matrix codec.  They stay here as the references: the package's
+versions must give the same bytes, the same bits and the same errors
+(message, reason and pointer).
+"""
+
+import collections
+import enum
+import json
+
+import numpy as np
+import pytest
+
+from ncprob import cli
+from ncprob import (
+    SchemaError,
+    StructuralError,
+    algebra_to_json,
+    diagonal_compression,
+    emit_json,
+    full_matrix_algebra,
+    map_to_json,
+    matrix_from_json,
+    matrix_to_json,
+    random_alternating_word,
+    state_from_density,
+    word_to_json,
+)
+from ncprob.linalg import random_density
+
+# ---------------------------------------------------------------------------
+# the references
+
+
+def _reference_fmt_float(x: float) -> str:
+    if not np.isfinite(x):
+        raise StructuralError(f"refusing to serialize a non-finite number: {x}")
+    if x == 0.0:
+        x = 0.0  # normalize -0.0
+    return format(float(x), ".17g")
+
+
+def reference_emit_json(obj, indent: int = 0) -> str:
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _reference_fmt_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=True)
+    if isinstance(obj, complex):
+        raise StructuralError("complex values must be encoded as [re, im] pairs first")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [reference_emit_json(v, indent + 1) for v in obj]
+        if all("\n" not in it and len(it) < 24 for it in items) and sum(map(len, items)) < 72:
+            return "[" + ", ".join(items) + "]"
+        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise StructuralError(f"JSON object keys must be strings, got {key!r}")
+            parts.append(inner + json.dumps(key) + ": " + reference_emit_json(value, indent + 1))
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    raise StructuralError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _reference_complex_from_json(node, pointer: str) -> complex:
+    if (
+        not isinstance(node, list)
+        or len(node) != 2
+        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in node)
+    ):
+        raise SchemaError("expected a [re, im] pair of numbers", pointer)
+    return complex(node[0], node[1])
+
+
+def reference_matrix_from_json(node, pointer: str = "") -> np.ndarray:
+    if not isinstance(node, list):
+        raise SchemaError(f"expected a matrix (list of rows), got {type(node).__name__}", pointer)
+    if not node:
+        raise SchemaError("matrix has no rows", pointer)
+    width = None
+    out = []
+    for i, row in enumerate(node):
+        if not isinstance(row, list):
+            raise SchemaError(f"expected a matrix row, got {type(row).__name__}", f"{pointer}/{i}")
+        if width is None:
+            width = len(row)
+            if width == 0:
+                raise SchemaError("matrix row is empty", f"{pointer}/{i}")
+        elif len(row) != width:
+            raise SchemaError(
+                f"ragged matrix: row has {len(row)} entries, expected {width}",
+                f"{pointer}/{i}",
+            )
+        out.append([_reference_complex_from_json(c, f"{pointer}/{i}/{j}") for j, c in enumerate(row)])
+    return np.array(out, dtype=complex)
+
+
+def reference_matrix_to_json(m):
+    m = np.asarray(m, dtype=complex)
+    return [
+        [[float(np.real(m[i, j])), float(np.imag(m[i, j]))] for j in range(m.shape[1])]
+        for i in range(m.shape[0])
+    ]
+
+
+# ---------------------------------------------------------------------------
+# emission: the reports the CLI writes
+
+
+def _words_doc(n, seed):
+    rng = np.random.default_rng(seed)
+    m2 = full_matrix_algebra(2)
+    return {"words": [word_to_json(random_alternating_word(m2, m2, rng, 6)) for _ in range(n)]}
+
+
+def _scenario_docs(seed):
+    rng = np.random.default_rng(seed)
+    m2 = full_matrix_algebra(2)
+    m2_json = algebra_to_json(m2)
+    states = [state_from_density(m2, random_density(2, rng)) for _ in range(2)]
+    comp = diagonal_compression(2, m2)
+
+    def space(functional):
+        return {"algebra": m2_json, "functional": map_to_json(functional)}
+
+    return {
+        "monotone": {"construction": "monotone", "space1": space(states[0]), "space2": space(states[1])},
+        "tensor": {"construction": "tensor", "space1": space(states[0]), "space2": space(states[1])},
+        "conditional-monotone": {
+            "construction": "conditional-monotone",
+            "base": algebra_to_json(comp.codomain),
+            "space1": space(comp),
+            "space2": space(comp),
+        },
+    }
+
+
+def _cli_reports(tmp_path, monkeypatch):
+    """Every report object the CLI hands to emit_json, by command."""
+    words = tmp_path / "words.json"
+    words.write_text(reference_emit_json(_words_doc(60, 7)) + "\n")
+    commands = {"verify all": ["verify", "all", "--seed", "7"]}
+    for name, doc in _scenario_docs(7).items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(reference_emit_json(doc) + "\n")
+        commands[f"moments {name}"] = ["moments", str(path), str(words), "--seed", "7"]
+    for demo in cli.DEMO_NAMES:
+        commands[f"demo {demo}"] = ["demo", demo, "--seed", "7"]
+
+    seen = {}
+    for label, argv in commands.items():
+        captured = []
+
+        def recording(obj, indent=0, captured=captured):
+            captured.append(obj)
+            return emit_json(obj, indent)
+
+        monkeypatch.setattr(cli, "emit_json", recording)
+        assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) == 0, label
+        [seen[label]] = captured
+    return seen
+
+
+def test_cli_reports_emit_as_the_reference_does(tmp_path, monkeypatch):
+    reports = _cli_reports(tmp_path, monkeypatch)
+    assert len(reports) == 1 + 3 + len(cli.DEMO_NAMES)
+    for label, report in reports.items():
+        assert emit_json(report) == reference_emit_json(report), label
+
+
+# ---------------------------------------------------------------------------
+# emission: edge cases
+
+
+class _Kind(str, enum.Enum):
+    STATE = "state"
+
+
+class _Count(enum.IntEnum):
+    TWO = 2
+
+
+def _string_of(width):
+    # a JSON string literal of exactly ``width`` characters, quotes included
+    return "s" * (width - 2)
+
+
+_EDGE_CASES = {
+    "negative zero": [-0.0, [-0.0, 0.0], {"z": -0.0}],
+    "numpy scalars": [np.float32(0.1), np.float64(1 / 3), np.int64(-7), np.float32(-0.0), np.uint8(255)],
+    "bool is not int": [True, 1, False, 0, [True, 1, 1.0]],
+    "tuples": (1, (2.5, "x"), [(), ("a",)]),
+    "empty and nested": {"l": [], "d": {}, "ll": [[]], "dd": {"e": {}}, "n": [[[1]], [[{"k": None}]]]},
+    "non-ascii strings and keys": {"é": "日本", " ": "\x01\t\"\\", "😀": ["ß", "퟿"]},
+    "item of 23 chars": [_string_of(23)],
+    "item of 24 chars": [_string_of(24)],
+    "items summing to 71": [_string_of(18), _string_of(18), _string_of(18), _string_of(17)],
+    "items summing to 72": [_string_of(18), _string_of(18), _string_of(18), _string_of(18)],
+    "a 24-char float": [-1.2345678901234567e-300, 1.0],
+    "subclasses": collections.OrderedDict(
+        [("kind", _Kind.STATE), ("count", _Count.TWO), (_Kind.STATE, np.str_("np"))]
+    ),
+    "a multi-line item under 24 chars": [{"a": 1}],
+    "large ints": [2**53 + 1, -(2**70), 10**30],
+    "top-level scalars": "just a string",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+@pytest.mark.parametrize("indent", [0, 3])
+def test_edge_cases_emit_as_the_reference_does(case, indent):
+    obj = _EDGE_CASES[case]
+    assert emit_json(obj, indent) == reference_emit_json(obj, indent)
+
+
+def test_the_inline_thresholds_are_strict():
+    # guards the parity cases above against testing nothing
+    assert "\n" not in emit_json(_EDGE_CASES["item of 23 chars"])
+    assert "\n" in emit_json(_EDGE_CASES["item of 24 chars"])
+    assert "\n" not in emit_json(_EDGE_CASES["items summing to 71"])
+    assert "\n" in emit_json(_EDGE_CASES["items summing to 72"])
+    assert len(emit_json(-1.2345678901234567e-300)) == 24
+
+
+_REJECTED = {
+    "nan": float("nan"),
+    "inf": [1.0, float("inf")],
+    "numpy -inf": {"x": np.float64("-inf")},
+    "complex": [1 + 2j],
+    "numpy complex": np.complex128(1j),
+    "non-string key": {1: "no"},
+    "numpy bool": [np.bool_(True)],
+    "set": {"s": {1, 2}},
+    "array": np.zeros(2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+def test_rejections_raise_as_the_reference_does(case):
+    obj = _REJECTED[case]
+    with pytest.raises(StructuralError) as want:
+        reference_emit_json(obj)
+    with pytest.raises(StructuralError) as got:
+        emit_json(obj)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# matrix decode
+
+
+def _bits(m):
+    return np.asarray(m, dtype=complex).view(np.uint64).tolist()
+
+
+_CELLS = [
+    [-0.0, 0.0],
+    [0.0, -0.0],
+    [-0.0, -0.0],
+    [1, -2],
+    [2**53 + 1, -(2**53 + 1)],
+    [2**63 + 1, 2**64 + 5],
+    [1e308, -1e308],
+    [5e-324, 0.1],
+    [1, 0.5],
+]
+
+
+def test_decoded_cells_have_the_bits_of_complex():
+    doc = [_CELLS[:3], _CELLS[3:6], _CELLS[6:]]
+    got = matrix_from_json(json.loads(json.dumps(doc)))
+    want = [[complex(re, im) for re, im in row] for row in doc]
+    assert got.shape == (3, 3) and got.dtype == complex
+    # its own buffer: a view would keep the float pairs and a second array
+    # object alive for every decoded letter
+    assert got.flags.owndata
+    assert _bits(got) == _bits(want)
+    assert _bits(got) == _bits(reference_matrix_from_json(doc))
+
+
+def test_decoded_numpy_scalars_are_accepted():
+    # documents built in Python may hold numpy floats (a float subclass)
+    doc = [[[np.float64(0.5), np.float64(-0.0)], [1, np.float64(2**53 + 1)]]]
+    got = matrix_from_json(doc)
+    assert _bits(got) == _bits(reference_matrix_from_json(doc))
+    assert _bits(got) == _bits([[complex(0.5, -0.0), complex(1, 2**53 + 1)]])
+
+
+_BAD_MATRICES = {
+    "bool cell": [[[1.0, 0.0], [True, 0.0]]],
+    "string cell": [[[1.0, 0.0]], [["1", 0.0]]],
+    "one-element pair": [[[1.0]]],
+    "three-element pair": [[[1.0, 0.0, 0.0]]],
+    "non-list cell": [[[1.0, 0.0], 2.0]],
+    "tuple cell": [[(1.0, 0.0)]],
+    "numpy int cell": [[[np.int64(1), 0.0]]],
+    "non-list row": [[[1.0, 0.0]], "row"],
+    "ragged row": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
+    "empty row": [[]],
+    "empty row after a full one": [[[1.0, 0.0]], []],
+    "empty matrix": [],
+    "non-list matrix": {"rows": []},
+    "bad cell before a ragged row": [[[1.0, 0.0], [None, 0.0]], [[0.0, 0.0]]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MATRICES))
+@pytest.mark.parametrize("pointer", ["", "/words/3/letters/0/element"])
+def test_bad_matrices_raise_as_the_reference_does(case, pointer):
+    node = _BAD_MATRICES[case]
+    with pytest.raises(SchemaError) as want:
+        reference_matrix_from_json(node, pointer)
+    with pytest.raises(SchemaError) as got:
+        matrix_from_json(node, pointer)
+    assert (got.value.reason, got.value.pointer) == (want.value.reason, want.value.pointer)
+    assert str(got.value) == str(want.value)
+
+
+def test_encoded_matrices_have_the_reference_bits():
+    rng = np.random.default_rng(3)
+    special = np.array([[-0.0, complex(0.0, -0.0)], [1e308, complex(-5e-324, 2**53 + 1)]])
+    cases = [
+        special,
+        rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)),
+        (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))).T,  # not C-contiguous
+        rng.normal(size=(2, 2)),  # real
+        [[1, 2j]],
+    ]
+    for m in cases:
+        got = matrix_to_json(m)
+        want = reference_matrix_to_json(m)
+        assert got == want
+        assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+        assert all(type(v) is float for row in got for cell in row for v in cell)
