@@ -255,10 +255,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return _finish(run_demo(args.name, config, **kwargs), config, args.out)
 
 
-def _scalar_value(z: complex) -> list[float]:
-    return complex_to_json(complex(z))
-
-
 def cmd_moments(args: argparse.Namespace) -> int:
     config = _build_config(args)
     scenario = independence_scenario_from_json(load_json_file(args.scenario_file))
@@ -316,7 +312,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
             got = complex(real.scalar_moment(word))
             want = complex(formula(word))
             residual = float(abs(got - want))
-            got_json, want_json = _scalar_value(got), _scalar_value(want)
+            got_json, want_json = complex_to_json(got), complex_to_json(want)
         moments.append(
             {
                 "word": label,

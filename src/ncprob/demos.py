@@ -14,8 +14,8 @@ The four scenarios:
   conditional expectation onto functions of the fair coin factorizes
   exactly, cross-checked by enumerating all eight outcomes.
 * ``markov`` — a two-state chain dilated to a product system; n-step
-  transition probabilities and two-time correlations agree with
-  exhaustive path sums.
+  transition probabilities and two-time correlations agree with the
+  classical path space, computed by transfer matrices.
 * ``white-noise`` — the central-unit-vector fiber over M2: the corner
   functional is shift invariant and increment algebras are conditionally
   monotone independent.
@@ -296,7 +296,7 @@ def demo_markov(config: RunConfig) -> dict:
                 )
         tables.append(
             _table(
-                "two-time correlations: exhaustive path sums vs the module",
+                "two-time correlations: transfer matrices vs the module",
                 ["event", "path|X0=0", "module|X0=0", "path|X0=1", "module|X0=1", "residual"],
                 rows,
             )
@@ -311,8 +311,8 @@ def demo_markov(config: RunConfig) -> dict:
         "The chain P = [[0.5, 0.5], [0.3, 0.7]] on two states, dilated to a",
         f"product system of horizon {n_top}.  Compressing the unit vector",
         "recovers the n-step semigroup, and moments of time-indexed",
-        "observables match exhaustive sums over classical paths, conditional",
-        "on the start state.",
+        "observables match the classical path space, computed by transfer",
+        "matrices, conditional on the start state.",
     ]
     if n_top < 2:
         narrative.append(
@@ -365,7 +365,6 @@ def demo_white_noise(config: RunConfig) -> dict:
                 inc.invariance_residual,
                 inc.max_residual,
                 inc.word_count,
-                inc.generated_dimension,
             ]
         )
         report.add(
@@ -382,7 +381,7 @@ def demo_white_noise(config: RunConfig) -> dict:
         )
     window_table = _table(
         "conditional monotone factorization of increment windows",
-        ["windows", "mode", "invariance", "worst residual", "words", "dim"],
+        ["windows", "mode", "invariance", "worst residual", "words"],
         rows,
     )
 

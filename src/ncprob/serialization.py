@@ -200,7 +200,8 @@ def load_json_file(path: str) -> Any:
 
 
 def complex_to_json(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+    z = complex(z)
+    return [z.real, z.imag]
 
 
 def _complex_from_json(node: Any, pointer: str) -> complex:

@@ -454,13 +454,13 @@ def suite_white_noise(config: RunConfig) -> list[dict]:
             f"{label}:mode-is-white-noise",
             0.0 if inc.mode == "white-noise" else 1.0,
             0.0,
-            f"mode {inc.mode}; windows {inc.window_past} / {inc.window_future}",
+            f"mode {inc.mode}; windows {(r, s)} / {(s, t)}",
         )
         report.add(
             f"{label}:increment-factorization",
             inc.max_residual,
             tol,
-            f"{inc.word_count} words; generated dimension {inc.generated_dimension}",
+            f"{inc.word_count} words",
         )
         report.extend(f"{label}:dilation", verify_dilation(scenario, tol, seed=config.seed))
     return report.rows()

@@ -8,8 +8,8 @@ Reference points computed independently of the module code:
 * For a stochastic matrix P acting on the diagonal algebra, the semigroup
   is matrix powers: <xi_n, f . xi_n> = diag(P^n f).  For the chain with
   P = [[0.5, 0.5], [0.3, 0.7]] at horizon 3 the eight classical paths
-  enumerate every moment, so the module computation has an exhaustive
-  classical oracle.
+  enumerate every moment.  That enumeration stays here as the reference
+  for the transfer-matrix path moments the module is checked against.
 * For the uniform chain P = [[0.5, 0.5], [0.5, 0.5]], the state at any
   time >= 1 is independent of the start, so mixed moments split as
   mean(f) * g(start).
@@ -19,6 +19,7 @@ Reference points computed independently of the module code:
   values by a visible amount (frozen control gap about 0.15 on M2).
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -111,9 +112,12 @@ def test_a_permutation_chain_stays_within_the_default_budget():
     # every path of a cyclic permutation is fixed by its start, so each level
     # keeps one word per state; keeping the null words instead would need
     # 4**5 * 4 * 4 scalarized dimensions at the top level
-    model = markov_scenario(np.roll(np.eye(4), 1, axis=1), 6)
-    assert [p.rank for p in model.system.powers] == [1] + [4] * 6
-    assert model.verify(trials=5).passed
+    for horizon in (6, 8):
+        model = markov_scenario(np.roll(np.eye(4), 1, axis=1), horizon)
+        assert [p.rank for p in model.system.powers] == [1] + [4] * horizon
+        assert model.verify(trials=5).passed
+        inc = white_noise_increment_check(model.scenario, 0, horizon // 2, horizon, trials=5)
+        assert inc.passed, inc.max_residual
 
 
 def test_word_numbers_past_int64_stay_exact():
@@ -279,6 +283,57 @@ def test_markov_frozen_two_time_moment(chain):
     assert frob(chain.module_moment(obs) - want) < 1e-9
 
 
+def _enumerated_path_moment(p, horizon, observables):
+    """The classical reference: every path's weight times its observables, summed by start."""
+    values = np.zeros(len(p), dtype=complex)
+    for path in np.ndindex(*([len(p)] * (horizon + 1))):
+        weight = np.prod([p[a, b] for a, b in zip(path, path[1:])])
+        values[path[0]] += weight * np.prod([f[path[t], path[t]] for f, t in observables])
+    return np.diag(values)
+
+
+SPARSE_CHAINS = [
+    np.array([[1.0, 0.0], [0.5, 0.5]]),
+    np.array([[0.0, 0.5, 0.5], [0.3, 0.0, 0.7], [0.6, 0.4, 0.0]]),
+    np.array([[0.0, 1.0, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0], [0.0, 0.25, 0.25, 0.5], [0.2, 0.0, 0.0, 0.8]]),
+]
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", SPARSE_CHAINS, ids=["2-state", "3-state", "4-state"])
+def test_transfer_matrices_match_path_enumeration(p, horizon):
+    model = markov_scenario(p, horizon)
+    rng = np.random.default_rng(horizon)
+
+    def draw():
+        return np.diag(rng.uniform(-1, 1, size=len(p)) + 1j * rng.uniform(-1, 1, size=len(p)))
+
+    worst = 0.0
+    for _ in range(6):
+        # two observables share a time and one sits at time 0, next to random times
+        shared = int(rng.integers(1, horizon + 1))
+        obs = [(draw(), shared), (draw(), 0), (draw(), shared)]
+        obs += [(draw(), int(rng.integers(0, horizon + 1))) for _ in range(int(rng.integers(0, 3)))]
+        worst = max(worst, frob(model.path_moment(obs) - _enumerated_path_moment(p, horizon, obs)))
+    assert worst <= 1e-12
+
+
+def test_path_moments_reject_times_off_the_horizon(chain):
+    # a negative time would otherwise index the transfer weights from the end
+    f = np.diag([1.0, 2.0]).astype(complex)
+    for time in (-1, 4):
+        with pytest.raises(HorizonError):
+            chain.path_moment([(f, time)])
+
+
+def test_path_space_agreement_fails_on_the_transposed_chain(chain):
+    # the classical side read with P transposed disagrees with the module built from P
+    mutant = dataclasses.replace(chain, transition=chain.transition.T)
+    rows = {c.name: c for c in mutant.verify(tol=1e-9, seed=1, trials=20).checks}
+    assert not rows["path-space-agreement"].passed
+    assert rows["path-space-agreement"].residual > 0.01
+
+
 def test_deterministic_chain_is_noiseless():
     model = markov_scenario(np.eye(2), horizon=3)
     f = np.diag([2.0, -1.0]).astype(complex)
@@ -287,6 +342,8 @@ def test_deterministic_chain_is_noiseless():
     assert frob(model.module_moment(obs) - want) < 1e-12
     report = model.verify(tol=1e-9, seed=4, trials=10)
     assert report.passed, report.failures
+    inc = white_noise_increment_check(model.scenario, 0, 1, 3, trials=10, seed=4)
+    assert inc.passed, inc.max_residual
 
 
 def test_uniform_chain_decorrelates_start_from_later_times():
@@ -325,7 +382,6 @@ def test_white_noise_central_unit_fiber(m2_noise):
         inc = white_noise_increment_check(m2_noise, r, s, t, trials=40, seed=7)
         assert inc.mode == "white-noise", (r, s, t)
         assert inc.max_residual < 1e-9, (r, s, t, inc.max_residual)
-    assert inc.generated_dimension > 0
 
 
 def test_noninvariant_chain_reports_markov_property_mode(chain):
@@ -370,17 +426,6 @@ def test_corner_factorization_needs_the_left_embedding(m2_noise):
         assert frob(lhs - factorization(system.left_embedding)) < 1e-10
         worst = max(worst, frob(lhs - factorization(system.corner_embedding)))
     assert worst > 0.01
-
-
-def test_increment_generators_report_dimension(m2_noise):
-    gens = m2_noise.increment_generators(1, 2)
-    assert len(gens) == m2_noise.system.powers[1].rank ** 2
-    side = m2_noise.system.powers[3].rank * m2_noise.system.base.ambient_dim
-    assert gens.shape[1:] == (side, side)
-    inc = white_noise_increment_check(m2_noise, 1, 2, 3, trials=5, seed=0)
-    assert inc.generated_dimension >= 1
-    assert inc.window_past == (1, 2)
-    assert inc.window_future == (2, 3)
 
 
 def _white_noise_scenarios(m2):

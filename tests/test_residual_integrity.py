@@ -58,7 +58,7 @@ def test_residual_max_propagates_nan():
 def test_report_maxima_propagate_nan():
     report = VerificationReport([CheckResult("a", 0.0, 1e-9, True), CheckResult("b", NAN, 1e-9, False)])
     assert np.isnan(report.worst_residual)
-    inc = IncrementReport("white-noise", 0.0, [1e-16, NAN], 1e-9, (0, 1), (1, 2), 1)
+    inc = IncrementReport("white-noise", 0.0, [1e-16, NAN], 1e-9)
     assert np.isnan(inc.max_residual) and not inc.passed
 
 

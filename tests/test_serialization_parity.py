@@ -1,11 +1,12 @@
 """The emitter and the matrix codec against their per-value originals.
 
-``reference_emit_json``, ``reference_matrix_from_json`` and
-``reference_matrix_to_json`` are the recursive emitter and the per-cell
-decoder and encoder the package used before its single-dispatch emitter and
-array-built matrix codec.  They stay here as the references: the package's
-versions must give the same bytes, the same bits and the same errors
-(message, reason and pointer).
+``reference_emit_json``, ``reference_matrix_from_json``,
+``reference_matrix_to_json`` and ``reference_complex_to_json`` are the
+recursive emitter, the per-cell decoder and encoder and the numpy-call
+scalar encoder the package used before its single-dispatch emitter,
+array-built matrix codec and ``complex``-based scalar encoder.  They stay
+here as the references: the package's versions must give the same bytes,
+the same bits and the same errors (message, reason and pointer).
 """
 
 import collections
@@ -31,6 +32,7 @@ from ncprob import (
     word_to_json,
 )
 from ncprob.linalg import random_density
+from ncprob.serialization import complex_to_json
 
 # ---------------------------------------------------------------------------
 # the references
@@ -117,6 +119,10 @@ def reference_matrix_to_json(m):
         [[float(np.real(m[i, j])), float(np.imag(m[i, j]))] for j in range(m.shape[1])]
         for i in range(m.shape[0])
     ]
+
+
+def reference_complex_to_json(z):
+    return [float(np.real(z)), float(np.imag(z))]
 
 
 # ---------------------------------------------------------------------------
@@ -349,3 +355,15 @@ def test_encoded_matrices_have_the_reference_bits():
         assert got == want
         assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
         assert all(type(v) is float for row in got for cell in row for v in cell)
+
+
+@pytest.mark.parametrize(
+    "z",
+    [complex(-0.0, 2**53 + 1), np.complex128(complex(5e-324, -0.0)), 7, -0.0],
+    ids=["complex", "complex128", "int", "float"],
+)
+def test_encoded_scalars_have_the_reference_bits(z):
+    got = complex_to_json(z)
+    want = reference_complex_to_json(z)
+    assert all(type(v) is float for v in got)
+    assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
