@@ -29,7 +29,8 @@ call, and evaluates the one factorization of
 operators of each word on ``E_N``, against the word's corner value.
 Every lift ``theta``, identification and isometry ``V`` is one contraction,
 :meth:`DiscreteProductSystem.extend`, with the base's left action on a
-power of the fiber.  The product-system check is one Gram identity per
+power of the fiber; each level's left action and unit are built by the
+same lift and identification from the level below.  The product-system check is one Gram identity per
 level pair ``(m, n)``: the Gram of ``E_{m+n}`` against the raw Gram of
 ``E_m (x) E_n`` (:func:`~ncprob.hilbert_module.tensor_gram`).
 """
@@ -57,7 +58,6 @@ from .hilbert_module import (
     AdjointableOperator,
     HilbertModule,
     LeftAction,
-    ModuleTensor,
     adjoint_gap,
     apply_blocks,
     compose_blocks,
@@ -66,8 +66,8 @@ from .hilbert_module import (
     left_action_operator,
     quotient_module,
     rank_one,
+    require_base_commutant,
     tensor_gram,
-    tensor_over_base,
     vector_norm,
     verify_module,
 )
@@ -117,9 +117,11 @@ class DiscreteProductSystem:
     """The tower E_0, ..., E_N with its units and identifications.
 
     ``fiber`` is E_1 on a minimal generating subset, the tower's one
-    quotient.  ``powers[k]`` is its k-th tensor power: ``tensors[k]``
-    realizes ``E_k = E_{k-1} (x) E_1`` for ``k >= 2`` and drops only the
-    pairs whose Gram diagonal block is exactly zero, by selection.
+    quotient.  ``powers[k]`` is its k-th tensor power ``E_k = E_{k-1} (x)
+    E_1`` less the pairs whose Gram diagonal block is exactly zero: its
+    Gram is :func:`~ncprob.hilbert_module.tensor_gram` on the other pairs,
+    its left action the lift of ``E_{k-1}``'s by :meth:`theta_blocks` and
+    its unit :meth:`identify` of the units of ``E_{k-1}`` and ``E_1``.
     ``codes[k]`` lists the letter words of the generators of ``E_k`` as
     numbers in base ``fiber.rank``, first letter leading, in increasing
     order.  The identification ``E_m (x) E_n = E_{m+n}`` sends a pair of
@@ -133,7 +135,6 @@ class DiscreteProductSystem:
     fiber: HilbertModule
     horizon: int
     powers: list[HilbertModule]
-    tensors: list[ModuleTensor | None]
     codes: list[np.ndarray]
     units: list[np.ndarray]
 
@@ -162,11 +163,11 @@ class DiscreteProductSystem:
         e0 = HilbertModule(base, e0_gram, e0_left, {"unit": base.unit[None]})
 
         powers: list[HilbertModule] = [e0, fiber]
-        tensors: list[ModuleTensor | None] = [None, None]
         # word numbers reach n1**horizon; past int64 they stay Python integers
         exact = np.int64 if n1**horizon < 2**63 else object
         codes = [np.zeros(1, dtype=exact), np.arange(n1).astype(exact)]
         units: list[np.ndarray] = [e0.generator(0), fiber.distinguished["unit"]]
+        system = cls(base, fiber, horizon, powers, codes, units)
         for k in range(2, horizon + 1):
             raw_dim = powers[k - 1].rank * n1 * base.dim
             if raw_dim > budget:
@@ -175,19 +176,22 @@ class DiscreteProductSystem:
                     f"(budget {budget})",
                     raw_dim,
                 )
-            tensor = tensor_over_base(powers[k - 1], fiber, reduce=False)
+            gram = tensor_gram(powers[k - 1], fiber)
             words = (codes[k - 1][:, None] * n1 + np.arange(n1)).ravel()
-            if tensor.info is not None:
-                words = words[tensor.info.survivors]
+            # <x, x> = 0 makes x null by positivity: no tolerance, no elimination
+            nonnull = gram[np.arange(len(words)), np.arange(len(words))].any(axis=(1, 2))
+            if not nonnull.all():
+                words = words[nonnull]
+                gram = gram[np.ix_(nonnull, nonnull)]
             # a word whose tail is null is null, so every split of a kept
             # word is a pair of kept words
             if not np.isin(words % n1 ** (k - 1), codes[k - 1]).all():
                 raise StructuralError(f"E_{k} keeps a word whose tail E_{k - 1} dropped as null")
-            tensors.append(tensor)
-            powers.append(tensor.module)
             codes.append(words)
-            units.append(tensor.tensor_vector(units[k - 1], units[1]))
-        return cls(base, fiber, horizon, powers, tensors, codes, units)
+            units.append(system.identify(k - 1, 1, units[k - 1], units[1]))
+            left = LeftAction(base, system.theta_blocks(powers[k - 1].left.blocks, k - 1, 1))
+            powers.append(HilbertModule(base, gram, left, {"unit": units[k]}))
+        return system
 
     def _kept(self, level: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays (i, u), row-major, of the generators of E_level and
@@ -213,16 +217,16 @@ class DiscreteProductSystem:
             raise StructuralError(f"vectors do not live on E_{level}")
         left = self.powers[steps].left
         lead, n, d0 = xs.shape[:-3], xs.shape[-3], xs.shape[-1]
-        acts = block_matrix(left.blocks)
-        nb, cols = len(acts), acts.shape[2]
-        coeffs = left.coords_of(xs.reshape(-1, d0, d0))
+        cols = left.blocks.shape[1] * d0
         i, u = self._kept(level, steps)
         if len(i) == n * left.blocks.shape[1]:
-            flat = coeffs @ acts.reshape(nb, -1)
+            flat = left.operators(xs.reshape(-1, d0, d0))
         else:
             # row u' of the action weighted by x[i]'s coordinates, kept pairs only
-            rows = acts.reshape(nb, -1, d0 * cols)[:, u]
-            flat = np.einsum("...pm,mpx->...px", coeffs.reshape(*lead, n, nb)[..., i, :], rows)
+            acts = block_matrix(left.blocks)
+            coeffs = left.coords_of(xs.reshape(-1, d0, d0)).reshape(*lead, n, len(acts))
+            rows = acts.reshape(len(acts), -1, d0 * cols)[:, u]
+            flat = np.einsum("...pm,mpx->...px", coeffs[..., i, :], rows)
         return unblock(flat.reshape(*lead, -1, cols), d0)
 
     def identify(self, m: int, n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -235,7 +239,7 @@ class DiscreteProductSystem:
         ``blocks`` may be a stack (..., n, n, d0, d0) of operators.  Column
         (w, u) of a lift is (a e_w) (x) e_u: :meth:`extend` of the columns,
         with each column's index moved next to u, for the pairs (w, u) that
-        are generators.
+        are generators (all of them, and no gather, when none is null).
         """
         target = from_level + steps
         if target > self.horizon:
@@ -252,8 +256,9 @@ class DiscreteProductSystem:
         # flat (..., w, (w', u'), u) -> ((w', u'), w, u) -> ((w', u'), kept (w, u))
         flat = block_matrix(self.extend(np.swapaxes(blocks, -4, -3), from_level, steps))
         lifted = np.swapaxes(flat, -3, -2)
-        pairs = lifted.reshape(*lifted.shape[:-1], -1, d0)[..., w, u, :]
-        return unblock(pairs.reshape(*lifted.shape[:-2], -1), d0)
+        if len(w) < n * self.powers[steps].rank:
+            lifted = lifted.reshape(*lifted.shape[:-1], -1, d0)[..., w, u, :]
+        return unblock(lifted.reshape(*lifted.shape[:-2], -1), d0)
 
     def level_of(self, op: AdjointableOperator) -> int:
         """Which power of the tower an operator lives on (by identity)."""
@@ -320,7 +325,7 @@ class DiscreteProductSystem:
 
     def left_embedding(self, b: np.ndarray) -> np.ndarray:
         """The unital embedding of the base: b acting from the left on E_N."""
-        return block_matrix(self.powers[self.horizon].left.blocks_of(np.asarray(b, dtype=complex)))
+        return self.powers[self.horizon].left.operators(np.asarray(b, dtype=complex)[None])[0]
 
     def compression(self, s: int) -> np.ndarray:
         """The projection onto xi_{N-s} (x) E_s."""
@@ -738,8 +743,12 @@ class MarkovModel:
         if time == level:
             return left_action_operator(e, f)
         inner_level = level - time + 1
-        slot = system.tensors[inner_level].op_right(left_action_operator(system.fiber, f))
-        return e0_apply(self.scenario, time - 1, slot)
+        f_op = left_action_operator(system.fiber, f)
+        require_base_commutant(system.fiber, f_op)
+        # id (x) f on E_{inner-1} (x) E_1: f's blocks between kept pairs (i, u) sharing i
+        i, u = system._kept(inner_level - 1, 1)
+        slot = np.where((i[:, None] == i)[..., None, None], f_op.blocks[np.ix_(u, u)], 0)
+        return e0_apply(self.scenario, time - 1, AdjointableOperator(system.powers[inner_level], slot))
 
     def path_moment(self, observables: list[tuple[np.ndarray, int]]) -> np.ndarray:
         """E[ f_k(X_{t_k}) ... f_1(X_{t_1}) | X_0 ] by transfer matrices.

@@ -75,6 +75,7 @@ __all__ = [
     "tensor_gram",
     "tensor_over_base",
     "ModuleTensor",
+    "require_base_commutant",
     "restrict_left_action",
     "trivial_left_action",
     "verify_module",
@@ -143,9 +144,14 @@ class LeftAction:
             raise StructuralError(f"element is not in the acting algebra (residual {res:.3e})")
         return c
 
+    def operators(self, elements: np.ndarray) -> np.ndarray:
+        """Flat operators (k, n*d0, n*d0) of a stack (k, d0, d0) of elements:
+        their coordinates times the basis operators, one product."""
+        acts = block_matrix(self.blocks)
+        return (self.coords_of(elements) @ acts.reshape(len(acts), -1)).reshape(-1, *acts.shape[1:])
+
     def blocks_of(self, a: np.ndarray) -> np.ndarray:
-        c = self.coords_of(np.asarray(a)[None])[0]
-        return unblock(np.tensordot(c, block_matrix(self.blocks), 1), self.blocks.shape[-1])
+        return unblock(self.operators(np.asarray(a)[None])[0], self.blocks.shape[-1])
 
 
 class HilbertModule:
@@ -195,8 +201,7 @@ class HilbertModule:
         One batched X^H G (L X), with L the stacked operators of the elements;
         raises when an element is not in the acting algebra.
         """
-        c = self.left.coords_of(np.asarray(elements, dtype=complex))
-        acts = np.tensordot(c, block_matrix(self.left.blocks), 1)
+        acts = self.left.operators(np.asarray(elements, dtype=complex))
         flat = _flat_vector(x)
         return flat.conj().T @ (block_matrix(self.gram) @ (acts @ flat))
 
@@ -297,27 +302,19 @@ class QuotientInfo:
     """Result of selecting a generating subset over the base algebra."""
 
     survivors: list[int]
-    # (n_new, n_old, d0, d0): old generators over new ones; None when every
-    # dropped generator is null, so that R only keeps the survivors' rows
-    rewrite: np.ndarray | None
+    rewrite: np.ndarray  # (n_new, n_old, d0, d0): old generators over new ones
     residual: float
     threshold: float
 
     def __post_init__(self):
-        if self.rewrite is not None:
-            self.rewrite = _flat_backed(self.rewrite)
+        self.rewrite = _flat_backed(self.rewrite)
 
     def rewrite_vector(self, x: np.ndarray) -> np.ndarray:
-        if self.rewrite is None:
-            return x[self.survivors]
         return apply_blocks(self.rewrite, x)
 
     def rewrite_operator_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """R blocks J, for one operator or a stack of them; J keeps the survivors' columns."""
-        kept = blocks[..., self.survivors, :, :]
-        if self.rewrite is None:
-            return _flat_backed(kept[..., self.survivors, :, :, :])
-        return compose_blocks(self.rewrite, kept)
+        return compose_blocks(self.rewrite, blocks[..., self.survivors, :, :])
 
 
 def quotient_null_space(module: HilbertModule) -> QuotientInfo:
@@ -331,7 +328,8 @@ def quotient_null_space(module: HilbertModule) -> QuotientInfo:
     base = module.base
     n, nb, d0 = module.rank, base.dim, base.ambient_dim
     s_ext = extended_gram(module)
-    scale = float(np.linalg.norm(s_ext, 2)) if s_ext.size else 0.0
+    # the extended Gram is Hermitian PSD: its 2-norm is its top eigenvalue
+    scale = float(np.linalg.eigvalsh(s_ext)[-1]) if s_ext.size else 0.0
     threshold = scale * RANK_RTOL
     work = s_ext.copy()
     survivors: list[int] = []
@@ -447,6 +445,19 @@ def gns_construct(pmap: PositiveMap, reduce: bool = True, verify: bool = True) -
 # interior tensor product over the base
 
 
+def require_base_commutant(module: HilbertModule, s: AdjointableOperator) -> None:
+    """Raise unless S commutes with the base action on ``module``, which is
+    what makes id o S well defined on any E (x) module."""
+    for k in range(module.left.algebra.dim):
+        act = AdjointableOperator(module, module.left.blocks[k])
+        gap = operator_distance(act @ s, s @ act)
+        if exceeds(gap, GUARD_TOL):
+            raise StructuralError(
+                "operator does not commute with the base action on the right "
+                f"factor (defect {gap:.3e}); id-tensor-S is not well defined"
+            )
+
+
 @dataclass
 class ModuleTensor:
     """Interior tensor product of two modules over the left factor's base.
@@ -456,10 +467,8 @@ class ModuleTensor:
     on).  With ``reduce=True`` (the default, as in the independence
     realizations) the published ``module`` keeps a minimal generating
     subset and ``info`` rewrites raw generators over it.  With
-    ``reduce=False`` (the product-system tower) only the pairs whose Gram
-    diagonal block is exactly zero are dropped: they are null, so ``info``
-    selects the others and rewrites nothing.  ``info`` is None when no pair
-    is dropped and ``module`` is the raw one.
+    ``reduce=False`` ``module`` is the raw product on all ``n1 * n2``
+    pairs, null ones included, and ``info`` is None.
     """
 
     module: HilbertModule
@@ -489,25 +498,14 @@ class ModuleTensor:
         (S o id)(e_i o e_j) = sum_I e_I o (s[I, i] . e_j): the coordinates of
         every entry s[I, i] times the right factor's action, one product.
         """
-        left = self.right_factor.left
         k, n1, d0 = s_blocks.shape[0], s_blocks.shape[1], s_blocks.shape[-1]
-        acts = block_matrix(left.blocks)
-        nb, w = acts.shape[0], acts.shape[1]
-        coeffs = left.coords_of(s_blocks.reshape(-1, d0, d0))
-        raw = (coeffs @ acts.reshape(nb, -1)).reshape(k, n1, n1, w, w)
-        return raw.transpose(0, 1, 3, 2, 4).reshape(k, n1 * w, n1 * w)
+        raw = self.right_factor.left.operators(s_blocks.reshape(-1, d0, d0))
+        w = raw.shape[-1]
+        return raw.reshape(k, n1, n1, w, w).transpose(0, 1, 3, 2, 4).reshape(k, n1 * w, n1 * w)
 
     def op_right(self, s: AdjointableOperator) -> AdjointableOperator:
         """id o S; requires S to commute with the base action on the right factor."""
-        e2 = self.right_factor
-        for k in range(e2.left.algebra.dim):
-            act = AdjointableOperator(e2, e2.left.blocks[k])
-            gap = operator_distance(act @ s, s @ act)
-            if exceeds(gap, GUARD_TOL):
-                raise StructuralError(
-                    "operator does not commute with the base action on the right "
-                    f"factor (defect {gap:.3e}); id-tensor-S is not well defined"
-                )
+        require_base_commutant(self.right_factor, s)
         # (id o S)(e_i o e_j) = e_i o S e_j: S on the right slot of every e_i
         raw = np.kron(np.eye(self.left_factor.rank), block_matrix(s.blocks))
         return AdjointableOperator(self.module, self._reduce(raw))
@@ -542,8 +540,8 @@ def tensor_over_base(e1: HilbertModule, e2: HilbertModule, reduce: bool = True) 
     x b o y = x o b y hold automatically because inner products are computed
     through that action:  < x1 o y1, x2 o y2 > = < y1, <x1, x2> . y2 >.
     The left action carried by the result is the one of ``e1``'s acting
-    algebra through ``a . (x o y) = (a x) o y``.  What ``reduce`` keeps is
-    set out at :class:`ModuleTensor`.
+    algebra through ``a . (x o y) = (a x) o y``.  ``reduce=False`` keeps
+    the raw product; see :class:`ModuleTensor`.
     """
     if not e1.base.same_basis(e2.base):
         raise StructuralError("the factors are modules over different base algebras")
@@ -551,20 +549,9 @@ def tensor_over_base(e1: HilbertModule, e2: HilbertModule, reduce: bool = True) 
         raise StructuralError(
             "the right factor must carry a left action of the left factor's base algebra"
         )
-    n1, n2 = e1.rank, e2.rank
-    base = e2.base
-    raw = HilbertModule(base, tensor_gram(e1, e2))
-
-    pairs = [(i, j) for i in range(n1) for j in range(n2)]
-    if reduce:
-        reduced, info = quotient_module(raw)
-    else:
-        # <x, x> = 0 makes x null by positivity: no tolerance, no elimination
-        nonnull = raw.gram[np.arange(n1 * n2), np.arange(n1 * n2)].any(axis=(1, 2))
-        reduced, info = raw, None
-        if not nonnull.all():
-            info = QuotientInfo(np.flatnonzero(nonnull).tolist(), None, 0.0, 0.0)
-            reduced = HilbertModule(base, raw.gram[np.ix_(info.survivors, info.survivors)])
+    raw = HilbertModule(e2.base, tensor_gram(e1, e2))
+    reduced, info = quotient_module(raw) if reduce else (raw, None)
+    pairs = [(i, j) for i in range(e1.rank) for j in range(e2.rank)]
     tensor = ModuleTensor(reduced, pairs, info, e1, e2)
 
     # push the left action and distinguished vectors through
@@ -584,8 +571,7 @@ def tensor_over_base(e1: HilbertModule, e2: HilbertModule, reduce: bool = True) 
 
 def restrict_left_action(left: LeftAction, subalgebra: MatrixStarAlgebra) -> LeftAction:
     """The same action viewed from a subalgebra of the acting algebra."""
-    blocks = np.stack([left.blocks_of(b) for b in subalgebra.basis])
-    return LeftAction(subalgebra, blocks)
+    return LeftAction(subalgebra, unblock(left.operators(subalgebra.basis), left.blocks.shape[-1]))
 
 
 def trivial_left_action(rank: int, base: MatrixStarAlgebra) -> LeftAction:

@@ -363,6 +363,17 @@ def test_time_zero_observables_need_a_commutative_base(m2_noise):
         model.process_operator(f, 0)
 
 
+def test_slot_observables_need_to_commute_with_the_base(m2_noise):
+    # id (x) f on a letter slot is only well defined for f commuting with the
+    # base action; a central f passes
+    model = MarkovModel(m2_noise, np.eye(2))
+    for time in (1, 2):
+        with pytest.raises(StructuralError, match="does not commute"):
+            model.process_operator(np.diag([1.0, 2.0]).astype(complex), time)
+        central = model.process_operator(2.0 * np.eye(2, dtype=complex), time)
+        assert central.module is m2_noise.system.powers[3]
+
+
 # ---------------------------------------------------------------------------
 # increment independence
 

@@ -98,9 +98,10 @@ def tower(request):
 
     In the pruned chain state 0 is absorbing, so paths leaving it have
     weight zero and the tower drops their words.  The tower quotients the
-    dependent fiber to its two independent generators.  The reduced tensor
-    products of :func:`reduced` drop null pairs and rewrite dependent pairs
-    over the survivors with nonzero coefficients.
+    dependent fiber to its two independent generators.  The raw tensor
+    products of :func:`raw` keep every pair; the reduced ones of
+    :func:`reduced` drop null pairs and rewrite dependent pairs over the
+    survivors with nonzero coefficients.
     """
     if request.param == "random-cp":
         return dilate_discrete(random_unital_cp(2, np.random.default_rng(5)), 3).system
@@ -113,6 +114,18 @@ def tower(request):
 @pytest.fixture(scope="module")
 def chain():
     return markov_scenario(np.array([[0.5, 0.5], [0.3, 0.7]]), 3).system
+
+
+def raw(system, level):
+    """E_level (x) E_1 on all pairs, null ones included."""
+    return tensor_over_base(system.powers[level], system.fiber, reduce=False)
+
+
+def kept_pairs(system, level):
+    """Indices among the raw pairs of E_level (x) E_1 of the generators of E_{level+1}."""
+    n1 = system.fiber.rank
+    pairs = (system.codes[level][:, None] * n1 + np.arange(n1)).ravel()
+    return np.flatnonzero(np.isin(pairs, system.codes[level + 1]))
 
 
 def reduced(system, level):
@@ -140,23 +153,16 @@ def loop_tensor_vector(tensor, x, y):
     e2 = tensor.right_factor
     raw = np.stack([ref_apply(e2.left.blocks_of(x[i]), y)[j] for i, j in tensor.pairs])
     info = tensor.info
-    if info is None:
-        return raw
-    if info.rewrite is None:
-        return raw[info.survivors]
-    return ref_apply(info.rewrite, raw)
+    return raw if info is None else ref_apply(info.rewrite, raw)
 
 
 def loop_rewrite(tensor, raw_blocks):
     """R raw J, with J selecting the survivors among the raw pairs and R
-    rewriting the raw pairs over them, or selecting them when it is None."""
+    rewriting the raw pairs over them; the raw blocks when nothing is reduced."""
     info = tensor.info
     if info is None:
         return raw_blocks
-    kept = raw_blocks[:, info.survivors]
-    if info.rewrite is None:
-        return kept[info.survivors]
-    return ref_compose(info.rewrite, kept)
+    return ref_compose(info.rewrite, raw_blocks[:, info.survivors])
 
 
 def loop_word_gram(fiber, word):
@@ -189,13 +195,13 @@ def loop_op_right(tensor, s_blocks):
 
 
 def loop_extend(system, v, letters, level):
-    """v (x) e_letters, one letter at a time through the tower's tensor structures."""
+    """v (x) e_letters by the definition, one letter at a time: (v[i] . e_l)[j]
+    on every pair (i, j), keeping the pairs whose word is a generator."""
+    fiber = system.fiber
     for step, letter in enumerate(letters):
-        gen = system.fiber.generator(letter)
-        if level + step == 0:
-            v = ref_apply(system.fiber.left.blocks_of(v[0]), gen)
-        else:
-            v = system.tensors[level + step + 1].tensor_vector(v, gen)
+        gen = fiber.generator(letter)
+        pairs = [ref_apply(fiber.left.blocks_of(vi), gen)[j] for vi in v for j in range(fiber.rank)]
+        v = np.stack(pairs)[kept_pairs(system, level + step)]
     return v
 
 
@@ -204,7 +210,7 @@ def test_tensor_vector_matches_loop(tower):
     rng = np.random.default_rng(0)
     for level in (1, 2):
         x = random_window_operator(system, level, rng).blocks[:, 0]
-        for tensor in (system.tensors[level + 1], reduced(system, level)):
+        for tensor in (raw(system, level), reduced(system, level)):
             right = tensor.right_factor
             y = right.distinguished["unit"] + 0.5 * right.generator(1)
             assert frob(tensor.tensor_vector(x, y) - loop_tensor_vector(tensor, x, y)) < 1e-12
@@ -215,7 +221,7 @@ def test_op_left_matches_loop(tower):
     rng = np.random.default_rng(1)
     for level in (1, 2):
         s = random_window_operator(system, level, rng)
-        for tensor in (system.tensors[level + 1], reduced(system, level)):
+        for tensor in (raw(system, level), reduced(system, level)):
             lifted = tensor.op_left(s)
             assert frob(lifted.blocks - loop_op_left(tensor, s.blocks)) < 1e-12
 
@@ -228,7 +234,7 @@ def test_op_right_matches_loop(chain):
     pruned_tensor = reduced(pruned, 2)
     assert len(pruned_tensor.info.survivors) < len(pruned_tensor.pairs)
     s_blocks = left_action_operator(chain.fiber, np.diag([0.3, -1.2]).astype(complex)).blocks
-    for system, tensor in ((chain, chain.tensors[3]), (pruned, pruned_tensor)):
+    for system, tensor in ((chain, raw(chain, 2)), (pruned, pruned_tensor)):
         right = tensor.op_right(AdjointableOperator(system.fiber, s_blocks))
         assert frob(right.blocks - loop_op_right(tensor, s_blocks)) < 1e-12
 
@@ -321,11 +327,46 @@ def test_coefficients_outside_the_base_still_raise(chain):
     # vector of the module; the batched plumbing must refuse it
     outside = np.ones((chain.fiber.rank, 2, 2), dtype=complex)
     with pytest.raises(StructuralError, match="not in the acting algebra"):
-        chain.tensors[2].tensor_vector(outside, chain.units[1])
+        raw(chain, 1).tensor_vector(outside, chain.units[1])
     with pytest.raises(StructuralError, match="not in the acting algebra"):
         chain.extend(outside, 1, 1)
     blocks = np.ones((chain.fiber.rank, chain.fiber.rank, 2, 2), dtype=complex)
     with pytest.raises(StructuralError, match="not in the acting algebra"):
-        chain.tensors[2].op_left(AdjointableOperator(chain.fiber, blocks))
+        raw(chain, 1).op_left(AdjointableOperator(chain.fiber, blocks))
     with pytest.raises(StructuralError, match="not in the acting algebra"):
         chain.fiber.vector_functional(chain.units[1], outside[:1])
+    with pytest.raises(StructuralError, match="not in the acting algebra"):
+        chain.fiber.left.operators(outside[:1])
+
+
+def test_levels_equal_the_raw_tensor_product_on_the_kept_pairs(tower):
+    # the build path the tower used to take: the raw E_{k-1} (x) E_1, then the
+    # generators of E_k selected among its pairs
+    system = tower
+    for k in range(2, system.horizon + 1):
+        product = raw(system, k - 1).module
+        kept = kept_pairs(system, k - 1)
+        assert np.array_equal(system.powers[k].gram, product.gram[np.ix_(kept, kept)])
+        assert np.array_equal(system.powers[k].left.blocks, product.left.blocks[:, kept][:, :, kept])
+        assert np.array_equal(system.units[k], product.distinguished["unit"][kept])
+
+
+def test_raw_tensor_keeps_every_pair():
+    # the absorbing chain has exactly null pairs; reduce=False keeps them all
+    pruned = markov_scenario(np.array([[1.0, 0.0], [0.5, 0.5]]), 3).system
+    tensor = raw(pruned, 2)
+    n = pruned.powers[2].rank * pruned.fiber.rank
+    assert tensor.info is None
+    assert tensor.module.rank == len(tensor.pairs) == n
+    diagonal = tensor.module.gram[np.arange(n), np.arange(n)]
+    assert not diagonal.any(axis=(1, 2)).all()
+    assert len(kept_pairs(pruned, 2)) < n
+
+
+def test_operators_stack_the_blocks_of_each_element(tower):
+    left = tower.powers[2].left
+    rng = np.random.default_rng(6)
+    coeffs = rng.normal(size=(3, left.algebra.dim)) + 1j * rng.normal(size=(3, left.algebra.dim))
+    elements = np.einsum("km,mab->kab", coeffs, left.algebra.basis)
+    want = np.stack([block_matrix(left.blocks_of(a)) for a in elements])
+    assert np.array_equal(left.operators(elements), want)
