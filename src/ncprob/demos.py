@@ -358,30 +358,14 @@ def demo_white_noise(config: RunConfig) -> dict:
             tol=tol,
             max_word_length=config.max_word_length,
         )
+        invariance, factorization = inc.checks
         rows.append(
-            [
-                f"[{r},{s}] | [{s},{t}]",
-                inc.mode,
-                inc.invariance_residual,
-                inc.max_residual,
-                inc.word_count,
-            ]
+            [f"[{r},{s}] | [{s},{t}]", invariance.residual, factorization.residual, trials]
         )
-        report.add(
-            f"mode-is-white-noise[{r},{s},{t}]",
-            0.0 if inc.mode == "white-noise" else 1.0,
-            0.0,
-            f"reported {inc.mode}",
-        )
-        report.add(
-            f"increments-factorize[{r},{s},{t}]",
-            inc.max_residual,
-            tol,
-            f"{inc.word_count} sampled words",
-        )
+        report.extend(f"[{r},{s},{t}]", inc)
     window_table = _table(
         "conditional monotone factorization of increment windows",
-        ["windows", "mode", "invariance", "worst residual", "words"],
+        ["windows", "invariance", "worst residual", "words"],
         rows,
     )
 

@@ -23,10 +23,12 @@ the far future back on as the unit vector.  The embedding takes a stack of
 window operators and returns their flat operators on ``E_N`` together, with
 one isometry pair and one lift for the whole stack.  Products of such
 embeddings are where conditional monotone independence of increments shows
-up: the increment check draws its words, embeds each leg's letters in one
-call, and evaluates the one factorization of
+up, over the corner functional ``<xi_N, . xi_N>`` when it is shift-invariant
+(white noise): the increment check reports that invariance, draws its words,
+embeds each leg's letters in one call, and evaluates the one factorization of
 :func:`~ncprob.independence.conditional_monotone_factorization` on the flat
-operators of each word on ``E_N``, against the word's corner value.
+operators of each word on ``E_N``, against the word's corner value.  A
+functional that is not invariant fails both rows.
 Every lift ``theta``, identification and isometry ``V`` is one contraction,
 :meth:`DiscreteProductSystem.extend`, with the base's left action on a
 power of the fiber; each level's left action and unit are built by the
@@ -89,7 +91,6 @@ __all__ = [
     "white_noise_scenario",
     "random_unital_cp",
     "random_window_operator",
-    "IncrementReport",
     "white_noise_increment_check",
     "MarkovModel",
     "markov_scenario",
@@ -326,11 +327,6 @@ class DiscreteProductSystem:
     def left_embedding(self, b: np.ndarray) -> np.ndarray:
         """The unital embedding of the base: b acting from the left on E_N."""
         return self.powers[self.horizon].left.operators(np.asarray(b, dtype=complex)[None])[0]
-
-    def compression(self, s: int) -> np.ndarray:
-        """The projection onto xi_{N-s} (x) E_s."""
-        v, vstar = self.isometry_blocks(s, self.horizon)
-        return block_matrix(v) @ block_matrix(vstar)
 
 
 # ---------------------------------------------------------------------------
@@ -577,28 +573,6 @@ def verify_dilation(
 # increment independence
 
 
-@dataclass
-class IncrementReport:
-    """Outcome of the increment-independence check on sampled words."""
-
-    mode: str  # "white-noise" or "markov-property"
-    invariance_residual: float
-    residuals: list[float]
-    tolerance: float
-
-    @property
-    def max_residual(self) -> float:
-        return residual_max(*self.residuals)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
-
-    @property
-    def word_count(self) -> int:
-        return len(self.residuals)
-
-
 def _sample_alternating_ops(system, r, s, t, rng, max_word_length):
     """Alternating list [(leg, window-level operator), ...]; leg 1 = future."""
     length = int(rng.integers(1, max_word_length + 1))
@@ -620,33 +594,26 @@ def white_noise_increment_check(
     seed: int = 0,
     tol: float = DEFAULT_TOL,
     max_word_length: int = 6,
-) -> IncrementReport:
+) -> VerificationReport:
     """Conditional monotone independence of A[s,t] (future) and A[r,s] (past).
 
-    First checks that the corner functional is shift-invariant.  If it is,
-    the factorization is verified over the time-zero corner: for each
-    sampled alternating word,
+    The identity is the one of the corner functional ``p = <xi_N, . xi_N>``:
+    for each sampled alternating word,
 
         p(word) = p(x_0) p( y_1 p(x_1).y_2 ... y_n ) p(x_n)
 
-    with ``p`` the corner expectation and interior expectations acting by
-    left multiplication.  This is the discriminating form: replacing the
-    left-multiplication insertion by the rank-one splitting of ``p``, or
-    dropping interior insertions, produces visible residuals.
+    with interior expectations acting by left multiplication on E_N.  It can
+    only hold when ``p`` is shift-invariant, so the report has two rows,
+    each decided at ``tol``: ``invariance``, the worst gap between ``p`` of a
+    lifted window operator and its value on its own level, and
+    ``increment-factorization``, the worst word residual.  A functional that
+    is not invariant, such as a non-stationary chain's, fails both.  The
+    factorization discriminates: the rank-one splitting of ``p`` in place of
+    the left-multiplication insertion, dropped interior insertions and
+    letters embedded in the wrong window all give visible residuals.
 
-    If the functional is not invariant the corner factorization cannot
-    hold; the check is then run with the conditional expectation
-    ``Phi_s(x) = Q_s x Q_s`` onto the time-s compression instead, inserted
-    as itself, and the report says so in its ``mode``.  In that mode the
-    factorization is a consequence of the corner structure of the projected
-    embeddings (past-window operators satisfy ``Q y Q = y`` exactly), so it
-    verifies that the embeddings and their adjoints compose consistently
-    rather than distinguishing one dependence structure from another; the
-    distribution-level content for Markov chains is covered by the
-    path-space comparison in :meth:`MarkovModel.verify`.
-
-    Both modes evaluate the one formula,
-    :func:`~ncprob.independence.conditional_monotone_factorization`, on the
+    The right-hand side is
+    :func:`~ncprob.independence.conditional_monotone_factorization` on the
     words' flat operators on E_N.  All ``trials`` words are drawn first (the
     embedding draws nothing, so the random stream is the word-by-word one);
     the letters of each leg are then embedded with one
@@ -668,18 +635,6 @@ def white_noise_increment_check(
             xi_low = system.units[level]
             local = system.powers[level].inner(xi_low, a(xi_low))
             invariance = residual_max(invariance, frob(system.expectation(shifted) - local))
-    mode = "white-noise" if invariance <= tol else "markov-property"
-
-    if mode == "white-noise":
-        expect, insert, unit = system.expectation, system.left_embedding, system.base.unit
-        distance = frob
-    else:
-        q = system.compression(s)
-        gram = block_matrix(system.powers[n_top].gram)
-        expect, insert, unit = (lambda x: q @ (x @ q)), (lambda x: x), q
-
-        def distance(gap):  # operators compare through the inner product
-            return frob(gram @ gap)
 
     # every word is drawn first; then each leg's letters are embedded in one call
     words = [_sample_alternating_ops(system, r, s, t, rng, max_word_length) for _ in range(trials)]
@@ -689,15 +644,21 @@ def white_noise_increment_check(
         if ops:
             embedded[leg] = iter(system.embed_window(np.stack(ops), width, start))
 
-    residuals = []
+    expect = system.expectation
+    worst = 0.0
     for word_ops in words:
         letters = [(leg, next(embedded[leg])) for leg, _ in word_ops]
         word = letters[0][1]
         for _, x in letters[1:]:
             word = word @ x
-        rhs = conditional_monotone_factorization(letters, expect, expect, insert, unit)
-        residuals.append(distance(expect(word) - rhs))
-    return IncrementReport(mode, invariance, residuals, tol)
+        rhs = conditional_monotone_factorization(
+            letters, expect, expect, system.left_embedding, system.base.unit
+        )
+        worst = residual_max(worst, frob(expect(word) - rhs))
+    report = VerificationReport()
+    report.add("invariance", invariance, tol)
+    report.add("increment-factorization", worst, tol, f"{trials} words")
+    return report
 
 
 # ---------------------------------------------------------------------------

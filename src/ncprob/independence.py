@@ -441,7 +441,8 @@ def conditional_monotone_factorization(letters, expect1, expect2, insert, unit):
     ``unit``.  ``expect1`` and ``expect2`` are the two expectations, and
     ``insert`` carries an interior leg-1 value into the leg-2 chain, where it
     is multiplied *inside*.  Everything multiplies with ``@``: matrix letters
-    with base-valued expectations, or flat operators with a compression.
+    with base-valued expectations, or flat operators with the corner
+    functional and its left embedding of the base.
     """
     left = right = unit
     if letters and letters[0][0] == 1:

@@ -449,19 +449,7 @@ def suite_white_noise(config: RunConfig) -> list[dict]:
             scenario, r, s, t, trials=trials, seed=config.seed, tol=tol,
             max_word_length=config.max_word_length,
         )
-        report.add(f"{label}:invariance", inc.invariance_residual, tol)
-        report.add(
-            f"{label}:mode-is-white-noise",
-            0.0 if inc.mode == "white-noise" else 1.0,
-            0.0,
-            f"mode {inc.mode}; windows {(r, s)} / {(s, t)}",
-        )
-        report.add(
-            f"{label}:increment-factorization",
-            inc.max_residual,
-            tol,
-            f"{inc.word_count} words",
-        )
+        report.extend(label, inc)
         report.extend(f"{label}:dilation", verify_dilation(scenario, tol, seed=config.seed))
     return report.rows()
 
@@ -471,17 +459,6 @@ def suite_markov(config: RunConfig) -> list[dict]:
     report = VerificationReport()
     model = markov_scenario(np.array([[0.5, 0.5], [0.3, 0.7]]), config.horizon, config.budget)
     report.extend("chain", model.verify(tol=tol, seed=config.seed, trials=min(config.trials, 40)))
-    inc = white_noise_increment_check(
-        model.scenario, 0, max(1, config.horizon // 2), config.horizon,
-        trials=min(config.trials, 60), seed=config.seed, tol=tol,
-    )
-    report.add(
-        "chain:increment-mode-reported",
-        0.0 if inc.mode == "markov-property" else 1.0,
-        0.0,
-        f"mode {inc.mode} (corner functional not shift-invariant)",
-    )
-    report.add("chain:increment-factorization", inc.max_residual, tol)
     return report.rows()
 
 
@@ -508,11 +485,10 @@ def run_suite(name: str, config: RunConfig) -> dict:
         raise StructuralError(
             f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES + ('all',))}"
         )
-    cut = [suite for suite in names if suite in ("white-noise", "markov")]
-    if cut and config.horizon < 2:
+    if "white-noise" in names and config.horizon < 2:
         raise StructuralError(
             "--horizon must be at least 2 to cut time into the two increment "
-            f"windows of {' and '.join(cut)}"
+            "windows of white-noise"
         )
     checks = []
     for suite in names:

@@ -241,10 +241,10 @@ def test_criterion_09_white_noise_increments():
     for base, fiber in fibers:
         scenario = white_noise_scenario(base, fiber, horizon=3)
         inc = white_noise_increment_check(scenario, 0, 1, 3, trials=100, seed=9, tol=1e-9)
-        assert inc.mode == "white-noise"
-        assert inc.invariance_residual <= 1e-9
-        assert inc.word_count == 100
-        assert inc.max_residual <= 1e-9
+        rows = {c.name: c for c in inc.checks}
+        assert rows["invariance"].residual <= 1e-9
+        assert rows["increment-factorization"].residual <= 1e-9
+        assert rows["increment-factorization"].detail == "100 words"
     assert time.monotonic() - start < 20.0
 
 

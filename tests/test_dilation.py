@@ -116,8 +116,6 @@ def test_a_permutation_chain_stays_within_the_default_budget():
         model = markov_scenario(np.roll(np.eye(4), 1, axis=1), horizon)
         assert [p.rank for p in model.system.powers] == [1] + [4] * horizon
         assert model.verify(trials=5).passed
-        inc = white_noise_increment_check(model.scenario, 0, horizon // 2, horizon, trials=5)
-        assert inc.passed, inc.max_residual
 
 
 def test_word_numbers_past_int64_stay_exact():
@@ -343,7 +341,7 @@ def test_deterministic_chain_is_noiseless():
     report = model.verify(tol=1e-9, seed=4, trials=10)
     assert report.passed, report.failures
     inc = white_noise_increment_check(model.scenario, 0, 1, 3, trials=10, seed=4)
-    assert inc.passed, inc.max_residual
+    assert inc.passed, inc.failures
 
 
 def test_uniform_chain_decorrelates_start_from_later_times():
@@ -378,28 +376,34 @@ def test_slot_observables_need_to_commute_with_the_base(m2_noise):
 # increment independence
 
 
+def _rows(report):
+    return {c.name: c for c in report.checks}
+
+
 def test_white_noise_scalar_fiber():
     base, fiber = scalar_fiber(2)
     scenario = white_noise_scenario(base, fiber, horizon=3)
-    inc = white_noise_increment_check(scenario, 1, 2, 3, trials=60, seed=11)
-    assert inc.mode == "white-noise"
-    assert inc.invariance_residual == 0.0
-    assert inc.max_residual < 1e-9
-    assert inc.word_count == 60
+    rows = _rows(white_noise_increment_check(scenario, 1, 2, 3, trials=60, seed=11))
+    assert rows["invariance"].residual == 0.0
+    assert rows["increment-factorization"].residual < 1e-9
+    assert rows["increment-factorization"].detail == "60 words"
 
 
 def test_white_noise_central_unit_fiber(m2_noise):
     for r, s, t in [(0, 1, 3), (0, 2, 3), (1, 2, 3)]:
-        inc = white_noise_increment_check(m2_noise, r, s, t, trials=40, seed=7)
-        assert inc.mode == "white-noise", (r, s, t)
-        assert inc.max_residual < 1e-9, (r, s, t, inc.max_residual)
+        rows = _rows(white_noise_increment_check(m2_noise, r, s, t, trials=40, seed=7))
+        assert rows["invariance"].passed, (r, s, t)
+        residual = rows["increment-factorization"].residual
+        assert residual < 1e-9, (r, s, t, residual)
 
 
-def test_noninvariant_chain_reports_markov_property_mode(chain):
-    inc = white_noise_increment_check(chain.scenario, 0, 1, 3, trials=30, seed=3)
-    assert inc.mode == "markov-property"
-    assert inc.invariance_residual > 1e-3
-    assert inc.max_residual < 1e-9
+def test_noninvariant_chain_fails_both_rows(chain):
+    """Negative control: a non-stationary chain's corner functional is not
+    invariant, so neither its invariance nor the corner factorization holds."""
+    rows = _rows(white_noise_increment_check(chain.scenario, 0, 1, 3, trials=30, seed=3))
+    for name in ("invariance", "increment-factorization"):
+        assert not rows[name].passed, name
+        assert rows[name].residual > 1e-3, (name, rows[name].residual)
 
 
 def test_increment_windows_must_be_ordered(m2_noise):
@@ -497,23 +501,29 @@ def test_extend_rejects_products_past_the_horizon(m2_noise):
     )
 
 
-def test_future_letters_at_the_past_start_break_the_factorization(m2, monkeypatch):
-    """Negative control: embedding leg-1 letters at the past start must fail."""
+@pytest.mark.parametrize(
+    "moved, to",
+    [(1, 0), (0, 1)],
+    ids=["future-letters-at-the-past-start", "past-letters-at-a-later-start"],
+)
+def test_future_letters_at_the_past_start_break_the_factorization(m2, monkeypatch, moved, to):
+    """Negative control: embedding one leg's letters at the other's start must fail."""
     r, s, t = 0, 1, 3
     honest = DiscreteProductSystem.embed_window
 
     def misplaced(self, blocks, width, start):
-        return honest(self, blocks, width, r if start == s else start)
+        return honest(self, blocks, width, to if start == moved else start)
 
     scenarios = _white_noise_scenarios(m2)
     for label, scenario in scenarios.items():
         inc = white_noise_increment_check(scenario, r, s, t, trials=100, seed=7)
-        assert inc.mode == "white-noise" and inc.passed, label
+        assert inc.passed, label
     monkeypatch.setattr(DiscreteProductSystem, "embed_window", misplaced)
     for label, scenario in scenarios.items():
-        inc = white_noise_increment_check(scenario, r, s, t, trials=100, seed=7)
-        assert inc.mode == "white-noise", label
-        assert inc.max_residual > 0.1, (label, inc.max_residual)
+        rows = _rows(white_noise_increment_check(scenario, r, s, t, trials=100, seed=7))
+        assert rows["invariance"].passed, label
+        residual = rows["increment-factorization"].residual
+        assert residual > 0.1, (label, residual)
 
 
 # ---------------------------------------------------------------------------

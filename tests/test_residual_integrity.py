@@ -27,7 +27,13 @@ from ncprob.algebra_core import (
     normalized_trace_state,
     state_from_density,
 )
-from ncprob.dilation import IncrementReport, dilate_discrete, random_unital_cp
+from ncprob.dilation import (
+    dilate_discrete,
+    random_unital_cp,
+    scalar_fiber,
+    white_noise_increment_check,
+    white_noise_scenario,
+)
 from ncprob.hilbert_module import gns_construct
 from ncprob.independence import (
     AlternatingWord,
@@ -55,11 +61,22 @@ def test_residual_max_propagates_nan():
     assert np.isnan(residual_max(1.0, NAN, 5.0))
 
 
-def test_report_maxima_propagate_nan():
+def test_report_maxima_propagate_nan(monkeypatch):
     report = VerificationReport([CheckResult("a", 0.0, 1e-9, True), CheckResult("b", NAN, 1e-9, False)])
     assert np.isnan(report.worst_residual)
-    inc = IncrementReport("white-noise", 0.0, [1e-16, NAN], 1e-9)
-    assert np.isnan(inc.max_residual) and not inc.passed
+    # the second word's right-hand side is NaN, after a finite first word
+    honest = dilation.conditional_monotone_factorization
+    calls = itertools.count()
+    monkeypatch.setattr(
+        dilation,
+        "conditional_monotone_factorization",
+        lambda *args: honest(*args) if next(calls) == 0 else np.full((1, 1), NAN),
+    )
+    scenario = white_noise_scenario(*scalar_fiber(2), horizon=3)
+    rows = {c.name: c for c in white_noise_increment_check(scenario, 0, 1, 3, trials=2).checks}
+    assert rows["invariance"].passed
+    factorization = rows["increment-factorization"]
+    assert np.isnan(factorization.residual) and not factorization.passed
 
 
 def test_nan_word_residual_fails_verify_independence():
