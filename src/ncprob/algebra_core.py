@@ -198,11 +198,13 @@ class MatrixStarAlgebra:
         return c.T, float(res.max(initial=0.0))
 
     def combine(self, coeffs: np.ndarray) -> np.ndarray:
-        """Matrix with the given basis coordinates."""
+        """Matrix with the given basis coordinates; a stack (k, dim) of them
+        gives the stack (k, d, d) of matrices, with one product."""
         # the one dot np.tensordot(coeffs, basis, axes=(0, 0)) makes after
         # its reshapes, so the same bits
         d = self.basis.shape[1]
-        return np.dot(coeffs.reshape(1, -1), self._flat).reshape(d, d)
+        flat = np.dot(coeffs.reshape(-1, len(self._flat)), self._flat)
+        return flat.reshape(*coeffs.shape[:-1], d, d)
 
     def element(self, x: np.ndarray) -> np.ndarray:
         """Return ``x`` checked for membership in the algebra span."""

@@ -68,6 +68,7 @@ from .hilbert_module import (
     left_action_operator,
     quotient_module,
     rank_one,
+    rank_one_blocks,
     require_base_commutant,
     tensor_gram,
     vector_norm,
@@ -426,25 +427,52 @@ def random_unital_cp(dim: int, rng: np.random.Generator) -> PositiveMap:
     return cp_from_kraus(full_matrix_algebra(dim), kraus)
 
 
-def _random_module_vector(
-    module: HilbertModule, base: MatrixStarAlgebra, rng: np.random.Generator
-) -> np.ndarray:
-    coeffs = rng.normal(size=(module.rank, base.dim)) + 1j * rng.normal(
-        size=(module.rank, base.dim)
-    )
-    coeffs /= np.sqrt(2.0 * module.rank * base.dim)
-    return np.einsum("im,mab->iab", coeffs, base.basis)
+def _random_window_vectors(
+    system: DiscreteProductSystem, widths: list[int], rng: np.random.Generator
+) -> list[np.ndarray]:
+    """Random vectors x1, y1, x2, y2 of E_w per width w, a (4, n_w, d0, d0) stack each.
+
+    One ``rng.normal`` draws them in order, one vector at a time: its real
+    coefficient block, then its imaginary one, each (n_w, nb) over the base
+    basis and scaled by 1/sqrt(2 n_w nb).  One product with the basis makes
+    every vector.
+    """
+    base = system.base
+    nb, d0 = base.dim, base.ambient_dim
+    rows = np.repeat([system.powers[w].rank for w in widths], 4)
+    ends = np.cumsum(rows)
+    draws = rng.normal(size=(2 * ends[-1], nb))
+    # a vector of n rows starting at result row s owns draw rows 2s .. 2s+2n:
+    # row s+j takes draw row 2s+j (real) and 2s+n+j (imaginary)
+    real = np.arange(ends[-1]) + np.repeat(ends - rows, rows)
+    per_row = np.repeat(rows, rows)
+    coeffs = draws[real] + 1j * draws[real + per_row]
+    coeffs /= np.sqrt(2.0 * nb * per_row)[:, None]
+    vectors = (coeffs @ base.basis.reshape(nb, -1)).reshape(-1, d0, d0)
+    return [v.reshape(4, -1, d0, d0) for v in np.split(vectors, ends[3:-1:4])]
 
 
-def _random_window_pairs(
-    system: DiscreteProductSystem, width: int, rng: np.random.Generator
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The two (x, y) pairs of a random window operator |x1><y1| + |x2><y2|."""
-    e = system.powers[width]
-    return [
-        (_random_module_vector(e, system.base, rng), _random_module_vector(e, system.base, rng))
-        for _ in range(2)
-    ]
+def _window_operators(module: HilbertModule, vectors: np.ndarray) -> np.ndarray:
+    """Blocks of |x1><y1| + |x2><y2| for a stack (..., 4, n, d0, d0) of
+    vectors (x1, y1, x2, y2), with one stacked product."""
+    r = rank_one_blocks(module.gram, vectors[..., 0::2, :, :, :], vectors[..., 1::2, :, :, :])
+    return r[..., 0, :, :, :, :] + r[..., 1, :, :, :, :]
+
+
+def _random_window_blocks(
+    system: DiscreteProductSystem, widths: list[int], rng: np.random.Generator
+) -> list[np.ndarray]:
+    """Blocks of a random operator on E_w per width w in ``widths``, drawn as
+    :func:`random_window_operator` draws one after another, with one
+    ``rng.normal`` and one stacked product per width."""
+    vectors = _random_window_vectors(system, widths, rng)
+    out: list[np.ndarray] = [None] * len(widths)
+    for w in set(widths):
+        at = [k for k, v in enumerate(widths) if v == w]
+        ops = _window_operators(system.powers[w], np.stack([vectors[k] for k in at]))
+        for k, blocks in zip(at, ops):
+            out[k] = blocks
+    return out
 
 
 def random_window_operator(
@@ -455,9 +483,7 @@ def random_window_operator(
     The sum of two rank-ones between dense random vectors, so the operator has
     a generically nonzero overlap with every generator and with the unit.
     """
-    e = system.powers[width]
-    (x1, y1), (x2, y2) = _random_window_pairs(system, width, rng)
-    return rank_one(e, x1, y1) + rank_one(e, x2, y2)
+    return AdjointableOperator(system.powers[width], _random_window_blocks(system, [width], rng)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -539,18 +565,16 @@ def verify_dilation(
         level = n_top - steps
         e = system.powers[level]
         # a* is |y><x| summed over the pairs that make a = sum |x><y|
-        (x1, y1), (x2, y2) = _random_window_pairs(system, level, rng)
-        a = rank_one(e, x1, y1) + rank_one(e, x2, y2)
-        a_star = rank_one(e, y1, x1) + rank_one(e, y2, x2)
-        b_op = random_window_operator(system, level, rng)
-        ta = system.theta_blocks(a.blocks, level, steps)
-        tb = system.theta_blocks(b_op.blocks, level, steps)
-        tab = system.theta_blocks(compose_blocks(a.blocks, b_op.blocks), level, steps)
+        va, vb = _random_window_vectors(system, [level, level], rng)
+        a, a_star, b = _window_operators(e, np.stack([va, va[[1, 0, 3, 2]], vb]))
+        ta = system.theta_blocks(a, level, steps)
+        tb = system.theta_blocks(b, level, steps)
+        tab = system.theta_blocks(compose_blocks(a, b), level, steps)
         gram = system.powers[n_top].gram
         worst_mult = residual_max(
             worst_mult, frob(compose_blocks(gram, tab - compose_blocks(ta, tb)))
         )
-        ta_star = system.theta_blocks(a_star.blocks, level, steps)
+        ta_star = system.theta_blocks(a_star, level, steps)
         worst_star = residual_max(worst_star, adjoint_gap(system.powers[n_top], ta, ta_star))
         lifted = system.theta_blocks(identity_operator(system.powers[level]).blocks, level, steps)
         target_ident = identity_operator(system.powers[n_top]).blocks
@@ -558,9 +582,9 @@ def verify_dilation(
         # composition: theta_m o theta_n = theta_{m+n} on a deeper operator
         if steps >= 2:
             inner_level = level
-            once = system.theta_blocks(a.blocks, inner_level, 1)
+            once = system.theta_blocks(a, inner_level, 1)
             twice = system.theta_blocks(once, inner_level + 1, steps - 1)
-            direct = system.theta_blocks(a.blocks, inner_level, steps)
+            direct = system.theta_blocks(a, inner_level, steps)
             worst_comp = residual_max(worst_comp, frob(compose_blocks(gram, twice - direct)))
     report.add("theta-multiplicative", worst_mult, tol)
     report.add("theta-star", worst_star, tol)
@@ -574,15 +598,12 @@ def verify_dilation(
 
 
 def _sample_alternating_ops(system, r, s, t, rng, max_word_length):
-    """Alternating list [(leg, window-level operator), ...]; leg 1 = future."""
+    """Alternating list [(leg, window-level operator blocks), ...]; leg 1 = future."""
     length = int(rng.integers(1, max_word_length + 1))
     first = int(rng.integers(1, 3))
-    letters = []
-    for pos in range(length):
-        leg = first if pos % 2 == 0 else 3 - first
-        width = (t - s) if leg == 1 else (s - r)
-        letters.append((leg, random_window_operator(system, width, rng)))
-    return letters
+    legs = [first if pos % 2 == 0 else 3 - first for pos in range(length)]
+    widths = [(t - s) if leg == 1 else (s - r) for leg in legs]
+    return list(zip(legs, _random_window_blocks(system, widths, rng)))
 
 
 def white_noise_increment_check(
@@ -627,20 +648,19 @@ def white_noise_increment_check(
 
     # invariance of b -> <xi, theta_n(.) xi> on sampled window operators
     invariance = 0.0
-    for n in range(1, n_top):
+    steps = [n for n in range(1, n_top) for _ in range(4)]
+    for n, a in zip(steps, _random_window_blocks(system, [n_top - n for n in steps], rng)):
         level = n_top - n
-        for _ in range(4):
-            a = random_window_operator(system, level, rng)
-            shifted = block_matrix(system.theta_blocks(a.blocks, level, n))
-            xi_low = system.units[level]
-            local = system.powers[level].inner(xi_low, a(xi_low))
-            invariance = residual_max(invariance, frob(system.expectation(shifted) - local))
+        shifted = block_matrix(system.theta_blocks(a, level, n))
+        xi_low = system.units[level]
+        local = system.powers[level].inner(xi_low, apply_blocks(a, xi_low))
+        invariance = residual_max(invariance, frob(system.expectation(shifted) - local))
 
     # every word is drawn first; then each leg's letters are embedded in one call
     words = [_sample_alternating_ops(system, r, s, t, rng, max_word_length) for _ in range(trials)]
     embedded = {}
     for leg, start, width in ((1, s, t - s), (2, r, s - r)):
-        ops = [op.blocks for word in words for letter_leg, op in word if letter_leg == leg]
+        ops = [op for word in words for letter_leg, op in word if letter_leg == leg]
         if ops:
             embedded[leg] = iter(system.embed_window(np.stack(ops), width, start))
 

@@ -64,6 +64,7 @@ __all__ = [
     "dagger_blocks",
     "identity_operator",
     "rank_one",
+    "rank_one_blocks",
     "left_action_operator",
     "operator_distance",
     "vector_norm",
@@ -247,9 +248,16 @@ def identity_operator(module: HilbertModule) -> AdjointableOperator:
 
 
 def rank_one(module: HilbertModule, x: np.ndarray, y: np.ndarray) -> AdjointableOperator:
-    """|x><y| : z -> x <y, z>, the flat product X (Y^H G); its adjoint is |y><x|."""
-    flat = _flat_vector(x) @ (_flat_vector(y).conj().T @ block_matrix(module.gram))
-    return AdjointableOperator(module, unblock(flat, x.shape[-1]))
+    """|x><y| : z -> x <y, z>; its adjoint is |y><x|."""
+    return AdjointableOperator(module, rank_one_blocks(module.gram, x, y))
+
+
+def rank_one_blocks(gram: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Blocks of |x><y|, the flat product X (Y^H G); stacks (..., n, d0, d0)
+    of vectors give the stack of operators, one stacked product."""
+    d0 = x.shape[-1]
+    xf, yf = x.reshape(*x.shape[:-3], -1, d0), y.reshape(*y.shape[:-3], -1, d0)
+    return unblock(xf @ (np.swapaxes(yf.conj(), -1, -2) @ block_matrix(gram)), d0)
 
 
 def left_action_operator(module: HilbertModule, a: np.ndarray) -> AdjointableOperator:
@@ -520,17 +528,20 @@ def tensor_gram(e1: HilbertModule, e2: HilbertModule) -> np.ndarray:
     """Inner products of the raw generators e_i o e_j of E1 (x)_B E2.
 
     G[(i,j),(I,J)] = < e_j, G1[i,I] . e_J >, pairs row-major (i * n2 + j);
-    ``e2`` must carry a left action of the base.  The einsums run on
-    C-ordered operands, since their summation order follows the layout.
+    ``e2`` must carry a left action of the base.  Two products: first
+    ``H_m = G2 L_m`` on the flat view, for every basis element ``m`` of the
+    base (``L_m`` its left action on E2), then the base coordinates of E1's
+    Gram entries times the stacked ``H``; one transpose puts the result in
+    blocks.
     """
     n1, n2, d0 = e1.rank, e2.rank, e2.base.ambient_dim
     coords, res = e1.base.coords_many(e1.gram.reshape(n1 * n1, *e1.gram.shape[2:]))
     if exceeds(res, GUARD_TOL):
         raise StructuralError("left factor inner products are not in its base algebra")
-    acts = np.einsum("pm,mjkab->pjkab", coords, np.ascontiguousarray(e2.left.blocks))
-    return np.einsum(
-        "jkab,iIkJbc->ijIJac", np.ascontiguousarray(e2.gram), acts.reshape(n1, n1, n2, n2, d0, d0)
-    ).reshape(n1 * n2, n1 * n2, d0, d0)
+    h = block_matrix(e2.gram) @ block_matrix(e2.left.blocks)
+    # (i, I, (j, a), (J, c)) -> ((i, j, a), (I, J, c))
+    g = (coords @ h.reshape(len(h), -1)).reshape(n1, n1, n2 * d0, n2 * d0)
+    return unblock(g.transpose(0, 2, 1, 3).reshape(n1 * n2 * d0, n1 * n2 * d0), d0)
 
 
 def tensor_over_base(e1: HilbertModule, e2: HilbertModule, reduce: bool = True) -> ModuleTensor:

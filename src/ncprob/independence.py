@@ -61,8 +61,9 @@ from .linalg import (
     dag,
     exceeds,
     frob,
-    random_hermitian,
+    hermitian_part,
     residual_max,
+    scaled_hermitian,
     unblock,
 )
 
@@ -686,9 +687,15 @@ def classical_coins_oracle(
 def random_hermitian_element(algebra: MatrixStarAlgebra, rng: np.random.Generator) -> np.ndarray:
     """Hermitian element of ``algebra``: the Hermitian part of the projection
     of a random Hermitian matrix with spectrum inside [-2, 2] onto its span."""
-    c, _ = algebra.coords(random_hermitian(algebra.ambient_dim, rng))
-    mat = algebra.combine(c)
-    return (mat + dag(mat)) / 2
+    d = algebra.ambient_dim
+    return _hermitian_elements(algebra, rng.normal(size=(1, 2, d, d)))[0]
+
+
+def _hermitian_elements(algebra: MatrixStarAlgebra, draws: np.ndarray) -> np.ndarray:
+    """:func:`random_hermitian_element` for a stack (k, 2, d, d) of normal
+    draws, real and imaginary part per element: one projection, one combine."""
+    c, _ = algebra.coords_many(scaled_hermitian(draws))
+    return hermitian_part(algebra.combine(c))
 
 
 def random_alternating_word(
@@ -699,8 +706,10 @@ def random_alternating_word(
 ) -> AlternatingWord:
     """Random word with letters drawn from the two algebras.
 
-    Letters come from :func:`random_hermitian_element`, which keeps long
-    products well-scaled.
+    Letters are :func:`random_hermitian_element` draws, which keep long
+    products well-scaled.  After the legs, one ``rng.normal`` draws every
+    letter in order (per letter its real block, then its imaginary block),
+    and each algebra makes its letters as one stack.
     """
     length = int(rng.integers(1, max_length + 1))
     legs = [int(rng.integers(1, 3))]
@@ -709,9 +718,18 @@ def random_alternating_word(
         # normalization
         nxt = 3 - legs[-1] if rng.random() < 0.8 else legs[-1]
         legs.append(nxt)
-    return AlternatingWord(
-        [(leg, random_hermitian_element(algebra1 if leg == 1 else algebra2, rng)) for leg in legs]
-    )
+    algebras = {1: algebra1, 2: algebra2}
+    ends = np.cumsum([2 * algebras[leg].ambient_dim ** 2 for leg in legs])
+    draws = rng.normal(size=ends[-1])
+    mats: list[np.ndarray] = [None] * length
+    for alg in {id(a): a for a in (algebra1, algebra2)}.values():
+        at = [k for k, leg in enumerate(legs) if algebras[leg] is alg]
+        if at:
+            d = alg.ambient_dim
+            stack = draws[(ends[at] - 2 * d * d)[:, None] + np.arange(2 * d * d)]
+            for k, mat in zip(at, _hermitian_elements(alg, stack.reshape(len(at), 2, d, d))):
+                mats[k] = mat
+    return AlternatingWord(list(zip(legs, mats)))
 
 
 def verify_independence(

@@ -52,7 +52,8 @@ def vec(m: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + dag(m)) / 2
+    """(m + m*) / 2, for one matrix or a stack of them."""
+    return (m + np.swapaxes(m, -1, -2).conj()) / 2
 
 
 def min_eig(m: np.ndarray) -> float:
@@ -103,10 +104,15 @@ def unblock(mat: np.ndarray, d: int) -> np.ndarray:
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian matrix with spectrum inside [-2, 2]."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = hermitian_part(g)
-    top = float(np.max(np.abs(np.linalg.eigvalsh(h)))) or 1.0
-    return h * (2.0 / top)
+    return scaled_hermitian(rng.normal(size=(1, 2, dim, dim)))[0]
+
+
+def scaled_hermitian(draws: np.ndarray) -> np.ndarray:
+    """Hermitian parts of ``draws[k, 0] + i draws[k, 1]`` for a stack (k, 2, d, d)
+    of normal draws, each scaled to spectral radius 2 (a zero one stays zero)."""
+    h = hermitian_part(draws[:, 0] + 1j * draws[:, 1])
+    top = np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
+    return h * (2.0 / np.where(top == 0, 1.0, top))[:, None, None]
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -222,11 +222,8 @@ def suite_monotone(config: RunConfig) -> list[dict]:
         gap = abs(got - want)
         if gap > worst_mono or np.isnan(gap):
             worst_mono, worst_word = gap, word.label()
-        worst_tens = residual_max(
-            worst_tens,
-            abs(tens.scalar_moment(word) - tensor_moment_formula(word, s1.functional, s2.functional)),
-        )
         naive = tensor_moment_formula(word, s1.functional, s2.functional)
+        worst_tens = residual_max(worst_tens, abs(tens.scalar_moment(word) - naive))
         cross = abs(want - naive)
         if cross > witness_gap or np.isnan(cross):
             witness_gap, witness_word = cross, word.label()

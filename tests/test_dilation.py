@@ -419,14 +419,15 @@ def test_corner_factorization_needs_the_left_embedding(m2_noise):
     rng = np.random.default_rng(7)
     r, s, t = 0, 1, 3
 
-    def embed(leg, op):
+    def embed(leg, blocks):
         width, start = (t - s, s) if leg == 1 else (s - r, r)
-        return system.embed_window(op.blocks[None], width, start)[0]
+        return system.embed_window(blocks[None], width, start)[0]
 
     worst = 0.0
     for _ in range(60):
         letters = [
-            (leg, embed(leg, op)) for leg, op in _sample_alternating_ops(system, r, s, t, rng, 6)
+            (leg, embed(leg, blocks))
+            for leg, blocks in _sample_alternating_ops(system, r, s, t, rng, 6)
         ]
         word = letters[0][1]
         for _, x in letters[1:]:

@@ -9,6 +9,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ncprob.algebra_core import VerificationReport
 from ncprob.demos import demo_coins
@@ -18,11 +19,19 @@ from ncprob.suites import RunConfig, run_suite, suite_conditional_tensor, suite_
 GOLDEN = Path(__file__).parent / "data" / "verify_all_seed7_rows.json"
 
 
+def _rows(config: RunConfig) -> list:
+    return [[r["name"], r["tolerance"], r["passed"]] for r in run_suite("all", config)["checks"]]
+
+
 def test_verify_all_rows_match_the_golden_table():
     # pins every check name, the order, and the tolerance each was decided at
-    rows = run_suite("all", RunConfig(seed=7))["checks"]
-    got = [[r["name"], r["tolerance"], r["passed"]] for r in rows]
-    assert got == json.loads(GOLDEN.read_text())
+    assert _rows(RunConfig(seed=7)) == json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("seed, horizon", [(42, 3), (2003, 3), (7, 4)])
+def test_verify_all_rows_match_the_golden_table_at_other_seeds_and_horizons(seed, horizon):
+    # the table does not depend on the seed or the horizon
+    assert _rows(RunConfig(seed=seed, horizon=horizon)) == json.loads(GOLDEN.read_text())
 
 
 def test_extend_copies_checks_as_decided():
