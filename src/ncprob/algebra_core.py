@@ -54,6 +54,7 @@ __all__ = [
     "diagonal_compression",
     "average_with_involution",
     "cp_from_kraus",
+    "kraus_images",
     "cp_from_stochastic",
     "identity_map",
     "compose_maps",
@@ -348,7 +349,11 @@ class PositiveMap:
         return self.codomain.combine(self.matrix @ c)
 
     def apply_many(self, xs: np.ndarray) -> np.ndarray:
-        c, _ = self.domain.coords_many(xs)
+        """Images of a stack ``(m, d, d)``; raises, as :meth:`apply` does, if
+        one of them is not in the domain span."""
+        c, res = self.domain.coords_many(xs)
+        if exceeds(res, GUARD_TOL):
+            raise StructuralError(f"argument is not in the domain span (residual {res:.3e})")
         return np.einsum("ik,kab->iab", c @ self.matrix.T, self.codomain.basis)
 
     def is_unital(self) -> bool:
@@ -445,11 +450,16 @@ def independent_columns(a: np.ndarray) -> list[int]:
     return sorted(keep)
 
 
+def kraus_images(basis: np.ndarray, kraus: np.ndarray) -> np.ndarray:
+    """``sum_k V_k^* b V_k`` for each ``b`` in ``basis`` (n, d, d), summed in
+    the order of ``kraus`` (..., K, d, d); a stack of Kraus families gives
+    the stack (..., n, d, d) of their images."""
+    return np.einsum("...kba,ibc,...kcd->...kiad", kraus.conj(), basis, kraus).sum(axis=-4)
+
+
 def cp_from_kraus(domain: MatrixStarAlgebra, kraus: list[np.ndarray]) -> PositiveMap:
     """The map a -> sum_k V_k^* a V_k in domain coordinates."""
-    images = np.zeros_like(domain.basis)
-    for v in kraus:
-        images = images + np.einsum("ab,ibc,cd->iad", dag(v), domain.basis, v)
+    images = kraus_images(domain.basis, np.asarray(kraus, dtype=complex))
     try:
         return map_from_images(domain, domain, images, MapKind.CP_MAP)
     except StructuralError as exc:

@@ -39,7 +39,7 @@ level pair ``(m, n)``: the Gram of ``E_{m+n}`` against the raw Gram of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,9 +49,10 @@ from .algebra_core import (
     PositiveMap,
     StructuralError,
     VerificationReport,
-    cp_from_kraus,
     cp_from_stochastic,
+    full_matrix_algebra,
     iterate_map,
+    kraus_images,
     map_from_images,
     scalar_algebra,
     verify_positive_map,
@@ -74,8 +75,8 @@ from .hilbert_module import (
     vector_norm,
     verify_module,
 )
-from .independence import conditional_monotone_factorization
-from .linalg import DEFAULT_TOL, block_matrix, dag, frob, residual_max, unblock
+from .independence import WORD_STACK, conditional_monotone_factorization
+from .linalg import DEFAULT_TOL, block_matrix, exceeds, frob, residual_max, unblock
 
 __all__ = [
     "HorizonError",
@@ -91,6 +92,7 @@ __all__ = [
     "central_unit_fiber",
     "white_noise_scenario",
     "random_unital_cp",
+    "random_unital_cps",
     "random_window_operator",
     "white_noise_increment_check",
     "MarkovModel",
@@ -139,6 +141,9 @@ class DiscreteProductSystem:
     powers: list[HilbertModule]
     codes: list[np.ndarray]
     units: list[np.ndarray]
+    # (level, steps) -> the read-only index pairs of _kept; built on first
+    # use, since codes never change once build has appended them
+    _kept_pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -198,8 +203,14 @@ class DiscreteProductSystem:
     def _kept(self, level: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays (i, u), row-major, of the generators of E_level and
         E_steps whose concatenated word is a generator of E_{level+steps}."""
-        words = self.codes[level][:, None] * self.fiber.rank**steps + self.codes[steps]
-        return np.nonzero(np.isin(words, self.codes[level + steps]))
+        pairs = self._kept_pairs.get((level, steps))
+        if pairs is None:
+            words = self.codes[level][:, None] * self.fiber.rank**steps + self.codes[steps]
+            pairs = np.nonzero(np.isin(words, self.codes[level + steps]))
+            for index in pairs:
+                index.flags.writeable = False
+            self._kept_pairs[level, steps] = pairs
+        return pairs
 
     def extend(self, xs: np.ndarray, level: int, steps: int) -> np.ndarray:
         """Blocks of y -> x (x) y from E_steps into E_{level+steps}, per vector x of E_level.
@@ -417,14 +428,36 @@ def white_noise_scenario(
 def random_unital_cp(dim: int, rng: np.random.Generator) -> PositiveMap:
     """Random unital CP map on the full dim x dim algebra, with three Kraus
     operators normalized so that sum_k V_k* V_k = 1."""
-    from .algebra_core import full_matrix_algebra
+    return random_unital_cps(dim, rng, 1)[0]
 
-    a = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
-    s = np.einsum("kba,kbc->ac", a.conj(), a)
-    lam, u = np.linalg.eigh(s)
-    inv_root = (u / np.sqrt(lam)) @ dag(u)
-    kraus = [mat @ inv_root for mat in a]
-    return cp_from_kraus(full_matrix_algebra(dim), kraus)
+
+def random_unital_cps(dim: int, rng: np.random.Generator, count: int) -> list[PositiveMap]:
+    """``count`` maps drawn as ``count`` calls of :func:`random_unital_cp` draw
+    them (per map the real block of its three Kraus seeds, then the imaginary
+    one), on one shared full dim x dim algebra.
+
+    Each map's images are ``sum_k V_k* b V_k`` over the domain basis, with
+    ``V_k = a_k S^{-1/2}`` and ``S = sum_k a_k* a_k``: one batched ``eigh``,
+    one Kraus product and one coordinate solve for all the maps.
+    """
+    algebra = full_matrix_algebra(dim)
+    a = np.array(
+        [rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim)) for _ in range(count)]
+    )
+    lam, u = np.linalg.eigh(np.einsum("nkba,nkbc->nac", a.conj(), a))
+    inv_root = (u / np.sqrt(lam)[:, None]) @ np.swapaxes(u.conj(), -1, -2)
+    images = kraus_images(algebra.basis, a @ inv_root[:, None])
+    coeffs, res = algebra.coords_many(images.reshape(-1, dim, dim))
+    if exceeds(res, 1e-10):
+        raise StructuralError(f"Kraus images left the algebra span (residual {res:.3e})")
+    # map n's matrix, column j the coordinates of its image of basis element j
+    matrices = np.ascontiguousarray(np.swapaxes(coeffs.reshape(count, algebra.dim, -1), 1, 2))
+    return [PositiveMap(algebra, algebra, m, MapKind.CP_MAP) for m in matrices]
+
+
+def _draw_rows(system: DiscreteProductSystem, widths: list[int]) -> int:
+    """Rows of base coefficients that the vectors of operators of these widths draw."""
+    return 8 * sum(system.powers[w].rank for w in widths)
 
 
 def _random_window_vectors(
@@ -434,19 +467,27 @@ def _random_window_vectors(
 
     One ``rng.normal`` draws them in order, one vector at a time: its real
     coefficient block, then its imaginary one, each (n_w, nb) over the base
-    basis and scaled by 1/sqrt(2 n_w nb).  One product with the basis makes
-    every vector.
+    basis and scaled by 1/sqrt(2 n_w nb).
     """
+    draws = rng.normal(size=(_draw_rows(system, widths), system.base.dim))
+    return _window_vectors(system, widths, draws)
+
+
+def _window_vectors(system: DiscreteProductSystem, widths: list[int], draws: np.ndarray) -> list[np.ndarray]:
+    """The vectors :func:`_random_window_vectors` makes of its normal ``draws``,
+    with one product with the base basis for all of them."""
     base = system.base
     nb, d0 = base.dim, base.ambient_dim
     rows = np.repeat([system.powers[w].rank for w in widths], 4)
     ends = np.cumsum(rows)
-    draws = rng.normal(size=(2 * ends[-1], nb))
     # a vector of n rows starting at result row s owns draw rows 2s .. 2s+2n:
     # row s+j takes draw row 2s+j (real) and 2s+n+j (imaginary)
     real = np.arange(ends[-1]) + np.repeat(ends - rows, rows)
     per_row = np.repeat(rows, rows)
-    coeffs = draws[real] + 1j * draws[real + per_row]
+    # filled in place: a sum of the two parts would hold two more such arrays
+    coeffs = np.empty((ends[-1], nb), dtype=complex)
+    coeffs.real = draws[real]
+    coeffs.imag = draws[real + per_row]
     coeffs /= np.sqrt(2.0 * nb * per_row)[:, None]
     vectors = (coeffs @ base.basis.reshape(nb, -1)).reshape(-1, d0, d0)
     return [v.reshape(4, -1, d0, d0) for v in np.split(vectors, ends[3:-1:4])]
@@ -465,7 +506,13 @@ def _random_window_blocks(
     """Blocks of a random operator on E_w per width w in ``widths``, drawn as
     :func:`random_window_operator` draws one after another, with one
     ``rng.normal`` and one stacked product per width."""
-    vectors = _random_window_vectors(system, widths, rng)
+    draws = rng.normal(size=(_draw_rows(system, widths), system.base.dim))
+    return _window_blocks(system, widths, draws)
+
+
+def _window_blocks(system: DiscreteProductSystem, widths: list[int], draws: np.ndarray) -> list[np.ndarray]:
+    """The operators :func:`_random_window_blocks` makes of its normal ``draws``."""
+    vectors = _window_vectors(system, widths, draws)
     out: list[np.ndarray] = [None] * len(widths)
     for w in set(widths):
         at = [k for k, v in enumerate(widths) if v == w]
@@ -597,13 +644,36 @@ def verify_dilation(
 # increment independence
 
 
-def _sample_alternating_ops(system, r, s, t, rng, max_word_length):
-    """Alternating list [(leg, window-level operator blocks), ...]; leg 1 = future."""
-    length = int(rng.integers(1, max_word_length + 1))
-    first = int(rng.integers(1, 3))
-    legs = [first if pos % 2 == 0 else 3 - first for pos in range(length)]
-    widths = [(t - s) if leg == 1 else (s - r) for leg in legs]
-    return list(zip(legs, _random_window_blocks(system, widths, rng)))
+def _random_increment_words(
+    system: DiscreteProductSystem,
+    r: int,
+    s: int,
+    t: int,
+    rng: np.random.Generator,
+    count: int,
+    max_word_length: int,
+) -> list[list[tuple[int, np.ndarray]]]:
+    """``count`` alternating words [(leg, window operator blocks), ...], leg 1
+    on the future window [s, t] and leg 2 on the past [r, s].
+
+    Each word draws its length, its first leg, then all its vectors with one
+    ``rng.normal``, as :func:`random_window_operator` would draw its letters
+    one after another.  The vectors of every word are then made with one
+    product, and the operators with one product per width.
+    """
+    widths = {1: t - s, 2: s - r}
+    words_legs: list[list[int]] = []
+    draws = []
+    for _ in range(count):
+        length = int(rng.integers(1, max_word_length + 1))
+        first = int(rng.integers(1, 3))
+        legs = [first if pos % 2 == 0 else 3 - first for pos in range(length)]
+        words_legs.append(legs)
+        rows = _draw_rows(system, [widths[leg] for leg in legs])
+        draws.append(rng.normal(size=(rows, system.base.dim)))
+    letter_widths = [widths[leg] for legs in words_legs for leg in legs]
+    blocks = iter(_window_blocks(system, letter_widths, np.concatenate(draws)))
+    return [[(leg, next(blocks)) for leg in legs] for legs in words_legs]
 
 
 def white_noise_increment_check(
@@ -635,10 +705,11 @@ def white_noise_increment_check(
 
     The right-hand side is
     :func:`~ncprob.independence.conditional_monotone_factorization` on the
-    words' flat operators on E_N.  All ``trials`` words are drawn first (the
-    embedding draws nothing, so the random stream is the word-by-word one);
-    the letters of each leg are then embedded with one
-    :meth:`DiscreteProductSystem.embed_window` call.
+    words' flat operators on E_N.  The words are drawn in stacks of at most
+    ``WORD_STACK``, each with one call (the embedding draws nothing, so the
+    random stream is the word-by-word one); the letters of each leg of a
+    stack are then embedded with one :meth:`DiscreteProductSystem.embed_window`
+    call.
     """
     system = scenario.system
     n_top = system.horizon
@@ -656,25 +727,26 @@ def white_noise_increment_check(
         local = system.powers[level].inner(xi_low, apply_blocks(a, xi_low))
         invariance = residual_max(invariance, frob(system.expectation(shifted) - local))
 
-    # every word is drawn first; then each leg's letters are embedded in one call
-    words = [_sample_alternating_ops(system, r, s, t, rng, max_word_length) for _ in range(trials)]
-    embedded = {}
-    for leg, start, width in ((1, s, t - s), (2, r, s - r)):
-        ops = [op for word in words for letter_leg, op in word if letter_leg == leg]
-        if ops:
-            embedded[leg] = iter(system.embed_window(np.stack(ops), width, start))
-
     expect = system.expectation
     worst = 0.0
-    for word_ops in words:
-        letters = [(leg, next(embedded[leg])) for leg, _ in word_ops]
-        word = letters[0][1]
-        for _, x in letters[1:]:
-            word = word @ x
-        rhs = conditional_monotone_factorization(
-            letters, expect, expect, system.left_embedding, system.base.unit
+    for done in range(0, trials, WORD_STACK):
+        words = _random_increment_words(
+            system, r, s, t, rng, min(WORD_STACK, trials - done), max_word_length
         )
-        worst = residual_max(worst, frob(expect(word) - rhs))
+        embedded = {}
+        for leg, start, width in ((1, s, t - s), (2, r, s - r)):
+            ops = [op for word in words for letter_leg, op in word if letter_leg == leg]
+            if ops:
+                embedded[leg] = iter(system.embed_window(np.stack(ops), width, start))
+        for word_ops in words:
+            letters = [(leg, next(embedded[leg])) for leg, _ in word_ops]
+            word = letters[0][1]
+            for _, x in letters[1:]:
+                word = word @ x
+            rhs = conditional_monotone_factorization(
+                letters, expect, expect, system.left_embedding, system.base.unit
+            )
+            worst = residual_max(worst, frob(expect(word) - rhs))
     report = VerificationReport()
     report.add("invariance", invariance, tol)
     report.add("increment-factorization", worst, tol, f"{trials} words")

@@ -343,18 +343,18 @@ def quotient_null_space(module: HilbertModule) -> QuotientInfo:
     survivors: list[int] = []
     remaining = list(range(n))
     while remaining:
-        scores = [
-            float(np.trace(work[i * nb : (i + 1) * nb, i * nb : (i + 1) * nb]).real)
-            for i in remaining
-        ]
+        # each remaining generator's score is the trace of its diagonal block
+        scores = np.einsum("iaia->i", work.reshape(n, nb, n, nb)).real[remaining]
         k = int(np.argmax(scores))
         if scores[k] <= threshold or scores[k] <= 0.0:
             break
         i = remaining.pop(k)
         survivors.append(i)
         sl = slice(i * nb, (i + 1) * nb)
-        pivot = work[sl, sl]
-        inv = np.linalg.pinv(pivot, rcond=1e-12, hermitian=True)
+        # the pivot's pseudo-inverse, with pinv's cutoff 1e-12 * max |eigenvalue|
+        w, v = np.linalg.eigh(work[sl, sl])
+        large = np.abs(w) > 1e-12 * np.abs(w).max()
+        inv = (v[:, large] / w[large]) @ v[:, large].conj().T
         work -= work[:, sl] @ inv @ work[sl, :]
 
     survivors.sort()

@@ -24,6 +24,7 @@ lose value when an explicit unit letter is inserted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -83,7 +84,9 @@ __all__ = [
     "coins_game",
     "classical_coins_oracle",
     "random_hermitian_element",
+    "random_hermitian_elements",
     "random_alternating_word",
+    "random_alternating_words",
     "verify_independence",
 ]
 
@@ -684,18 +687,44 @@ def classical_coins_oracle(
 # the harness
 
 
+# The most words one stacked draw makes (--trials' default).  A larger count
+# is drawn in stacks of this size, so that no run holds every word at once.
+WORD_STACK = 200
+
+
 def random_hermitian_element(algebra: MatrixStarAlgebra, rng: np.random.Generator) -> np.ndarray:
     """Hermitian element of ``algebra``: the Hermitian part of the projection
     of a random Hermitian matrix with spectrum inside [-2, 2] onto its span."""
-    d = algebra.ambient_dim
-    return _hermitian_elements(algebra, rng.normal(size=(1, 2, d, d)))[0]
+    return random_hermitian_elements([algebra], rng)[0]
 
 
-def _hermitian_elements(algebra: MatrixStarAlgebra, draws: np.ndarray) -> np.ndarray:
-    """:func:`random_hermitian_element` for a stack (k, 2, d, d) of normal
-    draws, real and imaginary part per element: one projection, one combine."""
-    c, _ = algebra.coords_many(scaled_hermitian(draws))
-    return hermitian_part(algebra.combine(c))
+def random_hermitian_elements(
+    algebras: list[MatrixStarAlgebra], rng: np.random.Generator
+) -> list[np.ndarray]:
+    """One :func:`random_hermitian_element` of each algebra in ``algebras``, in
+    order, with the draws of as many single calls: one ``rng.normal``, then
+    one stack per algebra."""
+    return _hermitian_elements(algebras, rng.normal(size=sum(2 * a.ambient_dim**2 for a in algebras)))
+
+
+def _hermitian_elements(algebras: list[MatrixStarAlgebra], draws: np.ndarray) -> list[np.ndarray]:
+    """The elements :func:`random_hermitian_element` makes of the flat normal
+    ``draws``, element k from the next 2 d_k^2 of them: one scaling,
+    projection and combine per algebra."""
+    sizes = (2 * a.ambient_dim**2 for a in algebras)
+    starts = np.fromiter(accumulate(sizes, initial=0), int, len(algebras))
+    out: list[np.ndarray] = [None] * len(algebras)
+    for alg in {id(a): a for a in algebras}.values():
+        at = [k for k, a in enumerate(algebras) if a is alg]
+        d = alg.ambient_dim
+        # this algebra's draws: all of them when it is the only algebra
+        own = draws
+        if len(at) < len(algebras):
+            own = draws[np.add.outer(starts[at], np.arange(2 * d * d))]
+        c, _ = alg.coords_many(scaled_hermitian(own.reshape(len(at), 2, d, d)))
+        for k, mat in zip(at, hermitian_part(alg.combine(c))):
+            out[k] = mat
+    return out
 
 
 def random_alternating_word(
@@ -708,28 +737,38 @@ def random_alternating_word(
 
     Letters are :func:`random_hermitian_element` draws, which keep long
     products well-scaled.  After the legs, one ``rng.normal`` draws every
-    letter in order (per letter its real block, then its imaginary block),
-    and each algebra makes its letters as one stack.
+    letter in order (per letter its real block, then its imaginary block).
     """
-    length = int(rng.integers(1, max_length + 1))
-    legs = [int(rng.integers(1, 3))]
-    while len(legs) < length:
-        # bias toward alternation but allow same-leg repeats to exercise
-        # normalization
-        nxt = 3 - legs[-1] if rng.random() < 0.8 else legs[-1]
-        legs.append(nxt)
+    return random_alternating_words(algebra1, algebra2, rng, 1, max_length)[0]
+
+
+def random_alternating_words(
+    algebra1: MatrixStarAlgebra,
+    algebra2: MatrixStarAlgebra,
+    rng: np.random.Generator,
+    count: int,
+    max_length: int = 6,
+) -> list[AlternatingWord]:
+    """``count`` words, drawn as ``count`` calls of :func:`random_alternating_word`
+    draw them: each word's legs, then its one ``rng.normal``.  The letters of
+    every word are then made as one stack per algebra."""
     algebras = {1: algebra1, 2: algebra2}
-    ends = np.cumsum([2 * algebras[leg].ambient_dim ** 2 for leg in legs])
-    draws = rng.normal(size=ends[-1])
-    mats: list[np.ndarray] = [None] * length
-    for alg in {id(a): a for a in (algebra1, algebra2)}.values():
-        at = [k for k, leg in enumerate(legs) if algebras[leg] is alg]
-        if at:
-            d = alg.ambient_dim
-            stack = draws[(ends[at] - 2 * d * d)[:, None] + np.arange(2 * d * d)]
-            for k, mat in zip(at, _hermitian_elements(alg, stack.reshape(len(at), 2, d, d))):
-                mats[k] = mat
-    return AlternatingWord(list(zip(legs, mats)))
+    sizes = {leg: 2 * alg.ambient_dim**2 for leg, alg in algebras.items()}
+    words_legs: list[list[int]] = []
+    draws = []
+    for _ in range(count):
+        length = int(rng.integers(1, max_length + 1))
+        legs = [int(rng.integers(1, 3))]
+        while len(legs) < length:
+            # bias toward alternation but allow same-leg repeats to exercise
+            # normalization
+            nxt = 3 - legs[-1] if rng.random() < 0.8 else legs[-1]
+            legs.append(nxt)
+        words_legs.append(legs)
+        draws.append(rng.normal(size=sum(sizes[leg] for leg in legs)))
+    letter_algebras = [algebras[leg] for legs in words_legs for leg in legs]
+    letters = iter(_hermitian_elements(letter_algebras, np.concatenate(draws)))
+    return [AlternatingWord([(leg, next(letters)) for leg in legs]) for legs in words_legs]
 
 
 def verify_independence(

@@ -36,6 +36,7 @@ from .dilation import (
     dilate_discrete,
     markov_scenario,
     random_unital_cp,
+    random_unital_cps,
     scalar_fiber,
     semigroup_gaps,
     verify_dilation,
@@ -47,6 +48,7 @@ from .hilbert_module import gns_construct, operator_distance, tensor_over_base, 
 # unused here, but perfbench's tracer self-test rewraps this second binding
 from .hilbert_module import apply_blocks  # noqa: F401
 from .independence import (
+    WORD_STACK,
     AlternatingWord,
     ConditionalTensorProduct,
     QuantumProbabilitySpace,
@@ -57,8 +59,8 @@ from .independence import (
     conditional_tensor_realize,
     monotone_moment_formula,
     monotone_realize,
-    random_alternating_word,
-    random_hermitian_element,
+    random_alternating_words,
+    random_hermitian_elements,
     tensor_moment_formula,
     tensor_realize,
 )
@@ -170,9 +172,9 @@ def suite_module(config: RunConfig) -> list[dict]:
     # tensor associativity on raw (unreduced) grams (fixed sharper bound)
     assoc_tol = 1e-10
     worst = 0.0
+    triple_maps = random_unital_cps(2, rng, 30)
     for k in range(10):
-        mods = [gns_construct(random_unital_cp(2, rng), reduce=True) for _ in range(3)]
-        e1, e2, e3 = mods
+        e1, e2, e3 = (gns_construct(pmap, reduce=True) for pmap in triple_maps[3 * k : 3 * k + 3])
         left_first = tensor_over_base(e1, e2, reduce=False)
         right_first = tensor_over_base(e2, e3, reduce=False)
         g_left = tensor_over_base(left_first.module, e3, reduce=False).module.gram
@@ -182,8 +184,7 @@ def suite_module(config: RunConfig) -> list[dict]:
 
     # reductions preserve moments
     worst = 0.0
-    for _ in range(5):
-        pmap = random_unital_cp(2, rng)
+    for pmap in random_unital_cps(2, rng, 5):
         full = gns_construct(pmap, reduce=False)
         reduced = gns_construct(pmap, reduce=True)
         lhs = full.vector_functional(full.distinguished["unit"], m2.basis)
@@ -203,6 +204,13 @@ def _seeded_state_pair(rng: np.random.Generator):
     return s1, s2
 
 
+def _word_stacks(algebra1, algebra2, rng, trials: int, max_length: int):
+    """``trials`` random alternating words in stacks of at most
+    ``WORD_STACK``, each drawn in one call before any is evaluated."""
+    for done in range(0, trials, WORD_STACK):
+        yield random_alternating_words(algebra1, algebra2, rng, min(WORD_STACK, trials - done), max_length)
+
+
 def suite_monotone(config: RunConfig) -> list[dict]:
     tol = config.tolerance
     report = VerificationReport()
@@ -215,26 +223,26 @@ def suite_monotone(config: RunConfig) -> list[dict]:
     worst_word = ""
     witness_gap = 0.0
     witness_word = ""
-    for _ in range(config.trials):
-        word = random_alternating_word(s1.algebra, s2.algebra, rng, config.max_word_length)
-        got = mono.scalar_moment(word)
-        want = monotone_moment_formula(word, s1.functional, s2.functional)
-        gap = abs(got - want)
-        if gap > worst_mono or np.isnan(gap):
-            worst_mono, worst_word = gap, word.label()
-        naive = tensor_moment_formula(word, s1.functional, s2.functional)
-        worst_tens = residual_max(worst_tens, abs(tens.scalar_moment(word) - naive))
-        cross = abs(want - naive)
-        if cross > witness_gap or np.isnan(cross):
-            witness_gap, witness_word = cross, word.label()
+    for words in _word_stacks(s1.algebra, s2.algebra, rng, config.trials, config.max_word_length):
+        for word in words:
+            got = mono.scalar_moment(word)
+            want = monotone_moment_formula(word, s1.functional, s2.functional)
+            gap = abs(got - want)
+            if gap > worst_mono or np.isnan(gap):
+                worst_mono, worst_word = gap, word.label()
+            naive = tensor_moment_formula(word, s1.functional, s2.functional)
+            worst_tens = residual_max(worst_tens, abs(tens.scalar_moment(word) - naive))
+            cross = abs(want - naive)
+            if cross > witness_gap or np.isnan(cross):
+                witness_gap, witness_word = cross, word.label()
     report.add("realization-matches-formula", worst_mono, tol, f"worst word: {worst_word}")
     report.add("tensor-realization-matches-formula", worst_tens, tol)
 
     # ordered two-letter factorization phi(f(X1) g(X2)) = phi1(f) phi2(g)
     worst = 0.0
-    for _ in range(25):
-        f = s1.algebra.element(random_hermitian_element(s1.algebra, rng))
-        g = s2.algebra.element(random_hermitian_element(s2.algebra, rng))
+    elements = random_hermitian_elements([s1.algebra, s2.algebra] * 25, rng)
+    for f, g in zip(elements[0::2], elements[1::2]):
+        f, g = s1.algebra.element(f), s2.algebra.element(g)
         word = AlternatingWord([(1, f), (2, g)])
         split = complex(s1.functional.apply(f)[0, 0]) * complex(s2.functional.apply(g)[0, 0])
         worst = residual_max(worst, abs(mono.scalar_moment(word) - split))
@@ -244,10 +252,8 @@ def suite_monotone(config: RunConfig) -> list[dict]:
     # the witness shape g(X2) f(X1) g'(X2) is fixed, since single letters and
     # ordered pairs always factor and a short word-length cap must not mask
     # the asymmetry
-    for _ in range(25):
-        f = random_hermitian_element(s1.algebra, rng)
-        g = random_hermitian_element(s2.algebra, rng)
-        gp = random_hermitian_element(s2.algebra, rng)
+    elements = random_hermitian_elements([s1.algebra, s2.algebra, s2.algebra] * 25, rng)
+    for f, g, gp in zip(elements[0::3], elements[1::3], elements[2::3]):
         word = AlternatingWord([(2, g), (1, f), (2, gp)])
         want = monotone_moment_formula(word, s1.functional, s2.functional)
         naive = tensor_moment_formula(word, s1.functional, s2.functional)
@@ -282,15 +288,15 @@ def suite_conditional_monotone(config: RunConfig) -> list[dict]:
     worst_word = ""
     worst_member = 0.0
     length = min(config.max_word_length, 5)
-    for _ in range(config.trials):
-        word = random_alternating_word(m2, m2, rng, length)
-        got = joint.moment(word)
-        want = conditional_monotone_moment_formula(word, comp, comp)
-        gap = frob(got - want)
-        if gap > worst or np.isnan(gap):
-            worst, worst_word = gap, word.label()
-        _, res = base.coords(want)
-        worst_member = residual_max(worst_member, res)
+    for words in _word_stacks(m2, m2, rng, config.trials, length):
+        for word in words:
+            got = joint.moment(word)
+            want = conditional_monotone_moment_formula(word, comp, comp)
+            gap = frob(got - want)
+            if gap > worst or np.isnan(gap):
+                worst, worst_word = gap, word.label()
+            _, res = base.coords(want)
+            worst_member = residual_max(worst_member, res)
     report.add(
         "realization-matches-formula", worst, tol, f"{config.trials} words (len <= {length}); worst: {worst_word}"
     )
@@ -299,10 +305,8 @@ def suite_conditional_monotone(config: RunConfig) -> list[dict]:
     # sandwich identity: embedding a first-leg letter between second-leg
     # letters only sees its conditional expectation
     worst = 0.0
-    for _ in range(10):
-        a = random_hermitian_element(m2, rng)
-        b = random_hermitian_element(m2, rng)
-        c = random_hermitian_element(m2, rng)
+    elements = random_hermitian_elements([m2] * 30, rng)
+    for a, b, c in zip(elements[0::3], elements[1::3], elements[2::3]):
         lhs = joint.embed(2, a) @ joint.embed(1, b) @ joint.embed(2, c)
         rhs = joint.embed(2, a @ comp.apply(b) @ c)
         worst = residual_max(worst, operator_distance(lhs, rhs))
@@ -404,8 +408,8 @@ def suite_dilation(config: RunConfig) -> list[dict]:
     worst = 0.0
     worst_label = ""
     scenarios = [("stochastic", markov_scenario(np.array([[0.5, 0.5], [0.3, 0.7]]), horizon, config.budget).scenario)]
-    for k in range(10):
-        scenarios.append((f"random-cp-{k}", dilate_discrete(random_unital_cp(2, rng), horizon, config.budget)))
+    for k, pmap in enumerate(random_unital_cps(2, rng, 10)):
+        scenarios.append((f"random-cp-{k}", dilate_discrete(pmap, horizon, config.budget)))
     for label, scenario in scenarios:
         for n, gaps in enumerate(semigroup_gaps(scenario)):
             for gap in gaps:

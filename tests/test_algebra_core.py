@@ -252,6 +252,20 @@ class TestCpMaps:
         with pytest.raises(StructuralError):
             t.apply(e(0, 1))
 
+    def test_a_domain_not_closed_under_adjoints_is_rejected(self):
+        # the upper-triangular 2x2 matrices are closed under products but
+        # not under adjoints: E12* E11 = E21 leaves the span (residual 1), so
+        # neither the CP kernel nor a GNS Gram is defined on them
+        from ncprob.hilbert_module import gns_construct
+
+        upper = algebra_from_basis(np.stack([e(0, 0), e(0, 1), e(1, 1)]))
+        with pytest.raises(StructuralError, match="not in the domain span"):
+            identity_map(upper).apply_many(e(1, 0)[None])
+        with pytest.raises(StructuralError, match="not in the domain span"):
+            verify_positive_map(identity_map(upper))
+        with pytest.raises(StructuralError, match="not in the domain span"):
+            gns_construct(state_from_density(upper, np.eye(2) / 2))
+
     def test_choi_requires_full_domain(self):
         t = cp_from_stochastic(np.eye(2))
         with pytest.raises(StructuralError):

@@ -8,6 +8,7 @@ import pytest
 
 from ncprob import (
     AlternatingWord,
+    algebra_from_basis,
     algebra_to_json,
     diagonal_algebra,
     emit_json,
@@ -347,6 +348,22 @@ def test_moments_nan_state_density_is_malformed_input(tmp_path, capsys):
     assert out == ""
     assert "non-finite number NaN" in err
     assert "/space2/functional/matrix/0/1/0" in err
+
+
+def test_moments_domain_not_closed_under_adjoints_is_malformed_input(tmp_path, capsys):
+    # upper-triangular 2x2 matrices with the trace state: no GNS module exists
+    doc = _scenario_doc(words=[_x_word(1)])
+    upper = np.zeros((3, 2, 2), dtype=complex)
+    upper[0, 0, 0] = upper[1, 0, 1] = upper[2, 1, 1] = 1.0
+    alg = algebra_from_basis(upper)
+    doc["space1"] = {
+        "algebra": algebra_to_json(alg),
+        "functional": map_to_json(state_from_density(alg, np.eye(2) / 2)),
+    }
+    code, out, err = run_cli(capsys, "moments", _write(tmp_path, "scenario.json", doc))
+    assert code == 2
+    assert out == ""
+    assert "not in the domain span" in err
 
 
 def test_moments_missing_file(capsys):

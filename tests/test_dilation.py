@@ -55,7 +55,7 @@ from ncprob.dilation import (
     white_noise_increment_check,
     white_noise_scenario,
 )
-from ncprob.dilation import _sample_alternating_ops
+from ncprob.dilation import _random_increment_words
 from ncprob.independence import conditional_monotone_factorization
 from ncprob.hilbert_module import (
     apply_blocks,
@@ -424,11 +424,8 @@ def test_corner_factorization_needs_the_left_embedding(m2_noise):
         return system.embed_window(blocks[None], width, start)[0]
 
     worst = 0.0
-    for _ in range(60):
-        letters = [
-            (leg, embed(leg, blocks))
-            for leg, blocks in _sample_alternating_ops(system, r, s, t, rng, 6)
-        ]
+    for word_ops in _random_increment_words(system, r, s, t, rng, 60, 6):
+        letters = [(leg, embed(leg, blocks)) for leg, blocks in word_ops]
         word = letters[0][1]
         for _, x in letters[1:]:
             word = word @ x

@@ -24,6 +24,7 @@ from ncprob.algebra_core import (
     StructuralError,
     cp_from_stochastic,
     diagonal_algebra,
+    diagonal_compression,
     full_matrix_algebra,
     identity_map,
     normalized_trace_state,
@@ -52,7 +53,8 @@ from ncprob.hilbert_module import (
     vector_norm,
     verify_module,
 )
-from ncprob.linalg import dag, frob
+from ncprob.dilation import random_unital_cps
+from ncprob.linalg import RANK_RTOL, dag, frob, random_density
 
 
 def module_over_self(alg):
@@ -205,6 +207,63 @@ class TestQuotient:
         info = quotient_null_space(HilbertModule(base, gram))
         assert info.residual < 1e-9
         assert info.threshold > 0
+
+
+def reference_survivors(module):
+    """The pivot loop of quotient_null_space before it took its scores from
+    one einsum and its pivot inverses from eigh: np.trace per remaining
+    generator, np.linalg.pinv per pivot."""
+    n, nb = module.rank, module.base.dim
+    s_ext = extended_gram(module)
+    threshold = float(np.linalg.eigvalsh(s_ext)[-1]) * RANK_RTOL
+    work = s_ext.copy()
+    survivors, remaining = [], list(range(n))
+    while remaining:
+        scores = [
+            float(np.trace(work[i * nb : (i + 1) * nb, i * nb : (i + 1) * nb]).real)
+            for i in remaining
+        ]
+        k = int(np.argmax(scores))
+        if scores[k] <= threshold or scores[k] <= 0.0:
+            break
+        i = remaining.pop(k)
+        survivors.append(i)
+        sl = slice(i * nb, (i + 1) * nb)
+        inv = np.linalg.pinv(work[sl, sl], rcond=1e-12, hermitian=True)
+        work -= work[:, sl] @ inv @ work[sl, :]
+    return sorted(survivors)
+
+
+def _quotient_cases():
+    m2 = full_matrix_algebra(2)
+    maps = [identity_map(m2), normalized_trace_state(m2), diagonal_compression(2, m2)]
+    maps += [
+        cp_from_stochastic(np.array([[0.5, 0.5], [0.3, 0.7]])),
+        cp_from_stochastic(np.array([[0.2, 0.3, 0.5], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]])),
+        cp_from_stochastic((np.ones((3, 3)) - np.eye(3)) / 2),
+    ]
+    for seed in (7, 42, 2003):
+        rng = np.random.default_rng(seed)
+        maps += random_unital_cps(2, rng, 20)
+        maps += [state_from_density(m2, random_density(2, rng)) for _ in range(20)]
+    modules = [gns_construct(pmap, reduce=False) for pmap in maps]
+    # products of reduced modules, as the independence realizations quotient them
+    reduced = [quotient_module(m)[0] for m in modules[6:26]]
+    for e1, e2 in zip(reduced[:10], reduced[10:]):
+        modules.append(tensor_over_base(e1, e2, reduce=False).module)
+    return modules
+
+
+def test_pivot_loop_keeps_the_reference_survivors():
+    modules = _quotient_cases()
+    dropped = 0
+    for module in modules:
+        survivors = quotient_null_space(module).survivors
+        assert survivors == reference_survivors(module)
+        dropped += len(survivors) < module.rank
+    # most random CP maps and every rank-deficient fixed map drop generators
+    # (62 of the 136 modules), so elimination is exercised, not only full rank
+    assert dropped > 40
 
 
 class TestGns:

@@ -10,29 +10,37 @@ zero.
 
 ``reference_random_alternating_word``, ``reference_random_window_operator``
 and ``reference_sample_alternating_ops`` draw letter by letter and vector
-by vector, as the package did before it drew each word as one stack.  The
-stacked draws must give the same letters, bit for bit, and leave the random
-stream in the same state after every word.
+by vector, as the package did before it drew each word as one stack, and
+``reference_random_unital_cp`` draws one map on its own algebra, as the
+package did before it drew a check's maps as one stack.  The stacked draws
+must give the same samples, bit for bit, and leave the random stream in the
+same state: k samples from one call equal k single draws.
 """
 
 import numpy as np
 import pytest
 
-from ncprob.algebra_core import diagonal_algebra, full_matrix_algebra, pauli_algebra
+from ncprob import dilation, suites
+from ncprob.algebra_core import cp_from_kraus, diagonal_algebra, full_matrix_algebra, pauli_algebra
 from ncprob.dilation import (
+    _random_increment_words,
     _random_window_vectors,
     _window_operators,
-    _sample_alternating_ops,
     central_unit_fiber,
     dilate_discrete,
     markov_scenario,
     random_unital_cp,
+    random_unital_cps,
     random_window_operator,
     scalar_fiber,
     white_noise_scenario,
 )
 from ncprob.hilbert_module import rank_one, tensor_gram
-from ncprob.independence import random_alternating_word
+from ncprob.independence import (
+    random_alternating_word,
+    random_alternating_words,
+    random_hermitian_elements,
+)
 from ncprob.linalg import block_matrix
 
 # ---------------------------------------------------------------------------
@@ -112,6 +120,14 @@ def reference_sample_alternating_ops(system, r, s, t, rng, max_word_length):
         width = (t - s) if leg == 1 else (s - r)
         letters.append((leg, reference_random_window_operator(system, width, rng)))
     return letters
+
+
+def reference_random_unital_cp(dim, rng):
+    a = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+    s = np.einsum("kba,kbc->ac", a.conj(), a)
+    lam, u = np.linalg.eigh(s)
+    inv_root = (u / np.sqrt(lam)) @ u.conj().T
+    return cp_from_kraus(full_matrix_algebra(dim), [mat @ inv_root for mat in a])
 
 
 def _same_letters(got, want) -> bool:
@@ -292,7 +308,108 @@ def test_stacked_increment_words_draw_the_per_letter_words(label):
     for r, s, t in ((0, 1, 3), (0, 2, 3)):
         rng, ref = np.random.default_rng(9), np.random.default_rng(9)
         for _ in range(25):
-            got = _sample_alternating_ops(system, r, s, t, rng, 6)
+            (got,) = _random_increment_words(system, r, s, t, rng, 1, 6)
             want = reference_sample_alternating_ops(system, r, s, t, ref, 6)
             assert _same_letters(got, want), (label, r, s, t)
             assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# k samples from one call against k single draws
+
+SEEDS = (7, 42, 2003)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("label", ["m2", "m2-diag3", "m3-pauli"])
+def test_one_call_draws_the_words_of_single_draws(label, seed):
+    alg1, alg2 = _ALGEBRAS[label]
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    words = random_alternating_words(alg1, alg2, rng, 60, 6)
+    assert len(words) == 60
+    for word in words:
+        assert _same_letters(word.letters, reference_random_alternating_word(alg1, alg2, ref, 6))
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("label", ["central-unit-m2", "scalar-base", "random-cp"])
+def test_one_call_draws_the_increment_words_of_single_draws(label, seed):
+    system = _WINDOW_TOWERS[label]()
+    # unequal window widths, and (1, 2, 3) with both legs one step wide
+    for r, s, t in ((0, 1, 3), (0, 2, 3), (1, 2, 3)):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        words = _random_increment_words(system, r, s, t, rng, 40, 6)
+        assert len(words) == 40
+        for got in words:
+            want = reference_sample_alternating_ops(system, r, s, t, ref, 6)
+            assert _same_letters(got, want), (label, r, s, t)
+        assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_call_draws_the_hermitian_elements_of_single_draws(seed):
+    m3 = full_matrix_algebra(3)
+    algebras = [_M2, diagonal_algebra(3), pauli_algebra(), m3, _M2] * 8
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = random_hermitian_elements(algebras, rng)
+    for alg, mat in zip(algebras, got):
+        d = alg.ambient_dim
+        want = _reference_element(alg, ref.normal(size=(d, d)) + 1j * ref.normal(size=(d, d)))
+        assert mat.tobytes() == want.tobytes()
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_one_call_draws_the_cp_maps_of_single_draws(dim, seed):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    maps = random_unital_cps(dim, rng, 30)
+    for pmap in maps:
+        want = reference_random_unital_cp(dim, ref)
+        assert pmap.matrix.tobytes() == want.matrix.tobytes()
+        assert pmap.domain.basis.tobytes() == want.domain.basis.tobytes()
+    assert rng.random() == ref.random()
+    # one algebra is built for the whole stack
+    assert all(pmap.domain is maps[0].domain for pmap in maps)
+    one = np.random.default_rng(seed)
+    assert random_unital_cp(dim, one).matrix.tobytes() == maps[0].matrix.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the tower's kept pairs
+
+
+@pytest.mark.parametrize(
+    "build, drops",
+    [
+        (lambda: markov_scenario((np.ones((3, 3)) - np.eye(3)) / 2, 4).system, True),
+        (lambda: dilate_discrete(random_unital_cp(2, np.random.default_rng(7)), 3).system, False),
+    ],
+    ids=["chain-zero-diagonal-h4", "random-cp-h3"],
+)
+def test_kept_pairs_are_memoised_read_only(build, drops):
+    system = build()
+    n1 = system.fiber.rank
+    dropped = False
+    for level in range(system.horizon + 1):
+        for steps in range(system.horizon - level + 1):
+            i, u = system._kept(level, steps)
+            words = system.codes[level][:, None] * n1**steps + system.codes[steps]
+            want_i, want_u = np.nonzero(np.isin(words, system.codes[level + steps]))
+            assert np.array_equal(i, want_i) and np.array_equal(u, want_u)
+            assert not i.flags.writeable and not u.flags.writeable
+            again = system._kept(level, steps)
+            assert again[0] is i and again[1] is u
+            dropped |= len(i) < words.size
+    assert dropped == drops
+
+
+@pytest.mark.parametrize("suite", ["monotone", "conditional-monotone", "white-noise"])
+def test_the_stack_size_does_not_change_a_report(monkeypatch, suite):
+    config = suites.RunConfig(seed=7, trials=30)
+    want = suites.run_suite(suite, config)
+    # 30 words in stacks of 7: four full stacks and one of 2
+    monkeypatch.setattr(suites, "WORD_STACK", 7)
+    monkeypatch.setattr(dilation, "WORD_STACK", 7)
+    assert suites.run_suite(suite, config) == want
