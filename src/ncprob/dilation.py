@@ -75,8 +75,8 @@ from .hilbert_module import (
     vector_norm,
     verify_module,
 )
-from .independence import WORD_STACK, conditional_monotone_factorization
-from .linalg import DEFAULT_TOL, block_matrix, exceeds, frob, residual_max, unblock
+from .independence import conditional_monotone_factorization, word_stacks
+from .linalg import DEFAULT_TOL, block_matrix, frob, residual_max, unblock
 
 __all__ = [
     "HorizonError",
@@ -447,35 +447,25 @@ def random_unital_cps(dim: int, rng: np.random.Generator, count: int) -> list[Po
     lam, u = np.linalg.eigh(np.einsum("nkba,nkbc->nac", a.conj(), a))
     inv_root = (u / np.sqrt(lam)[:, None]) @ np.swapaxes(u.conj(), -1, -2)
     images = kraus_images(algebra.basis, a @ inv_root[:, None])
-    coeffs, res = algebra.coords_many(images.reshape(-1, dim, dim))
-    if exceeds(res, 1e-10):
-        raise StructuralError(f"Kraus images left the algebra span (residual {res:.3e})")
+    # the full algebra spans every dim x dim matrix: no residual to guard
+    coeffs, _ = algebra.coords_many(images.reshape(-1, dim, dim))
     # map n's matrix, column j the coordinates of its image of basis element j
     matrices = np.ascontiguousarray(np.swapaxes(coeffs.reshape(count, algebra.dim, -1), 1, 2))
     return [PositiveMap(algebra, algebra, m, MapKind.CP_MAP) for m in matrices]
 
 
-def _draw_rows(system: DiscreteProductSystem, widths: list[int]) -> int:
-    """Rows of base coefficients that the vectors of operators of these widths draw."""
-    return 8 * sum(system.powers[w].rank for w in widths)
-
-
-def _random_window_vectors(
-    system: DiscreteProductSystem, widths: list[int], rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Random vectors x1, y1, x2, y2 of E_w per width w, a (4, n_w, d0, d0) stack each.
-
-    One ``rng.normal`` draws them in order, one vector at a time: its real
+def _window_draws(system: DiscreteProductSystem, widths: list[int], rng: np.random.Generator) -> np.ndarray:
+    """The one ``rng.normal`` that draws the vectors x1, y1, x2, y2 of an
+    operator on E_w per width w, in order, one vector at a time: its real
     coefficient block, then its imaginary one, each (n_w, nb) over the base
-    basis and scaled by 1/sqrt(2 n_w nb).
-    """
-    draws = rng.normal(size=(_draw_rows(system, widths), system.base.dim))
-    return _window_vectors(system, widths, draws)
+    basis."""
+    return rng.normal(size=(8 * sum(system.powers[w].rank for w in widths), system.base.dim))
 
 
 def _window_vectors(system: DiscreteProductSystem, widths: list[int], draws: np.ndarray) -> list[np.ndarray]:
-    """The vectors :func:`_random_window_vectors` makes of its normal ``draws``,
-    with one product with the base basis for all of them."""
+    """The vectors x1, y1, x2, y2 per width w that :func:`_window_draws` drew,
+    a (4, n_w, d0, d0) stack each, scaled by 1/sqrt(2 n_w nb): one product with
+    the base basis for all of them."""
     base = system.base
     nb, d0 = base.dim, base.ambient_dim
     rows = np.repeat([system.powers[w].rank for w in widths], 4)
@@ -500,18 +490,9 @@ def _window_operators(module: HilbertModule, vectors: np.ndarray) -> np.ndarray:
     return r[..., 0, :, :, :, :] + r[..., 1, :, :, :, :]
 
 
-def _random_window_blocks(
-    system: DiscreteProductSystem, widths: list[int], rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Blocks of a random operator on E_w per width w in ``widths``, drawn as
-    :func:`random_window_operator` draws one after another, with one
-    ``rng.normal`` and one stacked product per width."""
-    draws = rng.normal(size=(_draw_rows(system, widths), system.base.dim))
-    return _window_blocks(system, widths, draws)
-
-
 def _window_blocks(system: DiscreteProductSystem, widths: list[int], draws: np.ndarray) -> list[np.ndarray]:
-    """The operators :func:`_random_window_blocks` makes of its normal ``draws``."""
+    """Blocks of the operator on E_w per width w that :func:`_window_draws`
+    drew, with one stacked product per width."""
     vectors = _window_vectors(system, widths, draws)
     out: list[np.ndarray] = [None] * len(widths)
     for w in set(widths):
@@ -530,7 +511,8 @@ def random_window_operator(
     The sum of two rank-ones between dense random vectors, so the operator has
     a generically nonzero overlap with every generator and with the unit.
     """
-    return AdjointableOperator(system.powers[width], _random_window_blocks(system, [width], rng)[0])
+    (blocks,) = _window_blocks(system, [width], _window_draws(system, [width], rng))
+    return AdjointableOperator(system.powers[width], blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +594,7 @@ def verify_dilation(
         level = n_top - steps
         e = system.powers[level]
         # a* is |y><x| summed over the pairs that make a = sum |x><y|
-        va, vb = _random_window_vectors(system, [level, level], rng)
+        va, vb = _window_vectors(system, [level, level], _window_draws(system, [level, level], rng))
         a, a_star, b = _window_operators(e, np.stack([va, va[[1, 0, 3, 2]], vb]))
         ta = system.theta_blocks(a, level, steps)
         tb = system.theta_blocks(b, level, steps)
@@ -669,8 +651,7 @@ def _random_increment_words(
         first = int(rng.integers(1, 3))
         legs = [first if pos % 2 == 0 else 3 - first for pos in range(length)]
         words_legs.append(legs)
-        rows = _draw_rows(system, [widths[leg] for leg in legs])
-        draws.append(rng.normal(size=(rows, system.base.dim)))
+        draws.append(_window_draws(system, [widths[leg] for leg in legs], rng))
     letter_widths = [widths[leg] for legs in words_legs for leg in legs]
     blocks = iter(_window_blocks(system, letter_widths, np.concatenate(draws)))
     return [[(leg, next(blocks)) for leg in legs] for legs in words_legs]
@@ -720,7 +701,8 @@ def white_noise_increment_check(
     # invariance of b -> <xi, theta_n(.) xi> on sampled window operators
     invariance = 0.0
     steps = [n for n in range(1, n_top) for _ in range(4)]
-    for n, a in zip(steps, _random_window_blocks(system, [n_top - n for n in steps], rng)):
+    widths = [n_top - n for n in steps]
+    for n, a in zip(steps, _window_blocks(system, widths, _window_draws(system, widths, rng))):
         level = n_top - n
         shifted = block_matrix(system.theta_blocks(a, level, n))
         xi_low = system.units[level]
@@ -729,10 +711,8 @@ def white_noise_increment_check(
 
     expect = system.expectation
     worst = 0.0
-    for done in range(0, trials, WORD_STACK):
-        words = _random_increment_words(
-            system, r, s, t, rng, min(WORD_STACK, trials - done), max_word_length
-        )
+    for count in word_stacks(trials):
+        words = _random_increment_words(system, r, s, t, rng, count, max_word_length)
         embedded = {}
         for leg, start, width in ((1, s, t - s), (2, r, s - r)):
             ops = [op for word in words for letter_leg, op in word if letter_leg == leg]

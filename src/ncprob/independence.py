@@ -692,6 +692,13 @@ def classical_coins_oracle(
 WORD_STACK = 200
 
 
+def word_stacks(trials: int):
+    """The sizes of the stacks that ``trials`` words are drawn in: full
+    ``WORD_STACK``s, then the rest."""
+    for done in range(0, trials, WORD_STACK):
+        yield min(WORD_STACK, trials - done)
+
+
 def random_hermitian_element(algebra: MatrixStarAlgebra, rng: np.random.Generator) -> np.ndarray:
     """Hermitian element of ``algebra``: the Hermitian part of the projection
     of a random Hermitian matrix with spectrum inside [-2, 2] onto its span."""
@@ -717,10 +724,7 @@ def _hermitian_elements(algebras: list[MatrixStarAlgebra], draws: np.ndarray) ->
     for alg in {id(a): a for a in algebras}.values():
         at = [k for k, a in enumerate(algebras) if a is alg]
         d = alg.ambient_dim
-        # this algebra's draws: all of them when it is the only algebra
-        own = draws
-        if len(at) < len(algebras):
-            own = draws[np.add.outer(starts[at], np.arange(2 * d * d))]
+        own = draws[np.add.outer(starts[at], np.arange(2 * d * d))]
         c, _ = alg.coords_many(scaled_hermitian(own.reshape(len(at), 2, d, d)))
         for k, mat in zip(at, hermitian_part(alg.combine(c))):
             out[k] = mat

@@ -48,7 +48,6 @@ from .hilbert_module import gns_construct, operator_distance, tensor_over_base, 
 # unused here, but perfbench's tracer self-test rewraps this second binding
 from .hilbert_module import apply_blocks  # noqa: F401
 from .independence import (
-    WORD_STACK,
     AlternatingWord,
     ConditionalTensorProduct,
     QuantumProbabilitySpace,
@@ -63,6 +62,7 @@ from .independence import (
     random_hermitian_elements,
     tensor_moment_formula,
     tensor_realize,
+    word_stacks,
 )
 from .linalg import frob, random_density, residual_max
 from .serialization import SCHEMA_TAG
@@ -204,13 +204,6 @@ def _seeded_state_pair(rng: np.random.Generator):
     return s1, s2
 
 
-def _word_stacks(algebra1, algebra2, rng, trials: int, max_length: int):
-    """``trials`` random alternating words in stacks of at most
-    ``WORD_STACK``, each drawn in one call before any is evaluated."""
-    for done in range(0, trials, WORD_STACK):
-        yield random_alternating_words(algebra1, algebra2, rng, min(WORD_STACK, trials - done), max_length)
-
-
 def suite_monotone(config: RunConfig) -> list[dict]:
     tol = config.tolerance
     report = VerificationReport()
@@ -223,8 +216,9 @@ def suite_monotone(config: RunConfig) -> list[dict]:
     worst_word = ""
     witness_gap = 0.0
     witness_word = ""
-    for words in _word_stacks(s1.algebra, s2.algebra, rng, config.trials, config.max_word_length):
-        for word in words:
+    # each stack of words is drawn in one call before any of it is evaluated
+    for count in word_stacks(config.trials):
+        for word in random_alternating_words(s1.algebra, s2.algebra, rng, count, config.max_word_length):
             got = mono.scalar_moment(word)
             want = monotone_moment_formula(word, s1.functional, s2.functional)
             gap = abs(got - want)
@@ -288,8 +282,8 @@ def suite_conditional_monotone(config: RunConfig) -> list[dict]:
     worst_word = ""
     worst_member = 0.0
     length = min(config.max_word_length, 5)
-    for words in _word_stacks(m2, m2, rng, config.trials, length):
-        for word in words:
+    for count in word_stacks(config.trials):
+        for word in random_alternating_words(m2, m2, rng, count, length):
             got = joint.moment(word)
             want = conditional_monotone_moment_formula(word, comp, comp)
             gap = frob(got - want)

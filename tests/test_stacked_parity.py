@@ -20,12 +20,13 @@ same state: k samples from one call equal k single draws.
 import numpy as np
 import pytest
 
-from ncprob import dilation, suites
+from ncprob import independence, suites
 from ncprob.algebra_core import cp_from_kraus, diagonal_algebra, full_matrix_algebra, pauli_algebra
 from ncprob.dilation import (
     _random_increment_words,
-    _random_window_vectors,
+    _window_draws,
     _window_operators,
+    _window_vectors,
     central_unit_fiber,
     dilate_discrete,
     markov_scenario,
@@ -293,7 +294,7 @@ def test_stacked_window_operators_draw_the_per_vector_operators(label):
         assert rng.bit_generator.state == ref.bit_generator.state
     # the vectors themselves, and the swapped pairs that make an adjoint
     for width in (1, 3):
-        (got,) = _random_window_vectors(system, [width], rng)
+        (got,) = _window_vectors(system, [width], _window_draws(system, [width], rng))
         want = reference_window_vectors(system, width, ref)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
         e = system.powers[width]
@@ -410,6 +411,6 @@ def test_the_stack_size_does_not_change_a_report(monkeypatch, suite):
     config = suites.RunConfig(seed=7, trials=30)
     want = suites.run_suite(suite, config)
     # 30 words in stacks of 7: four full stacks and one of 2
-    monkeypatch.setattr(suites, "WORD_STACK", 7)
-    monkeypatch.setattr(dilation, "WORD_STACK", 7)
+    monkeypatch.setattr(independence, "WORD_STACK", 7)
+    assert list(independence.word_stacks(30)) == [7, 7, 7, 7, 2]
     assert suites.run_suite(suite, config) == want
