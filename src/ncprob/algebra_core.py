@@ -91,10 +91,6 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     @property
-    def worst_residual(self) -> float:
-        return residual_max(*(c.residual for c in self.checks))
-
-    @property
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 

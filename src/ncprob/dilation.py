@@ -29,12 +29,13 @@ embeds each leg's letters in one call, and evaluates the one factorization of
 :func:`~ncprob.independence.conditional_monotone_factorization` on the flat
 operators of each word on ``E_N``, against the word's corner value.  A
 functional that is not invariant fails both rows.
-Every lift ``theta``, identification and isometry ``V`` is one contraction,
-:meth:`DiscreteProductSystem.extend`, with the base's left action on a
-power of the fiber; each level's left action and unit are built by the
-same lift and identification from the level below.  The product-system check is one Gram identity per
-level pair ``(m, n)``: the Gram of ``E_{m+n}`` against the raw Gram of
-``E_m (x) E_n`` (:func:`~ncprob.hilbert_module.tensor_gram`).
+Every lift ``theta``, identification and isometry ``V`` is one of the
+contractions ``tensor_extend``/``tensor_lift``/``tensor_isometry`` that the
+independence realizations share, with the base's left action on a power of
+the fiber; each level's left action and unit are built by the same lift and
+identification from the level below.  The product-system check is one Gram
+identity per level pair ``(m, n)``: the Gram of ``E_{m+n}`` against the raw
+Gram of ``E_m (x) E_n`` (:func:`~ncprob.hilbert_module.tensor_gram`).
 """
 
 from __future__ import annotations
@@ -71,7 +72,10 @@ from .hilbert_module import (
     rank_one,
     rank_one_blocks,
     require_base_commutant,
+    tensor_extend,
     tensor_gram,
+    tensor_isometry,
+    tensor_lift,
     vector_norm,
     verify_module,
 )
@@ -131,8 +135,8 @@ class DiscreteProductSystem:
     order.  The identification ``E_m (x) E_n = E_{m+n}`` sends a pair of
     generators to the generator of its concatenated word, or to zero when
     that word was dropped as null.  Every lift, identification and isometry
-    is one contraction, :meth:`extend`, with the base's left action on a
-    power of the fiber.
+    is a shared contraction of :mod:`~ncprob.hilbert_module` on the pairs
+    :meth:`_kept` names.
     """
 
     base: MatrixStarAlgebra
@@ -213,47 +217,23 @@ class DiscreteProductSystem:
         return pairs
 
     def extend(self, xs: np.ndarray, level: int, steps: int) -> np.ndarray:
-        """Blocks of y -> x (x) y from E_steps into E_{level+steps}, per vector x of E_level.
-
-        ``xs`` stacks vectors as (..., n_level, d0, d0); each gets the
-        (n_{level+steps}, n_steps, d0, d0) blocks whose row (i, u'), column u
-        is rho(x[i])[u', u], with rho the base's left action on E_steps:
-        the base coordinates of the entries times that action's blocks,
-        keeping the rows of the pairs (i, u') that are generators.  Raises
-        when an entry is not in the base.
-        """
+        """Blocks of y -> x (x) y from E_steps into E_{level+steps}, per vector
+        x of a stack (..., n_level, d0, d0): ``tensor_extend`` on the kept pairs."""
         if min(level, steps) < 0 or level + steps > self.horizon:
             raise HorizonError(
                 f"E_{level} (x) E_{steps} lands past the horizon {self.horizon}"
             )
         if xs.shape[-3] != self.powers[level].rank:
             raise StructuralError(f"vectors do not live on E_{level}")
-        left = self.powers[steps].left
-        lead, n, d0 = xs.shape[:-3], xs.shape[-3], xs.shape[-1]
-        cols = left.blocks.shape[1] * d0
-        i, u = self._kept(level, steps)
-        if len(i) == n * left.blocks.shape[1]:
-            flat = left.operators(xs.reshape(-1, d0, d0))
-        else:
-            # row u' of the action weighted by x[i]'s coordinates, kept pairs only
-            acts = block_matrix(left.blocks)
-            coeffs = left.coords_of(xs.reshape(-1, d0, d0)).reshape(*lead, n, len(acts))
-            rows = acts.reshape(len(acts), -1, d0 * cols)[:, u]
-            flat = np.einsum("...pm,mpx->...px", coeffs[..., i, :], rows)
-        return unblock(flat.reshape(*lead, -1, cols), d0)
+        return tensor_extend(self.powers[steps].left, xs, self._kept(level, steps))
 
     def identify(self, m: int, n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The Gram-preserving identification E_m (x) E_n -> E_{m+n}."""
         return apply_blocks(self.extend(x, m, n), y)
 
     def theta_blocks(self, blocks: np.ndarray, from_level: int, steps: int) -> np.ndarray:
-        """Lift operator blocks on E_from to E_{from+steps} as a (x) id.
-
-        ``blocks`` may be a stack (..., n, n, d0, d0) of operators.  Column
-        (w, u) of a lift is (a e_w) (x) e_u: :meth:`extend` of the columns,
-        with each column's index moved next to u, for the pairs (w, u) that
-        are generators (all of them, and no gather, when none is null).
-        """
+        """Lift operator blocks on E_from to E_{from+steps} as a (x) id, for a
+        stack (..., n, n, d0, d0) of them: ``tensor_lift`` on the kept pairs."""
         target = from_level + steps
         if target > self.horizon:
             raise HorizonError(
@@ -264,14 +244,7 @@ class DiscreteProductSystem:
             raise StructuralError("operator does not live on the stated level")
         if steps == 0:
             return np.asarray(blocks, dtype=complex)
-        d0 = blocks.shape[-1]
-        w, u = self._kept(from_level, steps)
-        # flat (..., w, (w', u'), u) -> ((w', u'), w, u) -> ((w', u'), kept (w, u))
-        flat = block_matrix(self.extend(np.swapaxes(blocks, -4, -3), from_level, steps))
-        lifted = np.swapaxes(flat, -3, -2)
-        if len(w) < n * self.powers[steps].rank:
-            lifted = lifted.reshape(*lifted.shape[:-1], -1, d0)[..., w, u, :]
-        return unblock(lifted.reshape(*lifted.shape[:-2], -1), d0)
+        return tensor_lift(self.powers[steps].left, blocks, self._kept(from_level, steps))
 
     def level_of(self, op: AdjointableOperator) -> int:
         """Which power of the tower an operator lives on (by identity)."""
@@ -281,24 +254,13 @@ class DiscreteProductSystem:
         raise StructuralError("operator does not live on a power of this system")
 
     def isometry_blocks(self, width: int, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """V : E_width -> E_level, y -> xi_{level-width} (x) y, and V*.
-
-        ``V*`` sends e_p (x) e_u to <xi_gap, e_p> . e_u: the overlaps of the
-        unit vector with the generators of E_gap, as vectors of E_0, each
-        extended to an operator on E_width, side by side, for the pairs
-        (p, u) that are generators.
-        """
+        """V : E_width -> E_level, y -> xi_{level-width} (x) y, and V*: the
+        ``tensor_isometry`` pair of the unit of E_gap on the kept pairs."""
         gap = level - width
         if gap < 0:
             raise HorizonError("window is wider than the ambient level")
-        d0 = self.base.ambient_dim
-        v = self.extend(self.units[gap], gap, width)
-        row = self.units[gap].reshape(-1, d0).conj().T @ block_matrix(self.powers[gap].gram)
-        overlaps = np.swapaxes(row.reshape(d0, -1, d0), 0, 1) @ self.base.unit
-        flat = block_matrix(self.extend(overlaps[:, None], 0, width))
-        p, u = self._kept(gap, width)
-        pairs = np.swapaxes(flat, 0, 1).reshape(flat.shape[1], len(flat), -1, d0)[:, p, u]
-        return v, unblock(pairs.reshape(flat.shape[1], -1), d0)
+        left, gram = self.powers[width].left, self.powers[gap].gram
+        return tensor_isometry(left, self.units[gap], gram, self._kept(gap, width))
 
     def embed_window(self, blocks: np.ndarray, width: int, start: int) -> np.ndarray:
         """Flat operators on E_N of a stack of operators of the window [start, start+width].

@@ -74,6 +74,9 @@ __all__ = [
     "quotient_module",
     "gns_construct",
     "tensor_gram",
+    "tensor_extend",
+    "tensor_lift",
+    "tensor_isometry",
     "tensor_over_base",
     "ModuleTensor",
     "require_base_commutant",
@@ -320,10 +323,6 @@ class QuotientInfo:
     def rewrite_vector(self, x: np.ndarray) -> np.ndarray:
         return apply_blocks(self.rewrite, x)
 
-    def rewrite_operator_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """R blocks J, for one operator or a stack of them; J keeps the survivors' columns."""
-        return compose_blocks(self.rewrite, blocks[..., self.survivors, :, :])
-
 
 def quotient_null_space(module: HilbertModule) -> QuotientInfo:
     """Greedy minimal generating subset over the base algebra.
@@ -393,7 +392,8 @@ def quotient_module(module: HilbertModule) -> tuple[HilbertModule, QuotientInfo]
     gram = module.gram[np.ix_(info.survivors, info.survivors)]
     left = None
     if module.left is not None:
-        blocks = info.rewrite_operator_blocks(module.left.blocks)
+        # R blocks J, with J keeping the survivors' columns
+        blocks = compose_blocks(info.rewrite, module.left.blocks[..., info.survivors, :, :])
         left = LeftAction(module.left.algebra, blocks)
     distinguished = {k: info.rewrite_vector(v) for k, v in module.distinguished.items()}
     return HilbertModule(module.base, gram, left, distinguished), info
@@ -466,62 +466,90 @@ def require_base_commutant(module: HilbertModule, s: AdjointableOperator) -> Non
             )
 
 
+def tensor_extend(left: LeftAction, xs: np.ndarray, kept: tuple | None = None) -> np.ndarray:
+    """Blocks of y -> x (x) y from F into E (x)_B F, per vector x of E.
+
+    ``left`` is the base's action on F; ``xs`` stacks vectors of E as (...,
+    n, d0, d0).  Row (i, u'), column u of each is rho(x[i])[u', u]: the
+    entries' base coordinates times the action's blocks, on the pairs of
+    ``kept``, index arrays (i, u') (all ``n * n_F`` pairs, row-major, when
+    None).  Raises when an entry is not in the base.
+    """
+    lead, n, d0 = xs.shape[:-3], xs.shape[-3], xs.shape[-1]
+    cols = left.blocks.shape[1] * d0
+    if kept is None or len(kept[0]) == n * left.blocks.shape[1]:
+        flat = left.operators(xs.reshape(-1, d0, d0))
+    else:
+        # row u' of the action weighted by x[i]'s coordinates, kept pairs only
+        i, u = kept
+        acts = block_matrix(left.blocks)
+        coeffs = left.coords_of(xs.reshape(-1, d0, d0)).reshape(*lead, n, len(acts))
+        rows = acts.reshape(len(acts), -1, d0 * cols)[:, u]
+        flat = np.einsum("...pm,mpx->...px", coeffs[..., i, :], rows)
+    return unblock(flat.reshape(*lead, -1, cols), d0)
+
+
+def tensor_lift(left: LeftAction, blocks: np.ndarray, kept: tuple | None = None) -> np.ndarray:
+    """Blocks of S (x) id on E (x)_B F, per operator S of a stack (..., n, n, d0, d0).
+
+    Column (w, u) is (S e_w) (x) e_u: :func:`tensor_extend` of the columns,
+    each column's index moved next to u, on the pairs (w, u) of ``kept``.
+    """
+    n, d0 = blocks.shape[-3], blocks.shape[-1]
+    # flat (..., w, (w', u'), u) -> ((w', u'), w, u) -> ((w', u'), kept (w, u))
+    flat = block_matrix(tensor_extend(left, np.swapaxes(blocks, -4, -3), kept))
+    lifted = np.swapaxes(flat, -3, -2)
+    if kept is not None and len(kept[0]) < n * left.blocks.shape[1]:
+        lifted = lifted.reshape(*lifted.shape[:-1], -1, d0)[..., kept[0], kept[1], :]
+    return unblock(lifted.reshape(*lifted.shape[:-2], -1), d0)
+
+
+def tensor_isometry(
+    left: LeftAction, xi: np.ndarray, gram: np.ndarray, kept: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """V : F -> E (x)_B F, y -> xi (x) y, and V* : e_p (x) e_u -> <xi, e_p> . e_u.
+
+    ``xi`` is a vector of E, whose Gram is ``gram``.  ``V*`` extends the
+    overlaps <xi, e_p>, as vectors of B, to operators on F, side by side,
+    on the pairs (p, u) of ``kept``.
+    """
+    d0 = xi.shape[-1]
+    v = tensor_extend(left, xi, kept)
+    row = xi.reshape(-1, d0).conj().T @ block_matrix(gram)
+    overlaps = np.swapaxes(row.reshape(d0, -1, d0), 0, 1) @ left.algebra.unit
+    flat = block_matrix(tensor_extend(left, overlaps[:, None]))
+    pairs = np.swapaxes(flat, 0, 1).reshape(flat.shape[1], len(flat), -1, d0)
+    pairs = pairs if kept is None else pairs[:, kept[0], kept[1]]
+    return v, unblock(pairs.reshape(flat.shape[1], -1), d0)
+
+
 @dataclass
 class ModuleTensor:
-    """Interior tensor product of two modules over the left factor's base.
-
-    ``pairs[k] = (i, j)`` names the image of ``e_i o e_j`` among the raw
-    generators, row-major (``k = i * n2 + j``, which the flat products rely
-    on).  With ``reduce=True`` (the default, as in the independence
-    realizations) the published ``module`` keeps a minimal generating
-    subset and ``info`` rewrites raw generators over it.  With
-    ``reduce=False`` ``module`` is the raw product on all ``n1 * n2``
-    pairs, null ones included, and ``info`` is None.
+    """E1 (x)_B E2 on all ``n1 * n2`` pairs e_i o e_j, row-major, null ones
+    included: the semi-inner product already fixes inner products and
+    adjointable operators on them.  The maps are the tower's contractions
+    with no kept pairs.  The class and :func:`tensor_over_base` stay only
+    because ``perfbench`` traces their names; they go with those traces.
     """
 
     module: HilbertModule
-    pairs: list[tuple[int, int]]
-    info: QuotientInfo | None
     left_factor: HilbertModule
     right_factor: HilbertModule
 
     def tensor_vector(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Image of the elementary tensor x o y."""
-        e2 = self.right_factor
-        if e2.left is None:
-            raise StructuralError("right factor has no left action of the base")
-        # (x o y) on the pair (i, j) is (x[i] . y)[j] = sum_m x[i]_m (beta_m . y)[j]
-        coeffs = e2.left.coords_of(x)
-        moved = block_matrix(e2.left.blocks) @ _flat_vector(y)
-        raw = (coeffs @ moved.reshape(len(moved), -1)).reshape(-1, *y.shape[1:])
-        return raw if self.info is None else self.info.rewrite_vector(raw)
+        return apply_blocks(tensor_extend(self.right_factor.left, x), y)
 
     def op_left(self, s: AdjointableOperator) -> AdjointableOperator:
         """S o id for an adjointable S on the left factor."""
-        return AdjointableOperator(self.module, self._reduce(self._op_left_raw(s.blocks[None])[0]))
-
-    def _op_left_raw(self, s_blocks: np.ndarray) -> np.ndarray:
-        """Flat S o id on the raw pairs, for a stack (k, n1, n1, d0, d0) of S.
-
-        (S o id)(e_i o e_j) = sum_I e_I o (s[I, i] . e_j): the coordinates of
-        every entry s[I, i] times the right factor's action, one product.
-        """
-        k, n1, d0 = s_blocks.shape[0], s_blocks.shape[1], s_blocks.shape[-1]
-        raw = self.right_factor.left.operators(s_blocks.reshape(-1, d0, d0))
-        w = raw.shape[-1]
-        return raw.reshape(k, n1, n1, w, w).transpose(0, 1, 3, 2, 4).reshape(k, n1 * w, n1 * w)
+        return AdjointableOperator(self.module, tensor_lift(self.right_factor.left, s.blocks))
 
     def op_right(self, s: AdjointableOperator) -> AdjointableOperator:
         """id o S; requires S to commute with the base action on the right factor."""
         require_base_commutant(self.right_factor, s)
         # (id o S)(e_i o e_j) = e_i o S e_j: S on the right slot of every e_i
         raw = np.kron(np.eye(self.left_factor.rank), block_matrix(s.blocks))
-        return AdjointableOperator(self.module, self._reduce(raw))
-
-    def _reduce(self, raw: np.ndarray) -> np.ndarray:
-        """R raw J: flat operators on the raw pairs, rewritten over the survivors."""
-        blocks = unblock(raw, self.module.base.ambient_dim)
-        return blocks if self.info is None else self.info.rewrite_operator_blocks(blocks)
+        return AdjointableOperator(self.module, unblock(raw, self.module.base.ambient_dim))
 
 
 def tensor_gram(e1: HilbertModule, e2: HilbertModule) -> np.ndarray:
@@ -544,15 +572,14 @@ def tensor_gram(e1: HilbertModule, e2: HilbertModule) -> np.ndarray:
     return unblock(g.transpose(0, 2, 1, 3).reshape(n1 * n2 * d0, n1 * n2 * d0), d0)
 
 
-def tensor_over_base(e1: HilbertModule, e2: HilbertModule, reduce: bool = True) -> ModuleTensor:
-    """Interior tensor product E1 (x)_B E2.
+def tensor_over_base(e1: HilbertModule, e2: HilbertModule) -> ModuleTensor:
+    """Interior tensor product E1 (x)_B E2 on all pairs of generators.
 
     ``e2`` must carry a left action of the base algebra of ``e1``; relations
     x b o y = x o b y hold automatically because inner products are computed
     through that action:  < x1 o y1, x2 o y2 > = < y1, <x1, x2> . y2 >.
     The left action carried by the result is the one of ``e1``'s acting
-    algebra through ``a . (x o y) = (a x) o y``.  ``reduce=False`` keeps
-    the raw product; see :class:`ModuleTensor`.
+    algebra through ``a . (x o y) = (a x) o y``; see :class:`ModuleTensor`.
     """
     if not e1.base.same_basis(e2.base):
         raise StructuralError("the factors are modules over different base algebras")
@@ -560,19 +587,16 @@ def tensor_over_base(e1: HilbertModule, e2: HilbertModule, reduce: bool = True) 
         raise StructuralError(
             "the right factor must carry a left action of the left factor's base algebra"
         )
-    raw = HilbertModule(e2.base, tensor_gram(e1, e2))
-    reduced, info = quotient_module(raw) if reduce else (raw, None)
-    pairs = [(i, j) for i in range(e1.rank) for j in range(e2.rank)]
-    tensor = ModuleTensor(reduced, pairs, info, e1, e2)
+    product = HilbertModule(e2.base, tensor_gram(e1, e2))
+    tensor = ModuleTensor(product, e1, e2)
 
     # push the left action and distinguished vectors through
     if e1.left is not None:
-        blocks = tensor._reduce(tensor._op_left_raw(e1.left.blocks))
-        reduced.left = LeftAction(e1.left.algebra, blocks)
+        product.left = LeftAction(e1.left.algebra, tensor_lift(e2.left, e1.left.blocks))
     for name1, v1 in e1.distinguished.items():
         for name2, v2 in e2.distinguished.items():
             key = name1 if name1 == name2 else f"{name1}|{name2}"
-            reduced.distinguished[key] = tensor.tensor_vector(v1, v2)
+            product.distinguished[key] = tensor.tensor_vector(v1, v2)
     return tensor
 
 

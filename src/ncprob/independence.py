@@ -43,7 +43,6 @@ from .hilbert_module import (
     AdjointableOperator,
     HilbertModule,
     adjoint_gap,
-    apply_blocks,
     compose_blocks,
     extended_gram,
     gns_construct,
@@ -52,6 +51,7 @@ from .hilbert_module import (
     operator_distance,
     rank_one,
     restrict_left_action,
+    tensor_isometry,
     tensor_over_base,
     trivial_left_action,
 )
@@ -144,10 +144,6 @@ class AlternatingWord:
     def label(self) -> str:
         """The leg sequence, e.g. ``legs 1212``, as reports name a word."""
         return "legs " + "".join(str(leg) for leg, _ in self.letters)
-
-    def check_membership(self, algebra1: MatrixStarAlgebra, algebra2: MatrixStarAlgebra) -> None:
-        for k, (leg, mat) in enumerate(self.letters):
-            _letter_coords(k, leg, mat, algebra1 if leg == 1 else algebra2)
 
 
 def _letter_coords(k: int, leg: int, mat: np.ndarray, alg: MatrixStarAlgebra) -> np.ndarray:
@@ -397,9 +393,10 @@ def conditional_monotone_embed(
 
     i.e. project the first slot onto its unit vector, move the inner product
     across the tensor sign as a left base-action on the second slot, then
-    apply a2.  This is an operator even when a2 fails to commute with the
-    base action, which is exactly why the construction works where a naive
-    id-tensor-a2 does not.
+    apply a2: ``V a2 V*`` with ``V y = 1 o y``, the product system's isometry
+    pair, on the raw product.  This is an operator even when a2 fails to
+    commute with the base action, which is exactly why the construction
+    works where a naive id-tensor-a2 does not.
     """
     base = e1.base
     if e1.left is None or e2.left is None:
@@ -417,13 +414,8 @@ def conditional_monotone_embed(
     tensor = tensor_over_base(e1, e2b)
     carrier = tensor.module
     vac = carrier.distinguished["unit"]
-
-    # x2 -> 1 o x2 as blocks from E2 to the carrier, and the column of every
-    # surviving pair (i, j): <1, e_i> . e_j, the overlap moved across
-    put = np.stack([tensor.tensor_vector(xi1, e2.generator(k)) for k in range(e2.rank)], axis=1)
-    moves = [e2b.left.blocks_of(e1.inner(xi1, e1.generator(i))) for i in range(e1.rank)]
-    survivors = [tensor.pairs[s] for s in tensor.info.survivors]
-    moved = np.stack([apply_blocks(moves[i], e2.generator(j)) for i, j in survivors], axis=1)
+    # V y = 1 o y from E2 to the carrier, and V*(x1 o x2) = <1, x1> . x2
+    put, moved = tensor_isometry(e2b.left, xi1, e1.gram)
 
     def embed1(a):
         return tensor.op_left(left_action_operator(e1, a))

@@ -102,11 +102,6 @@ def unblock(mat: np.ndarray, d: int) -> np.ndarray:
     return np.swapaxes(mat.reshape(*lead, rows // d, d, cols // d, d), -3, -2)
 
 
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random Hermitian matrix with spectrum inside [-2, 2]."""
-    return scaled_hermitian(rng.normal(size=(1, 2, dim, dim)))[0]
-
-
 def scaled_hermitian(draws: np.ndarray) -> np.ndarray:
     """Hermitian parts of ``draws[k, 0] + i draws[k, 1]`` for a stack (k, 2, d, d)
     of normal draws, each scaled to spectral radius 2 (a zero one stays zero)."""

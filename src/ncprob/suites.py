@@ -175,10 +175,10 @@ def suite_module(config: RunConfig) -> list[dict]:
     triple_maps = random_unital_cps(2, rng, 30)
     for k in range(10):
         e1, e2, e3 = (gns_construct(pmap, reduce=True) for pmap in triple_maps[3 * k : 3 * k + 3])
-        left_first = tensor_over_base(e1, e2, reduce=False)
-        right_first = tensor_over_base(e2, e3, reduce=False)
-        g_left = tensor_over_base(left_first.module, e3, reduce=False).module.gram
-        g_right = tensor_over_base(e1, right_first.module, reduce=False).module.gram
+        left_first = tensor_over_base(e1, e2)
+        right_first = tensor_over_base(e2, e3)
+        g_left = tensor_over_base(left_first.module, e3).module.gram
+        g_right = tensor_over_base(e1, right_first.module).module.gram
         worst = residual_max(worst, float(np.abs(g_left - g_right).max()))
     report.add("tensor-associativity", worst, assoc_tol, "10 seeded module triples; fixed tolerance 1e-10")
 

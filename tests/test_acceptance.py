@@ -195,8 +195,8 @@ def test_criterion_06_tensor_associativity():
     for _ in range(10):
         e1, e2, e3 = (gns_construct(random_unital_cp(2, rng)) for _ in range(3))
         assert e1.base.dim <= 4
-        left = tensor_over_base(tensor_over_base(e1, e2, reduce=False).module, e3, reduce=False)
-        right = tensor_over_base(e1, tensor_over_base(e2, e3, reduce=False).module, reduce=False)
+        left = tensor_over_base(tensor_over_base(e1, e2).module, e3)
+        right = tensor_over_base(e1, tensor_over_base(e2, e3).module)
         worst = max(worst, float(np.abs(left.module.gram - right.module.gram).max()))
     assert worst <= 1e-10
 

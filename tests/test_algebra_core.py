@@ -42,9 +42,14 @@ from ncprob.algebra_core import (
     verify_algebra,
     verify_positive_map,
 )
-from ncprob.linalg import dag, frob, min_eig, random_density, random_hermitian
+from ncprob.linalg import dag, frob, min_eig, random_density, scaled_hermitian
 
 RNG = np.random.default_rng(20260817)
+
+
+def random_hermitian(dim, rng):
+    """Random Hermitian matrix with spectrum inside [-2, 2]."""
+    return scaled_hermitian(rng.normal(size=(1, 2, dim, dim)))[0]
 
 
 def e(i, j, d=2):

@@ -98,10 +98,8 @@ def tower(request):
 
     In the pruned chain state 0 is absorbing, so paths leaving it have
     weight zero and the tower drops their words.  The tower quotients the
-    dependent fiber to its two independent generators.  The raw tensor
-    products of :func:`raw` keep every pair; the reduced ones of
-    :func:`reduced` drop null pairs and rewrite dependent pairs over the
-    survivors with nonzero coefficients.
+    dependent fiber to its two independent generators.  The tensor products
+    of :func:`raw` keep every pair.
     """
     if request.param == "random-cp":
         return dilate_discrete(random_unital_cp(2, np.random.default_rng(5)), 3).system
@@ -118,7 +116,7 @@ def chain():
 
 def raw(system, level):
     """E_level (x) E_1 on all pairs, null ones included."""
-    return tensor_over_base(system.powers[level], system.fiber, reduce=False)
+    return tensor_over_base(system.powers[level], system.fiber)
 
 
 def kept_pairs(system, level):
@@ -126,16 +124,6 @@ def kept_pairs(system, level):
     n1 = system.fiber.rank
     pairs = (system.codes[level][:, None] * n1 + np.arange(n1)).ravel()
     return np.flatnonzero(np.isin(pairs, system.codes[level + 1]))
-
-
-def reduced(system, level):
-    """E_level (x) F on a minimal generating subset of the raw pairs.
-
-    F is the tower's fiber, except over the scalars, where it is the
-    dependent fiber as given, before the tower quotients it.
-    """
-    right = dependent_fiber() if system.base.dim == 1 else system.fiber
-    return tensor_over_base(system.powers[level], right, reduce=True)
 
 
 def words(system, k):
@@ -148,21 +136,15 @@ def word_index(system, w):
     return words(system, len(w)).index(tuple(w))
 
 
+def pairs(tensor):
+    """The raw pairs (i, j) of a tensor product, row-major."""
+    return list(itertools.product(range(tensor.left_factor.rank), range(tensor.right_factor.rank)))
+
+
 def loop_tensor_vector(tensor, x, y):
     """x o y by the definition: (x[i] . y)[j] on every raw pair (i, j)."""
     e2 = tensor.right_factor
-    raw = np.stack([ref_apply(e2.left.blocks_of(x[i]), y)[j] for i, j in tensor.pairs])
-    info = tensor.info
-    return raw if info is None else ref_apply(info.rewrite, raw)
-
-
-def loop_rewrite(tensor, raw_blocks):
-    """R raw J, with J selecting the survivors among the raw pairs and R
-    rewriting the raw pairs over them; the raw blocks when nothing is reduced."""
-    info = tensor.info
-    if info is None:
-        return raw_blocks
-    return ref_compose(info.rewrite, raw_blocks[:, info.survivors])
+    return np.stack([ref_apply(e2.left.blocks_of(x[i]), y)[j] for i, j in pairs(tensor)])
 
 
 def loop_word_gram(fiber, word):
@@ -176,22 +158,22 @@ def loop_word_gram(fiber, word):
 
 def loop_op_left(tensor, s_blocks):
     e2 = tensor.right_factor
-    n = len(tensor.pairs)
-    raw = np.zeros((n, n, *s_blocks.shape[2:]), dtype=complex)
-    for a, (ii, jj) in enumerate(tensor.pairs):
-        for b, (i, j) in enumerate(tensor.pairs):
+    ps = pairs(tensor)
+    raw = np.zeros((len(ps), len(ps), *s_blocks.shape[2:]), dtype=complex)
+    for a, (ii, jj) in enumerate(ps):
+        for b, (i, j) in enumerate(ps):
             raw[a, b] = e2.left.blocks_of(s_blocks[ii, i])[jj, j]
-    return loop_rewrite(tensor, raw)
+    return raw
 
 
 def loop_op_right(tensor, s_blocks):
-    n = len(tensor.pairs)
-    raw = np.zeros((n, n, *s_blocks.shape[2:]), dtype=complex)
-    for a, (ii, jj) in enumerate(tensor.pairs):
-        for b, (i, j) in enumerate(tensor.pairs):
+    ps = pairs(tensor)
+    raw = np.zeros((len(ps), len(ps), *s_blocks.shape[2:]), dtype=complex)
+    for a, (ii, jj) in enumerate(ps):
+        for b, (i, j) in enumerate(ps):
             if ii == i:
                 raw[a, b] = s_blocks[jj, j]
-    return loop_rewrite(tensor, raw)
+    return raw
 
 
 def loop_extend(system, v, letters, level):
@@ -210,10 +192,10 @@ def test_tensor_vector_matches_loop(tower):
     rng = np.random.default_rng(0)
     for level in (1, 2):
         x = random_window_operator(system, level, rng).blocks[:, 0]
-        for tensor in (raw(system, level), reduced(system, level)):
-            right = tensor.right_factor
-            y = right.distinguished["unit"] + 0.5 * right.generator(1)
-            assert frob(tensor.tensor_vector(x, y) - loop_tensor_vector(tensor, x, y)) < 1e-12
+        tensor = raw(system, level)
+        right = tensor.right_factor
+        y = right.distinguished["unit"] + 0.5 * right.generator(1)
+        assert frob(tensor.tensor_vector(x, y) - loop_tensor_vector(tensor, x, y)) < 1e-12
 
 
 def test_op_left_matches_loop(tower):
@@ -221,18 +203,17 @@ def test_op_left_matches_loop(tower):
     rng = np.random.default_rng(1)
     for level in (1, 2):
         s = random_window_operator(system, level, rng)
-        for tensor in (raw(system, level), reduced(system, level)):
-            lifted = tensor.op_left(s)
-            assert frob(lifted.blocks - loop_op_left(tensor, s.blocks)) < 1e-12
+        tensor = raw(system, level)
+        assert frob(tensor.op_left(s).blocks - loop_op_left(tensor, s.blocks)) < 1e-12
 
 
 def test_op_right_matches_loop(chain):
     # over the commutative base of a chain, the action of a function commutes
-    # with the base action, so id o S is defined; the pruned chain's reduced
-    # tensor rewrites over its surviving pairs
+    # with the base action, so id o S is defined; the pruned chain's product
+    # has exactly null pairs, from its zero transition
     pruned = markov_scenario(np.array([[1.0, 0.0], [0.5, 0.5]]), 3).system
-    pruned_tensor = reduced(pruned, 2)
-    assert len(pruned_tensor.info.survivors) < len(pruned_tensor.pairs)
+    pruned_tensor = raw(pruned, 2)
+    assert len(kept_pairs(pruned, 2)) < pruned_tensor.module.rank
     s_blocks = left_action_operator(chain.fiber, np.diag([0.3, -1.2]).astype(complex)).blocks
     for system, tensor in ((chain, raw(chain, 2)), (pruned, pruned_tensor)):
         right = tensor.op_right(AdjointableOperator(system.fiber, s_blocks))
@@ -352,12 +333,11 @@ def test_levels_equal_the_raw_tensor_product_on_the_kept_pairs(tower):
 
 
 def test_raw_tensor_keeps_every_pair():
-    # the absorbing chain has exactly null pairs; reduce=False keeps them all
+    # the absorbing chain has exactly null pairs; the product keeps them all
     pruned = markov_scenario(np.array([[1.0, 0.0], [0.5, 0.5]]), 3).system
     tensor = raw(pruned, 2)
     n = pruned.powers[2].rank * pruned.fiber.rank
-    assert tensor.info is None
-    assert tensor.module.rank == len(tensor.pairs) == n
+    assert tensor.module.rank == len(pairs(tensor)) == n
     diagonal = tensor.module.gram[np.arange(n), np.arange(n)]
     assert not diagonal.any(axis=(1, 2)).all()
     assert len(kept_pairs(pruned, 2)) < n
@@ -370,3 +350,31 @@ def test_operators_stack_the_blocks_of_each_element(tower):
     elements = np.einsum("km,mab->kab", coeffs, left.algebra.basis)
     want = np.stack([block_matrix(left.blocks_of(a)) for a in elements])
     assert np.array_equal(left.operators(elements), want)
+
+
+@pytest.fixture(scope="module", params=["random-cp-h3", "zero-diagonal-chain-h4"])
+def shared_tower(request):
+    """A random-CP tower, which keeps every pair, and the 3-state chain with a
+    zero diagonal, whose tower drops the words that repeat a letter."""
+    if request.param == "random-cp-h3":
+        return dilate_discrete(random_unital_cp(2, np.random.default_rng(11)), 3).system
+    return markov_scenario((np.ones((3, 3)) - np.eye(3)) / 2, 4).system
+
+
+def test_tower_and_tensor_share_one_contraction(shared_tower):
+    # theta and V on E_k (x) E_1 are the tensor product's S o id and xi_k o .,
+    # restricted to the pairs the tower keeps
+    system = shared_tower
+    rng = np.random.default_rng(8)
+    for k in (1, 2):
+        tensor = raw(system, k)
+        kept = kept_pairs(system, k)
+        a = random_window_operator(system, k, rng)
+        lifted = tensor.op_left(a).blocks[np.ix_(kept, kept)]
+        assert frob(system.theta_blocks(a.blocks, k, 1) - lifted) < 1e-12
+        v, _ = system.isometry_blocks(1, k + 1)
+        for u in range(system.fiber.rank):
+            column = tensor.tensor_vector(system.units[k], system.fiber.generator(u))[kept]
+            assert frob(v[:, u] - column) < 1e-12
+    if system.base.dim == 3:
+        assert len(kept_pairs(system, 2)) < raw(system, 2).module.rank

@@ -250,7 +250,7 @@ def _quotient_cases():
     # products of reduced modules, as the independence realizations quotient them
     reduced = [quotient_module(m)[0] for m in modules[6:26]]
     for e1, e2 in zip(reduced[:10], reduced[10:]):
-        modules.append(tensor_over_base(e1, e2, reduce=False).module)
+        modules.append(tensor_over_base(e1, e2).module)
     return modules
 
 

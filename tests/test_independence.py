@@ -7,6 +7,7 @@ realizations must reproduce them.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -40,10 +41,25 @@ from ncprob import (
     verify_independence,
     verify_positive_map,
 )
-from ncprob.linalg import dag, frob, random_density, random_hermitian
+from ncprob import independence, suites
+from ncprob.hilbert_module import (
+    AdjointableOperator,
+    apply_blocks,
+    compose_blocks,
+    quotient_module,
+    restrict_left_action,
+    tensor_over_base,
+)
+from ncprob.independence import _letter_coords
+from ncprob.linalg import dag, frob, random_density, scaled_hermitian, unblock
 
 X = np.diag([1.0, -1.0]).astype(complex)
 I2 = np.eye(2, dtype=complex)
+
+
+def random_hermitian(dim, rng):
+    """Random Hermitian matrix with spectrum inside [-2, 2]."""
+    return scaled_hermitian(rng.normal(size=(1, 2, dim, dim)))[0]
 
 
 def two_point_space(p_up: float) -> QuantumProbabilitySpace:
@@ -170,7 +186,7 @@ def test_formulas_match_realizations_on_matrix_states():
         words,
         tol=1e-9,
     )
-    assert rep.passed, f"monotone worst residual {rep.worst_residual}"
+    assert rep.passed, rep.failures
 
     tens = tensor_realize(s1, s2)
     rep = verify_independence(
@@ -179,7 +195,7 @@ def test_formulas_match_realizations_on_matrix_states():
         words,
         tol=1e-9,
     )
-    assert rep.passed, f"tensor worst residual {rep.worst_residual}"
+    assert rep.passed, rep.failures
 
 
 def test_wrong_oracle_is_rejected(coin_pair):
@@ -329,6 +345,45 @@ def test_a_similarity_on_leg2_fails_leg2_star_only(build):
     assert rows["leg1-star"].passed and rows["leg1-multiplicative"].passed
 
 
+def test_leg2_is_the_projected_form_on_every_raw_pair(compressed_pair):
+    # x1 o x2 -> 1 o a2 <1, x1> x2 by the definition, one raw pair (i, j) at
+    # a time, with x o y = sum_I e_I o (x[I] . y) on the pairs (I, J)
+    m2, comp, real = compressed_pair
+    e1 = gns_construct(comp)
+    e2 = gns_construct(comp)
+    action = restrict_left_action(e2.left, comp.codomain)
+    xi1 = e1.distinguished["unit"]
+
+    def elementary(x, y):
+        return np.stack([apply_blocks(action.blocks_of(x[i]), y)[j] for i in range(e1.rank) for j in range(e2.rank)])
+
+    a2 = random_hermitian(2, np.random.default_rng(3)) + 0.5j * np.array([[0, 1], [-1, 0]])
+    got = real.embed2(a2).blocks
+    assert got.shape[:2] == (e1.rank * e2.rank, e1.rank * e2.rank)
+    for col, (i, j) in enumerate(itertools.product(range(e1.rank), range(e2.rank))):
+        moved = apply_blocks(action.blocks_of(e1.inner(xi1, e1.generator(i))), e2.generator(j))
+        want = elementary(xi1, apply_blocks(e2.left.blocks_of(a2), moved))
+        assert frob(got[:, col] - want) < 1e-12
+
+
+def test_leg2_without_the_overlap_fails_the_formula(monkeypatch):
+    """Negative control: V* sends e_i o e_j to e_j, dropping <1, e_i>."""
+    honest = independence.tensor_isometry
+
+    def overlap_dropped(left, xi, gram, kept=None):
+        v, _ = honest(left, xi, gram, kept)
+        n1, n2, d0 = len(gram), v.shape[1], xi.shape[-1]
+        return v, unblock(np.tile(np.kron(np.eye(n2), left.algebra.unit), n1), d0)
+
+    config = suites.RunConfig(seed=7, trials=30)
+    rows = {r["name"]: r for r in suites.suite_conditional_monotone(config)}
+    assert rows["realization-matches-formula"]["passed"]
+    monkeypatch.setattr(independence, "tensor_isometry", overlap_dropped)
+    rows = {r["name"]: r for r in suites.suite_conditional_monotone(config)}
+    assert not rows["realization-matches-formula"]["passed"]
+    assert rows["realization-matches-formula"]["residual"] > 1e-3
+
+
 def test_sandwich_identity(compressed_pair):
     """embed2(a) embed1(b) embed2(c) = embed2(a E1(b) c) as operators."""
     m2, comp, real = compressed_pair
@@ -428,6 +483,41 @@ def test_coins_amalgamated_expectation_verifies():
     assert prod.algebra.dim == 8
 
 
+class _QuotientedTensor:
+    """A tensor product moved onto a minimal generating subset of its pairs,
+    operators rewritten over the survivors as R blocks J."""
+
+    def __init__(self, tensor):
+        self.raw = tensor
+        self.module, self.info = quotient_module(tensor.module)
+
+    def _rewrite(self, op):
+        blocks = compose_blocks(self.info.rewrite, op.blocks[:, self.info.survivors])
+        return AdjointableOperator(self.module, blocks)
+
+    def op_left(self, s):
+        return self._rewrite(self.raw.op_left(s))
+
+    def op_right(self, s):
+        return self._rewrite(self.raw.op_right(s))
+
+
+def test_coins_model_keeps_its_size_on_a_carrier_with_null_vectors(monkeypatch):
+    # the faithful model's rank decision now sees the raw carrier's null
+    # vectors; it must give the model built on the quotient of that carrier
+    s1, s2, _ = coins_game()
+    raw = conditional_tensor_realize(s1, s2)
+    monkeypatch.setattr(
+        independence, "tensor_over_base", lambda e1, e2: _QuotientedTensor(tensor_over_base(e1, e2))
+    )
+    reduced = conditional_tensor_realize(s1, s2)
+    assert raw.realization.carrier.rank == 16
+    assert reduced.realization.carrier.rank == 8
+    assert raw.algebra.dim == reduced.algebra.dim == 8
+    assert raw.expectation.codomain.dim == reduced.expectation.codomain.dim
+    assert frob(raw.expectation.matrix - reduced.expectation.matrix) < 1e-12
+
+
 def test_conditional_tensor_rejects_noncommutative():
     m2 = full_matrix_algebra(2)
     comp = diagonal_compression(2, m2)
@@ -524,7 +614,8 @@ def test_word_membership_check():
     alg = diagonal_algebra(2)
     off = np.array([[0, 1], [0, 0]], dtype=complex)
     with pytest.raises(StructuralError, match="leg 2"):
-        AlternatingWord([(1, X), (2, off)]).check_membership(alg, alg)
+        for k, (leg, mat) in enumerate(AlternatingWord([(1, X), (2, off)]).letters):
+            _letter_coords(k, leg, mat, alg)
 
 
 @settings(max_examples=25, deadline=None)
