@@ -131,7 +131,9 @@ class MatrixStarAlgebra:
     """
 
     def __init__(self, basis: np.ndarray, unit: np.ndarray | None = None):
-        basis = np.asarray(basis, dtype=complex)
+        # a private read-only copy: the pseudoinverse below is derived from it
+        basis = np.array(basis, dtype=complex)
+        basis.flags.writeable = False
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
             raise StructuralError(f"basis must have shape (n, d, d), got {basis.shape}")
         if not np.isfinite(basis).all():
@@ -171,6 +173,7 @@ class MatrixStarAlgebra:
                     and np.array_equal(rounded @ self._stack, np.eye(len(basis)))
                 ):
                     self._pinv = rounded
+        self._pinv.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -186,6 +189,10 @@ class MatrixStarAlgebra:
         v = vec(x)
         c = self._pinv @ v
         return c, frob(self._stack @ c - v)
+
+    def span_residual(self, x: np.ndarray) -> float:
+        """Distance of ``x`` from the algebra span: the residual of :meth:`coords`."""
+        return self.coords(x)[1]
 
     def coords_many(self, xs: np.ndarray) -> tuple[np.ndarray, float]:
         """Coordinates for a stack of matrices ``(m, d, d)``; worst residual."""
@@ -206,7 +213,7 @@ class MatrixStarAlgebra:
     def element(self, x: np.ndarray) -> np.ndarray:
         """Return ``x`` checked for membership in the algebra span."""
         x = np.asarray(x, dtype=complex)
-        _, res = self.coords(x)
+        res = self.span_residual(x)
         if exceeds(res, GUARD_TOL):
             raise StructuralError(f"matrix is not in the algebra span (residual {res:.3e})")
         return x
@@ -317,7 +324,9 @@ class PositiveMap:
     """Linear map between matrix *-algebras, stored in basis coordinates.
 
     ``matrix[i, j]`` is the coefficient of ``codomain.basis[i]`` in the image
-    of ``domain.basis[j]``.
+    of ``domain.basis[j]``.  :meth:`apply` and :meth:`apply_many` take domain
+    coordinates to images by one product with ``_kernel``, whose row ``j`` is
+    the flattened image of ``domain.basis[j]``.
     """
 
     def __init__(
@@ -327,22 +336,27 @@ class PositiveMap:
         matrix: np.ndarray,
         kind: MapKind,
     ):
-        matrix = np.asarray(matrix, dtype=complex)
+        # a private read-only copy: the kernel below is derived from it
+        matrix = np.array(matrix, dtype=complex)
         if matrix.shape != (codomain.dim, domain.dim):
             raise StructuralError(
                 f"map matrix shape {matrix.shape} does not match (codomain {codomain.dim}, domain {domain.dim})"
             )
+        matrix.flags.writeable = False
         self.domain = domain
         self.codomain = codomain
         self.matrix = matrix
         self.kind = MapKind(kind)
+        self._kernel = matrix.T @ codomain._flat
+        self._kernel.flags.writeable = False
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Image of ``x``; raises if ``x`` is not in the domain span."""
         c, res = self.domain.coords(x)
         if exceeds(res, GUARD_TOL):
             raise StructuralError(f"argument is not in the domain span (residual {res:.3e})")
-        return self.codomain.combine(self.matrix @ c)
+        d = self.codomain.ambient_dim
+        return (c @ self._kernel).reshape(d, d)
 
     def apply_many(self, xs: np.ndarray) -> np.ndarray:
         """Images of a stack ``(m, d, d)``; raises, as :meth:`apply` does, if
@@ -350,7 +364,8 @@ class PositiveMap:
         c, res = self.domain.coords_many(xs)
         if exceeds(res, GUARD_TOL):
             raise StructuralError(f"argument is not in the domain span (residual {res:.3e})")
-        return np.einsum("ik,kab->iab", c @ self.matrix.T, self.codomain.basis)
+        d = self.codomain.ambient_dim
+        return (c @ self._kernel).reshape(-1, d, d)
 
     def is_unital(self) -> bool:
         return frob(self.apply(self.domain.unit) - self.codomain.unit) <= DEFAULT_TOL

@@ -130,6 +130,11 @@ class AlternatingWord:
         return len(self.letters)
 
     def normalized(self) -> "AlternatingWord":
+        """The word with adjacent same-leg letters multiplied out; the word
+        itself when no two adjacent letters share a leg."""
+        legs = [leg for leg, _ in self.letters]
+        if all(a != b for a, b in zip(legs, legs[1:])):
+            return self
         out: list[tuple[int, np.ndarray]] = []
         for leg, mat in self.letters:
             if out and out[-1][0] == leg:
@@ -144,16 +149,6 @@ class AlternatingWord:
     def label(self) -> str:
         """The leg sequence, e.g. ``legs 1212``, as reports name a word."""
         return "legs " + "".join(str(leg) for leg, _ in self.letters)
-
-
-def _letter_coords(k: int, leg: int, mat: np.ndarray, alg: MatrixStarAlgebra) -> np.ndarray:
-    """Coordinates of letter ``k`` over its leg's algebra; raises when it is outside."""
-    c, res = alg.coords(mat)
-    if exceeds(res, GUARD_TOL):
-        raise StructuralError(
-            f"letter {k} is not in the algebra of leg {leg} (residual {res:.3e})"
-        )
-    return c
 
 
 @dataclass
@@ -175,6 +170,14 @@ class JointRealization:
     # leg -> (flat basis images (dim, N, N), the operators they are blocks of);
     # built on first use, held by this realization only
     _basis_images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the vacuum as a flat (N, d0) ket, and its bra ket^H G, (d0, N): the
+    # first and the last factor of every moment
+    _ket: np.ndarray = field(init=False, repr=False, compare=False)
+    _bra: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._ket = self.vacuum.reshape(-1, self.vacuum.shape[-1])
+        self._bra = self._ket.conj().T @ block_matrix(self.carrier.gram)
 
     def embed(self, leg: int, mat: np.ndarray) -> AdjointableOperator:
         return self.embed1(mat) if leg == 1 else self.embed2(mat)
@@ -199,17 +202,23 @@ class JointRealization:
         """Vacuum expectation of the word, as a base-algebra element.
 
         Each letter ``a = sum_k c_k b_k`` acts as ``sum_k c_k M_k`` through
-        the cached flat images ``M_k`` of the basis: one product of the
-        stacked images with the flat vector, then one contraction with ``c``.
+        the cached flat images ``M_k`` of the basis: its coordinates with
+        their span guard, one product of the stacked images with the flat
+        vector, then one contraction with ``c``.  The cached vacuum bra
+        closes the word.
         """
-        v = self.vacuum.reshape(-1, self.vacuum.shape[-1])
+        v = self._ket
         for k in reversed(range(len(word.letters))):
             leg, mat = word.letters[k]
-            c = _letter_coords(k, leg, mat, self.algebra1 if leg == 1 else self.algebra2)
+            c, res = (self.algebra1 if leg == 1 else self.algebra2).coords(mat)
+            if exceeds(res, GUARD_TOL):
+                raise StructuralError(
+                    f"letter {k} is not in the algebra of leg {leg} (residual {res:.3e})"
+                )
             images, _ = self.basis_images(leg)
             moved = images.reshape(-1, v.shape[0]) @ v  # every M_k v, stacked
             v = (c @ moved.reshape(len(c), -1)).reshape(v.shape)
-        return self.carrier.inner(self.vacuum, v.reshape(self.vacuum.shape))
+        return self._bra @ v
 
     def scalar_moment(self, word: AlternatingWord) -> complex:
         m = self.moment(word)
@@ -493,7 +502,7 @@ def conditional_monotone_moment_formula(
     value = conditional_monotone_factorization(
         word.normalized().letters, expect1.apply, expect2.apply, insert, cod.unit
     )
-    _, res = cod.coords(value)
+    res = cod.span_residual(value)
     if exceeds(res, GUARD_TOL):
         raise StructuralError(
             f"moment left the base algebra (residual {res:.3e}); "

@@ -11,6 +11,8 @@ Hand-computed reference values used below:
 * Projecting E12 onto the diagonal algebra cuts off all of it: residual 1.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -299,3 +301,96 @@ class TestCpMaps:
         assert report.passed  # CP holds; unitality is informational
         unital = [c for c in report.checks if c.name == "unital"]
         assert unital and unital[0].residual > 0.1
+
+
+_KERNEL_ALGEBRAS = {
+    "m2": lambda: full_matrix_algebra(2),
+    "diag3": lambda: diagonal_algebra(3),
+    "pauli": pauli_algebra,
+    "scalars": scalar_algebra,
+    "diagonal-base": lambda: diagonal_compression(2).codomain,
+}
+
+
+def _draw(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _kernel_maps(name, rng):
+    alg = _KERNEL_ALGEBRAS[name]()
+    maps = [PositiveMap(alg, cod, _draw(rng, cod.dim, alg.dim), MapKind.CP_MAP)
+            for cod in (alg, scalar_algebra())]
+    if name == "m2":
+        maps.append(diagonal_compression(2))
+    return alg, maps
+
+
+def _kernel_gap(pmap, alg, rng):
+    """Worst gap of ``apply`` against the coordinate path over 20 seeded
+    arguments, relative to the scale that bounds both sums."""
+    gap = 0.0
+    for _ in range(20):
+        x = alg.combine(_draw(rng, alg.dim))
+        c, _ = alg.coords(x)
+        # the reference: coordinates, the coordinate matrix, combine
+        want = pmap.codomain.combine(pmap.matrix @ c)
+        scale = frob(pmap.matrix) * frob(c) * max(frob(b) for b in pmap.codomain.basis)
+        gap = max(gap, frob(pmap.apply(x) - want) / scale)
+    return gap
+
+
+class TestFlatKernels:
+    @pytest.mark.parametrize("name", sorted(_KERNEL_ALGEBRAS))
+    def test_apply_kernel_matches_the_coordinate_path(self, name):
+        rng = np.random.default_rng(sorted(_KERNEL_ALGEBRAS).index(name))
+        alg, maps = _kernel_maps(name, rng)
+        for pmap in maps:
+            assert _kernel_gap(pmap, alg, rng) <= 1e-15
+
+    def test_a_kernel_from_the_untransposed_matrix_fails_parity(self):
+        rng = np.random.default_rng(5)
+        alg, (pmap, *_) = _kernel_maps("pauli", rng)
+        pmap._kernel = pmap.matrix @ pmap.codomain._flat
+        assert _kernel_gap(pmap, alg, rng) > 1e-3
+
+    @pytest.mark.parametrize("name", sorted(_KERNEL_ALGEBRAS))
+    def test_apply_and_apply_many_agree(self, name):
+        rng = np.random.default_rng(11)
+        alg, maps = _kernel_maps(name, rng)
+        xs = alg.combine(_draw(rng, 8, alg.dim))
+        for pmap in maps:
+            many = pmap.apply_many(xs)
+            for x, image in zip(xs, many):
+                assert frob(pmap.apply(x) - image) <= 1e-15 * max(1.0, frob(image))
+
+    def test_kernel_sources_are_read_only_copies(self):
+        basis = full_matrix_algebra(2).basis.copy()
+        matrix = np.eye(4, dtype=complex)
+        alg = algebra_from_basis(basis)
+        pmap = PositiveMap(alg, alg, matrix, MapKind.CP_MAP)
+        for held in (alg.basis, alg._pinv, pmap.matrix, pmap._kernel):
+            assert not held.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 0
+        # the caller's arrays stay writable, and writing to them changes nothing held
+        basis[0] = 0
+        matrix[0, 0] = 2
+        assert frob(pmap.apply(np.eye(2)) - np.eye(2)) == 0.0
+
+    def test_a_large_ambient_small_basis_algebra_stays_small(self):
+        # span{I, P} in M_128: every array held is O(n d^2), a few basis
+        # stacks (0.5 MB each); a dense (d^2, d^2) matrix would be 4.3 GB
+        d = 128
+        proj = np.diag(np.arange(d) < d // 2).astype(complex)
+        tracemalloc.start()
+        try:
+            alg = algebra_from_basis([np.eye(d), proj])
+            pmap = PositiveMap(alg, alg, np.eye(2), MapKind.CP_MAP)
+            image = pmap.apply(proj)
+            with pytest.raises(StructuralError, match="domain span"):
+                pmap.apply(np.eye(d, k=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert frob(image - proj) <= 1e-12
+        assert peak < 16 * 2**20

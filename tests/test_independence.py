@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from ncprob import (
     AlternatingWord,
     MapKind,
+    algebra_from_basis,
     QuantumProbabilitySpace,
     StructuralError,
     adjoint_gap,
@@ -35,7 +36,9 @@ from ncprob import (
     monotone_realize,
     operator_distance,
     random_alternating_word,
+    random_alternating_words,
     state_from_density,
+    subalgebra_project,
     tensor_moment_formula,
     tensor_realize,
     verify_independence,
@@ -50,7 +53,6 @@ from ncprob.hilbert_module import (
     restrict_left_action,
     tensor_over_base,
 )
-from ncprob.independence import _letter_coords
 from ncprob.linalg import dag, frob, random_density, scaled_hermitian, unblock
 
 X = np.diag([1.0, -1.0]).astype(complex)
@@ -599,6 +601,61 @@ def test_moment_rejects_a_letter_outside_its_leg():
             real.moment(AlternatingWord([(1, off), (2, unit)]))
 
 
+def _coordinate_path_moment(real, word):
+    # the reference: each letter's basis coordinates against the stacked
+    # basis images, then the carrier's inner product with the vacuum
+    v = real.vacuum.reshape(-1, real.vacuum.shape[-1])
+    for leg, mat in reversed(word.letters):
+        c, _ = (real.algebra1 if leg == 1 else real.algebra2).coords(mat)
+        images, _ = real.basis_images(leg)
+        v = np.einsum("k,kab,bc->ac", c, images, v)
+    return real.carrier.inner(real.vacuum, v.reshape(real.vacuum.shape))
+
+
+# relative gap allowed between two evaluations of one sum in another order
+MOMENT_RTOL = 64 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("kind", REALIZATION_KINDS)
+def test_moment_matches_the_coordinate_path(kind):
+    # 200 seeded words; a word's scale is the product of its letters' norms,
+    # which bounds every vector along the way
+    real = _realization_of(kind)
+    rng = np.random.default_rng(2003)
+    for word in random_alternating_words(real.algebra1, real.algebra2, rng, 200):
+        scale = np.prod([np.linalg.norm(mat, 2) for _, mat in word.letters])
+        gap = frob(real.moment(word) - _coordinate_path_moment(real, word))
+        assert gap <= MOMENT_RTOL * max(1.0, scale)
+
+
+def test_a_stale_vacuum_bra_fails_parity():
+    real = _realization_of("monotone")
+    real._bra = 2 * real._bra
+    word = AlternatingWord([(1, X), (2, X)])
+    assert frob(real.moment(word) - _coordinate_path_moment(real, word)) > 1e-3
+
+
+def test_a_moment_outside_the_shared_base_is_rejected():
+    # span{I, X, Z} is not closed under products: E(X) E(Z) = XZ = -iY lies
+    # outside it, at distance ||Y||_F = sqrt 2
+    m2 = full_matrix_algebra(2)
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    ixz = algebra_from_basis([I2, sx, sz])
+    onto = map_from_images(
+        m2, ixz, np.stack([subalgebra_project(ixz, b)[0] for b in m2.basis]),
+        MapKind.CONDITIONAL_EXPECTATION,
+    )
+    word = AlternatingWord([(1, sx), (2, sz)])
+    with pytest.raises(StructuralError, match=r"moment left the base algebra \(residual 1\.414e\+00\)"):
+        conditional_monotone_moment_formula(word, onto, onto)
+    # the same guard passes on the diagonal base, which is closed
+    diag = diagonal_compression(2, m2)
+    assert frob(conditional_monotone_moment_formula(word, diag, diag)) == 0.0
+    value = conditional_monotone_moment_formula(AlternatingWord([(1, sz), (2, sz)]), diag, diag)
+    assert frob(value - I2) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # word mechanics
 
@@ -608,14 +665,14 @@ def test_word_normalization_fuses_only_adjacent_same_leg():
     n = w.normalized()
     assert [leg for leg, _ in n.letters] == [1, 2, 1, 2]
     assert np.allclose(n.letters[0][1], X @ X)
+    assert n.normalized() is n
 
 
 def test_word_membership_check():
-    alg = diagonal_algebra(2)
+    real = monotone_realize(two_point_space(0.5), two_point_space(0.7))
     off = np.array([[0, 1], [0, 0]], dtype=complex)
-    with pytest.raises(StructuralError, match="leg 2"):
-        for k, (leg, mat) in enumerate(AlternatingWord([(1, X), (2, off)]).letters):
-            _letter_coords(k, leg, mat, alg)
+    with pytest.raises(StructuralError, match="leg 1"):
+        real.moment(AlternatingWord([(1, off), (2, X)]))
 
 
 @settings(max_examples=25, deadline=None)

@@ -38,7 +38,6 @@ from ncprob.hilbert_module import gns_construct
 from ncprob.independence import (
     AlternatingWord,
     QuantumProbabilitySpace,
-    _letter_coords,
     monotone_moment_formula,
     monotone_realize,
     verify_independence,
@@ -133,16 +132,25 @@ def test_exceeds_treats_nan_as_failing():
     assert exceeds(NAN, 1e-9) and exceeds(NAN, float("inf"))
 
 
-def _nan_in(m):
+def _nan_in(m, value=NAN):
     m = np.array(m, dtype=complex)
-    m.flat[0] = NAN
+    m.flat[0] = value
     return m
 
 
-def _diagonal_monotone():
-    alg = diagonal_algebra(2)
+def _monotone(alg):
     space = QuantumProbabilitySpace(alg, normalized_trace_state(alg))
     return monotone_realize(space, space)
+
+
+def _diagonal_monotone():
+    return _monotone(diagonal_algebra(2))
+
+
+def _inf_quietly(guard):
+    # inf - inf is numpy's "invalid value" on the way to the NaN residual
+    with np.errstate(invalid="ignore"):
+        guard()
 
 
 _NAN_GUARDS = {
@@ -156,9 +164,25 @@ _NAN_GUARDS = {
     "map_from_images": lambda: map_from_images(
         diagonal_algebra(2), diagonal_algebra(2), np.stack([_nan_in(np.eye(2)), np.eye(2)]), MapKind.CP_MAP
     ),
-    "_letter_coords": lambda: _letter_coords(0, 1, _nan_in(np.eye(2)), diagonal_algebra(2)),
     "JointRealization.moment": lambda: _diagonal_monotone().moment(AlternatingWord([(1, _nan_in(np.eye(2)))])),
+    "JointRealization.moment-leg2": lambda: _diagonal_monotone().moment(
+        AlternatingWord([(1, np.eye(2)), (2, _nan_in(np.eye(2)))])
+    ),
     "cp_from_stochastic": lambda: cp_from_stochastic([[NAN, 0.5], [0.3, 0.7]]),
+    # M2's span holds every finite matrix, so these guards can fail only
+    # through the non-finite entry itself
+    "PositiveMap.apply-full-nan": lambda: normalized_trace_state(full_matrix_algebra(2)).apply(
+        _nan_in(np.eye(2))
+    ),
+    "PositiveMap.apply-full-inf": lambda: _inf_quietly(
+        lambda: normalized_trace_state(full_matrix_algebra(2)).apply(_nan_in(np.eye(2), float("inf")))
+    ),
+    "JointRealization.moment-full-nan": lambda: _monotone(full_matrix_algebra(2)).moment(
+        AlternatingWord([(2, _nan_in(np.eye(2)))])
+    ),
+    "JointRealization.moment-full-inf": lambda: _inf_quietly(
+        lambda: _monotone(full_matrix_algebra(2)).moment(AlternatingWord([(1, _nan_in(np.eye(2), float("inf")))]))
+    ),
 }
 
 
@@ -193,8 +217,8 @@ _SPAN_GUARDS = {
     "element": lambda x: diagonal_algebra(2).element(x),
     "PositiveMap.apply": lambda x: normalized_trace_state(diagonal_algebra(2)).apply(x),
     "LeftAction.coords_of": lambda x: gns_construct(identity_map(diagonal_algebra(2))).left.coords_of(x[None]),
-    "_letter_coords": lambda x: _letter_coords(0, 1, x, diagonal_algebra(2)),
     "JointRealization.moment": lambda x: _diagonal_monotone().moment(AlternatingWord([(2, x)])),
+    "JointRealization.moment-leg1": lambda x: _diagonal_monotone().moment(AlternatingWord([(1, x)])),
 }
 
 
