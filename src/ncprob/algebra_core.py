@@ -195,10 +195,16 @@ class MatrixStarAlgebra:
         return self.coords(x)[1]
 
     def coords_many(self, xs: np.ndarray) -> tuple[np.ndarray, float]:
-        """Coordinates for a stack of matrices ``(m, d, d)``; worst residual."""
+        """Coordinates for a stack of matrices ``(m, d, d)``; worst residual.
+
+        Each column's residual is ``np.linalg.norm(r, axis=0)``'s own
+        arithmetic, ``sqrt(add.reduce((r.conj() * r).real, 0))``, so the same
+        bits without that function's dispatch; a NaN column stays NaN.
+        """
         flat = xs.reshape(xs.shape[0], -1).T
         c = self._pinv @ flat
-        res = np.linalg.norm(self._stack @ c - flat, axis=0)
+        r = self._stack @ c - flat
+        res = np.sqrt(np.add.reduce((r.conj() * r).real, axis=0))
         return c.T, float(res.max(initial=0.0))
 
     def combine(self, coeffs: np.ndarray) -> np.ndarray:
@@ -360,12 +366,14 @@ class PositiveMap:
 
     def apply_many(self, xs: np.ndarray) -> np.ndarray:
         """Images of a stack ``(m, d, d)``; raises, as :meth:`apply` does, if
-        one of them is not in the domain span."""
+        one of them is not in the domain span.  Each row of coordinates
+        meets the kernel in its own product, so each image has the bits
+        :meth:`apply` gives it, whatever the size of the stack."""
         c, res = self.domain.coords_many(xs)
         if exceeds(res, GUARD_TOL):
             raise StructuralError(f"argument is not in the domain span (residual {res:.3e})")
         d = self.codomain.ambient_dim
-        return (c @ self._kernel).reshape(-1, d, d)
+        return (c[:, None, :] @ self._kernel).reshape(-1, d, d)
 
     def is_unital(self) -> bool:
         return frob(self.apply(self.domain.unit) - self.codomain.unit) <= DEFAULT_TOL

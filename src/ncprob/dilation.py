@@ -27,8 +27,9 @@ up, over the corner functional ``<xi_N, . xi_N>`` when it is shift-invariant
 (white noise): the increment check reports that invariance, draws its words,
 embeds each leg's letters in one call, and evaluates the one factorization of
 :func:`~ncprob.independence.conditional_monotone_factorization` on the flat
-operators of each word on ``E_N``, against the word's corner value.  A
-functional that is not invariant fails both rows.
+operators on ``E_N`` of the words that share a leg pattern, as one stack,
+against the words' corner values.  A functional that is not invariant fails
+both rows.
 Every lift ``theta``, identification and isometry ``V`` is one of the
 contractions ``tensor_extend``/``tensor_lift``/``tensor_isometry`` that the
 independence realizations share, with the base's left action on a power of
@@ -40,6 +41,7 @@ Gram of ``E_m (x) E_n`` (:func:`~ncprob.hilbert_module.tensor_gram`).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,8 +301,12 @@ class DiscreteProductSystem:
         return block_matrix(rank_one(self.powers[self.horizon], xi @ b, xi).blocks)
 
     def left_embedding(self, b: np.ndarray) -> np.ndarray:
-        """The unital embedding of the base: b acting from the left on E_N."""
-        return self.powers[self.horizon].left.operators(np.asarray(b, dtype=complex)[None])[0]
+        """The unital embedding of the base: b acting from the left on E_N,
+        as a flat operator; a stack (..., d0, d0) of elements gives the stack
+        of their operators, with one product."""
+        b = np.asarray(b, dtype=complex)
+        ops = self.powers[self.horizon].left.operators(b.reshape(-1, *b.shape[-2:]))
+        return ops.reshape(*b.shape[:-2], *ops.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +658,10 @@ def white_noise_increment_check(
     ``WORD_STACK``, each with one call (the embedding draws nothing, so the
     random stream is the word-by-word one); the letters of each leg of a
     stack are then embedded with one :meth:`DiscreteProductSystem.embed_window`
-    call.
+    call.  The words of a stack that share their leg pattern (first leg and
+    length) are evaluated together: the word products, the corner
+    functional, the left embedding and the factorization each act on the
+    stack of their flat operators, one product per letter position.
     """
     system = scenario.system
     n_top = system.horizon
@@ -679,16 +688,22 @@ def white_noise_increment_check(
         for leg, start, width in ((1, s, t - s), (2, r, s - r)):
             ops = [op for word in words for letter_leg, op in word if letter_leg == leg]
             if ops:
-                embedded[leg] = iter(system.embed_window(np.stack(ops), width, start))
+                embedded[leg] = system.embed_window(np.stack(ops), width, start)
+        # each letter's row in its leg's stack, per word, grouped by leg pattern
+        rows = {1: itertools.count(), 2: itertools.count()}
+        groups: dict[tuple[int, ...], list[list[int]]] = {}
         for word_ops in words:
-            letters = [(leg, next(embedded[leg])) for leg, _ in word_ops]
+            legs = tuple(leg for leg, _ in word_ops)
+            groups.setdefault(legs, []).append([next(rows[leg]) for leg in legs])
+        for legs, at in groups.items():
+            letters = [(leg, embedded[leg][[word[p] for word in at]]) for p, leg in enumerate(legs)]
             word = letters[0][1]
             for _, x in letters[1:]:
                 word = word @ x
             rhs = conditional_monotone_factorization(
                 letters, expect, expect, system.left_embedding, system.base.unit
             )
-            worst = residual_max(worst, frob(expect(word) - rhs))
+            worst = residual_max(worst, *map(frob, expect(word) - rhs))
     report = VerificationReport()
     report.add("invariance", invariance, tol)
     report.add("increment-factorization", worst, tol, f"{trials} words")
@@ -737,13 +752,83 @@ class MarkovModel:
             return AdjointableOperator(e, unblock(np.kron(np.eye(e.rank), f), len(f)))
         if time == level:
             return left_action_operator(e, f)
-        inner_level = level - time + 1
         f_op = left_action_operator(system.fiber, f)
         require_base_commutant(system.fiber, f_op)
+        return self._slot_operator(f_op, time, level)
+
+    def _slot_operator(self, f_op: AdjointableOperator, time: int, level: int) -> AdjointableOperator:
+        """theta_{time-1}(id (x) f) on E_level, 0 < time < level, for the
+        operator ``f_op`` of f on the fiber; linear in f and unguarded."""
+        system = self.system
+        inner_level = level - time + 1
         # id (x) f on E_{inner-1} (x) E_1: f's blocks between kept pairs (i, u) sharing i
         i, u = system._kept(inner_level - 1, 1)
         slot = np.where((i[:, None] == i)[..., None, None], f_op.blocks[np.ix_(u, u)], 0)
         return e0_apply(self.scenario, time - 1, AdjointableOperator(system.powers[inner_level], slot))
+
+    def _basis_operators(self, time: int, level: int):
+        """The flat operator on E_level at ``time`` > 0 of each element of the
+        base's basis, one at a time.
+
+        Each is built as :meth:`process_operator` builds it, without the
+        base-commutant guard of a letter slot: that guard decides
+        observables, and a basis element of a noncommutative base need not
+        pass it.  Since the construction is linear in ``f``, f(X_time) is
+        the combination of these operators with the base coordinates of f.
+        """
+        system = self.system
+        if not 0 < time <= level <= system.horizon:
+            raise HorizonError(f"time {time} does not fit on E_{level}")
+        for b in system.base.basis:
+            if time == level:
+                op = left_action_operator(system.powers[level], b)
+            else:
+                op = self._slot_operator(left_action_operator(system.fiber, b), time, level)
+            yield block_matrix(op.blocks)
+
+    def _observe(self, items: list[tuple[np.ndarray, int, int, np.ndarray]]) -> list[np.ndarray]:
+        """f(X_time) x for each (f, time, level, x) of ``items``, x a vector of E_level.
+
+        The items are evaluated by (time, level).  A pair with at least as
+        many observables as the base has basis elements builds each of
+        :meth:`_basis_operators` once, multiplies all the pair's vectors
+        with it at once, and combines the products with the coordinates:
+        ``base.dim`` operators in place of one per observable.  The span
+        guard of every ``f`` is one ``coords_many`` and a letter slot keeps
+        the base-commutant guard of each ``f``.  The basis operators are
+        built on demand and dropped after use, so at most one is held, as
+        when :meth:`process_operator` builds one per observable.  A pair
+        with fewer observables, as most pairs of a chain with many states
+        have, builds one :meth:`process_operator` per observable, which is
+        fewer operators; so does time 0, on its ``kron`` path.
+        """
+        system = self.system
+        d0 = system.base.ambient_dim
+        out: list[np.ndarray] = [None] * len(items)
+        groups: dict[tuple[int, int], list[int]] = {}
+        for j, (_, time, level, _) in enumerate(items):
+            groups.setdefault((time, level), []).append(j)
+        for (time, level), at in groups.items():
+            if time == 0 or len(at) < system.base.dim:
+                for j in at:
+                    f, _, _, x = items[j]
+                    out[j] = self.process_operator(f, time, level)(x)
+                continue
+            fs = np.stack([np.asarray(items[j][0], dtype=complex) for j in at])
+            c = system.powers[level].left.coords_of(fs)
+            if time < level:
+                fiber = system.fiber
+                slots = unblock(fiber.left.operators(fs), d0)
+                require_base_commutant(fiber, AdjointableOperator(fiber, slots))
+            # the vectors side by side, (M, K, d0), and sum_k c_k P_k of them
+            xs = np.stack([items[j][3].reshape(-1, d0) for j in at], axis=1)
+            new = sum(
+                ck[:, None] * (op @ xs.reshape(len(xs), -1)).reshape(xs.shape)
+                for ck, op in zip(c.T, self._basis_operators(time, level))
+            )
+            for j, x in zip(at, new.swapaxes(0, 1)):
+                out[j] = x.reshape(-1, d0, d0)
+        return out
 
     def path_moment(self, observables: list[tuple[np.ndarray, int]]) -> np.ndarray:
         """E[ f_k(X_{t_k}) ... f_1(X_{t_1}) | X_0 ] by transfer matrices.
@@ -776,23 +861,38 @@ class MarkovModel:
     def verify(
         self, tol: float = DEFAULT_TOL, seed: int = 0, trials: int = 25
     ) -> VerificationReport:
-        """Path-space agreement and shift isometry."""
+        """Path-space agreement and shift isometry.
+
+        Every sample is drawn first, in the order of one sample at a time;
+        the observables of all samples are then applied by
+        :meth:`_observe`, the module moments' one position at a time from
+        the last observable, as :meth:`module_moment` applies them.
+        """
         report = VerificationReport()
         rng = np.random.default_rng(seed)
-        n = self.system.horizon
+        system = self.system
+        n = system.horizon
         s = self.states
+        xi = system.unit_vector()
 
-        worst = 0.0
+        samples = []
         for _ in range(trials):
             count = int(rng.integers(1, 4))
-            obs = [
+            samples.append([
                 (np.diag(rng.uniform(-1, 1, size=s)).astype(complex), int(rng.integers(0, n + 1)))
                 for _ in range(count)
-            ]
-            worst = residual_max(worst, frob(self.path_moment(obs) - self.module_moment(obs)))
+            ])
+        vectors = [xi] * trials
+        for p in range(1, max(map(len, samples), default=0) + 1):
+            at = [j for j, obs in enumerate(samples) if len(obs) >= p]
+            for j, v in zip(at, self._observe([(*samples[j][-p], n, vectors[j]) for j in at])):
+                vectors[j] = v
+        worst = 0.0
+        for obs, v in zip(samples, vectors):
+            worst = residual_max(worst, frob(self.path_moment(obs) - system.powers[n].inner(xi, v)))
         report.add("path-space-agreement", worst, tol)
 
-        worst = 0.0
+        shifts = []
         for _ in range(trials if n >= 2 else 0):
             sw = int(rng.integers(1, n))
             tw = n - sw
@@ -800,13 +900,16 @@ class MarkovModel:
             g = np.diag(rng.uniform(-1, 1, size=s)).astype(complex)
             p_time = int(rng.integers(1, sw + 1))
             q_time = int(rng.integers(1, tw + 1))
-            u = self.process_operator(f, p_time, level=sw)(self.system.units[sw])
-            v = self.process_operator(g, q_time, level=tw)(self.system.units[tw])
-            glued = self.system.identify(sw, tw, u, v)
-            direct = self.process_operator(f, p_time + tw, level=n)(
-                self.process_operator(g, q_time, level=n)(self.system.unit_vector())
-            )
-            worst = residual_max(worst, vector_norm(self.system.powers[n], glued - direct))
+            shifts.append((sw, tw, f, g, p_time, q_time))
+        units = system.units
+        us = self._observe([(f, p, sw, units[sw]) for sw, _, f, _, p, _ in shifts])
+        vs = self._observe([(g, q, tw, units[tw]) for _, tw, _, g, _, q in shifts])
+        later = self._observe([(g, q, n, xi) for _, _, _, g, _, q in shifts])
+        direct = self._observe([(f, p + tw, n, w) for (_, tw, f, _, p, _), w in zip(shifts, later)])
+        worst = 0.0
+        for (sw, tw, *_), u, v, d in zip(shifts, us, vs, direct):
+            glued = system.identify(sw, tw, u, v)
+            worst = residual_max(worst, vector_norm(system.powers[n], glued - d))
         report.add("shift-preserves-inner-products", worst, 1e-10, "fixed tolerance 1e-10")
         return report
 

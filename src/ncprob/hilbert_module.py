@@ -260,7 +260,7 @@ def rank_one_blocks(gram: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarra
     of vectors give the stack of operators, one stacked product."""
     d0 = x.shape[-1]
     xf, yf = x.reshape(*x.shape[:-3], -1, d0), y.reshape(*y.shape[:-3], -1, d0)
-    return unblock(xf @ (np.swapaxes(yf.conj(), -1, -2) @ block_matrix(gram)), d0)
+    return unblock(xf @ (yf.conj().swapaxes(-1, -2) @ block_matrix(gram)), d0)
 
 
 def left_action_operator(module: HilbertModule, a: np.ndarray) -> AdjointableOperator:
@@ -455,10 +455,16 @@ def gns_construct(pmap: PositiveMap, reduce: bool = True, verify: bool = True) -
 
 def require_base_commutant(module: HilbertModule, s: AdjointableOperator) -> None:
     """Raise unless S commutes with the base action on ``module``, which is
-    what makes id o S well defined on any E (x) module."""
-    for k in range(module.left.algebra.dim):
-        act = AdjointableOperator(module, module.left.blocks[k])
-        gap = operator_distance(act @ s, s @ act)
+    what makes id o S well defined on any E (x) module.
+
+    The defect of each basis element's action ``L`` is
+    :func:`operator_distance` of ``L S`` and ``S L``, ``frob(G L S - G S L)``,
+    for all of them from one stacked product.  Blocks (..., n, n, d0, d0)
+    stacking several operators have every one of them decided.
+    """
+    acts, g = block_matrix(module.left.blocks), block_matrix(module.gram)
+    op = block_matrix(s.blocks)[..., None, :, :]
+    for gap in map(frob, (g @ (acts @ op) - g @ (op @ acts)).reshape(-1, *g.shape)):
         if exceeds(gap, GUARD_TOL):
             raise StructuralError(
                 "operator does not commute with the base action on the right "
@@ -653,16 +659,15 @@ def verify_module(module: HilbertModule, tol: float = DEFAULT_TOL) -> Verificati
             frob(compose_blocks(g, unit_op) - g),
             tol,
         )
-        worst_mult = 0.0
-        worst_star = 0.0
+        worst_star = worst_mult = 0.0
+        acts, gm = block_matrix(module.left.blocks), block_matrix(g)
         for k in range(alg.dim):
-            bk = module.left.blocks[k]
             star = module.left.blocks_of(dag(alg.basis[k]))
-            worst_star = residual_max(worst_star, adjoint_gap(module, bk, star))
-            for l in range(alg.dim):
-                prod = module.left.blocks_of(alg.basis[k] @ alg.basis[l])
-                com = compose_blocks(bk, module.left.blocks[l])
-                worst_mult = residual_max(worst_mult, frob(compose_blocks(g, prod - com)))
+            worst_star = residual_max(worst_star, adjoint_gap(module, module.left.blocks[k], star))
+            # frob(G (L(b_k b_l) - L(b_k) L(b_l))) for every l: one row of
+            # pairs as one stacked product, so the size of left.blocks at most
+            prods = module.left.operators(alg.basis[k] @ alg.basis)
+            worst_mult = residual_max(worst_mult, *map(frob, gm @ (prods - acts[k] @ acts)))
         report.add("left-action-multiplicative", worst_mult, tol)
         report.add("left-action-star", worst_star, tol)
     return report

@@ -43,6 +43,7 @@ from .hilbert_module import (
     AdjointableOperator,
     HilbertModule,
     adjoint_gap,
+    apply_blocks,
     compose_blocks,
     extended_gram,
     gns_construct,
@@ -75,10 +76,13 @@ __all__ = [
     "tensor_realize",
     "monotone_realize",
     "tensor_moment_formula",
+    "tensor_moment_formulas",
     "monotone_moment_formula",
+    "monotone_moment_formulas",
     "conditional_monotone_embed",
     "conditional_monotone_factorization",
     "conditional_monotone_moment_formula",
+    "conditional_monotone_moment_formulas",
     "conditional_tensor_realize",
     "ConditionalTensorProduct",
     "coins_game",
@@ -143,9 +147,6 @@ class AlternatingWord:
                 out.append((leg, mat))
         return AlternatingWord(out)
 
-    def swap_legs(self) -> "AlternatingWord":
-        return AlternatingWord([(3 - leg, mat) for leg, mat in self.letters])
-
     def label(self) -> str:
         """The leg sequence, e.g. ``legs 1212``, as reports name a word."""
         return "legs " + "".join(str(leg) for leg, _ in self.letters)
@@ -205,7 +206,8 @@ class JointRealization:
         the cached flat images ``M_k`` of the basis: its coordinates with
         their span guard, one product of the stacked images with the flat
         vector, then one contraction with ``c``.  The cached vacuum bra
-        closes the word.
+        closes the word.  :meth:`moments` takes the same steps for a stack
+        of words, with the same bits.
         """
         v = self._ket
         for k in reversed(range(len(word.letters))):
@@ -218,6 +220,35 @@ class JointRealization:
             images, _ = self.basis_images(leg)
             moved = images.reshape(-1, v.shape[0]) @ v  # every M_k v, stacked
             v = (c @ moved.reshape(len(c), -1)).reshape(v.shape)
+        return self._bra @ v
+
+    def moments(self, words: list[AlternatingWord]) -> np.ndarray:
+        """The :meth:`moment` of each word, stacked (len(words), d0, d0).
+
+        The words are aligned at their last letter, which acts first.  Per
+        position from the end and per leg, the letters there take one
+        ``coords_many`` with the span guard, one broadcast product of the
+        cached basis images with their words' flat vectors and one
+        contraction with the coordinates: a handful of products for the
+        whole stack instead of a few per letter.  Each word's arithmetic is
+        the one :meth:`moment` does, and so are its bits.
+        """
+        legs = [[leg for leg, _ in word.letters] for word in words]
+        v = np.repeat(self._ket[None], len(words), axis=0)
+        for p in range(1, max(map(len, legs), default=0) + 1):
+            for leg in (1, 2):
+                at = [j for j, seq in enumerate(legs) if len(seq) >= p and seq[-p] == leg]
+                if not at:
+                    continue
+                letters = np.stack([words[j].letters[-p][1] for j in at])
+                c, res = (self.algebra1 if leg == 1 else self.algebra2).coords_many(letters)
+                if exceeds(res, GUARD_TOL):
+                    raise StructuralError(
+                        f"letter {-p} (from the end) is not in the algebra of leg {leg} (residual {res:.3e})"
+                    )
+                images, _ = self.basis_images(leg)
+                moved = images @ v[at][:, None]  # every M_k v, per word
+                v[at] = (c[:, None] @ moved.reshape(len(at), len(images), -1)).reshape(-1, *v.shape[1:])
         return self._bra @ v
 
     def scalar_moment(self, word: AlternatingWord) -> complex:
@@ -339,20 +370,83 @@ def monotone_realize(
     )
 
 
+def _normalized_stacks(words: list[AlternatingWord]):
+    """Per normalized leg sequence of ``words``: the indices of its words and
+    their normalized letters as stacks, [(leg, (K, d, d)), ...] by position."""
+    normal = [word.normalized().letters for word in words]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for j, letters in enumerate(normal):
+        groups.setdefault(tuple(leg for leg, _ in letters), []).append(j)
+    for legs, at in groups.items():
+        yield at, [(leg, np.stack([normal[j][p][1] for j in at])) for p, leg in enumerate(legs)]
+
+
+def _ordered_product(mats: list[np.ndarray]) -> np.ndarray:
+    """mats[0] @ mats[1] @ ..., left to right; the matrices may be stacks."""
+    prod = mats[0]
+    for mat in mats[1:]:
+        prod = prod @ mat
+    return prod
+
+
 def tensor_moment_formula(
     word: AlternatingWord,
     phi1: PositiveMap,
     phi2: PositiveMap,
 ) -> complex:
     """phi1(ordered product of leg-1 letters) * phi2(same for leg 2)."""
-    prod = {1: None, 2: None}
-    for leg, mat in word.letters:
-        prod[leg] = mat if prod[leg] is None else prod[leg] @ mat
     val = 1.0 + 0.0j
     for leg, phi in ((1, phi1), (2, phi2)):
-        if prod[leg] is not None:
-            val *= complex(phi.apply(prod[leg])[0, 0])
+        own = [mat for letter_leg, mat in word.letters if letter_leg == leg]
+        if own:
+            val *= complex(phi.apply(_ordered_product(own))[0, 0])
     return val
+
+
+def tensor_moment_formulas(
+    words: list[AlternatingWord],
+    phi1: PositiveMap,
+    phi2: PositiveMap,
+) -> np.ndarray:
+    """:func:`tensor_moment_formula` of each word, as one complex array.
+
+    Per leg, the words with the same number of letters on it form one
+    stack: one stacked product per letter, in order, and one ``apply_many``.
+    The two factors of a word multiply as Python complex numbers, as in
+    :func:`tensor_moment_formula`, so each value has its bits.
+    """
+    factors: list[list[complex]] = [[] for _ in words]
+    for leg, phi in ((1, phi1), (2, phi2)):
+        mats = [[mat for letter_leg, mat in word.letters if letter_leg == leg] for word in words]
+        groups: dict[int, list[int]] = {}
+        for j, own in enumerate(mats):
+            if own:
+                groups.setdefault(len(own), []).append(j)
+        for count, at in groups.items():
+            prod = _ordered_product([np.stack([mats[j][i] for j in at]) for i in range(count)])
+            for j, value in zip(at, phi.apply_many(prod)[:, 0, 0]):
+                factors[j].append(complex(value))
+    out = np.empty(len(words), dtype=complex)
+    for j, own in enumerate(factors):
+        val = 1.0 + 0.0j
+        for value in own:
+            val *= value
+        out[j] = val
+    return out
+
+
+def _monotone_factorization(letters, phi1: PositiveMap, phi2: PositiveMap) -> np.ndarray:
+    """The factorization of :func:`monotone_moment_formula` on normalized
+    ``letters``, matrices or stacks (K, d, d) of them, with the legs swapped."""
+    unit1 = phi1.domain.unit
+    many = bool(letters) and letters[0][1].ndim == 3
+    return conditional_monotone_factorization(
+        [(3 - leg, x) for leg, x in letters],
+        phi2.apply_many if many else phi2.apply,
+        phi1.apply_many if many else phi1.apply,
+        lambda v: v * unit1,
+        np.ones((1, 1), dtype=complex),
+    )
 
 
 def monotone_moment_formula(
@@ -370,15 +464,21 @@ def monotone_moment_formula(
     still splits its neighbours' leg-2 letters into separate factors, which
     is the projection effect of the non-unital embedding.
     """
-    unit1 = phi1.domain.unit
-    value = conditional_monotone_factorization(
-        word.swap_legs().normalized().letters,
-        phi2.apply,
-        phi1.apply,
-        lambda v: complex(v[0, 0]) * unit1,
-        np.ones((1, 1), dtype=complex),
-    )
+    value = _monotone_factorization(word.normalized().letters, phi1, phi2)
     return complex(value[0, 0])
+
+
+def monotone_moment_formulas(
+    words: list[AlternatingWord],
+    phi1: PositiveMap,
+    phi2: PositiveMap,
+) -> np.ndarray:
+    """:func:`monotone_moment_formula` of each word, as one complex array: one
+    factorization of letter stacks per normalized leg sequence."""
+    out = np.empty(len(words), dtype=complex)
+    for at, letters in _normalized_stacks(words):
+        out[at] = _monotone_factorization(letters, phi1, phi2)[..., 0, 0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +547,8 @@ def conditional_monotone_factorization(letters, expect1, expect2, insert, unit):
     ``insert`` carries an interior leg-1 value into the leg-2 chain, where it
     is multiplied *inside*.  Everything multiplies with ``@``: matrix letters
     with base-valued expectations, or flat operators with the corner
-    functional and its left embedding of the base.
+    functional and its left embedding of the base, or stacks (K, ...) of
+    either, one per word of one leg sequence, which broadcast.
     """
     left = right = unit
     if letters and letters[0][0] == 1:
@@ -463,6 +564,40 @@ def conditional_monotone_factorization(letters, expect1, expect2, insert, unit):
         factor = x if leg == 2 else insert(expect1(x))
         chain = factor if chain is None else chain @ factor
     return left @ expect2(chain) @ right
+
+
+def _conditional_monotone_values(letters, expect1: PositiveMap, expect2: PositiveMap):
+    """The factorization of :func:`conditional_monotone_moment_formula` on
+    normalized ``letters``, matrices or stacks (K, d, d) of them, guarded
+    for membership of its value(s) in the shared codomain."""
+    cod = expect1.codomain
+    if not expect2.codomain.same_basis(cod):
+        raise StructuralError("the two expectations must share their codomain")
+    amb = expect2.domain.ambient_dim
+
+    def insert(value: np.ndarray) -> np.ndarray:
+        # interior expectations multiply inside the second algebra; over a
+        # scalar base that means "scalar times the unit", over a matrix base
+        # the value is already an element of it
+        if value.shape[-2:] == (amb, amb):
+            return value
+        if value.shape[-2:] == (1, 1):
+            return value * expect2.domain.unit
+        raise StructuralError(
+            "base values cannot be multiplied into the second algebra: "
+            f"ambient dimensions {value.shape[-1]} vs {amb}"
+        )
+
+    many = bool(letters) and letters[0][1].ndim == 3
+    apply1, apply2 = (expect1.apply_many, expect2.apply_many) if many else (expect1.apply, expect2.apply)
+    value = conditional_monotone_factorization(letters, apply1, apply2, insert, cod.unit)
+    res = cod.coords_many(value.reshape(-1, *cod.unit.shape))[1] if many else cod.span_residual(value)
+    if exceeds(res, GUARD_TOL):
+        raise StructuralError(
+            f"moment left the base algebra (residual {res:.3e}); "
+            "check that the expectations share their range"
+        )
+    return value
 
 
 def conditional_monotone_moment_formula(
@@ -481,34 +616,22 @@ def conditional_monotone_moment_formula(
     with missing outer letters counting as units.  The result is checked to
     lie in the shared codomain algebra.
     """
+    return _conditional_monotone_values(word.normalized().letters, expect1, expect2)
+
+
+def conditional_monotone_moment_formulas(
+    words: list[AlternatingWord],
+    expect1: PositiveMap,
+    expect2: PositiveMap,
+) -> np.ndarray:
+    """:func:`conditional_monotone_moment_formula` of each word, stacked
+    (len(words), d0, d0): one factorization of letter stacks, and one
+    base-membership guard, per normalized leg sequence."""
     cod = expect1.codomain
-    if not expect2.codomain.same_basis(cod):
-        raise StructuralError("the two expectations must share their codomain")
-    amb = expect2.domain.ambient_dim
-
-    def insert(value: np.ndarray) -> np.ndarray:
-        # interior expectations multiply inside the second algebra; over a
-        # scalar base that means "scalar times the unit", over a matrix base
-        # the value is already an element of it
-        if value.shape == (amb, amb):
-            return value
-        if value.shape == (1, 1):
-            return complex(value[0, 0]) * expect2.domain.unit
-        raise StructuralError(
-            "base values cannot be multiplied into the second algebra: "
-            f"ambient dimensions {value.shape[0]} vs {amb}"
-        )
-
-    value = conditional_monotone_factorization(
-        word.normalized().letters, expect1.apply, expect2.apply, insert, cod.unit
-    )
-    res = cod.span_residual(value)
-    if exceeds(res, GUARD_TOL):
-        raise StructuralError(
-            f"moment left the base algebra (residual {res:.3e}); "
-            "check that the expectations share their range"
-        )
-    return value
+    out = np.empty((len(words), *cod.unit.shape), dtype=complex)
+    for at, letters in _normalized_stacks(words):
+        out[at] = _conditional_monotone_values(letters, expect1, expect2)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -581,38 +704,33 @@ def conditional_tensor_realize(
     nb = base.dim
     n = carrier.rank
 
-    def flatten(op: AdjointableOperator) -> np.ndarray:
+    def flatten(blocks: np.ndarray) -> np.ndarray:
         # blocks act on the extended family e_j beta_p; express the results
         # over the same family and compress onto the range of the Gram
         coeffs, res = base.coords_many(
-            np.einsum("ijab,pbc->ijpac", op.blocks, base.basis).reshape(-1, *base.unit.shape)
+            np.einsum("ijab,pbc->ijpac", blocks, base.basis).reshape(-1, *base.unit.shape)
         )
         if exceeds(res, GUARD_TOL):
             raise StructuralError("operator blocks left the base algebra span")
         k = coeffs.reshape(n, n, nb, nb).transpose(0, 3, 1, 2).reshape(n * nb, n * nb)
         return (u.conj().T * root[:, None]) @ k @ (u / root[None, :])
 
-    pair_ops: list[AdjointableOperator] = []
-    pair_mats: list[np.ndarray] = []
-    for b in s1.algebra.basis:
-        for c in s2.algebra.basis:
-            op = embed1(b) @ embed2(c)
-            pair_ops.append(op)
-            pair_mats.append(flatten(op))
-    stack = np.stack(pair_mats)
+    # embed1(b) embed2(c) for every pair of basis elements, b-major: one
+    # stacked product of the realization's cached basis images
+    flat1, _ = real.basis_images(1)
+    flat2, _ = real.basis_images(2)
+    pair_ops = unblock((flat1[:, None] @ flat2[None]).reshape(-1, *flat1.shape[1:]), carrier.base.ambient_dim)
+    stack = np.stack([flatten(blocks) for blocks in pair_ops])
     keep_idx = independent_columns(stack.reshape(len(stack), -1).T)
     amalg = MatrixStarAlgebra(stack[keep_idx])
 
-    base_images = np.stack([flatten(embed1(b)) for b in base.basis])
+    base_images = np.stack([flatten(embed1(b).blocks) for b in base.basis])
     base_keep = independent_columns(base_images.reshape(len(base_images), -1).T)
     base_alg = MatrixStarAlgebra(base_images[base_keep])
 
-    def vacuum_value(op: AdjointableOperator) -> np.ndarray:
-        return carrier.inner(vac, op(vac))
-
     images = []
     for k in keep_idx:
-        val = vacuum_value(pair_ops[k])
+        val = carrier.inner(vac, apply_blocks(pair_ops[k], vac))
         c, res = base.coords(val)
         if exceeds(res, GUARD_TOL):
             raise StructuralError("vacuum functional left the base algebra")

@@ -52,8 +52,8 @@ def vec(m: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m*) / 2, for one matrix or a stack of them."""
-    return (m + np.swapaxes(m, -1, -2).conj()) / 2
+    """(m + m*) / 2, for one matrix or a stack of them (an ndarray)."""
+    return (m + m.swapaxes(-1, -2).conj()) / 2
 
 
 def min_eig(m: np.ndarray) -> float:
@@ -87,19 +87,19 @@ def exceeds(value: float, bound: float) -> bool:
 
 
 def block_matrix(blocks: np.ndarray) -> np.ndarray:
-    """The (n*d, m*d) matrix of an (..., n, m, d, d) block array.
+    """The (n*d, m*d) matrix of an (..., n, m, d, d) block ndarray.
 
     A view, without a copy, when ``blocks`` is itself a view made by
     :func:`unblock`.
     """
     *lead, n, m, d, _ = blocks.shape
-    return np.swapaxes(blocks, -3, -2).reshape(*lead, n * d, m * d)
+    return blocks.swapaxes(-3, -2).reshape(*lead, n * d, m * d)
 
 
 def unblock(mat: np.ndarray, d: int) -> np.ndarray:
-    """The (..., n, m, d, d) block view of an (..., n*d, m*d) matrix."""
+    """The (..., n, m, d, d) block view of an (..., n*d, m*d) ndarray."""
     *lead, rows, cols = mat.shape
-    return np.swapaxes(mat.reshape(*lead, rows // d, d, cols // d, d), -3, -2)
+    return mat.reshape(*lead, rows // d, d, cols // d, d).swapaxes(-3, -2)
 
 
 def scaled_hermitian(draws: np.ndarray) -> np.ndarray:

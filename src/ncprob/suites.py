@@ -54,13 +54,13 @@ from .independence import (
     classical_coins_oracle,
     coins_game,
     conditional_monotone_embed,
-    conditional_monotone_moment_formula,
+    conditional_monotone_moment_formulas,
     conditional_tensor_realize,
-    monotone_moment_formula,
+    monotone_moment_formulas,
     monotone_realize,
     random_alternating_words,
     random_hermitian_elements,
-    tensor_moment_formula,
+    tensor_moment_formulas,
     tensor_realize,
     word_stacks,
 )
@@ -216,30 +216,34 @@ def suite_monotone(config: RunConfig) -> list[dict]:
     worst_word = ""
     witness_gap = 0.0
     witness_word = ""
-    # each stack of words is drawn in one call before any of it is evaluated
+    # each stack of words is drawn in one call, then evaluated as one stack
     for count in word_stacks(config.trials):
-        for word in random_alternating_words(s1.algebra, s2.algebra, rng, count, config.max_word_length):
-            got = mono.scalar_moment(word)
-            want = monotone_moment_formula(word, s1.functional, s2.functional)
-            gap = abs(got - want)
+        words = random_alternating_words(s1.algebra, s2.algebra, rng, count, config.max_word_length)
+        got = mono.moments(words)[:, 0, 0]
+        want = monotone_moment_formulas(words, s1.functional, s2.functional)
+        naive = tensor_moment_formulas(words, s1.functional, s2.functional)
+        tens_got = tens.moments(words)[:, 0, 0]
+        # element by element: np.abs of an array need not round as abs does
+        for word, g, w, t, n in zip(words, got, want, tens_got, naive):
+            gap = abs(g - w)
             if gap > worst_mono or np.isnan(gap):
                 worst_mono, worst_word = gap, word.label()
-            naive = tensor_moment_formula(word, s1.functional, s2.functional)
-            worst_tens = residual_max(worst_tens, abs(tens.scalar_moment(word) - naive))
-            cross = abs(want - naive)
+            worst_tens = residual_max(worst_tens, abs(t - n))
+            cross = abs(w - n)
             if cross > witness_gap or np.isnan(cross):
                 witness_gap, witness_word = cross, word.label()
     report.add("realization-matches-formula", worst_mono, tol, f"worst word: {worst_word}")
     report.add("tensor-realization-matches-formula", worst_tens, tol)
 
-    # ordered two-letter factorization phi(f(X1) g(X2)) = phi1(f) phi2(g)
-    worst = 0.0
+    # ordered two-letter factorization phi(f(X1) g(X2)) = phi1(f) phi2(g);
+    # the realization and both maps guard the letters' membership
     elements = random_hermitian_elements([s1.algebra, s2.algebra] * 25, rng)
-    for f, g in zip(elements[0::2], elements[1::2]):
-        f, g = s1.algebra.element(f), s2.algebra.element(g)
-        word = AlternatingWord([(1, f), (2, g)])
-        split = complex(s1.functional.apply(f)[0, 0]) * complex(s2.functional.apply(g)[0, 0])
-        worst = residual_max(worst, abs(mono.scalar_moment(word) - split))
+    fs, gs = np.stack(elements[0::2]), np.stack(elements[1::2])
+    words = [AlternatingWord([(1, f), (2, g)]) for f, g in zip(fs, gs)]
+    splits = zip(s1.functional.apply_many(fs)[:, 0, 0], s2.functional.apply_many(gs)[:, 0, 0])
+    worst = residual_max(*(
+        abs(got - complex(a) * complex(b)) for got, (a, b) in zip(mono.moments(words)[:, 0, 0], splits)
+    ))
     report.add("ordered-two-letter-factorization", worst, tol)
 
     # at least one reversed word must separate monotone from tensor values;
@@ -247,11 +251,14 @@ def suite_monotone(config: RunConfig) -> list[dict]:
     # ordered pairs always factor and a short word-length cap must not mask
     # the asymmetry
     elements = random_hermitian_elements([s1.algebra, s2.algebra, s2.algebra] * 25, rng)
-    for f, g, gp in zip(elements[0::3], elements[1::3], elements[2::3]):
-        word = AlternatingWord([(2, g), (1, f), (2, gp)])
-        want = monotone_moment_formula(word, s1.functional, s2.functional)
-        naive = tensor_moment_formula(word, s1.functional, s2.functional)
-        cross = abs(want - naive)
+    words = [
+        AlternatingWord([(2, g), (1, f), (2, gp)])
+        for f, g, gp in zip(elements[0::3], elements[1::3], elements[2::3])
+    ]
+    want = monotone_moment_formulas(words, s1.functional, s2.functional)
+    naive = tensor_moment_formulas(words, s1.functional, s2.functional)
+    for word, w, n in zip(words, want, naive):
+        cross = abs(w - n)
         if cross > witness_gap or np.isnan(cross):
             witness_gap, witness_word = cross, word.label()
     shortfall = residual_max(1e-3 - witness_gap)
@@ -283,14 +290,13 @@ def suite_conditional_monotone(config: RunConfig) -> list[dict]:
     worst_member = 0.0
     length = min(config.max_word_length, 5)
     for count in word_stacks(config.trials):
-        for word in random_alternating_words(m2, m2, rng, count, length):
-            got = joint.moment(word)
-            want = conditional_monotone_moment_formula(word, comp, comp)
-            gap = frob(got - want)
+        words = random_alternating_words(m2, m2, rng, count, length)
+        want = conditional_monotone_moment_formulas(words, comp, comp)
+        for word, diff in zip(words, joint.moments(words) - want):
+            gap = frob(diff)
             if gap > worst or np.isnan(gap):
                 worst, worst_word = gap, word.label()
-            _, res = base.coords(want)
-            worst_member = residual_max(worst_member, res)
+        worst_member = residual_max(worst_member, base.coords_many(want)[1])
     report.add(
         "realization-matches-formula", worst, tol, f"{config.trials} words (len <= {length}); worst: {worst_word}"
     )
@@ -330,33 +336,34 @@ def coins_identities(seed: int, bias1: float = 0.7, bias2: float = 0.3) -> Coins
     and the base-insertion identity on 10 seeded triples."""
     s1, s2, base = coins_game(bias1, bias2)
     product = conditional_tensor_realize(s1, s2)
-    moment = product.realization.moment
+    moments = product.realization.moments
 
     # the conditional expectation factorizes, exhaustively over indicator pairs
     indicators = [np.diag(np.eye(4)[k]).astype(complex) for k in range(4)]
+    index = [(i, j) for i in range(4) for j in range(4)]
+    joints = moments([AlternatingWord([(1, indicators[i]), (2, indicators[j])]) for i, j in index])
     pairs = []
     worst_split = worst_classical = 0.0
-    for i, f in enumerate(indicators):
-        for j, g in enumerate(indicators):
-            joint = moment(AlternatingWord([(1, f), (2, g)]))
-            split = s1.functional.apply(f) @ s2.functional.apply(g)
-            gap = frob(joint - split)
-            worst_split = residual_max(worst_split, gap)
-            worst_classical = residual_max(
-                worst_classical, frob(joint - classical_coins_oracle(f, g, bias1, bias2))
-            )
-            pairs.append((i, j, joint, split, gap))
+    for (i, j), joint in zip(index, joints):
+        f, g = indicators[i], indicators[j]
+        split = s1.functional.apply(f) @ s2.functional.apply(g)
+        gap = frob(joint - split)
+        worst_split = residual_max(worst_split, gap)
+        worst_classical = residual_max(
+            worst_classical, frob(joint - classical_coins_oracle(f, g, bias1, bias2))
+        )
+        pairs.append((i, j, joint, split, gap))
 
     # functions of the fair coin slide across the tensor sign
     rng = np.random.default_rng(seed)
-    worst_insert = 0.0
+    via1, via2 = [], []
     for _ in range(10):
         f = np.diag(rng.uniform(-1, 1, size=4)).astype(complex)
         g = np.diag(rng.uniform(-1, 1, size=4)).astype(complex)
         h = base.combine(rng.uniform(-1, 1, size=2))
-        via1 = moment(AlternatingWord([(1, f @ h), (2, g)]))
-        via2 = moment(AlternatingWord([(1, f), (2, h @ g)]))
-        worst_insert = residual_max(worst_insert, frob(via1 - via2))
+        via1.append(AlternatingWord([(1, f @ h), (2, g)]))
+        via2.append(AlternatingWord([(1, f), (2, h @ g)]))
+    worst_insert = residual_max(*map(frob, moments(via1) - moments(via2)))
     return CoinsIdentities(product, pairs, worst_split, worst_classical, worst_insert)
 
 

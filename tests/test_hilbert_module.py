@@ -14,6 +14,8 @@ Independent reference points used here:
   its own adjoint.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -418,3 +420,20 @@ def test_gns_of_random_states_verifies(seed):
     x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     got = m.inner(xi, apply_blocks(m.left.blocks_of(x), xi))[0, 0]
     assert abs(got - np.trace(rho @ x)) < 1e-8
+
+
+def test_verify_module_on_a_wide_fiber_stays_within_a_row_of_pairs():
+    # the unreduced GNS fiber of a unital CP map on M_4, as a dilation
+    # builds it: rank 16 over M_4, so each left-action operator is 64 x 64
+    # and the 16 of them take 1 MB; the multiplicativity check stacks one
+    # row of 16 pairs at a time, where all 256 pairs would take 16 MB an array
+    pmap = random_unital_cps(4, np.random.default_rng(7), 1)[0]
+    fiber = gns_construct(pmap, reduce=False, verify=False)
+    tracemalloc.start()
+    try:
+        report = verify_module(fiber)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed, report.failures
+    assert peak < 12 * 2**20

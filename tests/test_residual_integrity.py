@@ -38,8 +38,11 @@ from ncprob.hilbert_module import gns_construct
 from ncprob.independence import (
     AlternatingWord,
     QuantumProbabilitySpace,
+    conditional_monotone_moment_formulas,
     monotone_moment_formula,
+    monotone_moment_formulas,
     monotone_realize,
+    tensor_moment_formulas,
     verify_independence,
 )
 from ncprob.linalg import GUARD_TOL, exceeds, frob, residual_max
@@ -147,6 +150,17 @@ def _diagonal_monotone():
     return _monotone(diagonal_algebra(2))
 
 
+def _stacked_formula(formula, x, leg=2, algebra=None):
+    """``formula`` on a stack of two words, the second holding ``x`` on ``leg``."""
+    state = normalized_trace_state(algebra or diagonal_algebra(2))
+    words = [AlternatingWord([(1, np.eye(2)), (2, np.eye(2))]), AlternatingWord([(leg, x)])]
+    return formula(words, state, state)
+
+
+def _stacked_moments(real, x, leg=2):
+    return real.moments([AlternatingWord([(1, np.eye(2)), (2, np.eye(2))]), AlternatingWord([(leg, x)])])
+
+
 def _inf_quietly(guard):
     # inf - inf is numpy's "invalid value" on the way to the NaN residual
     with np.errstate(invalid="ignore"):
@@ -167,6 +181,19 @@ _NAN_GUARDS = {
     "JointRealization.moment": lambda: _diagonal_monotone().moment(AlternatingWord([(1, _nan_in(np.eye(2)))])),
     "JointRealization.moment-leg2": lambda: _diagonal_monotone().moment(
         AlternatingWord([(1, np.eye(2)), (2, _nan_in(np.eye(2)))])
+    ),
+    "JointRealization.moments": lambda: _stacked_moments(_diagonal_monotone(), _nan_in(np.eye(2))),
+    "JointRealization.moments-leg1": lambda: _stacked_moments(_diagonal_monotone(), _nan_in(np.eye(2)), leg=1),
+    "JointRealization.moments-full-nan": lambda: _stacked_moments(
+        _monotone(full_matrix_algebra(2)), _nan_in(np.eye(2))
+    ),
+    "monotone_moment_formulas": lambda: _stacked_formula(monotone_moment_formulas, _nan_in(np.eye(2))),
+    "tensor_moment_formulas": lambda: _stacked_formula(tensor_moment_formulas, _nan_in(np.eye(2))),
+    "conditional_monotone_moment_formulas": lambda: _stacked_formula(
+        conditional_monotone_moment_formulas, _nan_in(np.eye(2)), leg=1
+    ),
+    "monotone_moment_formulas-full-nan": lambda: _stacked_formula(
+        monotone_moment_formulas, _nan_in(np.eye(2)), algebra=full_matrix_algebra(2)
     ),
     "cp_from_stochastic": lambda: cp_from_stochastic([[NAN, 0.5], [0.3, 0.7]]),
     # M2's span holds every finite matrix, so these guards can fail only
@@ -219,6 +246,11 @@ _SPAN_GUARDS = {
     "LeftAction.coords_of": lambda x: gns_construct(identity_map(diagonal_algebra(2))).left.coords_of(x[None]),
     "JointRealization.moment": lambda x: _diagonal_monotone().moment(AlternatingWord([(2, x)])),
     "JointRealization.moment-leg1": lambda x: _diagonal_monotone().moment(AlternatingWord([(1, x)])),
+    "JointRealization.moments": lambda x: _stacked_moments(_diagonal_monotone(), x),
+    "JointRealization.moments-leg1": lambda x: _stacked_moments(_diagonal_monotone(), x, leg=1),
+    "monotone_moment_formulas": lambda x: _stacked_formula(monotone_moment_formulas, x),
+    "tensor_moment_formulas": lambda x: _stacked_formula(tensor_moment_formulas, x, leg=1),
+    "conditional_monotone_moment_formulas": lambda x: _stacked_formula(conditional_monotone_moment_formulas, x),
 }
 
 
