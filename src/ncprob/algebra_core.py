@@ -149,7 +149,7 @@ class MatrixStarAlgebra:
         # coordinate work
         self._flat = basis.reshape(len(basis), d * d)
         self._stack = self._flat.T
-        overlaps = dag(self._stack) @ self._stack
+        overlaps = dag(self._stack).dot(self._stack)
         norms2 = np.diagonal(overlaps).real
         if np.any(norms2 <= 0.0):
             raise StructuralError("basis contains a zero matrix")
@@ -170,7 +170,7 @@ class MatrixStarAlgebra:
                 rounded = np.round(self._pinv.real) + 1j * np.round(self._pinv.imag)
                 if (
                     np.abs(rounded - self._pinv).max() < 1e-10
-                    and np.array_equal(rounded @ self._stack, np.eye(len(basis)))
+                    and np.array_equal(rounded.dot(self._stack), np.eye(len(basis)))
                 ):
                     self._pinv = rounded
         self._pinv.flags.writeable = False
@@ -187,8 +187,8 @@ class MatrixStarAlgebra:
     def coords(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """Least-squares coordinates of ``x`` over the basis and the residual."""
         v = vec(x)
-        c = self._pinv @ v
-        return c, frob(self._stack @ c - v)
+        c = self._pinv.dot(v)
+        return c, frob(self._stack.dot(c) - v)
 
     def span_residual(self, x: np.ndarray) -> float:
         """Distance of ``x`` from the algebra span: the residual of :meth:`coords`."""
@@ -199,11 +199,12 @@ class MatrixStarAlgebra:
 
         Each column's residual is ``np.linalg.norm(r, axis=0)``'s own
         arithmetic, ``sqrt(add.reduce((r.conj() * r).real, 0))``, so the same
-        bits without that function's dispatch; a NaN column stays NaN.
+        bits without that function's dispatch; a NaN column stays NaN.  An
+        empty stack has (0, dim) coordinates and residual 0.
         """
-        flat = xs.reshape(xs.shape[0], -1).T
-        c = self._pinv @ flat
-        r = self._stack @ c - flat
+        flat = xs.reshape(len(xs), self._stack.shape[0]).T
+        c = self._pinv.dot(flat)
+        r = self._stack.dot(c) - flat
         res = np.sqrt(np.add.reduce((r.conj() * r).real, axis=0))
         return c.T, float(res.max(initial=0.0))
 
@@ -315,7 +316,7 @@ def verify_algebra(algebra: MatrixStarAlgebra, tol: float = DEFAULT_TOL) -> Veri
     report.add("unit-law", residual_max(frob(left), frob(right)), tol)
 
     herm = frob(algebra.unit - dag(algebra.unit))
-    idem = frob(algebra.unit @ algebra.unit - algebra.unit)
+    idem = frob(algebra.unit.dot(algebra.unit) - algebra.unit)
     report.add("unit-projection", residual_max(herm, idem), tol)
     return report
 
@@ -353,7 +354,7 @@ class PositiveMap:
         self.codomain = codomain
         self.matrix = matrix
         self.kind = MapKind(kind)
-        self._kernel = matrix.T @ codomain._flat
+        self._kernel = matrix.T.dot(codomain._flat)
         self._kernel.flags.writeable = False
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -362,7 +363,7 @@ class PositiveMap:
         if exceeds(res, GUARD_TOL):
             raise StructuralError(f"argument is not in the domain span (residual {res:.3e})")
         d = self.codomain.ambient_dim
-        return (c @ self._kernel).reshape(d, d)
+        return c.dot(self._kernel).reshape(d, d)
 
     def apply_many(self, xs: np.ndarray) -> np.ndarray:
         """Images of a stack ``(m, d, d)``; raises, as :meth:`apply` does, if
@@ -419,7 +420,7 @@ def induced_density(state: PositiveMap) -> np.ndarray:
     values = state.matrix[0]
     # trace(rho b_j) = vec(rho) . vec(b_j^T); constrain rho to the span
     pairing = alg.basis.transpose(0, 2, 1).reshape(alg.dim, -1)
-    coeff_matrix = pairing @ alg._stack
+    coeff_matrix = pairing.dot(alg._stack)
     c = np.linalg.lstsq(coeff_matrix, values, rcond=None)[0]
     return alg.combine(c)
 
@@ -441,7 +442,7 @@ def average_with_involution(domain: MatrixStarAlgebra, u: np.ndarray) -> Positiv
     The image is the commutant of ``u`` inside the domain.
     """
     u = np.asarray(u, dtype=complex)
-    if exceeds(residual_max(frob(u @ u - np.eye(len(u))), frob(u - dag(u))), 1e-10):
+    if exceeds(residual_max(frob(u.dot(u) - np.eye(len(u))), frob(u - dag(u))), 1e-10):
         raise StructuralError("averaging element must be a Hermitian unitary")
     images = (domain.basis + np.einsum("ab,ibc,cd->iad", u, domain.basis, dag(u))) / 2
     coeffs, res = domain.coords_many(images)
@@ -465,7 +466,7 @@ def independent_columns(a: np.ndarray) -> list[int]:
             break
         keep.append(k)
         v = work[:, k] / norms[k]
-        work -= np.outer(v, v.conj() @ work)
+        work -= np.outer(v, v.conj().dot(work))
     return sorted(keep)
 
 
@@ -509,7 +510,7 @@ def compose_maps(outer: PositiveMap, inner: PositiveMap) -> PositiveMap:
     match the domain of ``outer``."""
     if not inner.codomain.same_basis(outer.domain):
         raise StructuralError("composition mismatch: inner codomain differs from outer domain")
-    return PositiveMap(inner.domain, outer.codomain, outer.matrix @ inner.matrix, outer.kind)
+    return PositiveMap(inner.domain, outer.codomain, outer.matrix.dot(inner.matrix), outer.kind)
 
 
 def iterate_map(t: PositiveMap, n: int) -> PositiveMap:
@@ -584,7 +585,7 @@ def verify_positive_map(pmap: PositiveMap, tol: float = DEFAULT_TOL) -> Verifica
         report.add("unit-match", frob(pmap.domain.unit - pmap.codomain.unit), tol)
         report.add("expectation-unital", frob(pmap.apply(pmap.domain.unit) - pmap.codomain.unit), tol)
         # idempotence: applying the map to its own images changes nothing
-        again = pmap.matrix @ embed.T @ pmap.matrix
+        again = pmap.matrix.dot(embed.T).dot(pmap.matrix)
         report.add("idempotent", frob(again - pmap.matrix), tol)
         # bimodule property over the codomain, exhaustively on bases
         worst = 0.0

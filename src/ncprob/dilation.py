@@ -447,7 +447,7 @@ def _window_vectors(system: DiscreteProductSystem, widths: list[int], draws: np.
     coeffs.real = draws[real]
     coeffs.imag = draws[real + per_row]
     coeffs /= np.sqrt(2.0 * nb * per_row)[:, None]
-    vectors = (coeffs @ base.basis.reshape(nb, -1)).reshape(-1, d0, d0)
+    vectors = coeffs.dot(base.basis.reshape(nb, -1)).reshape(-1, d0, d0)
     return [v.reshape(4, -1, d0, d0) for v in np.split(vectors, ends[3:-1:4])]
 
 
@@ -823,7 +823,7 @@ class MarkovModel:
             # the vectors side by side, (M, K, d0), and sum_k c_k P_k of them
             xs = np.stack([items[j][3].reshape(-1, d0) for j in at], axis=1)
             new = sum(
-                ck[:, None] * (op @ xs.reshape(len(xs), -1)).reshape(xs.shape)
+                ck[:, None] * op.dot(xs.reshape(len(xs), -1)).reshape(xs.shape)
                 for ck, op in zip(c.T, self._basis_operators(time, level))
             )
             for j, x in zip(at, new.swapaxes(0, 1)):
@@ -847,7 +847,7 @@ class MarkovModel:
             weights[time] *= np.diag(f)
         values = weights[-1]
         for w in weights[-2::-1]:
-            values = w * (self.transition @ values)
+            values = w * self.transition.dot(values)
         return np.diag(values)
 
     def module_moment(self, observables: list[tuple[np.ndarray, int]]) -> np.ndarray:
@@ -907,9 +907,20 @@ class MarkovModel:
         later = self._observe([(g, q, n, xi) for _, _, _, g, _, q in shifts])
         direct = self._observe([(f, p + tw, n, w) for (_, tw, f, _, p, _), w in zip(shifts, later)])
         worst = 0.0
-        for (sw, tw, *_), u, v, d in zip(shifts, us, vs, direct):
-            glued = system.identify(sw, tw, u, v)
-            worst = residual_max(worst, vector_norm(system.powers[n], glued - d))
+        if shifts:
+            # u (x) v - direct per sample, from one extend of the stacked u's
+            # per (sw, tw) pair; then every gap's norm, as vector_norm takes
+            # it, from one stacked Gram product and one stacked 2-norm
+            d0 = system.base.ambient_dim
+            pairs: dict[tuple[int, int], list[int]] = {}
+            for j, (sw, tw, *_) in enumerate(shifts):
+                pairs.setdefault((sw, tw), []).append(j)
+            gaps = np.stack(direct).reshape(len(shifts), -1, d0)
+            for (sw, tw), at in pairs.items():
+                put = block_matrix(system.extend(np.stack([us[j] for j in at]), sw, tw))
+                gaps[at] = put @ np.stack([vs[j] for j in at]).reshape(len(at), -1, d0) - gaps[at]
+            inner = gaps.conj().swapaxes(-1, -2) @ (block_matrix(system.powers[n].gram) @ gaps)
+            worst = residual_max(worst, *np.sqrt(np.linalg.norm(inner, 2, axis=(-2, -1))))
         report.add("shift-preserves-inner-products", worst, 1e-10, "fixed tolerance 1e-10")
         return report
 

@@ -14,10 +14,20 @@ whether given blocks are an operator's adjoint, by the Gram identity
 That block layout is the public one at every function boundary, but the
 arithmetic runs on the flat view: an operator is an element of M_n(B), an
 ``(n*d0, n*d0)`` matrix, and a vector an ``(n*d0, d0)`` matrix, so composing
-is ``A @ B``, applying is ``A @ X`` and the inner product is
-``<x, y> = X^H G Y``, each one BLAS matmul.  The block arrays made here are
-views of such flat matrices (:func:`~ncprob.linalg.unblock`), so handing
-them from kernel to kernel copies nothing.
+is ``A B``, applying is ``A X`` and the inner product is ``<x, y> = X^H G Y``,
+each one BLAS product.  The block arrays made here are views of such flat
+matrices (:func:`~ncprob.linalg.unblock`), so handing them from kernel to
+kernel copies nothing.
+
+One rule for products, package-wide: two 1-D/2-D operands multiply by
+``a.dot(b)``, stacks by ``a @ b``.  On the same operands both make the same
+BLAS call, so the same bits, but ``dot`` skips the matmul ufunc's dispatch,
+which at these sizes costs as much as the product.  ``dot`` does not
+broadcast, and on arrays of three or more axes it contracts other axes than
+``matmul``, so stacks stay on ``@``; :func:`compose_blocks`, which takes
+both, picks by ``ndim``.  The bits agree only where BLAS takes the
+operands directly: a contraction of length one, or a view with a step or a
+reversed axis, is computed differently by each.
 
 Since generators may be dependent, equality of vectors and operators is
 always decided through the inner product, never through raw coefficients.
@@ -103,16 +113,17 @@ def _flat_backed(blocks: np.ndarray) -> np.ndarray:
 
 def inner_product(gram: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Base-valued inner product <x, y> = sum_ij x_i^* G_ij y_j = X^H G Y."""
-    return _flat_vector(x).conj().T @ (block_matrix(gram) @ _flat_vector(y))
+    return _flat_vector(x).conj().T.dot(block_matrix(gram).dot(_flat_vector(y)))
 
 
 def apply_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return (block_matrix(blocks) @ _flat_vector(x)).reshape(blocks.shape[0], *x.shape[1:])
+    return block_matrix(blocks).dot(_flat_vector(x)).reshape(blocks.shape[0], *x.shape[1:])
 
 
 def compose_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Blocks of a b; stacks of operators broadcast like matmul operands."""
-    return unblock(block_matrix(a) @ block_matrix(b), a.shape[-1])
+    fa, fb = block_matrix(a), block_matrix(b)
+    return unblock(fa.dot(fb) if fa.ndim == fb.ndim == 2 else fa @ fb, a.shape[-1])
 
 
 def dagger_blocks(m: np.ndarray) -> np.ndarray:
@@ -152,7 +163,7 @@ class LeftAction:
         """Flat operators (k, n*d0, n*d0) of a stack (k, d0, d0) of elements:
         their coordinates times the basis operators, one product."""
         acts = block_matrix(self.blocks)
-        return (self.coords_of(elements) @ acts.reshape(len(acts), -1)).reshape(-1, *acts.shape[1:])
+        return self.coords_of(elements).dot(acts.reshape(len(acts), -1)).reshape(-1, *acts.shape[1:])
 
     def blocks_of(self, a: np.ndarray) -> np.ndarray:
         return unblock(self.operators(np.asarray(a)[None])[0], self.blocks.shape[-1])
@@ -353,8 +364,8 @@ def quotient_null_space(module: HilbertModule) -> QuotientInfo:
         # the pivot's pseudo-inverse, with pinv's cutoff 1e-12 * max |eigenvalue|
         w, v = np.linalg.eigh(work[sl, sl])
         large = np.abs(w) > 1e-12 * np.abs(w).max()
-        inv = (v[:, large] / w[large]) @ v[:, large].conj().T
-        work -= work[:, sl] @ inv @ work[sl, :]
+        inv = (v[:, large] / w[large]).dot(v[:, large].conj().T)
+        work -= work[:, sl].dot(inv).dot(work[sl, :])
 
     survivors.sort()
     idx = [i * nb + m for i in survivors for m in range(nb)]
@@ -521,7 +532,7 @@ def tensor_isometry(
     """
     d0 = xi.shape[-1]
     v = tensor_extend(left, xi, kept)
-    row = xi.reshape(-1, d0).conj().T @ block_matrix(gram)
+    row = xi.reshape(-1, d0).conj().T.dot(block_matrix(gram))
     overlaps = np.swapaxes(row.reshape(d0, -1, d0), 0, 1) @ left.algebra.unit
     flat = block_matrix(tensor_extend(left, overlaps[:, None]))
     pairs = np.swapaxes(flat, 0, 1).reshape(flat.shape[1], len(flat), -1, d0)
@@ -574,7 +585,7 @@ def tensor_gram(e1: HilbertModule, e2: HilbertModule) -> np.ndarray:
         raise StructuralError("left factor inner products are not in its base algebra")
     h = block_matrix(e2.gram) @ block_matrix(e2.left.blocks)
     # (i, I, (j, a), (J, c)) -> ((i, j, a), (I, J, c))
-    g = (coords @ h.reshape(len(h), -1)).reshape(n1, n1, n2 * d0, n2 * d0)
+    g = coords.dot(h.reshape(len(h), -1)).reshape(n1, n1, n2 * d0, n2 * d0)
     return unblock(g.transpose(0, 2, 1, 3).reshape(n1 * n2 * d0, n1 * n2 * d0), d0)
 
 

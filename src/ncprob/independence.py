@@ -142,7 +142,7 @@ class AlternatingWord:
         out: list[tuple[int, np.ndarray]] = []
         for leg, mat in self.letters:
             if out and out[-1][0] == leg:
-                out[-1] = (leg, out[-1][1] @ mat)
+                out[-1] = (leg, out[-1][1].dot(mat))
             else:
                 out.append((leg, mat))
         return AlternatingWord(out)
@@ -178,7 +178,7 @@ class JointRealization:
 
     def __post_init__(self):
         self._ket = self.vacuum.reshape(-1, self.vacuum.shape[-1])
-        self._bra = self._ket.conj().T @ block_matrix(self.carrier.gram)
+        self._bra = self._ket.conj().T.dot(block_matrix(self.carrier.gram))
 
     def embed(self, leg: int, mat: np.ndarray) -> AdjointableOperator:
         return self.embed1(mat) if leg == 1 else self.embed2(mat)
@@ -218,9 +218,9 @@ class JointRealization:
                     f"letter {k} is not in the algebra of leg {leg} (residual {res:.3e})"
                 )
             images, _ = self.basis_images(leg)
-            moved = images.reshape(-1, v.shape[0]) @ v  # every M_k v, stacked
-            v = (c @ moved.reshape(len(c), -1)).reshape(v.shape)
-        return self._bra @ v
+            moved = images.reshape(-1, v.shape[0]).dot(v)  # every M_k v, stacked
+            v = c.dot(moved.reshape(len(c), -1)).reshape(v.shape)
+        return self._bra.dot(v)
 
     def moments(self, words: list[AlternatingWord]) -> np.ndarray:
         """The :meth:`moment` of each word, stacked (len(words), d0, d0).
@@ -273,7 +273,7 @@ class JointRealization:
                 for j, c in enumerate(alg.basis):
                     worst_mult = residual_max(
                         worst_mult,
-                        operator_distance(self.embed(leg, b @ c), ops[i] @ ops[j]),
+                        operator_distance(self.embed(leg, b.dot(c)), ops[i] @ ops[j]),
                     )
             report.add(f"leg{leg}-multiplicative", worst_mult, tol)
             report.add(f"leg{leg}-star", worst_star, tol)
@@ -545,11 +545,13 @@ def conditional_monotone_factorization(letters, expect1, expect2, insert, unit):
     whose outer letters, when present, are on leg 1; a missing end counts as
     ``unit``.  ``expect1`` and ``expect2`` are the two expectations, and
     ``insert`` carries an interior leg-1 value into the leg-2 chain, where it
-    is multiplied *inside*.  Everything multiplies with ``@``: matrix letters
-    with base-valued expectations, or flat operators with the corner
-    functional and its left embedding of the base, or stacks (K, ...) of
-    either, one per word of one leg sequence, which broadcast.
+    is multiplied *inside*.  The letters are matrix letters with base-valued
+    expectations, or flat operators with the corner functional and its left
+    embedding of the base, or stacks (K, ...) of either, one per word of one
+    leg sequence, which broadcast.  One word's matrices multiply by ``dot``
+    and stacks by ``@``, as the letters' ``ndim`` says.
     """
+    mul = np.matmul if letters and letters[0][1].ndim > 2 else np.ndarray.dot
     left = right = unit
     if letters and letters[0][0] == 1:
         left = expect1(letters[0][1])
@@ -558,12 +560,12 @@ def conditional_monotone_factorization(letters, expect1, expect2, insert, unit):
         right = expect1(letters[-1][1])
         letters = letters[:-1]
     if not letters:
-        return left @ right
+        return mul(left, right)
     chain = None
     for leg, x in letters:
         factor = x if leg == 2 else insert(expect1(x))
-        chain = factor if chain is None else chain @ factor
-    return left @ expect2(chain) @ right
+        chain = factor if chain is None else mul(chain, factor)
+    return mul(mul(left, expect2(chain)), right)
 
 
 def _conditional_monotone_values(letters, expect1: PositiveMap, expect2: PositiveMap):
@@ -713,7 +715,7 @@ def conditional_tensor_realize(
         if exceeds(res, GUARD_TOL):
             raise StructuralError("operator blocks left the base algebra span")
         k = coeffs.reshape(n, n, nb, nb).transpose(0, 3, 1, 2).reshape(n * nb, n * nb)
-        return (u.conj().T * root[:, None]) @ k @ (u / root[None, :])
+        return (u.conj().T * root[:, None]).dot(k).dot(u / root[None, :])
 
     # embed1(b) embed2(c) for every pair of basis elements, b-major: one
     # stacked product of the realization's cached basis images

@@ -87,6 +87,13 @@ def _emit(obj: Any, indent: int) -> str:
     if kind is list or kind is tuple:
         if not obj:
             return "[]"
+        if len(obj) == 2 and type(obj[0]) is float and type(obj[1]) is float:
+            # an [re, im] pair, the most common list: the rule below, decided
+            # on two items, keeps it inline exactly when both are short
+            items = [_fmt_float(obj[0]), _fmt_float(obj[1])]
+            if len(items[0]) < 24 and len(items[1]) < 24:
+                return f"[{items[0]}, {items[1]}]"
+            return _block("[", items, "]", indent)
         items = [_emit(v, indent + 1) for v in obj]
         if sum(map(len, items)) < 72 and all(len(it) < 24 and "\n" not in it for it in items):
             return "[" + ", ".join(items) + "]"

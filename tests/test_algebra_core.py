@@ -363,6 +363,17 @@ class TestFlatKernels:
             for x, image in zip(xs, many):
                 assert frob(pmap.apply(x) - image) <= 1e-15 * max(1.0, frob(image))
 
+    @pytest.mark.parametrize("name", sorted(_KERNEL_ALGEBRAS))
+    def test_an_empty_stack_gives_empty_results(self, name):
+        rng = np.random.default_rng(2)
+        alg, maps = _kernel_maps(name, rng)
+        d = alg.ambient_dim
+        c, res = alg.coords_many(np.zeros((0, d, d), dtype=complex))
+        assert c.shape == (0, alg.dim) and res == 0.0
+        for pmap in maps:
+            d2 = pmap.codomain.ambient_dim
+            assert pmap.apply_many(np.zeros((0, d, d))).shape == (0, d2, d2)
+
     def test_kernel_sources_are_read_only_copies(self):
         basis = full_matrix_algebra(2).basis.copy()
         matrix = np.eye(4, dtype=complex)

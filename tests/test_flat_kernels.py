@@ -12,7 +12,17 @@ import itertools
 import numpy as np
 import pytest
 
-from ncprob.algebra_core import StructuralError, scalar_algebra
+from ncprob.algebra_core import (
+    MapKind,
+    PositiveMap,
+    StructuralError,
+    diagonal_algebra,
+    diagonal_compression,
+    full_matrix_algebra,
+    pauli_algebra,
+    scalar_algebra,
+    state_from_density,
+)
 from ncprob.dilation import (
     DiscreteProductSystem,
     dilate_discrete,
@@ -25,13 +35,22 @@ from ncprob.hilbert_module import (
     HilbertModule,
     apply_blocks,
     compose_blocks,
+    gns_construct,
     identity_operator,
     inner_product,
     left_action_operator,
     tensor_over_base,
     trivial_left_action,
 )
-from ncprob.linalg import block_matrix, frob, unblock
+from ncprob.independence import (
+    AlternatingWord,
+    QuantumProbabilitySpace,
+    conditional_monotone_embed,
+    monotone_realize,
+    random_alternating_words,
+    tensor_realize,
+)
+from ncprob.linalg import block_matrix, frob, random_density, unblock
 
 
 def ref_inner(gram, x, y):
@@ -378,3 +397,163 @@ def test_tower_and_tensor_share_one_contraction(shared_tower):
             assert frob(v[:, u] - column) < 1e-12
     if system.base.dim == 3:
         assert len(kept_pairs(system, 2)) < raw(system, 2).module.rank
+
+
+# ---------------------------------------------------------------------------
+# dot for one product, @ for stacks: the same bits as np.matmul
+#
+# Products of two 1-D/2-D operands call ndarray.dot, which skips the matmul
+# ufunc's dispatch; stacks keep @.  The two reach the same BLAS call on the
+# operands the package makes, so each kernel must equal its np.matmul
+# reference bit for bit.  The arguments come contiguous, transposed (F order)
+# and column-sliced out of a wider array (unit inner stride).  Views that
+# BLAS cannot take directly (a step or a reversed axis) are left out: dot
+# copies them and matmul runs its own loop, and their bits may differ.
+
+
+def _layouts(mat):
+    """``mat`` (..., r, c) contiguous, as a transposed view and as a column
+    slice of a wider array, with the same values."""
+    wide = np.zeros((*mat.shape[:-1], mat.shape[-1] + 3), dtype=complex)
+    wide[..., 1 : mat.shape[-1] + 1] = mat
+    return {
+        "contiguous": np.ascontiguousarray(mat),
+        "transposed": np.ascontiguousarray(np.swapaxes(mat, -1, -2)).swapaxes(-1, -2),
+        "column-sliced": wide[..., 1 : mat.shape[-1] + 1],
+    }
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(
+        np.ascontiguousarray(got).view(float), np.ascontiguousarray(want).view(float)
+    )
+
+
+def ref_coords(alg, x):
+    v = np.asarray(x, dtype=complex).reshape(-1)
+    c = np.matmul(alg._pinv, v)
+    return c, frob(np.matmul(alg._stack, c) - v)
+
+
+def ref_coords_many(alg, xs):
+    flat = xs.reshape(len(xs), -1).T
+    c = np.matmul(alg._pinv, flat)
+    r = np.matmul(alg._stack, c) - flat
+    return c.T, float(np.sqrt(np.add.reduce((r.conj() * r).real, axis=0)).max(initial=0.0))
+
+
+PARITY_ALGEBRAS = {
+    "scalars": scalar_algebra,
+    "diag2": lambda: diagonal_algebra(2),
+    "m2": lambda: full_matrix_algebra(2),
+    "pauli": pauli_algebra,
+    "m3": lambda: full_matrix_algebra(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_ALGEBRAS))
+def test_coordinates_have_the_bits_of_matmul(name):
+    alg = PARITY_ALGEBRAS[name]()
+    rng = np.random.default_rng(sorted(PARITY_ALGEBRAS).index(name))
+    d = alg.ambient_dim
+    # elements of the span and matrices off it (a nonzero residual)
+    mats = np.concatenate([alg.combine(_random(rng, 6, alg.dim)), _random(rng, 2, d, d)])
+    for layout, xs in _layouts(mats).items():
+        for x in xs:
+            c, res = alg.coords(x)
+            want_c, want_res = ref_coords(alg, x)
+            assert _same_bits(c, want_c) and res == want_res, layout
+        c, res = alg.coords_many(xs)
+        want_c, want_res = ref_coords_many(alg, xs)
+        assert _same_bits(c, want_c) and res == want_res, layout
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_ALGEBRAS))
+def test_apply_has_the_bits_of_matmul_and_apply_many_those_of_apply(name):
+    alg = PARITY_ALGEBRAS[name]()
+    rng = np.random.default_rng(20 + sorted(PARITY_ALGEBRAS).index(name))
+    # a one-element domain into a larger codomain contracts over length 1,
+    # where dot takes its scalar path and matmul does not: left out, and
+    # no such map is built by the package
+    maps = [
+        PositiveMap(alg, cod, _random(rng, cod.dim, alg.dim), MapKind.CP_MAP)
+        for cod in (alg, scalar_algebra(), full_matrix_algebra(2))
+        if alg.dim > 1 or cod.ambient_dim == 1
+    ]
+    for layout, xs in _layouts(alg.combine(_random(rng, 5, alg.dim))).items():
+        for pmap in maps:
+            d2 = pmap.codomain.ambient_dim
+            for x in xs:
+                want = np.matmul(ref_coords(alg, x)[0], pmap._kernel).reshape(d2, d2)
+                assert _same_bits(pmap.apply(x), want), layout
+                # one row of coordinates, as apply has it: the stacked
+                # product gives the bits of apply's
+                assert _same_bits(pmap.apply_many(x[None])[0], want), layout
+
+
+def ref_moment(real, word):
+    """JointRealization.moment with every product an explicit np.matmul."""
+    v = real.vacuum.reshape(-1, real.vacuum.shape[-1])
+    for leg, mat in reversed(word.letters):
+        c, _ = ref_coords(real.algebra1 if leg == 1 else real.algebra2, mat)
+        images, _ = real.basis_images(leg)
+        moved = np.matmul(images.reshape(-1, v.shape[0]), v)
+        v = np.matmul(c, moved.reshape(len(c), -1)).reshape(v.shape)
+    ket = real.vacuum.reshape(-1, real.vacuum.shape[-1])
+    return np.matmul(np.matmul(ket.conj().T, block_matrix(real.carrier.gram)), v)
+
+
+def _parity_realizations():
+    rng = np.random.default_rng(4)
+    m2 = full_matrix_algebra(2)
+    s1, s2 = (QuantumProbabilitySpace(m2, state_from_density(m2, random_density(2, rng))) for _ in range(2))
+    comp = diagonal_compression(2, m2)
+    e = gns_construct(comp, verify=False)
+    return {
+        "monotone": monotone_realize(s1, s2),
+        "tensor": tensor_realize(s1, s2),
+        "conditional-monotone": conditional_monotone_embed(e, e, m2, m2),
+    }
+
+
+@pytest.mark.parametrize("name", ["monotone", "tensor", "conditional-monotone"])
+def test_word_moments_have_the_bits_of_matmul(name):
+    real = _parity_realizations()[name]
+    rng = np.random.default_rng(9)
+    for word in random_alternating_words(real.algebra1, real.algebra2, rng, 12, 6):
+        legs = [leg for leg, _ in word.letters]
+        letters = np.stack([mat for _, mat in word.letters])
+        for layout, mats in _layouts(letters).items():
+            w = AlternatingWord(list(zip(legs, mats)))
+            assert _same_bits(real.moment(w), ref_moment(real, w)), (layout, word.label())
+
+
+@pytest.mark.parametrize("d0", [1, 2, 3])
+def test_inner_product_has_the_bits_of_matmul(d0):
+    rng = np.random.default_rng(30 + d0)
+    n = 4
+    gram = _random(rng, n, n, d0, d0)
+    x, y = _random(rng, n, d0, d0), _random(rng, n, d0, d0)
+    for layout, g in _layouts(block_matrix(gram)).items():
+        for x_layout, xf in _layouts(x.reshape(-1, d0)).items():
+            g_blocks, xv = unblock(g, d0), xf.reshape(n, d0, d0)
+            want = np.matmul(xv.reshape(-1, d0).conj().T, np.matmul(g, y.reshape(-1, d0)))
+            got = inner_product(g_blocks, xv, y)
+            assert _same_bits(got, want), (layout, x_layout)
+
+
+@pytest.mark.parametrize("d0", [1, 2, 3])
+def test_compose_blocks_has_the_bits_of_matmul_on_operators_and_stacks(d0):
+    rng = np.random.default_rng(40 + d0)
+    a, b = _random(rng, 3, 4, d0, d0), _random(rng, 4, 2, d0, d0)
+    stack_a, stack_b = _random(rng, 5, 3, 4, d0, d0), _random(rng, 5, 4, 2, d0, d0)
+    for layout, fa in _layouts(block_matrix(a)).items():
+        for b_layout, fb in _layouts(block_matrix(b)).items():
+            got = compose_blocks(unblock(fa, d0), unblock(fb, d0))
+            assert _same_bits(got, unblock(np.matmul(fa, fb), d0)), (layout, b_layout)
+    for layout, fa in _layouts(block_matrix(stack_a)).items():
+        fb = block_matrix(stack_b)
+        for lhs, rhs in ((fa, fb), (fa[0], fb), (fa, fb[0])):
+            got = compose_blocks(unblock(lhs, d0), unblock(rhs, d0))
+            assert _same_bits(got, unblock(np.matmul(lhs, rhs), d0)), layout

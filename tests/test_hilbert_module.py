@@ -114,6 +114,14 @@ class TestBasics:
         anti = a @ b + b @ a
         assert operator_distance(anti, 0.0 * anti) < 1e-12  # sx sz + sz sx = 0
 
+    def test_an_empty_stack_of_elements_acts_as_nothing(self):
+        for alg in (scalar_algebra(), diagonal_algebra(2), full_matrix_algebra(2)):
+            left = module_over_self(alg).left
+            d0 = alg.ambient_dim
+            empty = np.zeros((0, d0, d0), dtype=complex)
+            assert left.coords_of(empty).shape == (0, alg.dim)
+            assert left.operators(empty).shape == (0, d0, d0)
+
     def test_vector_norm_detects_null_vectors(self):
         # gram of two proportional generators: e_1 = e_0, so e_0 - e_1 is null
         base = scalar_algebra()

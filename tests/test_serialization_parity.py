@@ -219,6 +219,14 @@ _EDGE_CASES = {
     "items summing to 71": [_string_of(18), _string_of(18), _string_of(18), _string_of(17)],
     "items summing to 72": [_string_of(18), _string_of(18), _string_of(18), _string_of(18)],
     "a 24-char float": [-1.2345678901234567e-300, 1.0],
+    "[re, im] pairs": [
+        [-1.2345678901234567e-30, -1.2345678901234567e-30],
+        [1.0, -1.2345678901234567e-300],
+        [-0.0, 2.5],
+        [np.float64(0.5), 1.0],
+        [1.0, 2],
+        (0.25, -0.25),
+    ],
     "subclasses": collections.OrderedDict(
         [("kind", _Kind.STATE), ("count", _Count.TWO), (_Kind.STATE, np.str_("np"))]
     ),
@@ -242,11 +250,14 @@ def test_the_inline_thresholds_are_strict():
     assert "\n" not in emit_json(_EDGE_CASES["items summing to 71"])
     assert "\n" in emit_json(_EDGE_CASES["items summing to 72"])
     assert len(emit_json(-1.2345678901234567e-300)) == 24
+    assert "\n" not in emit_json([-1.2345678901234567e-30, -1.2345678901234567e-30])
+    assert "\n" in emit_json([1.0, -1.2345678901234567e-300])
 
 
 _REJECTED = {
     "nan": float("nan"),
     "inf": [1.0, float("inf")],
+    "nan in a pair": [[float("nan"), 1.0]],
     "numpy -inf": {"x": np.float64("-inf")},
     "complex": [1 + 2j],
     "numpy complex": np.complex128(1j),

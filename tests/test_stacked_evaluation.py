@@ -30,7 +30,7 @@ from ncprob.dilation import (
     white_noise_increment_check,
     white_noise_scenario,
 )
-from ncprob.hilbert_module import AdjointableOperator, gns_construct, require_base_commutant
+from ncprob.hilbert_module import AdjointableOperator, gns_construct, require_base_commutant, vector_norm
 from ncprob.independence import (
     AlternatingWord,
     QuantumProbabilitySpace,
@@ -402,3 +402,32 @@ def test_stacked_markov_verify_matches_the_module_moments():
         obs = [(np.diag(rng.uniform(-1, 1, size=s)).astype(complex), int(rng.integers(0, n + 1))) for _ in range(count)]
         worst = residual_max(worst, frob(model.path_moment(obs) - model.module_moment(obs)))
     assert report["path-space-agreement"].residual == pytest.approx(worst, abs=1e-15)
+
+
+@pytest.mark.parametrize("label", list(CHAINS))
+def test_shift_row_equals_the_per_sample_gluing(label, monkeypatch):
+    # the observed vectors are perturbed inside the (diagonal) base, so that
+    # the gaps are not zero and the row is the largest of many distinct
+    # per-sample norms; the grouped extend and the stacked norm must give
+    # the per-sample row bit for bit
+    model = CHAINS[label]()
+    system = model.system
+    eye = np.eye(system.base.ambient_dim)
+    rng = np.random.default_rng(5)
+    calls = []
+
+    def perturbed(items):
+        out = [v + 1e-3 * rng.normal(size=v.shape[:-1])[..., None] * eye for v in MarkovModel._observe(model, items)]
+        calls.append((items, out))
+        return out
+
+    monkeypatch.setattr(model, "_observe", perturbed)
+    row = {c.name: c.residual for c in model.verify(seed=7, trials=40).checks}
+    (u_items, us), (v_items, vs), _, (_, direct) = calls[-4:]
+    n = system.horizon
+    want = 0.0
+    for ui, vi, u, v, d in zip(u_items, v_items, us, vs, direct):
+        glued = system.identify(ui[2], vi[2], u, v)
+        want = residual_max(want, vector_norm(system.powers[n], glued - d))
+    assert want > 1e-4
+    assert row["shift-preserves-inner-products"] == want
