@@ -197,7 +197,10 @@ class MatrixStarAlgebra:
     def coords_many(self, xs: np.ndarray) -> tuple[np.ndarray, float]:
         """Coordinates for a stack of matrices ``(m, d, d)``; worst residual.
 
-        Each column's residual is ``np.linalg.norm(r, axis=0)``'s own
+        The coordinates are C-contiguous rows, one per matrix: BLAS takes a
+        strided row in another order, and a row then meets a product with
+        other bits than the contiguous vector :meth:`coords` returns.  Each
+        column's residual is ``np.linalg.norm(r, axis=0)``'s own
         arithmetic, ``sqrt(add.reduce((r.conj() * r).real, 0))``, so the same
         bits without that function's dispatch; a NaN column stays NaN.  An
         empty stack has (0, dim) coordinates and residual 0.
@@ -206,7 +209,7 @@ class MatrixStarAlgebra:
         c = self._pinv.dot(flat)
         r = self._stack.dot(c) - flat
         res = np.sqrt(np.add.reduce((r.conj() * r).real, axis=0))
-        return c.T, float(res.max(initial=0.0))
+        return np.ascontiguousarray(c.T), float(res.max(initial=0.0))
 
     def combine(self, coeffs: np.ndarray) -> np.ndarray:
         """Matrix with the given basis coordinates; a stack (k, dim) of them

@@ -138,8 +138,8 @@ def demo_two_time(config: RunConfig) -> dict:
         g = np.diag(rng.uniform(-2, 2, size=2)).astype(complex)
         mean = complex(phi2.apply(g)[0, 0])
         gap = operator_distance(
-            real.embed1(fp) @ real.embed2(g) @ real.embed1(f),
-            mean * real.embed1(fp @ f),
+            real.embed(1, fp) @ real.embed(2, g) @ real.embed(1, f),
+            mean * real.embed(1, fp @ f),
         )
         worst_collapse = residual_max(worst_collapse, gap)
         rows.append([float(np.real(mean)), gap])

@@ -576,13 +576,11 @@ def verify_dilation(
         lifted = system.theta_blocks(identity_operator(system.powers[level]).blocks, level, steps)
         target_ident = identity_operator(system.powers[n_top]).blocks
         worst_unital = residual_max(worst_unital, frob(lifted - target_ident))
-        # composition: theta_m o theta_n = theta_{m+n} on a deeper operator
+        # composition: theta_{steps-1} o theta_1 = theta_steps, against ta
         if steps >= 2:
-            inner_level = level
-            once = system.theta_blocks(a, inner_level, 1)
-            twice = system.theta_blocks(once, inner_level + 1, steps - 1)
-            direct = system.theta_blocks(a, inner_level, steps)
-            worst_comp = residual_max(worst_comp, frob(compose_blocks(gram, twice - direct)))
+            once = system.theta_blocks(a, level, 1)
+            twice = system.theta_blocks(once, level + 1, steps - 1)
+            worst_comp = residual_max(worst_comp, frob(compose_blocks(gram, twice - ta)))
     report.add("theta-multiplicative", worst_mult, tol)
     report.add("theta-star", worst_star, tol)
     report.add("theta-exactly-unital", worst_unital, 0.0)
@@ -764,26 +762,27 @@ class MarkovModel:
         # id (x) f on E_{inner-1} (x) E_1: f's blocks between kept pairs (i, u) sharing i
         i, u = system._kept(inner_level - 1, 1)
         slot = np.where((i[:, None] == i)[..., None, None], f_op.blocks[np.ix_(u, u)], 0)
-        return e0_apply(self.scenario, time - 1, AdjointableOperator(system.powers[inner_level], slot))
+        return AdjointableOperator(system.powers[level], system.theta_blocks(slot, inner_level, time - 1))
 
     def _basis_operators(self, time: int, level: int):
         """The flat operator on E_level at ``time`` > 0 of each element of the
         base's basis, one at a time.
 
-        Each is built as :meth:`process_operator` builds it, without the
-        base-commutant guard of a letter slot: that guard decides
-        observables, and a basis element of a noncommutative base need not
-        pass it.  Since the construction is linear in ``f``, f(X_time) is
-        the combination of these operators with the base coordinates of f.
+        At ``time == level`` these are E_level's stored left action.  At a
+        letter slot each is built as :meth:`process_operator` builds it,
+        without the base-commutant guard: that guard decides observables,
+        and a basis element of a noncommutative base need not pass it.
+        Since the construction is linear in ``f``, f(X_time) is the
+        combination of these operators with the base coordinates of f.
         """
         system = self.system
         if not 0 < time <= level <= system.horizon:
             raise HorizonError(f"time {time} does not fit on E_{level}")
+        if time == level:
+            yield from block_matrix(system.powers[level].left.blocks)
+            return
         for b in system.base.basis:
-            if time == level:
-                op = left_action_operator(system.powers[level], b)
-            else:
-                op = self._slot_operator(left_action_operator(system.fiber, b), time, level)
+            op = self._slot_operator(left_action_operator(system.fiber, b), time, level)
             yield block_matrix(op.blocks)
 
     def _observe(self, items: list[tuple[np.ndarray, int, int, np.ndarray]]) -> list[np.ndarray]:

@@ -92,6 +92,7 @@ __all__ = [
     "require_base_commutant",
     "restrict_left_action",
     "trivial_left_action",
+    "representation_gaps",
     "verify_module",
 ]
 
@@ -636,6 +637,26 @@ def trivial_left_action(rank: int, base: MatrixStarAlgebra) -> LeftAction:
 # verification
 
 
+def representation_gaps(module: HilbertModule, action: LeftAction) -> tuple[float, float]:
+    """How far ``action`` is from a *-representation on ``module``.
+
+    Returns the worst multiplicative residual ``frob(G (L(b_k b_l) -
+    L(b_k) L(b_l)))`` and the worst star residual, :func:`adjoint_gap` of
+    ``L(b_k)`` and ``L(b_k*)``, over the basis of the acting algebra.  Each
+    row of pairs is one stacked product, so the size of ``action.blocks``
+    at most.
+    """
+    alg = action.algebra
+    acts, gm = block_matrix(action.blocks), block_matrix(module.gram)
+    worst_mult = worst_star = 0.0
+    for k in range(alg.dim):
+        star = action.blocks_of(dag(alg.basis[k]))
+        worst_star = residual_max(worst_star, adjoint_gap(module, action.blocks[k], star))
+        prods = action.operators(alg.basis[k] @ alg.basis)
+        worst_mult = residual_max(worst_mult, *map(frob, gm @ (prods - acts[k] @ acts)))
+    return worst_mult, worst_star
+
+
 def verify_module(module: HilbertModule, tol: float = DEFAULT_TOL) -> VerificationReport:
     report = VerificationReport()
     g = module.gram
@@ -663,22 +684,13 @@ def verify_module(module: HilbertModule, tol: float = DEFAULT_TOL) -> Verificati
         )
 
     if module.left is not None:
-        alg = module.left.algebra
-        unit_op = module.left.blocks_of(alg.unit)
+        unit_op = module.left.blocks_of(module.left.algebra.unit)
         report.add(
             "left-unit-acts-as-identity",
             frob(compose_blocks(g, unit_op) - g),
             tol,
         )
-        worst_star = worst_mult = 0.0
-        acts, gm = block_matrix(module.left.blocks), block_matrix(g)
-        for k in range(alg.dim):
-            star = module.left.blocks_of(dag(alg.basis[k]))
-            worst_star = residual_max(worst_star, adjoint_gap(module, module.left.blocks[k], star))
-            # frob(G (L(b_k b_l) - L(b_k) L(b_l))) for every l: one row of
-            # pairs as one stacked product, so the size of left.blocks at most
-            prods = module.left.operators(alg.basis[k] @ alg.basis)
-            worst_mult = residual_max(worst_mult, *map(frob, gm @ (prods - acts[k] @ acts)))
+        worst_mult, worst_star = representation_gaps(module, module.left)
         report.add("left-action-multiplicative", worst_mult, tol)
         report.add("left-action-star", worst_star, tol)
     return report

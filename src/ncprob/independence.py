@@ -15,6 +15,15 @@ Four constructions are provided, each as an explicit operator model on a
   second leg non-unitally through the projected form
   ``(unit unit*) a2 : x1 o x2  ->  1 o a2 <1, x1> x2``.
 
+Each leg of a model is a left action of its algebra on the carrier, the raw
+product E1 (x)_B E2: the operators of the algebra's basis, as for a
+module's own left action, and one check, ``representation_gaps``, decides
+for both whether they are *-representations.  ``a (x) id`` is the carrier's
+own left action, which ``tensor_over_base`` lifts from E1; ``id (x) a``
+places E2's basis operators on every generator of E1; the monotone leg 1 is
+``a (x) id`` times the vacuum projection ``id (x) |1><1|``, and the
+conditional monotone leg 2 is ``V a2 V*`` with ``V y = 1 o y``.
+
 A unit letter fed to a non-unitally embedded leg acts as a projection, not
 as the identity.  This is the single most error-prone consequence of
 non-unital embeddings and is deliberately observable: a word may gain or
@@ -42,15 +51,16 @@ from .algebra_core import (
 from .hilbert_module import (
     AdjointableOperator,
     HilbertModule,
-    adjoint_gap,
+    LeftAction,
     apply_blocks,
     compose_blocks,
     extended_gram,
     gns_construct,
     identity_operator,
-    left_action_operator,
     operator_distance,
-    rank_one,
+    rank_one_blocks,
+    representation_gaps,
+    require_base_commutant,
     restrict_left_action,
     tensor_isometry,
     tensor_over_base,
@@ -60,11 +70,9 @@ from .linalg import (
     DEFAULT_TOL,
     GUARD_TOL,
     block_matrix,
-    dag,
     exceeds,
     frob,
     hermitian_part,
-    residual_max,
     scaled_hermitian,
     unblock,
 )
@@ -156,68 +164,65 @@ class AlternatingWord:
 class JointRealization:
     """Two algebras acting on one carrier with a common vacuum vector.
 
-    ``unital_legs`` records which embedding is unital; the non-unital one
-    sends the algebra unit to a proper projection.
+    Each leg is a left action of its algebra on the carrier: the operators
+    of the algebra's basis, which determine the leg, since it is linear.
+    ``unital_legs`` records which leg is unital; the non-unital one sends
+    the algebra unit to a proper projection.
     """
 
     carrier: HilbertModule
     vacuum: np.ndarray
-    embed1: "callable"
-    embed2: "callable"
-    algebra1: MatrixStarAlgebra
-    algebra2: MatrixStarAlgebra
+    leg1: LeftAction
+    leg2: LeftAction
     unital_legs: tuple[bool, bool]
     base: MatrixStarAlgebra | None = None
-    # leg -> (flat basis images (dim, N, N), the operators they are blocks of);
-    # built on first use, held by this realization only
-    _basis_images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the vacuum as a flat (N, d0) ket, and its bra ket^H G, (d0, N): the
     # first and the last factor of every moment
     _ket: np.ndarray = field(init=False, repr=False, compare=False)
     _bra: np.ndarray = field(init=False, repr=False, compare=False)
+    # leg -> (its algebra, its basis operators as one flat (dim, N, N) stack)
+    _legs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._ket = self.vacuum.reshape(-1, self.vacuum.shape[-1])
         self._bra = self._ket.conj().T.dot(block_matrix(self.carrier.gram))
+        self._legs = {
+            leg: (action.algebra, np.ascontiguousarray(block_matrix(action.blocks)))
+            for leg, action in ((1, self.leg1), (2, self.leg2))
+        }
+
+    @property
+    def algebra1(self) -> MatrixStarAlgebra:
+        return self.leg1.algebra
+
+    @property
+    def algebra2(self) -> MatrixStarAlgebra:
+        return self.leg2.algebra
 
     def embed(self, leg: int, mat: np.ndarray) -> AdjointableOperator:
-        return self.embed1(mat) if leg == 1 else self.embed2(mat)
-
-    def basis_images(self, leg: int) -> tuple[np.ndarray, list[AdjointableOperator]]:
-        """``embed(leg, b_k)`` for the basis of the leg's algebra, built once.
-
-        Every embedding is linear in its letter, so these images determine it.
-        The operators' blocks are views of the flat stack that :meth:`moment`
-        applies, so :meth:`verify` checks exactly what ``moment`` uses.
-        """
-        if leg not in self._basis_images:
-            alg = self.algebra1 if leg == 1 else self.algebra2
-            flat = np.stack([block_matrix(self.embed(leg, b).blocks) for b in alg.basis])
-            d0 = self.carrier.base.ambient_dim
-            self._basis_images[leg] = flat, [
-                AdjointableOperator(self.carrier, unblock(m, d0)) for m in flat
-            ]
-        return self._basis_images[leg]
+        """The operator of ``mat`` on leg ``leg``; raises when ``mat`` is not
+        in that leg's algebra."""
+        return AdjointableOperator(self.carrier, (self.leg1 if leg == 1 else self.leg2).blocks_of(mat))
 
     def moment(self, word: AlternatingWord) -> np.ndarray:
         """Vacuum expectation of the word, as a base-algebra element.
 
-        Each letter ``a = sum_k c_k b_k`` acts as ``sum_k c_k M_k`` through
-        the cached flat images ``M_k`` of the basis: its coordinates with
-        their span guard, one product of the stacked images with the flat
-        vector, then one contraction with ``c``.  The cached vacuum bra
+        Each letter ``a = sum_k c_k b_k`` acts as ``sum_k c_k M_k``, with
+        ``M_k`` the flat basis operators of its leg: its coordinates with
+        their span guard, one product of the stacked operators with the
+        flat vector, then one contraction with ``c``.  The cached vacuum bra
         closes the word.  :meth:`moments` takes the same steps for a stack
         of words, with the same bits.
         """
         v = self._ket
         for k in reversed(range(len(word.letters))):
             leg, mat = word.letters[k]
-            c, res = (self.algebra1 if leg == 1 else self.algebra2).coords(mat)
+            algebra, images = self._legs[leg]
+            c, res = algebra.coords(mat)
             if exceeds(res, GUARD_TOL):
                 raise StructuralError(
                     f"letter {k} is not in the algebra of leg {leg} (residual {res:.3e})"
                 )
-            images, _ = self.basis_images(leg)
             moved = images.reshape(-1, v.shape[0]).dot(v)  # every M_k v, stacked
             v = c.dot(moved.reshape(len(c), -1)).reshape(v.shape)
         return self._bra.dot(v)
@@ -228,7 +233,7 @@ class JointRealization:
         The words are aligned at their last letter, which acts first.  Per
         position from the end and per leg, the letters there take one
         ``coords_many`` with the span guard, one broadcast product of the
-        cached basis images with their words' flat vectors and one
+        leg's basis operators with their words' flat vectors and one
         contraction with the coordinates: a handful of products for the
         whole stack instead of a few per letter.  Each word's arithmetic is
         the one :meth:`moment` does, and so are its bits.
@@ -240,13 +245,13 @@ class JointRealization:
                 at = [j for j, seq in enumerate(legs) if len(seq) >= p and seq[-p] == leg]
                 if not at:
                     continue
+                algebra, images = self._legs[leg]
                 letters = np.stack([words[j].letters[-p][1] for j in at])
-                c, res = (self.algebra1 if leg == 1 else self.algebra2).coords_many(letters)
+                c, res = algebra.coords_many(letters)
                 if exceeds(res, GUARD_TOL):
                     raise StructuralError(
                         f"letter {-p} (from the end) is not in the algebra of leg {leg} (residual {res:.3e})"
                     )
-                images, _ = self.basis_images(leg)
                 moved = images @ v[at][:, None]  # every M_k v, per word
                 v[at] = (c[:, None] @ moved.reshape(len(at), len(images), -1)).reshape(-1, *v.shape[1:])
         return self._bra @ v
@@ -258,33 +263,18 @@ class JointRealization:
         return complex(m[0, 0])
 
     def verify(self, tol: float = DEFAULT_TOL) -> VerificationReport:
-        """Check both embeddings are *-homomorphisms with the declared unitality."""
+        """Check both legs are *-representations with the declared unitality."""
         report = VerificationReport()
-        for leg, alg, unital in (
-            (1, self.algebra1, self.unital_legs[0]),
-            (2, self.algebra2, self.unital_legs[1]),
-        ):
-            worst_mult = 0.0
-            worst_star = 0.0
-            _, ops = self.basis_images(leg)
-            for i, b in enumerate(alg.basis):
-                star = self.embed(leg, dag(b)).blocks
-                worst_star = residual_max(worst_star, adjoint_gap(self.carrier, ops[i].blocks, star))
-                for j, c in enumerate(alg.basis):
-                    worst_mult = residual_max(
-                        worst_mult,
-                        operator_distance(self.embed(leg, b.dot(c)), ops[i] @ ops[j]),
-                    )
+        for leg, action, unital in ((1, self.leg1, self.unital_legs[0]), (2, self.leg2, self.unital_legs[1])):
+            worst_mult, worst_star = representation_gaps(self.carrier, action)
             report.add(f"leg{leg}-multiplicative", worst_mult, tol)
             report.add(f"leg{leg}-star", worst_star, tol)
-            unit_gap = operator_distance(
-                self.embed(leg, alg.unit), identity_operator(self.carrier)
-            )
+            u = self.embed(leg, action.algebra.unit)
+            unit_gap = operator_distance(u, identity_operator(self.carrier))
             if unital:
                 report.add(f"leg{leg}-unital", unit_gap, tol)
             else:
                 # the unit must land on a proper projection, strictly below one
-                u = self.embed(leg, alg.unit)
                 report.add(
                     f"leg{leg}-unit-is-idempotent", operator_distance(u @ u, u), tol,
                     f"distance to identity {unit_gap:.3e}",
@@ -312,7 +302,7 @@ def _with_base_action(e: HilbertModule, base) -> HilbertModule:
 
     The tensor product over the base needs exactly that action on its right
     factor; the full algebra action stays available on the original module
-    for building embedded operators.
+    for building the legs.
     """
     if base.ambient_dim == 1:
         action = trivial_left_action(e.rank, e.base)
@@ -321,29 +311,39 @@ def _with_base_action(e: HilbertModule, base) -> HilbertModule:
     return HilbertModule(e.base, e.gram, action, e.distinguished)
 
 
-def _as_scalar_tensor(s1: QuantumProbabilitySpace, s2: QuantumProbabilitySpace):
-    e1 = _scalar_gns(s1)
-    e2 = _scalar_gns(s2)
-    tensor = tensor_over_base(e1, _with_base_action(e2, e1.base))
-    vac = tensor.module.distinguished["unit"]
-    return e1, e2, tensor, vac
+def _on_second_slot(e2: HilbertModule, blocks: np.ndarray, n1: int) -> np.ndarray:
+    """Blocks of id (x) S on the raw pairs e_i o e_j of E1 (x)_B E2, for a
+    stack (..., n2, n2, d0, d0) of operators S on ``e2``: S on the second
+    slot of each of E1's ``n1`` generators, ``kron(1, S)``.  Raises unless
+    every S commutes with the base action on ``e2``, which is what makes
+    id (x) S well defined; one stacked check decides them all."""
+    require_base_commutant(e2, AdjointableOperator(e2, blocks))
+    flat = block_matrix(blocks)
+    n = n1 * flat.shape[-1]
+    raw = np.eye(n1)[:, None, :, None] * flat[..., None, :, None, :]
+    return unblock(raw.reshape(*flat.shape[:-2], n, n), blocks.shape[-1])
+
+
+def _slot_legs(
+    s1: QuantumProbabilitySpace, s2: QuantumProbabilitySpace, e1: HilbertModule, e2: HilbertModule
+):
+    """E1 (x)_B E2 on the raw pairs, E2 with only the base's action, and the
+    two slot legs: a (x) id, the carrier's own left action, which
+    ``tensor_over_base`` lifts from E1, and id (x) a, E2's basis operators
+    on the second slot."""
+    e2b = _with_base_action(e2, e1.base)
+    carrier = tensor_over_base(e1, e2b).module
+    leg1 = LeftAction(s1.algebra, carrier.left.blocks)
+    leg2 = LeftAction(s2.algebra, _on_second_slot(e2b, e2.left.blocks, e1.rank))
+    return carrier, e2b, leg1, leg2
 
 
 def tensor_realize(
     s1: QuantumProbabilitySpace, s2: QuantumProbabilitySpace
 ) -> JointRealization:
     """Both algebras act on GNS(phi1) (x) GNS(phi2), each on its own slot."""
-    e1, e2, tensor, vac = _as_scalar_tensor(s1, s2)
-
-    def embed1(a):
-        return tensor.op_left(left_action_operator(e1, a))
-
-    def embed2(a):
-        return tensor.op_right(left_action_operator(e2, a))
-
-    return JointRealization(
-        tensor.module, vac, embed1, embed2, s1.algebra, s2.algebra, (True, True)
-    )
+    carrier, _, leg1, leg2 = _slot_legs(s1, s2, _scalar_gns(s1), _scalar_gns(s2))
+    return JointRealization(carrier, carrier.distinguished["unit"], leg1, leg2, (True, True))
 
 
 def monotone_realize(
@@ -355,19 +355,12 @@ def monotone_realize(
     onto the second factor's vacuum, which is what makes later measurements
     insensitive to earlier fine structure.
     """
-    e1, e2, tensor, vac = _as_scalar_tensor(s1, s2)
-    xi2 = e2.distinguished["unit"]
-    vacuum_projection = tensor.op_right(rank_one(e2, xi2, xi2))
-
-    def embed1(a):
-        return tensor.op_left(left_action_operator(e1, a)) @ vacuum_projection
-
-    def embed2(a):
-        return tensor.op_right(left_action_operator(e2, a))
-
-    return JointRealization(
-        tensor.module, vac, embed1, embed2, s1.algebra, s2.algebra, (False, True)
-    )
+    e1 = _scalar_gns(s1)
+    carrier, e2b, lifted, leg2 = _slot_legs(s1, s2, e1, _scalar_gns(s2))
+    xi2 = e2b.distinguished["unit"]
+    vacuum_projection = _on_second_slot(e2b, rank_one_blocks(e2b.gram, xi2, xi2), e1.rank)
+    leg1 = LeftAction(s1.algebra, compose_blocks(lifted.blocks, vacuum_projection))
+    return JointRealization(carrier, carrier.distinguished["unit"], leg1, leg2, (False, True))
 
 
 def _normalized_stacks(words: list[AlternatingWord]):
@@ -512,30 +505,22 @@ def conditional_monotone_embed(
         raise StructuralError("both factors need left actions")
     if not e2.base.same_basis(base):
         raise StructuralError("the factors must be modules over the same base algebra")
-    for e, name in ((e1, "first"), (e2, "second")):
+    for e, algebra, name in ((e1, algebra1, "first"), (e2, algebra2, "second")):
         if "unit" not in e.distinguished:
             raise StructuralError(f"the {name} factor has no distinguished unit vector")
+        if not algebra.same_basis(e.left.algebra):
+            raise StructuralError(f"the {name} factor's left action is not one of the {name} algebra")
     xi1 = e1.distinguished["unit"]
     if exceeds(frob(e1.inner(xi1, xi1) - base.unit), DEFAULT_TOL):
         raise StructuralError("the first factor's unit vector is not normalized")
 
     e2b = _with_base_action(e2, base)
-    tensor = tensor_over_base(e1, e2b)
-    carrier = tensor.module
-    vac = carrier.distinguished["unit"]
+    carrier = tensor_over_base(e1, e2b).module
     # V y = 1 o y from E2 to the carrier, and V*(x1 o x2) = <1, x1> . x2
     put, moved = tensor_isometry(e2b.left, xi1, e1.gram)
-
-    def embed1(a):
-        return tensor.op_left(left_action_operator(e1, a))
-
-    def embed2(a):
-        a2 = e2.left.blocks_of(np.asarray(a, dtype=complex))
-        return AdjointableOperator(carrier, compose_blocks(put, compose_blocks(a2, moved)))
-
-    return JointRealization(
-        carrier, vac, embed1, embed2, algebra1, algebra2, (True, False), base
-    )
+    leg1 = LeftAction(algebra1, carrier.left.blocks)
+    leg2 = LeftAction(algebra2, compose_blocks(put, compose_blocks(e2.left.blocks, moved)))
+    return JointRealization(carrier, carrier.distinguished["unit"], leg1, leg2, (True, False), base)
 
 
 def conditional_monotone_factorization(letters, expect1, expect2, insert, unit):
@@ -680,23 +665,12 @@ def conditional_tensor_realize(
     if not s2.functional.codomain.same_basis(base):
         raise StructuralError("the two expectations must share the same base algebra")
 
-    e1 = gns_construct(s1.functional)
-    e2 = gns_construct(s2.functional)
-    tensor = tensor_over_base(e1, _with_base_action(e2, base))
-    carrier = tensor.module
-    vac = carrier.distinguished["unit"]
+    carrier, _, leg1, leg2 = _slot_legs(s1, s2, gns_construct(s1.functional), gns_construct(s2.functional))
+    real = JointRealization(carrier, carrier.distinguished["unit"], leg1, leg2, (True, True), base)
 
-    def embed1(a):
-        return tensor.op_left(left_action_operator(e1, a))
-
-    def embed2(a):
-        return tensor.op_right(left_action_operator(e2, a))
-
-    real = JointRealization(
-        carrier, vac, embed1, embed2, s1.algebra, s2.algebra, (True, True), base
-    )
-
-    # faithful matrix model on the range of the scalarized Gram
+    # faithful matrix model on the range of the scalarized Gram, read off
+    # the realization alone
+    carrier, vac = real.carrier, real.vacuum
     s_ext = extended_gram(carrier)
     lam, u = np.linalg.eigh(s_ext)
     keep = lam > float(lam[-1]) * 1e-12
@@ -717,16 +691,15 @@ def conditional_tensor_realize(
         k = coeffs.reshape(n, n, nb, nb).transpose(0, 3, 1, 2).reshape(n * nb, n * nb)
         return (u.conj().T * root[:, None]).dot(k).dot(u / root[None, :])
 
-    # embed1(b) embed2(c) for every pair of basis elements, b-major: one
-    # stacked product of the realization's cached basis images
-    flat1, _ = real.basis_images(1)
-    flat2, _ = real.basis_images(2)
+    # leg1(b) leg2(c) for every pair of basis elements, b-major: one
+    # stacked product of the legs' basis operators
+    flat1, flat2 = block_matrix(real.leg1.blocks), block_matrix(real.leg2.blocks)
     pair_ops = unblock((flat1[:, None] @ flat2[None]).reshape(-1, *flat1.shape[1:]), carrier.base.ambient_dim)
     stack = np.stack([flatten(blocks) for blocks in pair_ops])
     keep_idx = independent_columns(stack.reshape(len(stack), -1).T)
     amalg = MatrixStarAlgebra(stack[keep_idx])
 
-    base_images = np.stack([flatten(embed1(b).blocks) for b in base.basis])
+    base_images = np.stack([flatten(real.leg1.blocks_of(b)) for b in base.basis])
     base_keep = independent_columns(base_images.reshape(len(base_images), -1).T)
     base_alg = MatrixStarAlgebra(base_images[base_keep])
 

@@ -16,12 +16,17 @@ from ncprob.algebra_core import (
     MapKind,
     PositiveMap,
     StructuralError,
+    algebra_from_basis,
+    cp_from_stochastic,
     diagonal_algebra,
     diagonal_compression,
     full_matrix_algebra,
+    map_from_images,
+    normalized_trace_state,
     pauli_algebra,
     scalar_algebra,
     state_from_density,
+    verify_positive_map,
 )
 from ncprob.dilation import (
     DiscreteProductSystem,
@@ -492,12 +497,43 @@ def test_apply_has_the_bits_of_matmul_and_apply_many_those_of_apply(name):
                 assert _same_bits(pmap.apply_many(x[None])[0], want), layout
 
 
+def _weighted_expectation():
+    # E(x) = phi(x) 1 on diag2, phi the state with weights (1/3, 2/3)
+    d2, unit = diagonal_algebra(2), np.eye(2, dtype=complex)
+    images = np.stack([unit / 3, 2 * unit / 3])
+    return map_from_images(d2, algebra_from_basis([unit]), images, MapKind.CONDITIONAL_EXPECTATION)
+
+
+# maps whose kernel a strided row of coordinates meets in other bits than
+# the contiguous vector apply has
+APPLY_MANY_MAPS = {
+    "state": lambda: state_from_density(full_matrix_algebra(3), random_density(3, np.random.default_rng(1))),
+    "conditional-expectation": _weighted_expectation,
+    "stochastic": lambda: cp_from_stochastic(np.array([[0.3, 0.7], [0.6, 0.4]])),
+    "random-cp": lambda: PositiveMap(
+        diagonal_algebra(2), diagonal_algebra(2), np.random.default_rng(0).uniform(size=(2, 2)) + 0j, MapKind.CP_MAP
+    ),
+    "m3-trace-state": lambda: normalized_trace_state(full_matrix_algebra(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(APPLY_MANY_MAPS))
+def test_apply_many_gives_each_image_the_bits_of_apply(name):
+    pmap = APPLY_MANY_MAPS[name]()
+    assert verify_positive_map(pmap).passed
+    dom = pmap.domain
+    xs = dom.combine(_random(np.random.default_rng(0), 8, dom.dim))
+    many = pmap.apply_many(xs)
+    assert all(_same_bits(many[j], pmap.apply(x)) for j, x in enumerate(xs))
+
+
 def ref_moment(real, word):
     """JointRealization.moment with every product an explicit np.matmul."""
     v = real.vacuum.reshape(-1, real.vacuum.shape[-1])
     for leg, mat in reversed(word.letters):
-        c, _ = ref_coords(real.algebra1 if leg == 1 else real.algebra2, mat)
-        images, _ = real.basis_images(leg)
+        action = real.leg1 if leg == 1 else real.leg2
+        c, _ = ref_coords(action.algebra, mat)
+        images = block_matrix(action.blocks)
         moved = np.matmul(images.reshape(-1, v.shape[0]), v)
         v = np.matmul(c, moved.reshape(len(c), -1)).reshape(v.shape)
     ket = real.vacuum.reshape(-1, real.vacuum.shape[-1])

@@ -47,13 +47,18 @@ from ncprob import (
 from ncprob import independence, suites
 from ncprob.hilbert_module import (
     AdjointableOperator,
+    HilbertModule,
+    LeftAction,
     apply_blocks,
     compose_blocks,
+    left_action_operator,
     quotient_module,
+    rank_one,
     restrict_left_action,
     tensor_over_base,
 )
-from ncprob.linalg import dag, frob, random_density, scaled_hermitian, unblock
+from ncprob.independence import JointRealization
+from ncprob.linalg import block_matrix, dag, frob, random_density, scaled_hermitian, unblock
 
 X = np.diag([1.0, -1.0]).astype(complex)
 I2 = np.eye(2, dtype=complex)
@@ -233,7 +238,7 @@ def test_monotone_order_matters(coin_pair):
 
 
 def test_sandwiched_letter_collapses_to_its_mean(coin_pair):
-    """embed1(f') embed2(g) embed1(f) collapses to a scalar times embed1(f'f)."""
+    """leg1(f') leg2(g) leg1(f) collapses to a scalar times leg1(f'f)."""
     s1, s2 = coin_pair
     real = monotone_realize(s1, s2)
     rng = np.random.default_rng(3)
@@ -241,16 +246,57 @@ def test_sandwiched_letter_collapses_to_its_mean(coin_pair):
         f = np.diag(rng.uniform(-2, 2, size=2)).astype(complex)
         fp = np.diag(rng.uniform(-2, 2, size=2)).astype(complex)
         g = np.diag(rng.uniform(-2, 2, size=2)).astype(complex)
-        lhs = real.embed1(fp) @ real.embed2(g) @ real.embed1(f)
+        lhs = real.embed(1, fp) @ real.embed(2, g) @ real.embed(1, f)
         scalar = complex(s2.functional.apply(g)[0, 0])
-        rhs = scalar * real.embed1(fp @ f)
+        rhs = scalar * real.embed(1, fp @ f)
         assert operator_distance(lhs, rhs) < 1e-10
+
+
+def _leg2_on_the_first_slot(monkeypatch):
+    # id (x) a replaced by the lifted action a (x) id
+    honest = independence._slot_legs
+
+    def mutant(s1, s2, e1, e2):
+        carrier, e2b, leg1, _ = honest(s1, s2, e1, e2)
+        return carrier, e2b, leg1, LeftAction(s2.algebra, carrier.left.blocks)
+
+    monkeypatch.setattr(independence, "_slot_legs", mutant)
+
+
+def _leg1_without_the_vacuum_projection(monkeypatch):
+    # |xi2><xi2| replaced by the identity, so id (x) it is the identity too
+    def identity_blocks(gram, x, y):
+        return unblock(np.eye(gram.shape[0] * gram.shape[-1], dtype=complex), gram.shape[-1])
+
+    monkeypatch.setattr(independence, "rank_one_blocks", identity_blocks)
+
+
+@pytest.mark.parametrize("mutate", [_leg2_on_the_first_slot, _leg1_without_the_vacuum_projection])
+def test_a_misbuilt_monotone_leg_fails_the_formula(mutate, monkeypatch):
+    """Negative controls for the legs of the monotone realization.
+
+    Each mutant leg is still a *-representation, unital where it is
+    declared so, and every row of the realization's own check passes; the
+    comparison with the formula must catch it.  Leg 1 without the vacuum
+    projection even passes ``leg1-unit-is-idempotent``: its unit acts as the
+    identity, which is idempotent (its distance to the identity, in the row's
+    detail, is what shows the projection is gone).
+    """
+    config = suites.RunConfig(seed=7, trials=30)
+    rows = {r["name"]: r for r in suites.suite_monotone(config)}
+    assert rows["realization-matches-formula"]["passed"]
+    mutate(monkeypatch)
+    rows = {r["name"]: r for r in suites.suite_monotone(config)}
+    assert not rows["realization-matches-formula"]["passed"]
+    assert rows["realization-matches-formula"]["residual"] > 1e-3
+    own = [r for name, r in rows.items() if name.startswith("monotone-realization:")]
+    assert len(own) == 7 and all(r["passed"] for r in own)
 
 
 def test_monotone_unit_letter_is_projection(coin_pair):
     s1, s2 = coin_pair
     real = monotone_realize(s1, s2)
-    p = real.embed1(I2)
+    p = real.embed(1, I2)
     assert operator_distance(p @ p, p) < 1e-12
     assert operator_distance(p, identity_operator(real.carrier)) > 0.1
     report = real.verify()
@@ -310,8 +356,8 @@ def test_conditional_embed2_is_adjointable(compressed_pair):
     _, _, real = compressed_pair
     rng = np.random.default_rng(2)
     a = random_hermitian(2, rng) + 0.5j * np.array([[0, 1], [-1, 0]])
-    for embed in (real.embed2, real.embed1):
-        assert adjoint_gap(real.carrier, embed(a).blocks, embed(dag(a)).blocks) <= 1e-9
+    for leg in (2, 1):
+        assert adjoint_gap(real.carrier, real.embed(leg, a).blocks, real.embed(leg, dag(a)).blocks) <= 1e-9
 
 
 def _seed7_monotone():
@@ -332,17 +378,18 @@ def _m2_diagonal_compression():
 
 @pytest.mark.parametrize("build", [_seed7_monotone, _m2_diagonal_compression])
 def test_a_similarity_on_leg2_fails_leg2_star_only(build):
-    """Negative control: leg 2 conjugated by S = 1 + N/2, N = embed1(E12).
+    """Negative control: leg 2 conjugated by S = 1 + N/2, N = leg1(E12).
 
-    N^2 = embed1(E12^2) = 0, so S^-1 = 1 - N/2 and the conjugated leg is
+    N^2 = leg1(E12^2) = 0, so S^-1 = 1 - N/2 and the conjugated leg is
     still a homomorphism; S is not unitary, so it is no longer a *-map.
     """
     real = build()
-    nil = 0.5 * real.embed1(np.array([[0, 1], [0, 0]], dtype=complex))
+    nil = 0.5 * real.embed(1, np.array([[0, 1], [0, 0]], dtype=complex))
     one = identity_operator(real.carrier)
     s, s_inv = one + nil, one - nil
     assert operator_distance(s @ s_inv, one) < 1e-12
-    similar = dataclasses.replace(real, embed2=lambda a: s @ real.embed2(a) @ s_inv)
+    conjugated = compose_blocks(s.blocks, compose_blocks(real.leg2.blocks, s_inv.blocks))
+    similar = dataclasses.replace(real, leg2=LeftAction(real.algebra2, conjugated))
     honest = {c.name: c for c in real.verify().checks}
     rows = {c.name: c for c in similar.verify().checks}
     assert honest["leg2-star"].passed
@@ -364,7 +411,7 @@ def test_leg2_is_the_projected_form_on_every_raw_pair(compressed_pair):
         return np.stack([apply_blocks(action.blocks_of(x[i]), y)[j] for i in range(e1.rank) for j in range(e2.rank)])
 
     a2 = random_hermitian(2, np.random.default_rng(3)) + 0.5j * np.array([[0, 1], [-1, 0]])
-    got = real.embed2(a2).blocks
+    got = real.embed(2, a2).blocks
     assert got.shape[:2] == (e1.rank * e2.rank, e1.rank * e2.rank)
     for col, (i, j) in enumerate(itertools.product(range(e1.rank), range(e2.rank))):
         moved = apply_blocks(action.blocks_of(e1.inner(xi1, e1.generator(i))), e2.generator(j))
@@ -391,13 +438,13 @@ def test_leg2_without_the_overlap_fails_the_formula(monkeypatch):
 
 
 def test_sandwich_identity(compressed_pair):
-    """embed2(a) embed1(b) embed2(c) = embed2(a E1(b) c) as operators."""
+    """leg2(a) leg1(b) leg2(c) = leg2(a E1(b) c) as operators."""
     m2, comp, real = compressed_pair
     rng = np.random.default_rng(7)
     for _ in range(5):
         a, b, c = (random_hermitian(2, rng) for _ in range(3))
-        lhs = real.embed2(a) @ real.embed1(b) @ real.embed2(c)
-        rhs = real.embed2(a @ comp.apply(b) @ c)
+        lhs = real.embed(2, a) @ real.embed(1, b) @ real.embed(2, c)
+        rhs = real.embed(2, a @ comp.apply(b) @ c)
         assert operator_distance(lhs, rhs) < 1e-10
 
 
@@ -429,6 +476,13 @@ def test_conditional_monotone_requires_unit_vector():
     del e1.distinguished["unit"]
     with pytest.raises(StructuralError, match="unit vector"):
         conditional_monotone_embed(e1, e2, m2, m2)
+
+
+def test_conditional_monotone_rejects_an_algebra_its_factor_does_not_act_by():
+    m2 = full_matrix_algebra(2)
+    e = gns_construct(diagonal_compression(2, m2))
+    with pytest.raises(StructuralError, match="second factor's left action is not one of the second algebra"):
+        conditional_monotone_embed(e, e, m2, diagonal_algebra(2))
 
 
 # ---------------------------------------------------------------------------
@@ -489,23 +543,19 @@ def test_coins_amalgamated_expectation_verifies():
     assert prod.algebra.dim == 8
 
 
-class _QuotientedTensor:
-    """A tensor product moved onto a minimal generating subset of its pairs,
-    operators rewritten over the survivors as R blocks J."""
+def _on_the_quotient(real):
+    """The realization moved onto a minimal generating subset of its
+    carrier's pairs, each leg's operators rewritten over the survivors as
+    R blocks J."""
+    raw = real.carrier
+    carrier, info = quotient_module(HilbertModule(raw.base, raw.gram, None, {"unit": real.vacuum}))
 
-    def __init__(self, tensor):
-        self.raw = tensor
-        self.module, self.info = quotient_module(tensor.module)
+    def rewrite(action):
+        return LeftAction(action.algebra, compose_blocks(info.rewrite, action.blocks[..., info.survivors, :, :]))
 
-    def _rewrite(self, op):
-        blocks = compose_blocks(self.info.rewrite, op.blocks[:, self.info.survivors])
-        return AdjointableOperator(self.module, blocks)
-
-    def op_left(self, s):
-        return self._rewrite(self.raw.op_left(s))
-
-    def op_right(self, s):
-        return self._rewrite(self.raw.op_right(s))
+    return JointRealization(
+        carrier, carrier.distinguished["unit"], rewrite(real.leg1), rewrite(real.leg2), real.unital_legs, real.base
+    )
 
 
 def test_coins_model_keeps_its_size_on_a_carrier_with_null_vectors(monkeypatch):
@@ -513,9 +563,8 @@ def test_coins_model_keeps_its_size_on_a_carrier_with_null_vectors(monkeypatch):
     # vectors; it must give the model built on the quotient of that carrier
     s1, s2, _ = coins_game()
     raw = conditional_tensor_realize(s1, s2)
-    monkeypatch.setattr(
-        independence, "tensor_over_base", lambda e1, e2: _QuotientedTensor(tensor_over_base(e1, e2))
-    )
+    honest = independence.JointRealization
+    monkeypatch.setattr(independence, "JointRealization", lambda *fields: _on_the_quotient(honest(*fields)))
     reduced = conditional_tensor_realize(s1, s2)
     assert raw.realization.carrier.rank == 16
     assert reduced.realization.carrier.rank == 8
@@ -539,31 +588,78 @@ def test_conditional_tensor_requires_conditional_expectations(coin_pair):
 
 
 # ---------------------------------------------------------------------------
-# moments from cached basis images against the operator chain
+# moments from the legs' basis operators against the operator chain
 
 
-def _realization_of(kind: str):
+def _spaces_of(kind: str):
     rng = np.random.default_rng(31)
     m2 = full_matrix_algebra(2)
     if kind in ("tensor", "monotone"):
-        s1, s2 = (
-            QuantumProbabilitySpace(m2, state_from_density(m2, random_density(2, rng)))
-            for _ in range(2)
+        return tuple(
+            QuantumProbabilitySpace(m2, state_from_density(m2, random_density(2, rng))) for _ in range(2)
         )
-        return (tensor_realize if kind == "tensor" else monotone_realize)(s1, s2)
     if kind == "conditional-monotone":
         comp = diagonal_compression(2, m2)
-        return conditional_monotone_embed(gns_construct(comp), gns_construct(comp), m2, m2)
+        return QuantumProbabilitySpace(m2, comp), QuantumProbabilitySpace(m2, comp)
     s1, s2, _ = coins_game()
+    return s1, s2
+
+
+def _realization_of(kind: str):
+    s1, s2 = _spaces_of(kind)
+    if kind in ("tensor", "monotone"):
+        return (tensor_realize if kind == "tensor" else monotone_realize)(s1, s2)
+    if kind == "conditional-monotone":
+        e1, e2 = gns_construct(s1.functional), gns_construct(s2.functional)
+        return conditional_monotone_embed(e1, e2, s1.algebra, s2.algebra)
     return conditional_tensor_realize(s1, s2).realization
 
 
-def _operator_chain_moment(real, word):
-    # the reference: one embedded operator per letter, applied right to left
-    v = real.vacuum
+def _paper_letters(kind: str):
+    """The raw product E1 (x)_B E2 of ``kind``'s GNS modules, its vacuum, and
+    per leg the operator of one letter by the paper's definition, built for
+    that letter alone: a (x) id by ``op_left``, id (x) a by ``op_right``,
+    the monotone leg 1 as (a (x) id)(id (x) |xi2><xi2|), and the conditional
+    monotone leg 2 as x1 o x2 -> 1 o a <1, x1> x2, that is V a V* with
+    V y = 1 o y.  No leg of a realization is used."""
+    s1, s2 = _spaces_of(kind)
+    e1, e2 = gns_construct(s1.functional), gns_construct(s2.functional)
+    tensor = tensor_over_base(e1, independence._with_base_action(e2, e1.base))
+    product = tensor.module
+
+    def first(a):
+        return tensor.op_left(left_action_operator(e1, a))
+
+    def second(a):
+        return tensor.op_right(left_action_operator(e2, a))
+
+    letters = {1: first, 2: second}
+    if kind == "monotone":
+        xi2 = e2.distinguished["unit"]
+        projection = tensor.op_right(rank_one(e2, xi2, xi2))
+        letters[1] = lambda a: first(a) @ projection
+    elif kind == "conditional-monotone":
+        xi1 = e1.distinguished["unit"]
+        action = tensor.right_factor.left
+        pairs = list(itertools.product(range(e1.rank), range(e2.rank)))
+        v = np.stack([tensor.tensor_vector(xi1, e2.generator(u)) for u in range(e2.rank)], axis=1)
+        v_star = np.stack(
+            [apply_blocks(action.blocks_of(e1.inner(xi1, e1.generator(p))), e2.generator(u)) for p, u in pairs],
+            axis=1,
+        )
+        letters[2] = lambda a: AdjointableOperator(
+            product, compose_blocks(v, compose_blocks(left_action_operator(e2, a).blocks, v_star))
+        )
+    return product, product.distinguished["unit"], letters
+
+
+def _operator_chain_moment(paper, word):
+    # the reference: one operator per letter, applied right to left
+    product, vacuum, letters = paper
+    v = vacuum
     for leg, mat in reversed(word.letters):
-        v = real.embed(leg, mat)(v)
-    return real.carrier.inner(real.vacuum, v)
+        v = letters[leg](mat)(v)
+    return product.inner(vacuum, v)
 
 
 REALIZATION_KINDS = ["tensor", "monotone", "conditional-monotone", "conditional-tensor"]
@@ -572,21 +668,23 @@ REALIZATION_KINDS = ["tensor", "monotone", "conditional-monotone", "conditional-
 @pytest.mark.parametrize("kind", REALIZATION_KINDS)
 def test_moment_matches_operator_chain(kind):
     real = _realization_of(kind)
+    paper = _paper_letters(kind)
+    assert paper[0].rank == real.carrier.rank
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(200):
         word = random_alternating_word(real.algebra1, real.algebra2, rng)
-        worst = max(worst, frob(real.moment(word) - _operator_chain_moment(real, word)))
+        worst = max(worst, frob(real.moment(word) - _operator_chain_moment(paper, word)))
     assert worst <= 1e-12
 
 
 @pytest.mark.parametrize("kind", REALIZATION_KINDS)
 def test_verify_checks_the_operators_moment_applies(kind):
     real = _realization_of(kind)
-    for leg in (1, 2):
-        images, ops = real.basis_images(leg)
-        assert real.basis_images(leg)[0] is images  # built once per realization
-        assert all(np.shares_memory(op.blocks, images) for op in ops)
+    for leg, action in ((1, real.leg1), (2, real.leg2)):
+        algebra, images = real._legs[leg]
+        assert algebra is action.algebra
+        assert np.shares_memory(images, action.blocks)  # no copy of the leg's operators
     report = real.verify()
     assert report.passed, [(c.name, c.residual) for c in report.failures]
 
@@ -607,11 +705,12 @@ def test_moment_rejects_a_letter_outside_its_leg():
 
 def _coordinate_path_moment(real, word):
     # the reference: each letter's basis coordinates against the stacked
-    # basis images, then the carrier's inner product with the vacuum
+    # basis operators of its leg, then the carrier's inner product with the vacuum
     v = real.vacuum.reshape(-1, real.vacuum.shape[-1])
     for leg, mat in reversed(word.letters):
-        c, _ = (real.algebra1 if leg == 1 else real.algebra2).coords(mat)
-        images, _ = real.basis_images(leg)
+        action = real.leg1 if leg == 1 else real.leg2
+        c, _ = action.algebra.coords(mat)
+        images = block_matrix(action.blocks)
         v = np.einsum("k,kab,bc->ac", c, images, v)
     return real.carrier.inner(real.vacuum, v.reshape(real.vacuum.shape))
 
