@@ -40,7 +40,7 @@ from .dilation import (
     white_noise_increment_check,
     white_noise_scenario,
 )
-from .hilbert_module import operator_distance
+from .hilbert_module import compose_blocks, operator_distance
 from .independence import (
     AlternatingWord,
     QuantumProbabilitySpace,
@@ -138,7 +138,8 @@ def demo_two_time(config: RunConfig) -> dict:
         g = np.diag(rng.uniform(-2, 2, size=2)).astype(complex)
         mean = complex(phi2.apply(g)[0, 0])
         gap = operator_distance(
-            real.embed(1, fp) @ real.embed(2, g) @ real.embed(1, f),
+            real.carrier,
+            compose_blocks(compose_blocks(real.embed(1, fp), real.embed(2, g)), real.embed(1, f)),
             mean * real.embed(1, fp @ f),
         )
         worst_collapse = residual_max(worst_collapse, gap)

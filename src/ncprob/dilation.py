@@ -61,17 +61,14 @@ from .algebra_core import (
     verify_positive_map,
 )
 from .hilbert_module import (
-    AdjointableOperator,
     HilbertModule,
     LeftAction,
     adjoint_gap,
     apply_blocks,
     compose_blocks,
     gns_construct,
-    identity_operator,
-    left_action_operator,
+    identity_blocks,
     quotient_module,
-    rank_one,
     rank_one_blocks,
     require_base_commutant,
     tensor_extend,
@@ -90,7 +87,6 @@ __all__ = [
     "DiscreteProductSystem",
     "DilationScenario",
     "dilate_discrete",
-    "e0_apply",
     "verify_product_system",
     "semigroup_gaps",
     "verify_dilation",
@@ -235,11 +231,15 @@ class DiscreteProductSystem:
 
     def theta_blocks(self, blocks: np.ndarray, from_level: int, steps: int) -> np.ndarray:
         """Lift operator blocks on E_from to E_{from+steps} as a (x) id, for a
-        stack (..., n, n, d0, d0) of them: ``tensor_lift`` on the kept pairs."""
+        stack (..., n, n, d0, d0) of them: ``tensor_lift`` on the kept pairs.
+
+        theta_0 is the identity, each theta_steps is a unital
+        *-homomorphism, and they compose: theta_m o theta_n = theta_{m+n}.
+        """
         target = from_level + steps
-        if target > self.horizon:
+        if min(from_level, steps) < 0 or target > self.horizon:
             raise HorizonError(
-                f"theta lands at level {target}, past the horizon {self.horizon}"
+                f"theta_{steps} of E_{from_level} lands outside the levels 0..{self.horizon}"
             )
         n = self.powers[from_level].rank
         if blocks.shape[-4:-2] != (n, n):
@@ -247,13 +247,6 @@ class DiscreteProductSystem:
         if steps == 0:
             return np.asarray(blocks, dtype=complex)
         return tensor_lift(self.powers[steps].left, blocks, self._kept(from_level, steps))
-
-    def level_of(self, op: AdjointableOperator) -> int:
-        """Which power of the tower an operator lives on (by identity)."""
-        for k, p in enumerate(self.powers):
-            if p is op.module:
-                return k
-        raise StructuralError("operator does not live on a power of this system")
 
     def isometry_blocks(self, width: int, level: int) -> tuple[np.ndarray, np.ndarray]:
         """V : E_width -> E_level, y -> xi_{level-width} (x) y, and V*: the
@@ -286,9 +279,6 @@ class DiscreteProductSystem:
 
     # -- the corner: flat (n*d0, n*d0) operators on E_N ---------------------
 
-    def unit_vector(self) -> np.ndarray:
-        return self.units[self.horizon]
-
     def expectation(self, x: np.ndarray) -> np.ndarray:
         """The corner functional < xi_N, x xi_N > with values in the base."""
         xi = self.units[self.horizon].reshape(-1, self.base.ambient_dim)
@@ -298,7 +288,7 @@ class DiscreteProductSystem:
         """b -> |xi_N . b><xi_N|, the embedding split by the expectation."""
         xi = self.units[self.horizon]
         b = np.asarray(b, dtype=complex)
-        return block_matrix(rank_one(self.powers[self.horizon], xi @ b, xi).blocks)
+        return block_matrix(rank_one_blocks(self.powers[self.horizon].gram, xi @ b, xi))
 
     def left_embedding(self, b: np.ndarray) -> np.ndarray:
         """The unital embedding of the base: b acting from the left on E_N,
@@ -333,26 +323,6 @@ def dilate_discrete(
     fiber = gns_construct(cp_map, reduce=False, verify=False)
     system = DiscreteProductSystem.build(cp_map.domain, fiber, horizon, budget)
     return DilationScenario(cp_map, system)
-
-
-def e0_apply(scenario: DilationScenario, steps: int, op: AdjointableOperator) -> AdjointableOperator:
-    """theta_steps(op) = op (x) id, shifting op up the tower by `steps`.
-
-    The operator must live on a power of the system; theta_0 is the
-    identity, each theta_steps is a unital *-homomorphism, and they
-    compose: theta_m(theta_n(op)) = theta_{m+n}(op).
-    """
-    system = scenario.system
-    if steps < 0:
-        raise HorizonError("cannot shift an operator backwards")
-    level = system.level_of(op)
-    if level + steps > system.horizon:
-        raise HorizonError(
-            f"shifting E_{level} by {steps} steps lands past the horizon "
-            f"{system.horizon}"
-        )
-    lifted = system.theta_blocks(op.blocks, level, steps)
-    return AdjointableOperator(system.powers[level + steps], lifted)
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +443,14 @@ def _window_blocks(system: DiscreteProductSystem, widths: list[int], draws: np.n
 
 def random_window_operator(
     system: DiscreteProductSystem, width: int, rng: np.random.Generator
-) -> AdjointableOperator:
-    """Random finite-rank operator on E_width with base-valued coefficients.
+) -> np.ndarray:
+    """Blocks of a random finite-rank operator on E_width with base-valued coefficients.
 
     The sum of two rank-ones between dense random vectors, so the operator has
     a generically nonzero overlap with every generator and with the unit.
     """
     (blocks,) = _window_blocks(system, [width], _window_draws(system, [width], rng))
-    return AdjointableOperator(system.powers[width], blocks)
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +543,8 @@ def verify_dilation(
         )
         ta_star = system.theta_blocks(a_star, level, steps)
         worst_star = residual_max(worst_star, adjoint_gap(system.powers[n_top], ta, ta_star))
-        lifted = system.theta_blocks(identity_operator(system.powers[level]).blocks, level, steps)
-        target_ident = identity_operator(system.powers[n_top]).blocks
+        lifted = system.theta_blocks(identity_blocks(system.powers[level]), level, steps)
+        target_ident = identity_blocks(system.powers[n_top])
         worst_unital = residual_max(worst_unital, frob(lifted - target_ident))
         # composition: theta_{steps-1} o theta_1 = theta_steps, against ta
         if steps >= 2:
@@ -728,8 +698,8 @@ class MarkovModel:
     def states(self) -> int:
         return self.transition.shape[0]
 
-    def process_operator(self, f: np.ndarray, time: int, level: int | None = None) -> AdjointableOperator:
-        """The observable f(X_time) as an operator on E_level.
+    def process_operator(self, f: np.ndarray, time: int, level: int | None = None) -> np.ndarray:
+        """The blocks of the observable f(X_time) as an operator on E_level.
 
         Time 0 is the initial condition carried by the base; times
         1..level are the letter slots, latest first.
@@ -747,22 +717,22 @@ class MarkovModel:
                     "this is only an adjointable block operator over a "
                     "commutative base"
                 )
-            return AdjointableOperator(e, unblock(np.kron(np.eye(e.rank), f), len(f)))
+            return unblock(np.kron(np.eye(e.rank), f), len(f))
         if time == level:
-            return left_action_operator(e, f)
-        f_op = left_action_operator(system.fiber, f)
+            return e.left.blocks_of(f)
+        f_op = system.fiber.left.blocks_of(f)
         require_base_commutant(system.fiber, f_op)
         return self._slot_operator(f_op, time, level)
 
-    def _slot_operator(self, f_op: AdjointableOperator, time: int, level: int) -> AdjointableOperator:
+    def _slot_operator(self, f_op: np.ndarray, time: int, level: int) -> np.ndarray:
         """theta_{time-1}(id (x) f) on E_level, 0 < time < level, for the
-        operator ``f_op`` of f on the fiber; linear in f and unguarded."""
+        blocks ``f_op`` of f on the fiber; linear in f and unguarded."""
         system = self.system
         inner_level = level - time + 1
         # id (x) f on E_{inner-1} (x) E_1: f's blocks between kept pairs (i, u) sharing i
         i, u = system._kept(inner_level - 1, 1)
-        slot = np.where((i[:, None] == i)[..., None, None], f_op.blocks[np.ix_(u, u)], 0)
-        return AdjointableOperator(system.powers[level], system.theta_blocks(slot, inner_level, time - 1))
+        slot = np.where((i[:, None] == i)[..., None, None], f_op[np.ix_(u, u)], 0)
+        return system.theta_blocks(slot, inner_level, time - 1)
 
     def _basis_operators(self, time: int, level: int):
         """The flat operator on E_level at ``time`` > 0 of each element of the
@@ -782,8 +752,7 @@ class MarkovModel:
             yield from block_matrix(system.powers[level].left.blocks)
             return
         for b in system.base.basis:
-            op = self._slot_operator(left_action_operator(system.fiber, b), time, level)
-            yield block_matrix(op.blocks)
+            yield block_matrix(self._slot_operator(system.fiber.left.blocks_of(b), time, level))
 
     def _observe(self, items: list[tuple[np.ndarray, int, int, np.ndarray]]) -> list[np.ndarray]:
         """f(X_time) x for each (f, time, level, x) of ``items``, x a vector of E_level.
@@ -811,14 +780,13 @@ class MarkovModel:
             if time == 0 or len(at) < system.base.dim:
                 for j in at:
                     f, _, _, x = items[j]
-                    out[j] = self.process_operator(f, time, level)(x)
+                    out[j] = apply_blocks(self.process_operator(f, time, level), x)
                 continue
             fs = np.stack([np.asarray(items[j][0], dtype=complex) for j in at])
             c = system.powers[level].left.coords_of(fs)
             if time < level:
                 fiber = system.fiber
-                slots = unblock(fiber.left.operators(fs), d0)
-                require_base_commutant(fiber, AdjointableOperator(fiber, slots))
+                require_base_commutant(fiber, unblock(fiber.left.operators(fs), d0))
             # the vectors side by side, (M, K, d0), and sum_k c_k P_k of them
             xs = np.stack([items[j][3].reshape(-1, d0) for j in at], axis=1)
             new = sum(
@@ -851,10 +819,10 @@ class MarkovModel:
 
     def module_moment(self, observables: list[tuple[np.ndarray, int]]) -> np.ndarray:
         system = self.system
-        xi = system.unit_vector()
+        xi = system.units[system.horizon]
         v = xi
         for f, time in reversed(observables):
-            v = self.process_operator(f, time)(v)
+            v = apply_blocks(self.process_operator(f, time), v)
         return system.powers[system.horizon].inner(xi, v)
 
     def verify(
@@ -872,7 +840,7 @@ class MarkovModel:
         system = self.system
         n = system.horizon
         s = self.states
-        xi = system.unit_vector()
+        xi = system.units[n]
 
         samples = []
         for _ in range(trials):

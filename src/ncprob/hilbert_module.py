@@ -5,11 +5,15 @@ A module is presented by generators and relations in coordinate form: an
 generators (``d0`` is the ambient dimension of the base algebra), together
 with an optional left action of another algebra and a dictionary of
 distinguished vectors.  A vector is an ``(n, d0, d0)`` array of right
-coefficients: ``x = sum_i e_i x[i]``.  An operator is an ``(n, n, d0, d0)``
-block matrix acting on coefficients and carries no adjoint; adjointability
-is a property we verify, not an assumption.  :func:`adjoint_gap` decides
-whether given blocks are an operator's adjoint, by the Gram identity
-``<x, S y> = <S* x, y>`` on all generator pairs.
+coefficients: ``x = sum_i e_i x[i]``.  An operator is its ``(n, n, d0, d0)``
+block matrix acting on coefficients: every function takes and returns
+operators as blocks.  An operator carries no adjoint; adjointability is a
+property we verify, not an assumption.  Blocks do not name their module, so
+the comparisons take the module whose Gram decides:
+:func:`operator_distance` ``(module, s, t)`` compares two operators in the
+form ``<e_i, S e_j>``, and :func:`adjoint_gap` ``(module, blocks,
+adjoint)`` decides whether given blocks are an operator's adjoint, by the
+Gram identity ``<x, S y> = <S* x, y>`` on all generator pairs.
 
 That block layout is the public one at every function boundary, but the
 arithmetic runs on the flat view: an operator is an element of M_n(B), an
@@ -66,16 +70,13 @@ from .linalg import (
 __all__ = [
     "HilbertModule",
     "LeftAction",
-    "AdjointableOperator",
     "QuotientInfo",
     "inner_product",
     "apply_blocks",
     "compose_blocks",
     "dagger_blocks",
-    "identity_operator",
-    "rank_one",
+    "identity_blocks",
     "rank_one_blocks",
-    "left_action_operator",
     "operator_distance",
     "vector_norm",
     "adjoint_gap",
@@ -228,43 +229,9 @@ def vector_norm(module: HilbertModule, x: np.ndarray) -> float:
     return float(np.sqrt(residual_max(np.linalg.norm(g, 2))))
 
 
-@dataclass
-class AdjointableOperator:
-    """Right-linear operator given by its blocks alone; see :func:`adjoint_gap`."""
-
-    module: HilbertModule
-    blocks: np.ndarray  # (n, n, d0, d0)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return apply_blocks(self.blocks, x)
-
-    def __matmul__(self, other: "AdjointableOperator") -> "AdjointableOperator":
-        return AdjointableOperator(self.module, compose_blocks(self.blocks, other.blocks))
-
-    def __add__(self, other: "AdjointableOperator") -> "AdjointableOperator":
-        return AdjointableOperator(self.module, self.blocks + other.blocks)
-
-    def __sub__(self, other: "AdjointableOperator") -> "AdjointableOperator":
-        return AdjointableOperator(self.module, self.blocks - other.blocks)
-
-    def __mul__(self, scalar: complex) -> "AdjointableOperator":
-        return AdjointableOperator(self.module, scalar * self.blocks)
-
-    __rmul__ = __mul__
-
-    def matrix_form(self) -> np.ndarray:
-        """The sesquilinear form <e_i, S e_j>, which determines the operator."""
-        return compose_blocks(self.module.gram, self.blocks)
-
-
-def identity_operator(module: HilbertModule) -> AdjointableOperator:
-    blocks = unblock(np.kron(np.eye(module.rank), module.base.unit), module.base.ambient_dim)
-    return AdjointableOperator(module, blocks)
-
-
-def rank_one(module: HilbertModule, x: np.ndarray, y: np.ndarray) -> AdjointableOperator:
-    """|x><y| : z -> x <y, z>; its adjoint is |y><x|."""
-    return AdjointableOperator(module, rank_one_blocks(module.gram, x, y))
+def identity_blocks(module: HilbertModule) -> np.ndarray:
+    """Blocks of the identity operator on ``module``."""
+    return unblock(np.kron(np.eye(module.rank), module.base.unit), module.base.ambient_dim)
 
 
 def rank_one_blocks(gram: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -275,17 +242,11 @@ def rank_one_blocks(gram: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarra
     return unblock(xf @ (yf.conj().swapaxes(-1, -2) @ block_matrix(gram)), d0)
 
 
-def left_action_operator(module: HilbertModule, a: np.ndarray) -> AdjointableOperator:
-    """Operator of a left-algebra element; its adjoint is the operator of ``a*``
-    when the action is a *-representation (``left-action-star`` checks it)."""
-    if module.left is None:
-        raise StructuralError("module has no left action")
-    return AdjointableOperator(module, module.left.blocks_of(np.asarray(a, dtype=complex)))
-
-
-def operator_distance(s: AdjointableOperator, t: AdjointableOperator) -> float:
-    """Distance in the sesquilinear form; zero iff the operators agree."""
-    return frob(s.matrix_form() - t.matrix_form())
+def operator_distance(module: HilbertModule, s: np.ndarray, t: np.ndarray) -> float:
+    """Distance of the blocks ``s`` and ``t`` in the sesquilinear form
+    <e_i, S e_j> of ``module``, frob(G S - G T); zero iff the operators agree."""
+    g = module.gram
+    return frob(compose_blocks(g, s) - compose_blocks(g, t))
 
 
 def adjoint_gap(module: HilbertModule, blocks: np.ndarray, adjoint: np.ndarray) -> float:
@@ -465,9 +426,10 @@ def gns_construct(pmap: PositiveMap, reduce: bool = True, verify: bool = True) -
 # interior tensor product over the base
 
 
-def require_base_commutant(module: HilbertModule, s: AdjointableOperator) -> None:
-    """Raise unless S commutes with the base action on ``module``, which is
-    what makes id o S well defined on any E (x) module.
+def require_base_commutant(module: HilbertModule, blocks: np.ndarray) -> None:
+    """Raise unless the operator S of ``blocks`` commutes with the base
+    action on ``module``, which is what makes id o S well defined on any
+    E (x) module.
 
     The defect of each basis element's action ``L`` is
     :func:`operator_distance` of ``L S`` and ``S L``, ``frob(G L S - G S L)``,
@@ -475,7 +437,7 @@ def require_base_commutant(module: HilbertModule, s: AdjointableOperator) -> Non
     stacking several operators have every one of them decided.
     """
     acts, g = block_matrix(module.left.blocks), block_matrix(module.gram)
-    op = block_matrix(s.blocks)[..., None, :, :]
+    op = block_matrix(blocks)[..., None, :, :]
     for gap in map(frob, (g @ (acts @ op) - g @ (op @ acts)).reshape(-1, *g.shape)):
         if exceeds(gap, GUARD_TOL):
             raise StructuralError(
@@ -546,8 +508,12 @@ class ModuleTensor:
     """E1 (x)_B E2 on all ``n1 * n2`` pairs e_i o e_j, row-major, null ones
     included: the semi-inner product already fixes inner products and
     adjointable operators on them.  The maps are the tower's contractions
-    with no kept pairs.  The class and :func:`tensor_over_base` stay only
-    because ``perfbench`` traces their names; they go with those traces.
+    with no kept pairs.  :meth:`tensor_vector` takes a vector of each
+    factor; :meth:`op_left` takes the blocks of an operator on the left
+    factor and :meth:`op_right` those of one on the right factor, and each
+    returns the blocks of the operator on the product.  The class and
+    :func:`tensor_over_base` stay only because ``perfbench`` traces their
+    names; they go with those traces.
     """
 
     module: HilbertModule
@@ -558,16 +524,16 @@ class ModuleTensor:
         """Image of the elementary tensor x o y."""
         return apply_blocks(tensor_extend(self.right_factor.left, x), y)
 
-    def op_left(self, s: AdjointableOperator) -> AdjointableOperator:
+    def op_left(self, blocks: np.ndarray) -> np.ndarray:
         """S o id for an adjointable S on the left factor."""
-        return AdjointableOperator(self.module, tensor_lift(self.right_factor.left, s.blocks))
+        return tensor_lift(self.right_factor.left, blocks)
 
-    def op_right(self, s: AdjointableOperator) -> AdjointableOperator:
+    def op_right(self, blocks: np.ndarray) -> np.ndarray:
         """id o S; requires S to commute with the base action on the right factor."""
-        require_base_commutant(self.right_factor, s)
+        require_base_commutant(self.right_factor, blocks)
         # (id o S)(e_i o e_j) = e_i o S e_j: S on the right slot of every e_i
-        raw = np.kron(np.eye(self.left_factor.rank), block_matrix(s.blocks))
-        return AdjointableOperator(self.module, unblock(raw, self.module.base.ambient_dim))
+        raw = np.kron(np.eye(self.left_factor.rank), block_matrix(blocks))
+        return unblock(raw, self.module.base.ambient_dim)
 
 
 def tensor_gram(e1: HilbertModule, e2: HilbertModule) -> np.ndarray:

@@ -49,14 +49,13 @@ from .algebra_core import (
     verify_positive_map,
 )
 from .hilbert_module import (
-    AdjointableOperator,
     HilbertModule,
     LeftAction,
     apply_blocks,
     compose_blocks,
     extended_gram,
     gns_construct,
-    identity_operator,
+    identity_blocks,
     operator_distance,
     rank_one_blocks,
     representation_gaps,
@@ -199,10 +198,10 @@ class JointRealization:
     def algebra2(self) -> MatrixStarAlgebra:
         return self.leg2.algebra
 
-    def embed(self, leg: int, mat: np.ndarray) -> AdjointableOperator:
-        """The operator of ``mat`` on leg ``leg``; raises when ``mat`` is not
-        in that leg's algebra."""
-        return AdjointableOperator(self.carrier, (self.leg1 if leg == 1 else self.leg2).blocks_of(mat))
+    def embed(self, leg: int, mat: np.ndarray) -> np.ndarray:
+        """The blocks of the operator of ``mat`` on leg ``leg``; raises when
+        ``mat`` is not in that leg's algebra."""
+        return (self.leg1 if leg == 1 else self.leg2).blocks_of(mat)
 
     def moment(self, word: AlternatingWord) -> np.ndarray:
         """Vacuum expectation of the word, as a base-algebra element.
@@ -270,13 +269,13 @@ class JointRealization:
             report.add(f"leg{leg}-multiplicative", worst_mult, tol)
             report.add(f"leg{leg}-star", worst_star, tol)
             u = self.embed(leg, action.algebra.unit)
-            unit_gap = operator_distance(u, identity_operator(self.carrier))
+            unit_gap = operator_distance(self.carrier, u, identity_blocks(self.carrier))
             if unital:
                 report.add(f"leg{leg}-unital", unit_gap, tol)
             else:
                 # the unit must land on a proper projection, strictly below one
                 report.add(
-                    f"leg{leg}-unit-is-idempotent", operator_distance(u @ u, u), tol,
+                    f"leg{leg}-unit-is-idempotent", operator_distance(self.carrier, compose_blocks(u, u), u), tol,
                     f"distance to identity {unit_gap:.3e}",
                 )
         gap = frob(self.carrier.inner(self.vacuum, self.vacuum) - self.carrier.base.unit)
@@ -317,7 +316,7 @@ def _on_second_slot(e2: HilbertModule, blocks: np.ndarray, n1: int) -> np.ndarra
     slot of each of E1's ``n1`` generators, ``kron(1, S)``.  Raises unless
     every S commutes with the base action on ``e2``, which is what makes
     id (x) S well defined; one stacked check decides them all."""
-    require_base_commutant(e2, AdjointableOperator(e2, blocks))
+    require_base_commutant(e2, blocks)
     flat = block_matrix(blocks)
     n = n1 * flat.shape[-1]
     raw = np.eye(n1)[:, None, :, None] * flat[..., None, :, None, :]

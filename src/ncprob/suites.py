@@ -44,7 +44,7 @@ from .dilation import (
     white_noise_increment_check,
     white_noise_scenario,
 )
-from .hilbert_module import gns_construct, operator_distance, tensor_over_base, verify_module
+from .hilbert_module import compose_blocks, gns_construct, operator_distance, tensor_over_base, verify_module
 # unused here, but perfbench's tracer self-test rewraps this second binding
 from .hilbert_module import apply_blocks  # noqa: F401
 from .independence import (
@@ -307,9 +307,9 @@ def suite_conditional_monotone(config: RunConfig) -> list[dict]:
     worst = 0.0
     elements = random_hermitian_elements([m2] * 30, rng)
     for a, b, c in zip(elements[0::3], elements[1::3], elements[2::3]):
-        lhs = joint.embed(2, a) @ joint.embed(1, b) @ joint.embed(2, c)
+        lhs = compose_blocks(compose_blocks(joint.embed(2, a), joint.embed(1, b)), joint.embed(2, c))
         rhs = joint.embed(2, a @ comp.apply(b) @ c)
-        worst = residual_max(worst, operator_distance(lhs, rhs))
+        worst = residual_max(worst, operator_distance(joint.carrier, lhs, rhs))
     report.add("sandwich-identity", worst, tol)
     report.extend("realization", joint.verify(tol))
     return report.rows()

@@ -28,7 +28,6 @@ from ncprob import (
     full_matrix_algebra,
     gns_construct,
     identity_map,
-    left_action_operator,
     map_from_images,
     markov_scenario,
     monotone_moment_formula,
@@ -218,7 +217,7 @@ def test_criterion_07_dilation_recovers_the_semigroup():
                 want = b
                 for _ in range(n):
                     want = cp.apply(want)
-                got = e.inner(xi, left_action_operator(e, b)(xi))
+                got = e.inner(xi, apply_blocks(e.left.blocks_of(b), xi))
                 worst = max(worst, frob(got - want))
     assert worst <= 1e-9
     assert time.monotonic() - start < 10.0

@@ -45,7 +45,6 @@ from ncprob.dilation import (
     MarkovModel,
     central_unit_fiber,
     dilate_discrete,
-    e0_apply,
     markov_scenario,
     random_unital_cp,
     random_window_operator,
@@ -60,8 +59,7 @@ from ncprob.independence import conditional_monotone_factorization
 from ncprob.hilbert_module import (
     apply_blocks,
     compose_blocks,
-    identity_operator,
-    left_action_operator,
+    identity_blocks,
     operator_distance,
     verify_module,
 )
@@ -123,8 +121,8 @@ def test_word_numbers_past_int64_stay_exact():
     # while its words, read as base-2 numbers, reach 2**64
     system = markov_scenario(np.array([[1.0, 0.0], [0.5, 0.5]]), 64).system
     assert [p.rank for p in system.powers] == list(range(1, 66))
-    lifted = system.theta_blocks(identity_operator(system.powers[54]).blocks, 54, 10)
-    assert np.array_equal(lifted, identity_operator(system.powers[64]).blocks)
+    lifted = system.theta_blocks(identity_blocks(system.powers[54]), 54, 10)
+    assert np.array_equal(lifted, identity_blocks(system.powers[64]))
 
 
 def test_non_unital_maps_are_rejected(m2):
@@ -183,8 +181,8 @@ def test_theta_zero_is_the_identity(chain):
     system = chain.system
     rng = np.random.default_rng(0)
     op = random_window_operator(system, 2, rng)
-    shifted = e0_apply(chain, 0, op)
-    assert np.array_equal(shifted.blocks, op.blocks)
+    shifted = system.theta_blocks(op, 2, 0)
+    assert shifted.tobytes() == op.tobytes()
 
 
 def test_theta_of_identity_is_exactly_identity(chain):
@@ -206,23 +204,30 @@ def test_theta_composes_on_generators(chain, m2_noise):
         system = scenario.system
         rng = np.random.default_rng(2)
         op = random_window_operator(system, 1, rng)
-        twice = e0_apply(scenario, 1, e0_apply(scenario, 1, op))
-        direct = e0_apply(scenario, 2, op)
-        assert operator_distance(twice, direct) < 1e-12
+        twice = system.theta_blocks(system.theta_blocks(op, 1, 1), 2, 1)
+        direct = system.theta_blocks(op, 1, 2)
+        assert operator_distance(system.powers[3], twice, direct) < 1e-12
 
 
-def test_theta_rejects_foreign_and_overflowing_operators(chain):
+def test_theta_rejects_overflowing_backward_and_misshapen_operators(chain):
     system = chain.system
     rng = np.random.default_rng(3)
     op = random_window_operator(system, 2, rng)
     with pytest.raises(HorizonError):
-        e0_apply(chain, 2, op)
+        system.theta_blocks(op, 2, 2)
     with pytest.raises(HorizonError):
-        e0_apply(chain, -1, op)
-    other = markov_scenario(np.array([[0.5, 0.5], [0.3, 0.7]]), horizon=2)
-    foreign = random_window_operator(other.system, 2, rng)
-    with pytest.raises(StructuralError, match="power"):
-        e0_apply(chain, 1, foreign)
+        system.theta_blocks(op, 2, -1)
+    with pytest.raises(StructuralError, match="stated level"):
+        system.theta_blocks(op, 1, 1)
+
+
+def test_theta_never_lifts_down_the_tower():
+    # a backward lift once returned blocks of the wrong level's shape
+    system = dilate_discrete(random_unital_cp(2, np.random.default_rng(7)), 3).system
+    b = random_window_operator(system, 2, np.random.default_rng(0))
+    for from_level, steps in ((2, -1), (2, -2), (-1, 1), (-1, 4)):
+        with pytest.raises(HorizonError):
+            system.theta_blocks(b, from_level, steps)
 
 
 def test_product_system_invariants(chain, m2_noise):
@@ -369,7 +374,8 @@ def test_slot_observables_need_to_commute_with_the_base(m2_noise):
         with pytest.raises(StructuralError, match="does not commute"):
             model.process_operator(np.diag([1.0, 2.0]).astype(complex), time)
         central = model.process_operator(2.0 * np.eye(2, dtype=complex), time)
-        assert central.module is m2_noise.system.powers[3]
+        top = m2_noise.system.powers[3]
+        assert operator_distance(top, central, 2.0 * identity_blocks(top)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +469,7 @@ def test_batched_embed_window_matches_one_lift_per_operator(m2, chain):
             v, vstar = system.isometry_blocks(width, mid)
             for count in (1, 3):
                 ops = np.stack(
-                    [random_window_operator(system, width, rng).blocks for _ in range(count)]
+                    [random_window_operator(system, width, rng) for _ in range(count)]
                 )
                 got = system.embed_window(ops, width, start)
                 side = system.powers[n_top].rank * system.base.ambient_dim
@@ -477,7 +483,7 @@ def test_batched_embed_window_matches_one_lift_per_operator(m2, chain):
 
 def test_embed_window_rejects_windows_past_the_horizon(m2_noise):
     system = m2_noise.system
-    ops = np.stack([random_window_operator(system, 2, np.random.default_rng(0)).blocks])
+    ops = np.stack([random_window_operator(system, 2, np.random.default_rng(0))])
     with pytest.raises(HorizonError):
         system.embed_window(ops, 2, 2)
     with pytest.raises(StructuralError, match="window level"):

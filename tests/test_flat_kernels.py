@@ -36,14 +36,12 @@ from ncprob.dilation import (
     random_window_operator,
 )
 from ncprob.hilbert_module import (
-    AdjointableOperator,
     HilbertModule,
     apply_blocks,
     compose_blocks,
     gns_construct,
-    identity_operator,
+    identity_blocks,
     inner_product,
-    left_action_operator,
     tensor_over_base,
     trivial_left_action,
 )
@@ -215,7 +213,7 @@ def test_tensor_vector_matches_loop(tower):
     system = tower
     rng = np.random.default_rng(0)
     for level in (1, 2):
-        x = random_window_operator(system, level, rng).blocks[:, 0]
+        x = random_window_operator(system, level, rng)[:, 0]
         tensor = raw(system, level)
         right = tensor.right_factor
         y = right.distinguished["unit"] + 0.5 * right.generator(1)
@@ -228,7 +226,7 @@ def test_op_left_matches_loop(tower):
     for level in (1, 2):
         s = random_window_operator(system, level, rng)
         tensor = raw(system, level)
-        assert frob(tensor.op_left(s).blocks - loop_op_left(tensor, s.blocks)) < 1e-12
+        assert frob(tensor.op_left(s) - loop_op_left(tensor, s)) < 1e-12
 
 
 def test_op_right_matches_loop(chain):
@@ -238,10 +236,9 @@ def test_op_right_matches_loop(chain):
     pruned = markov_scenario(np.array([[1.0, 0.0], [0.5, 0.5]]), 3).system
     pruned_tensor = raw(pruned, 2)
     assert len(kept_pairs(pruned, 2)) < pruned_tensor.module.rank
-    s_blocks = left_action_operator(chain.fiber, np.diag([0.3, -1.2]).astype(complex)).blocks
-    for system, tensor in ((chain, raw(chain, 2)), (pruned, pruned_tensor)):
-        right = tensor.op_right(AdjointableOperator(system.fiber, s_blocks))
-        assert frob(right.blocks - loop_op_right(tensor, s_blocks)) < 1e-12
+    s_blocks = chain.fiber.left.blocks_of(np.diag([0.3, -1.2]).astype(complex))
+    for tensor in (raw(chain, 2), pruned_tensor):
+        assert frob(tensor.op_right(s_blocks) - loop_op_right(tensor, s_blocks)) < 1e-12
 
 
 def test_tower_drops_exactly_the_null_words(tower):
@@ -256,10 +253,10 @@ def test_tower_drops_exactly_the_null_words(tower):
         assert words(system, k) == nonnull
         assert system.powers[k].rank == len(nonnull)
     for level in range(system.horizon + 1):
-        ident = identity_operator(system.powers[level]).blocks
+        ident = identity_blocks(system.powers[level])
         for steps in range(system.horizon - level + 1):
             lifted = system.theta_blocks(ident, level, steps)
-            assert np.array_equal(lifted, identity_operator(system.powers[level + steps]).blocks)
+            assert np.array_equal(lifted, identity_blocks(system.powers[level + steps]))
 
 
 def test_tower_ranks_drop_null_and_dependent_generators():
@@ -276,7 +273,7 @@ def test_theta_blocks_matches_column_loop(tower):
     system = tower
     rng = np.random.default_rng(2)
     for level, steps in ((1, 1), (1, 2), (2, 1), (0, 3)):
-        a = random_window_operator(system, level, rng).blocks
+        a = random_window_operator(system, level, rng)
         want = np.stack(
             [
                 loop_extend(system, a[:, word_index(system, w[:level])], w[level:], level)
@@ -310,8 +307,8 @@ def test_isometry_blocks_match_word_loop(tower):
 def test_identify_matches_word_loop(tower):
     system = tower
     rng = np.random.default_rng(3)
-    x = random_window_operator(system, 1, rng).blocks[:, 1]
-    y = random_window_operator(system, 2, rng).blocks[:, 2]
+    x = random_window_operator(system, 1, rng)[:, 1]
+    y = random_window_operator(system, 2, rng)[:, 2]
     want = sum(loop_extend(system, x, w, 1) @ y[k] for k, w in enumerate(words(system, 2)))
     assert frob(system.identify(1, 2, x, y) - want) < 1e-12
     assert frob(system.identify(1, 2, x, np.zeros_like(y))) == 0.0
@@ -321,7 +318,7 @@ def test_identify_matches_word_loop(tower):
 def test_vector_functional_matches_loop(tower):
     # <x, a x> one basis element at a time, through each element's operator
     top = tower.powers[tower.horizon]
-    x = random_window_operator(tower, tower.horizon, np.random.default_rng(4)).blocks[:, 0]
+    x = random_window_operator(tower, tower.horizon, np.random.default_rng(4))[:, 0]
     basis = tower.base.basis
     want = np.stack([top.inner(x, apply_blocks(top.left.blocks_of(b), x)) for b in basis])
     assert frob(top.vector_functional(x, basis) - want) < 1e-12
@@ -337,7 +334,7 @@ def test_coefficients_outside_the_base_still_raise(chain):
         chain.extend(outside, 1, 1)
     blocks = np.ones((chain.fiber.rank, chain.fiber.rank, 2, 2), dtype=complex)
     with pytest.raises(StructuralError, match="not in the acting algebra"):
-        raw(chain, 1).op_left(AdjointableOperator(chain.fiber, blocks))
+        raw(chain, 1).op_left(blocks)
     with pytest.raises(StructuralError, match="not in the acting algebra"):
         chain.fiber.vector_functional(chain.units[1], outside[:1])
     with pytest.raises(StructuralError, match="not in the acting algebra"):
@@ -394,8 +391,8 @@ def test_tower_and_tensor_share_one_contraction(shared_tower):
         tensor = raw(system, k)
         kept = kept_pairs(system, k)
         a = random_window_operator(system, k, rng)
-        lifted = tensor.op_left(a).blocks[np.ix_(kept, kept)]
-        assert frob(system.theta_blocks(a.blocks, k, 1) - lifted) < 1e-12
+        lifted = tensor.op_left(a)[np.ix_(kept, kept)]
+        assert frob(system.theta_blocks(a, k, 1) - lifted) < 1e-12
         v, _ = system.isometry_blocks(1, k + 1)
         for u in range(system.fiber.rank):
             column = tensor.tensor_vector(system.units[k], system.fiber.generator(u))[kept]

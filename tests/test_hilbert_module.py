@@ -34,7 +34,6 @@ from ncprob.algebra_core import (
     state_from_density,
 )
 from ncprob.hilbert_module import (
-    AdjointableOperator,
     HilbertModule,
     LeftAction,
     adjoint_gap,
@@ -43,13 +42,12 @@ from ncprob.hilbert_module import (
     dagger_blocks,
     extended_gram,
     gns_construct,
-    identity_operator,
+    identity_blocks,
     inner_product,
-    left_action_operator,
     operator_distance,
     quotient_module,
     quotient_null_space,
-    rank_one,
+    rank_one_blocks,
     tensor_over_base,
     trivial_left_action,
     vector_norm,
@@ -85,34 +83,35 @@ class TestBasics:
 
     def test_identity_and_rank_one(self):
         m = module_over_self(diagonal_algebra(2))
-        ident = identity_operator(m)
+        ident = identity_blocks(m)
         xi = m.distinguished["unit"]
-        p = rank_one(m, xi, xi)
+        p = rank_one_blocks(m.gram, xi, xi)
         # |xi><xi| acts on x as xi <xi, x> = unit * x here, so it equals the identity
-        assert operator_distance(p, ident) < 1e-12
+        assert operator_distance(m, p, ident) < 1e-12
         # the adjoint of |x><y| is |y><x|, and not |x><y| itself when x != y
-        assert adjoint_gap(m, p.blocks, rank_one(m, xi, xi).blocks) <= 1e-9
+        assert adjoint_gap(m, p, rank_one_blocks(m.gram, xi, xi)) <= 1e-9
         x = m.vector(np.diag([1.0, 2.0j])[None])
-        assert adjoint_gap(m, rank_one(m, x, xi).blocks, rank_one(m, xi, x).blocks) <= 1e-9
-        assert adjoint_gap(m, rank_one(m, x, xi).blocks, rank_one(m, x, xi).blocks) > 1.0
+        x_xi, xi_x = rank_one_blocks(m.gram, x, xi), rank_one_blocks(m.gram, xi, x)
+        assert adjoint_gap(m, x_xi, xi_x) <= 1e-9
+        assert adjoint_gap(m, x_xi, x_xi) > 1.0
 
-    def test_left_action_operator_adjoint(self):
+    def test_left_action_blocks_adjoint(self):
         m = module_over_self(full_matrix_algebra(2))
         a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-        op = left_action_operator(m, a)
-        assert adjoint_gap(m, op.blocks, left_action_operator(m, dag(a)).blocks) <= 1e-9
+        op = m.left.blocks_of(a)
+        assert adjoint_gap(m, op, m.left.blocks_of(dag(a))) <= 1e-9
         x = m.generator(0)
-        assert frob(op(x)[0] - a) < 1e-12
+        assert frob(apply_blocks(op, x)[0] - a) < 1e-12
 
     def test_operator_algebra(self):
         m = module_over_self(full_matrix_algebra(2))
-        a = left_action_operator(m, np.array([[0, 1], [1, 0]], dtype=complex))
-        b = left_action_operator(m, np.diag([1.0, -1.0]).astype(complex))
-        comm = a @ b - b @ a
+        a = m.left.blocks_of(np.array([[0, 1], [1, 0]], dtype=complex))
+        b = m.left.blocks_of(np.diag([1.0, -1.0]).astype(complex))
+        ab, ba = compose_blocks(a, b), compose_blocks(b, a)
         # a and b are self-adjoint, so (ab - ba)* = ba - ab
-        assert adjoint_gap(m, comm.blocks, (b @ a - a @ b).blocks) <= 1e-9
-        anti = a @ b + b @ a
-        assert operator_distance(anti, 0.0 * anti) < 1e-12  # sx sz + sz sx = 0
+        assert adjoint_gap(m, ab - ba, ba - ab) <= 1e-9
+        anti = ab + ba
+        assert operator_distance(m, anti, 0.0 * anti) < 1e-12  # sx sz + sz sx = 0
 
     def test_an_empty_stack_of_elements_acts_as_nothing(self):
         for alg in (scalar_algebra(), diagonal_algebra(2), full_matrix_algebra(2)):
@@ -143,9 +142,9 @@ class TestAdjoints:
     def test_broken_adjoint_caught(self):
         m = module_over_self(full_matrix_algebra(2))
         a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        op = left_action_operator(m, a)
+        op = m.left.blocks_of(a)
         # E12 is not self-adjoint: G E12 - (G E12)^H = E12 - E21, of norm sqrt(2)
-        assert adjoint_gap(m, op.blocks, op.blocks) > 1.0
+        assert adjoint_gap(m, op, op) > 1.0
 
 
 class TestQuotient:
@@ -375,18 +374,16 @@ class TestTensor:
         m = module_over_self(alg)
         tensor = tensor_over_base(m, m)
         sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        s = left_action_operator(m, sx)
         with pytest.raises(StructuralError):
-            tensor.op_right(s)
+            tensor.op_right(m.left.blocks_of(sx))
 
     def test_op_right_accepts_central_elements(self):
         alg = full_matrix_algebra(2)
         m = module_over_self(alg)
         tensor = tensor_over_base(m, m)
-        s = left_action_operator(m, 2.0 * np.eye(2, dtype=complex))
-        op = tensor.op_right(s)
+        op = tensor.op_right(m.left.blocks_of(2.0 * np.eye(2, dtype=complex)))
         xi = tensor.module.distinguished["unit"]
-        assert frob(tensor.module.inner(xi, op(xi)) - 2.0 * np.eye(2)) < 1e-10
+        assert frob(tensor.module.inner(xi, apply_blocks(op, xi)) - 2.0 * np.eye(2)) < 1e-10
 
     def test_op_left_respects_composition(self):
         p = np.array([[0.9, 0.1], [0.2, 0.8]])
@@ -394,10 +391,10 @@ class TestTensor:
         tensor = tensor_over_base(e, e)
         f = np.diag([1.0, -0.5]).astype(complex)
         g = np.diag([0.0, 1.0]).astype(complex)
-        of = tensor.op_left(left_action_operator(e, f))
-        og = tensor.op_left(left_action_operator(e, g))
-        both = tensor.op_left(left_action_operator(e, f @ g))
-        assert operator_distance(of @ og, both) < 1e-10
+        of = tensor.op_left(e.left.blocks_of(f))
+        og = tensor.op_left(e.left.blocks_of(g))
+        both = tensor.op_left(e.left.blocks_of(f @ g))
+        assert operator_distance(tensor.module, compose_blocks(of, og), both) < 1e-10
 
     def test_elementary_tensor_relation(self):
         # x b (x) y = x (x) b y after the identification

@@ -30,7 +30,7 @@ from ncprob import (
     diagonal_compression,
     full_matrix_algebra,
     gns_construct,
-    identity_operator,
+    identity_blocks,
     map_from_images,
     monotone_moment_formula,
     monotone_realize,
@@ -44,16 +44,14 @@ from ncprob import (
     verify_independence,
     verify_positive_map,
 )
-from ncprob import independence, suites
+from ncprob import demos, independence, suites
 from ncprob.hilbert_module import (
-    AdjointableOperator,
     HilbertModule,
     LeftAction,
     apply_blocks,
     compose_blocks,
-    left_action_operator,
     quotient_module,
-    rank_one,
+    rank_one_blocks,
     restrict_left_action,
     tensor_over_base,
 )
@@ -246,10 +244,29 @@ def test_sandwiched_letter_collapses_to_its_mean(coin_pair):
         f = np.diag(rng.uniform(-2, 2, size=2)).astype(complex)
         fp = np.diag(rng.uniform(-2, 2, size=2)).astype(complex)
         g = np.diag(rng.uniform(-2, 2, size=2)).astype(complex)
-        lhs = real.embed(1, fp) @ real.embed(2, g) @ real.embed(1, f)
+        lhs = compose_blocks(compose_blocks(real.embed(1, fp), real.embed(2, g)), real.embed(1, f))
         scalar = complex(s2.functional.apply(g)[0, 0])
         rhs = scalar * real.embed(1, fp @ f)
-        assert operator_distance(lhs, rhs) < 1e-10
+        assert operator_distance(real.carrier, lhs, rhs) < 1e-10
+
+
+def test_a_collapse_without_the_mean_fails_its_row(monkeypatch):
+    """Negative control for ``demo two-time``: with phi2(g) dropped from the
+    right side, f'(X1) g(X2) f(X1) = (f'f)(X1) is false."""
+    config = suites.RunConfig(seed=7)
+    rows = {r["name"]: r for r in demos.demo_two_time(config)["checks"]}
+    assert rows["collapse-identity"]["passed"]
+    honest = demos.monotone_realize
+
+    def mean_dropped(s1, s2):
+        real = honest(s1, s2)
+        s2.functional.apply = lambda g: np.ones((1, 1), dtype=complex)
+        return real
+
+    monkeypatch.setattr(demos, "monotone_realize", mean_dropped)
+    rows = {r["name"]: r for r in demos.demo_two_time(config)["checks"]}
+    assert not rows["collapse-identity"]["passed"]
+    assert rows["collapse-identity"]["residual"] > 1e-3
 
 
 def _leg2_on_the_first_slot(monkeypatch):
@@ -265,10 +282,10 @@ def _leg2_on_the_first_slot(monkeypatch):
 
 def _leg1_without_the_vacuum_projection(monkeypatch):
     # |xi2><xi2| replaced by the identity, so id (x) it is the identity too
-    def identity_blocks(gram, x, y):
+    def identity_for_rank_one(gram, x, y):
         return unblock(np.eye(gram.shape[0] * gram.shape[-1], dtype=complex), gram.shape[-1])
 
-    monkeypatch.setattr(independence, "rank_one_blocks", identity_blocks)
+    monkeypatch.setattr(independence, "rank_one_blocks", identity_for_rank_one)
 
 
 @pytest.mark.parametrize("mutate", [_leg2_on_the_first_slot, _leg1_without_the_vacuum_projection])
@@ -297,8 +314,8 @@ def test_monotone_unit_letter_is_projection(coin_pair):
     s1, s2 = coin_pair
     real = monotone_realize(s1, s2)
     p = real.embed(1, I2)
-    assert operator_distance(p @ p, p) < 1e-12
-    assert operator_distance(p, identity_operator(real.carrier)) > 0.1
+    assert operator_distance(real.carrier, compose_blocks(p, p), p) < 1e-12
+    assert operator_distance(real.carrier, p, identity_blocks(real.carrier)) > 0.1
     report = real.verify()
     assert report.passed
 
@@ -357,7 +374,7 @@ def test_conditional_embed2_is_adjointable(compressed_pair):
     rng = np.random.default_rng(2)
     a = random_hermitian(2, rng) + 0.5j * np.array([[0, 1], [-1, 0]])
     for leg in (2, 1):
-        assert adjoint_gap(real.carrier, real.embed(leg, a).blocks, real.embed(leg, dag(a)).blocks) <= 1e-9
+        assert adjoint_gap(real.carrier, real.embed(leg, a), real.embed(leg, dag(a))) <= 1e-9
 
 
 def _seed7_monotone():
@@ -385,10 +402,10 @@ def test_a_similarity_on_leg2_fails_leg2_star_only(build):
     """
     real = build()
     nil = 0.5 * real.embed(1, np.array([[0, 1], [0, 0]], dtype=complex))
-    one = identity_operator(real.carrier)
+    one = identity_blocks(real.carrier)
     s, s_inv = one + nil, one - nil
-    assert operator_distance(s @ s_inv, one) < 1e-12
-    conjugated = compose_blocks(s.blocks, compose_blocks(real.leg2.blocks, s_inv.blocks))
+    assert operator_distance(real.carrier, compose_blocks(s, s_inv), one) < 1e-12
+    conjugated = compose_blocks(s, compose_blocks(real.leg2.blocks, s_inv))
     similar = dataclasses.replace(real, leg2=LeftAction(real.algebra2, conjugated))
     honest = {c.name: c for c in real.verify().checks}
     rows = {c.name: c for c in similar.verify().checks}
@@ -411,7 +428,7 @@ def test_leg2_is_the_projected_form_on_every_raw_pair(compressed_pair):
         return np.stack([apply_blocks(action.blocks_of(x[i]), y)[j] for i in range(e1.rank) for j in range(e2.rank)])
 
     a2 = random_hermitian(2, np.random.default_rng(3)) + 0.5j * np.array([[0, 1], [-1, 0]])
-    got = real.embed(2, a2).blocks
+    got = real.embed(2, a2)
     assert got.shape[:2] == (e1.rank * e2.rank, e1.rank * e2.rank)
     for col, (i, j) in enumerate(itertools.product(range(e1.rank), range(e2.rank))):
         moved = apply_blocks(action.blocks_of(e1.inner(xi1, e1.generator(i))), e2.generator(j))
@@ -443,9 +460,30 @@ def test_sandwich_identity(compressed_pair):
     rng = np.random.default_rng(7)
     for _ in range(5):
         a, b, c = (random_hermitian(2, rng) for _ in range(3))
-        lhs = real.embed(2, a) @ real.embed(1, b) @ real.embed(2, c)
+        lhs = compose_blocks(compose_blocks(real.embed(2, a), real.embed(1, b)), real.embed(2, c))
         rhs = real.embed(2, a @ comp.apply(b) @ c)
-        assert operator_distance(lhs, rhs) < 1e-10
+        assert operator_distance(real.carrier, lhs, rhs) < 1e-10
+
+
+def test_a_sandwich_without_the_expectation_fails_its_row(monkeypatch):
+    """Negative control: with E1 dropped from the right side, leg2(a b c),
+    the suite's sandwich row fails and the formula row still passes (the
+    moment formulas apply E1 through ``apply_many``, which stays honest)."""
+    config = suites.RunConfig(seed=7, trials=30)
+    rows = {r["name"]: r for r in suites.suite_conditional_monotone(config)}
+    assert rows["sandwich-identity"]["passed"]
+    honest = suites.diagonal_compression
+
+    def expectation_dropped(*args):
+        comp = honest(*args)
+        comp.apply = lambda b: b
+        return comp
+
+    monkeypatch.setattr(suites, "diagonal_compression", expectation_dropped)
+    rows = {r["name"]: r for r in suites.suite_conditional_monotone(config)}
+    assert not rows["sandwich-identity"]["passed"]
+    assert rows["sandwich-identity"]["residual"] > 1e-3
+    assert rows["realization-matches-formula"]["passed"]
 
 
 def test_scalar_base_reduces_to_monotone_with_swapped_roles():
@@ -628,16 +666,16 @@ def _paper_letters(kind: str):
     product = tensor.module
 
     def first(a):
-        return tensor.op_left(left_action_operator(e1, a))
+        return tensor.op_left(e1.left.blocks_of(a))
 
     def second(a):
-        return tensor.op_right(left_action_operator(e2, a))
+        return tensor.op_right(e2.left.blocks_of(a))
 
     letters = {1: first, 2: second}
     if kind == "monotone":
         xi2 = e2.distinguished["unit"]
-        projection = tensor.op_right(rank_one(e2, xi2, xi2))
-        letters[1] = lambda a: first(a) @ projection
+        projection = tensor.op_right(rank_one_blocks(e2.gram, xi2, xi2))
+        letters[1] = lambda a: compose_blocks(first(a), projection)
     elif kind == "conditional-monotone":
         xi1 = e1.distinguished["unit"]
         action = tensor.right_factor.left
@@ -647,9 +685,7 @@ def _paper_letters(kind: str):
             [apply_blocks(action.blocks_of(e1.inner(xi1, e1.generator(p))), e2.generator(u)) for p, u in pairs],
             axis=1,
         )
-        letters[2] = lambda a: AdjointableOperator(
-            product, compose_blocks(v, compose_blocks(left_action_operator(e2, a).blocks, v_star))
-        )
+        letters[2] = lambda a: compose_blocks(v, compose_blocks(e2.left.blocks_of(a), v_star))
     return product, product.distinguished["unit"], letters
 
 
@@ -658,7 +694,7 @@ def _operator_chain_moment(paper, word):
     product, vacuum, letters = paper
     v = vacuum
     for leg, mat in reversed(word.letters):
-        v = letters[leg](mat)(v)
+        v = apply_blocks(letters[leg](mat), v)
     return product.inner(vacuum, v)
 
 

@@ -36,7 +36,7 @@ from ncprob.dilation import (
     scalar_fiber,
     white_noise_scenario,
 )
-from ncprob.hilbert_module import rank_one, tensor_gram
+from ncprob.hilbert_module import rank_one_blocks, tensor_gram
 from ncprob.independence import (
     random_alternating_word,
     random_alternating_words,
@@ -107,9 +107,9 @@ def reference_window_vectors(system, width, rng):
 
 
 def reference_random_window_operator(system, width, rng):
-    e = system.powers[width]
+    gram = system.powers[width].gram
     x1, y1, x2, y2 = reference_window_vectors(system, width, rng)
-    return rank_one(e, x1, y1).blocks + rank_one(e, x2, y2).blocks
+    return rank_one_blocks(gram, x1, y1) + rank_one_blocks(gram, x2, y2)
 
 
 def reference_sample_alternating_ops(system, r, s, t, rng, max_word_length):
@@ -289,8 +289,8 @@ def test_stacked_window_operators_draw_the_per_vector_operators(label):
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
     for width in (1, 2, 3, 2, 1):
         got = random_window_operator(system, width, rng)
-        assert got.module is system.powers[width]
-        assert got.blocks.tobytes() == reference_random_window_operator(system, width, ref).tobytes()
+        assert got.shape[:2] == (system.powers[width].rank,) * 2
+        assert got.tobytes() == reference_random_window_operator(system, width, ref).tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
     # the vectors themselves, and the swapped pairs that make an adjoint
     for width in (1, 3):
@@ -298,7 +298,7 @@ def test_stacked_window_operators_draw_the_per_vector_operators(label):
         want = reference_window_vectors(system, width, ref)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
         e = system.powers[width]
-        swapped = rank_one(e, want[1], want[0]).blocks + rank_one(e, want[3], want[2]).blocks
+        swapped = rank_one_blocks(e.gram, want[1], want[0]) + rank_one_blocks(e.gram, want[3], want[2])
         assert _window_operators(e, got[[1, 0, 3, 2]]).tobytes() == swapped.tobytes()
 
 

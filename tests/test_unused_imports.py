@@ -1,13 +1,19 @@
-"""Every name a package module imports is used there or exported by it.
+"""Every name a package module imports is used there or exported by it,
+and every name it exports exists.
 
 An AST scan of ``src/ncprob/*.py`` (the package ``__init__`` only
 re-exports): a name bound by an import must appear as a name in the module
 body or in its ``__all__``.  An import line marked ``# noqa: F401`` keeps a
-binding on purpose and says why in a comment above it.
+binding on purpose and says why in a comment above it.  Each name of a
+module's ``__all__`` must resolve on the imported module through
+``getattr``, so that a deleted name left in ``__all__`` fails here and not
+at the first ``from ncprob.<module> import *``.
 """
 
 import ast
+import importlib
 import pathlib
+import types
 
 import pytest
 
@@ -54,3 +60,24 @@ def test_scan_flags_an_unused_import(tmp_path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def stale_exports(module: types.ModuleType) -> list[str]:
+    missing = object()
+    return [name for name in module.__all__ if getattr(module, name, missing) is missing]
+
+
+EXPORTING = [p for p in MODULES if "__all__" in p.read_text(encoding="utf-8")]
+
+
+def test_export_scan_sees_the_package_and_flags_a_stale_name():
+    assert {p.name for p in EXPORTING} >= {"algebra_core.py", "hilbert_module.py", "dilation.py", "suites.py"}
+    module = types.ModuleType("mod")
+    module.tau = 6.28
+    module.__all__ = ["tau", "gone"]
+    assert stale_exports(module) == ["gone"]
+
+
+@pytest.mark.parametrize("path", EXPORTING, ids=lambda p: p.name)
+def test_every_export_resolves(path):
+    assert stale_exports(importlib.import_module(f"ncprob.{path.stem}")) == []
