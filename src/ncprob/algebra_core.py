@@ -148,6 +148,10 @@ class MatrixStarAlgebra:
         # row- and column-stacked basis and the pseudoinverse drive all
         # coordinate work
         self._flat = basis.reshape(len(basis), d * d)
+        # an independent basis of d*d matrices spans all of M_d: every finite
+        # matrix is a member, and its least-squares residual is exactly 0
+        self.spans_ambient = len(basis) == d * d
+        self._zero = np.zeros(d * d, dtype=complex)
         self._stack = self._flat.T
         overlaps = dag(self._stack).dot(self._stack)
         norms2 = np.diagonal(overlaps).real
@@ -185,9 +189,17 @@ class MatrixStarAlgebra:
         return self.basis.shape[1]
 
     def coords(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """Least-squares coordinates of ``x`` over the basis and the residual."""
+        """Least-squares coordinates of ``x`` over the basis and the residual.
+
+        When the algebra spans M_d the residual is exact: 0 for a finite
+        ``x`` and NaN for one with a non-finite entry (the vector dot
+        ``0·x`` sums every term, so it is 0 or NaN), so a membership guard
+        still rejects NaN and inf.
+        """
         v = vec(x)
         c = self._pinv.dot(v)
+        if self.spans_ambient:
+            return c, float(abs(self._zero.dot(v)))
         return c, frob(self._stack.dot(c) - v)
 
     def span_residual(self, x: np.ndarray) -> float:
@@ -202,14 +214,21 @@ class MatrixStarAlgebra:
         other bits than the contiguous vector :meth:`coords` returns.  Each
         column's residual is ``np.linalg.norm(r, axis=0)``'s own
         arithmetic, ``sqrt(add.reduce((r.conj() * r).real, 0))``, so the same
-        bits without that function's dispatch; a NaN column stays NaN.  An
-        empty stack has (0, dim) coordinates and residual 0.
+        bits without that function's dispatch; a NaN column stays NaN.  When
+        the algebra spans M_d the residual is exact, as in :meth:`coords`: 0
+        for a finite stack, NaN for one with a non-finite entry.  An empty
+        stack has (0, dim) coordinates and residual 0.
         """
         flat = xs.reshape(len(xs), self._stack.shape[0]).T
         c = self._pinv.dot(flat)
-        r = self._stack.dot(c) - flat
-        res = np.sqrt(np.add.reduce((r.conj() * r).real, axis=0))
-        return np.ascontiguousarray(c.T), float(res.max(initial=0.0))
+        if self.spans_ambient:
+            # a finiteness test, not a product with the zero vector: a matrix
+            # times a zero vector is one a BLAS may skip, NaN and all
+            worst = 0.0 if np.isfinite(flat).all() else float("nan")
+        else:
+            r = self._stack.dot(c) - flat
+            worst = float(np.sqrt(np.add.reduce((r.conj() * r).real, axis=0)).max(initial=0.0))
+        return np.ascontiguousarray(c.T), worst
 
     def combine(self, coeffs: np.ndarray) -> np.ndarray:
         """Matrix with the given basis coordinates; a stack (k, dim) of them
@@ -544,7 +563,7 @@ def choi_matrix(pmap: PositiveMap) -> np.ndarray:
     Requires the domain span to be the full ambient matrix algebra.
     """
     d = pmap.domain.ambient_dim
-    if pmap.domain.dim != d * d:
+    if not pmap.domain.spans_ambient:
         raise StructuralError("Choi matrix needs the full matrix algebra as domain")
     units = np.zeros((d * d, d, d), dtype=complex)
     for i in range(d):

@@ -79,7 +79,7 @@ from .hilbert_module import (
     verify_module,
 )
 from .independence import conditional_monotone_factorization, word_stacks
-from .linalg import DEFAULT_TOL, block_matrix, frob, residual_max, unblock
+from .linalg import DEFAULT_TOL, block_matrix, diagonal_blocks, frob, residual_max, unblock
 
 __all__ = [
     "HorizonError",
@@ -342,8 +342,8 @@ def central_unit_fiber(base: MatrixStarAlgebra, copies: int = 2) -> tuple[Matrix
     trivial: <xi, b xi> = b.  This is the standard nontrivial white noise.
     """
     d0 = base.ambient_dim
-    gram = unblock(np.kron(np.eye(copies), base.unit), d0)
-    blocks = unblock(np.kron(np.eye(copies), base.basis), d0)
+    gram = diagonal_blocks(copies, base.unit)
+    blocks = diagonal_blocks(copies, base.basis)
     xi = np.zeros((copies, d0, d0), dtype=complex)
     xi[0] = base.unit
     fiber = HilbertModule(base, gram, LeftAction(base, blocks), {"unit": xi})
@@ -717,7 +717,7 @@ class MarkovModel:
                     "this is only an adjointable block operator over a "
                     "commutative base"
                 )
-            return unblock(np.kron(np.eye(e.rank), f), len(f))
+            return diagonal_blocks(e.rank, f)
         if time == level:
             return e.left.blocks_of(f)
         f_op = system.fiber.left.blocks_of(f)

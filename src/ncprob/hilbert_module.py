@@ -60,6 +60,7 @@ from .linalg import (
     RANK_RTOL,
     block_matrix,
     dag,
+    diagonal_blocks,
     exceeds,
     frob,
     min_eig,
@@ -231,7 +232,7 @@ def vector_norm(module: HilbertModule, x: np.ndarray) -> float:
 
 def identity_blocks(module: HilbertModule) -> np.ndarray:
     """Blocks of the identity operator on ``module``."""
-    return unblock(np.kron(np.eye(module.rank), module.base.unit), module.base.ambient_dim)
+    return diagonal_blocks(module.rank, module.base.unit)
 
 
 def rank_one_blocks(gram: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -595,8 +596,7 @@ def restrict_left_action(left: LeftAction, subalgebra: MatrixStarAlgebra) -> Lef
 
 def trivial_left_action(rank: int, base: MatrixStarAlgebra) -> LeftAction:
     """Scalars acting by multiplication; always available."""
-    blocks = unblock(np.kron(np.eye(rank), base.unit), base.ambient_dim)
-    return LeftAction(scalar_algebra(), blocks[None])
+    return LeftAction(scalar_algebra(), diagonal_blocks(rank, base.unit)[None])
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,12 @@ def unblock(mat: np.ndarray, d: int) -> np.ndarray:
     return mat.reshape(*lead, rows // d, d, cols // d, d).swapaxes(-3, -2)
 
 
+def diagonal_blocks(n: int, block: np.ndarray) -> np.ndarray:
+    """The (n, n, d, d) blocks with the (d, d) ``block`` on the diagonal and
+    zeros elsewhere; a stack (..., d, d) gives the stack (..., n, n, d, d)."""
+    return unblock(np.kron(np.eye(n), block), block.shape[-1])
+
+
 def scaled_hermitian(draws: np.ndarray) -> np.ndarray:
     """Hermitian parts of ``draws[k, 0] + i draws[k, 1]`` for a stack (k, 2, d, d)
     of normal draws, each scaled to spectral radius 2 (a zero one stays zero)."""

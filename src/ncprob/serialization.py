@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
@@ -230,14 +231,20 @@ def matrix_to_json(m: np.ndarray) -> list:
 _REAL = (float, int)
 
 
-def matrix_from_json(node: Any, pointer: str = "") -> np.ndarray:
+def _matrix_rows(node: Any, pointer: str) -> list:
+    """The rows of a matrix node, every cell checked and made a [re, im] pair
+    of floats or ints; raises :class:`SchemaError` at the first bad field.
+
+    A node whose cells are all such pairs already, as in a parsed document,
+    is returned itself: a words file keeps every letter's rows until its
+    arrays are built, and copies would double that."""
     rows = _expect(node, list, "a matrix (list of rows)", pointer)
     if not rows:
         raise SchemaError("matrix has no rows", pointer)
     width = None
-    out = []
+    out = rows
     for i, row in enumerate(rows):
-        cells = _expect(row, list, "a matrix row", f"{pointer}/{i}")
+        cells = row if type(row) is list else _expect(row, list, "a matrix row", f"{pointer}/{i}")
         if width is None:
             width = len(cells)
             if width == 0:
@@ -256,19 +263,45 @@ def matrix_from_json(node: Any, pointer: str = "") -> np.ndarray:
                 if cells is row:
                     cells = list(row)
                 cells[j] = [z.real, z.imag]
-        out.append(cells)
-    # [re, im] float pairs viewed as complex: the bits of complex(re, im);
-    # the copy owns its buffer, so no float array stays behind each matrix
-    return np.array(out, dtype=float).view(complex)[..., 0].copy()
+        if cells is not row:
+            if out is rows:
+                out = list(rows)
+            out[i] = cells
+    return out
+
+
+def _square_rows(node: Any, dim: int | None, pointer: str) -> list:
+    """:func:`_matrix_rows` of a square matrix, ``dim x dim`` unless ``dim`` is None."""
+    rows = _matrix_rows(node, pointer)
+    shape = (len(rows), len(rows[0]))
+    if shape[0] != shape[1]:
+        raise SchemaError(f"expected a square matrix, got shape {shape}", pointer)
+    if dim is not None and shape[0] != dim:
+        raise SchemaError(f"expected a {dim}x{dim} matrix, got {shape[0]}x{shape[1]}", pointer)
+    return rows
+
+
+def _complex_array(rows: list, shape: tuple[int, ...]) -> np.ndarray:
+    """Checked rows of the given shape, or a list of them, as one C-contiguous
+    complex array.  Its entries are the [re, im] float pairs viewed as
+    complex, so each has the bits of ``complex(re, im)``; the pairs are read
+    flat, which is cheaper than ``np.array``'s walk of the nesting."""
+    floats = rows
+    for _ in shape:
+        floats = chain.from_iterable(floats)
+    return np.fromiter(floats, float, count=2 * math.prod(shape)).view(complex).reshape(shape)
+
+
+def matrix_from_json(node: Any, pointer: str = "") -> np.ndarray:
+    rows = _matrix_rows(node, pointer)
+    # the copy owns its buffer: a matrix on its own is not a view of the
+    # float array it was read into
+    return _complex_array(rows, (len(rows), len(rows[0]))).copy()
 
 
 def _square_matrix_from_json(node: Any, dim: int | None, pointer: str) -> np.ndarray:
-    m = matrix_from_json(node, pointer)
-    if m.shape[0] != m.shape[1]:
-        raise SchemaError(f"expected a square matrix, got shape {m.shape}", pointer)
-    if dim is not None and m.shape[0] != dim:
-        raise SchemaError(f"expected a {dim}x{dim} matrix, got {m.shape[0]}x{m.shape[1]}", pointer)
-    return m
+    rows = _square_rows(node, dim, pointer)
+    return _complex_array(rows, (len(rows), len(rows))).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -450,27 +483,49 @@ def word_to_json(word: AlternatingWord) -> dict:
     }
 
 
+def _decode_words(located: list) -> list[AlternatingWord]:
+    """The words of ``(node, pointer)`` pairs, in order.
+
+    Every letter is checked before any array is built, so the first bad
+    field raises, with its pointer.  The letters of one size then share one
+    complex array for the whole list, and each letter is a C-contiguous view
+    of it.
+    """
+    rows_by_size: dict[int, list] = {}
+    for node, pointer in located:
+        obj = _expect(node, dict, "a word object", pointer)
+        letters_node = _expect(
+            _field(obj, "letters", pointer), list, "a letter list", f"{pointer}/letters"
+        )
+        for i, entry in enumerate(letters_node):
+            lp = f"{pointer}/letters/{i}"
+            eobj = _expect(entry, dict, "a letter object", lp)
+            leg = _expect_int(_field(eobj, "leg", lp), "leg", f"{lp}/leg")
+            if leg not in (1, 2):
+                raise SchemaError(f"leg must be 1 or 2, got {leg}", f"{lp}/leg")
+            rows = _square_rows(_field(eobj, "element", lp), None, f"{lp}/element")
+            rows_by_size.setdefault(len(rows), []).append(rows)
+    # a second walk over the checked nodes hands out the views in order, so
+    # no per-letter record is kept between the two walks
+    views = {d: iter(_complex_array(rows, (len(rows), d, d))) for d, rows in rows_by_size.items()}
+    return [
+        AlternatingWord([(e["leg"], next(views[len(e["element"])])) for e in node["letters"]])
+        for node, _ in located
+    ]
+
+
+def _words_from_list(node: Any, pointer: str) -> list[AlternatingWord]:
+    words_node = _expect(node, list, "a word list", pointer)
+    return _decode_words([(w, f"{pointer}/{i}") for i, w in enumerate(words_node)])
+
+
 def word_from_json(node: Any, pointer: str = "") -> AlternatingWord:
-    obj = _expect(node, dict, "a word object", pointer)
-    letters_node = _expect(
-        _field(obj, "letters", pointer), list, "a letter list", f"{pointer}/letters"
-    )
-    letters = []
-    for i, entry in enumerate(letters_node):
-        lp = f"{pointer}/letters/{i}"
-        eobj = _expect(entry, dict, "a letter object", lp)
-        leg = _expect_int(_field(eobj, "leg", lp), "leg", f"{lp}/leg")
-        if leg not in (1, 2):
-            raise SchemaError(f"leg must be 1 or 2, got {leg}", f"{lp}/leg")
-        element = _square_matrix_from_json(_field(eobj, "element", lp), None, f"{lp}/element")
-        letters.append((leg, element))
-    return AlternatingWord(letters)
+    return _decode_words([(node, pointer)])[0]
 
 
 def words_from_json(node: Any, pointer: str = "") -> list[AlternatingWord]:
     obj = _expect(node, dict, "a words document", pointer)
-    words_node = _expect(_field(obj, "words", pointer), list, "a word list", f"{pointer}/words")
-    return [word_from_json(w, f"{pointer}/words/{i}") for i, w in enumerate(words_node)]
+    return _words_from_list(_field(obj, "words", pointer), f"{pointer}/words")
 
 
 def space_from_json(node: Any, codomain: MatrixStarAlgebra | None, pointer: str = "") -> QuantumProbabilitySpace:
@@ -516,8 +571,7 @@ def independence_scenario_from_json(node: Any, pointer: str = "") -> dict:
     space2 = space_from_json(_field(obj, "space2", pointer), base, f"{pointer}/space2")
     words = None
     if "words" in obj:
-        words_node = _expect(obj["words"], list, "a word list", f"{pointer}/words")
-        words = [word_from_json(w, f"{pointer}/words/{i}") for i, w in enumerate(words_node)]
+        words = _words_from_list(obj["words"], f"{pointer}/words")
     return {
         "construction": construction,
         "space1": space1,

@@ -11,6 +11,7 @@ Hand-computed reference values used below:
 * Projecting E12 onto the diagonal algebra cuts off all of it: residual 1.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -44,6 +45,7 @@ from ncprob.algebra_core import (
     verify_algebra,
     verify_positive_map,
 )
+from ncprob.independence import AlternatingWord, QuantumProbabilitySpace, monotone_realize
 from ncprob.linalg import dag, frob, min_eig, random_density, scaled_hermitian
 
 RNG = np.random.default_rng(20260817)
@@ -124,6 +126,31 @@ class TestAlgebraStructure:
         with pytest.raises(StructuralError):
             diag.element(e(0, 1))
         diag.element(np.diag([1.0, 2.0]))
+
+    def test_a_full_algebra_holds_every_large_matrix(self):
+        # M2 holds every 2x2 matrix, however large: the least-squares
+        # residual of a matrix of norm 1e9 is rounding of about 1e-7, which
+        # the absolute guard tolerance rejected for 1131 of these 2000 draws
+        rng = np.random.default_rng(0)
+        xs = 1e9 * (rng.normal(size=(2000, 2, 2)) + 1j * rng.normal(size=(2000, 2, 2)))
+        m2 = full_matrix_algebra(2)
+        trace = normalized_trace_state(m2)
+        space = QuantumProbabilitySpace(m2, trace)
+        real = monotone_realize(space, space)
+        for x in xs:
+            assert m2.element(x) is not None and m2.span_residual(x) == 0.0
+            assert np.isfinite(trace.apply(x)).all()
+            assert np.isfinite(real.moment(AlternatingWord([(1, x), (2, x)])))
+        assert np.isfinite(trace.apply_many(xs)).all()
+
+    def test_a_proper_subalgebra_keeps_its_least_squares_residual(self):
+        diag = diagonal_algebra(2)
+        x = 1e9 * (e(0, 1) + np.diag([1.0, -2.0]))
+        v = x.reshape(-1).astype(complex)
+        want = frob(diag._stack.dot(diag._pinv.dot(v)) - v)
+        assert want == 1e9 and diag.span_residual(x) == want
+        with pytest.raises(StructuralError, match=re.escape(f"residual {want:.3e}")):
+            diag.element(x)
 
     @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)

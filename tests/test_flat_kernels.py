@@ -445,12 +445,22 @@ def ref_coords_many(alg, xs):
     return c.T, float(np.sqrt(np.add.reduce((r.conj() * r).real, axis=0)).max(initial=0.0))
 
 
+def m2_plus_c():
+    """M2 ⊕ C inside M3: the matrix units of the upper 2x2 block and E_22,
+    a proper subalgebra that is not a factor."""
+    units = np.zeros((5, 3, 3), dtype=complex)
+    for k, (i, j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]):
+        units[k, i, j] = 1.0
+    return algebra_from_basis(units)
+
+
 PARITY_ALGEBRAS = {
     "scalars": scalar_algebra,
     "diag2": lambda: diagonal_algebra(2),
     "m2": lambda: full_matrix_algebra(2),
     "pauli": pauli_algebra,
     "m3": lambda: full_matrix_algebra(3),
+    "m2+c": m2_plus_c,
 }
 
 
@@ -459,16 +469,24 @@ def test_coordinates_have_the_bits_of_matmul(name):
     alg = PARITY_ALGEBRAS[name]()
     rng = np.random.default_rng(sorted(PARITY_ALGEBRAS).index(name))
     d = alg.ambient_dim
+    # an algebra that spans M_d holds every finite matrix: its residual is
+    # exactly 0, where the least-squares one would be rounding; a proper
+    # subalgebra keeps the least-squares residual's bits
+    assert alg.spans_ambient == (name in ("scalars", "m2", "m3", "pauli"))
     # elements of the span and matrices off it (a nonzero residual)
     mats = np.concatenate([alg.combine(_random(rng, 6, alg.dim)), _random(rng, 2, d, d)])
     for layout, xs in _layouts(mats).items():
         for x in xs:
             c, res = alg.coords(x)
             want_c, want_res = ref_coords(alg, x)
-            assert _same_bits(c, want_c) and res == want_res, layout
+            assert _same_bits(c, want_c), layout
+            assert res == (0.0 if alg.spans_ambient else want_res), layout
         c, res = alg.coords_many(xs)
         want_c, want_res = ref_coords_many(alg, xs)
-        assert _same_bits(c, want_c) and res == want_res, layout
+        assert _same_bits(c, want_c), layout
+        assert res == (0.0 if alg.spans_ambient else want_res), layout
+    if not alg.spans_ambient:
+        assert want_res > 0.0
 
 
 @pytest.mark.parametrize("name", sorted(PARITY_ALGEBRAS))

@@ -210,6 +210,18 @@ _NAN_GUARDS = {
     "JointRealization.moment-full-inf": lambda: _inf_quietly(
         lambda: _monotone(full_matrix_algebra(2)).moment(AlternatingWord([(1, _nan_in(np.eye(2), float("inf")))]))
     ),
+    "element-full-nan": lambda: full_matrix_algebra(2).element(_nan_in(np.eye(2))),
+    "element-full-inf": lambda: _inf_quietly(
+        lambda: full_matrix_algebra(2).element(_nan_in(np.eye(2), float("inf")))
+    ),
+    "PositiveMap.apply_many-full-nan": lambda: normalized_trace_state(full_matrix_algebra(2)).apply_many(
+        np.stack([np.eye(2), _nan_in(np.eye(2))])
+    ),
+    "PositiveMap.apply_many-full-inf": lambda: _inf_quietly(
+        lambda: normalized_trace_state(full_matrix_algebra(2)).apply_many(
+            np.stack([np.eye(2), _nan_in(np.eye(2), float("inf"))])
+        )
+    ),
 }
 
 

@@ -4,7 +4,9 @@
 ``reference_matrix_to_json`` and ``reference_complex_to_json`` are the
 recursive emitter, the per-cell decoder and encoder and the numpy-call
 scalar encoder the package used before its single-dispatch emitter,
-array-built matrix codec and ``complex``-based scalar encoder.  They stay
+array-built matrix codec and ``complex``-based scalar encoder;
+``reference_word_from_json`` is the word decoder that built one array per
+letter, before a words list shared one array per letter size.  They stay
 here as the references: the package's versions must give the same bytes,
 the same bits and the same errors (message, reason and pointer).
 """
@@ -24,12 +26,15 @@ from ncprob import (
     diagonal_compression,
     emit_json,
     full_matrix_algebra,
+    independence_scenario_from_json,
     map_to_json,
     matrix_from_json,
     matrix_to_json,
     random_alternating_word,
     state_from_density,
+    word_from_json,
     word_to_json,
+    words_from_json,
 )
 from ncprob.linalg import random_density
 from ncprob.serialization import complex_to_json
@@ -111,6 +116,35 @@ def reference_matrix_from_json(node, pointer: str = "") -> np.ndarray:
             )
         out.append([_reference_complex_from_json(c, f"{pointer}/{i}/{j}") for j, c in enumerate(row)])
     return np.array(out, dtype=complex)
+
+
+def reference_word_from_json(node, pointer: str = ""):
+    """The (leg, matrix) letters of a word object, one array per letter."""
+    if not isinstance(node, dict):
+        raise SchemaError(f"expected a word object, got {type(node).__name__}", pointer)
+    if "letters" not in node:
+        raise SchemaError("missing required field 'letters'", f"{pointer}/letters")
+    if not isinstance(node["letters"], list):
+        raise SchemaError(f"expected a letter list, got {type(node['letters']).__name__}", f"{pointer}/letters")
+    letters = []
+    for i, entry in enumerate(node["letters"]):
+        lp = f"{pointer}/letters/{i}"
+        if not isinstance(entry, dict):
+            raise SchemaError(f"expected a letter object, got {type(entry).__name__}", lp)
+        if "leg" not in entry:
+            raise SchemaError("missing required field 'leg'", f"{lp}/leg")
+        leg = entry["leg"]
+        if isinstance(leg, bool) or not isinstance(leg, int):
+            raise SchemaError(f"expected leg (an integer), got {type(leg).__name__}", f"{lp}/leg")
+        if leg not in (1, 2):
+            raise SchemaError(f"leg must be 1 or 2, got {leg}", f"{lp}/leg")
+        if "element" not in entry:
+            raise SchemaError("missing required field 'element'", f"{lp}/element")
+        m = reference_matrix_from_json(entry["element"], f"{lp}/element")
+        if m.shape[0] != m.shape[1]:
+            raise SchemaError(f"expected a square matrix, got shape {m.shape}", f"{lp}/element")
+        letters.append((leg, m))
+    return letters
 
 
 def reference_matrix_to_json(m):
@@ -318,6 +352,10 @@ def test_decoded_numpy_scalars_are_accepted():
     got = matrix_from_json(doc)
     assert _bits(got) == _bits(reference_matrix_from_json(doc))
     assert _bits(got) == _bits([[complex(0.5, -0.0), complex(1, 2**53 + 1)]])
+    # the decoder reads the node and never rewrites it
+    assert [[[type(v) for v in c] for c in row] for row in doc] == [
+        [[np.float64, np.float64], [int, np.float64]]
+    ]
 
 
 _BAD_MATRICES = {
@@ -378,3 +416,102 @@ def test_encoded_scalars_have_the_reference_bits(z):
     want = reference_complex_to_json(z)
     assert all(type(v) is float for v in got)
     assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
+
+# ---------------------------------------------------------------------------
+# word decode: one array per letter size
+
+
+def _mixed_size_words_doc(n, seed):
+    """Words whose letters are 1x1, 2x2 and 3x3, with the special cells."""
+    rng = np.random.default_rng(seed)
+    cells = _CELLS
+    words = []
+    for _ in range(n):
+        letters = []
+        for t in range(int(rng.integers(1, 6))):
+            d = int(rng.integers(1, 4))
+            m = rng.normal(size=(d, d, 2)).tolist()
+            if rng.random() < 0.3:
+                m[0][0] = list(cells[int(rng.integers(len(cells)))])
+            letters.append({"leg": 1 + t % 2, "element": m})
+        words.append({"letters": letters})
+    return {"words": words}
+
+
+def _decoders(doc):
+    """Each public decoding entry point, as a call giving the words of ``doc``."""
+    scenario = dict(_scenario_docs(7)["monotone"], words=doc["words"])
+    return {
+        "words_from_json": lambda: words_from_json(doc),
+        "word_from_json": lambda: [word_from_json(w, f"/words/{i}") for i, w in enumerate(doc["words"])],
+        "independence_scenario_from_json": lambda: independence_scenario_from_json(scenario)["words"],
+    }
+
+
+def test_mixed_size_words_have_the_bits_of_per_letter_decoding():
+    doc = json.loads(json.dumps(_mixed_size_words_doc(200, 5)))
+    sizes = {len(letter["element"]) for w in doc["words"] for letter in w["letters"]}
+    assert sizes == {1, 2, 3}
+    for entry, decode in _decoders(doc).items():
+        words = decode()
+        assert len(words) == len(doc["words"])
+        for i, (word, node) in enumerate(zip(words, doc["words"])):
+            want = reference_word_from_json(node, f"/words/{i}")
+            assert [leg for leg, _ in word.letters] == [leg for leg, _ in want], entry
+            for (_, got), (_, ref), letter in zip(word.letters, want, node["letters"]):
+                assert got.flags.c_contiguous and got.dtype == complex, entry
+                assert _bits(got) == _bits(ref) == _bits(matrix_from_json(letter["element"])), entry
+    # the letters of one size are views of one array for the whole list
+    words = words_from_json(doc)
+    by_size = {}
+    for word in words:
+        for _, m in word.letters:
+            by_size.setdefault(len(m), []).append(m)
+    for letters in by_size.values():
+        assert all(m.base is not None and m.base is letters[0].base for m in letters)
+
+
+def test_a_bad_cell_deep_in_a_words_file_reports_its_pointer():
+    doc = _words_doc(1000, 7)
+    eye = matrix_to_json(np.eye(2))
+    doc["words"][734] = {"letters": [{"leg": 1 + t % 2, "element": eye} for t in range(3)]}
+    doc = json.loads(json.dumps(doc))
+    doc["words"][734]["letters"][2]["element"][1][0] = [True, 0.0]
+    with pytest.raises(SchemaError) as err:
+        words_from_json(doc)
+    assert err.value.pointer == "/words/734/letters/2/element/1/0"
+    assert err.value.reason == "expected a [re, im] pair of numbers"
+
+
+_BAD_LETTERS = {
+    "ragged element": {"leg": 1, "element": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]},
+    "non-square element": {"leg": 2, "element": [[[1.0, 0.0], [0.0, 0.0]]]},
+    "empty element": {"leg": 1, "element": []},
+    "empty row": {"leg": 1, "element": [[]]},
+    "non-list element": {"leg": 1, "element": "eye"},
+    "bad cell": {"leg": 2, "element": [[[1.0, 0.0], [0.0, "0"]], [[0.0, 0.0], [1.0, 0.0]]]},
+    "leg 3": {"leg": 3, "element": [[[1.0, 0.0]]]},
+    "leg 0": {"leg": 0, "element": [[[1.0, 0.0]]]},
+    "bool leg": {"leg": True, "element": [[[1.0, 0.0]]]},
+    "string leg": {"leg": "1", "element": [[[1.0, 0.0]]]},
+    "float leg": {"leg": 1.0, "element": [[[1.0, 0.0]]]},
+    "missing leg": {"element": [[[1.0, 0.0]]]},
+    "missing element": {"leg": 1},
+    "non-object letter": [1, [[[1.0, 0.0]]]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_LETTERS))
+def test_bad_letters_raise_as_the_reference_does(case):
+    good = {"leg": 1, "element": [[[1.0, 0.0]]]}
+    doc = {"words": [{"letters": [good]}, {"letters": [good, _BAD_LETTERS[case]]}]}
+    with pytest.raises(SchemaError) as want:
+        for i, w in enumerate(doc["words"]):
+            reference_word_from_json(w, f"/words/{i}")
+    assert want.value.pointer.startswith("/words/1/letters/1")
+    for entry, decode in _decoders(doc).items():
+        with pytest.raises(SchemaError) as got:
+            decode()
+        assert (got.value.reason, got.value.pointer) == (want.value.reason, want.value.pointer), entry
+        assert str(got.value) == str(want.value), entry

@@ -209,7 +209,8 @@ def test_coords_many_residual_is_the_norm_along_columns(algebra):
     c, res = algebra.coords_many(xs)
     flat = xs.reshape(len(xs), -1).T
     want = float(np.linalg.norm(algebra._stack @ c.T - flat, axis=0).max(initial=0.0))
-    assert res == want
+    # M2 holds every finite matrix: its residual is exactly 0, not rounding
+    assert res == (0.0 if algebra.spans_ambient else want)
     xs[4, 0, 0] = np.nan
     c, res = algebra.coords_many(xs)
     flat = xs.reshape(len(xs), -1).T
