@@ -24,6 +24,7 @@ from .linalg import (
     EIG_FLOOR,
     GUARD_TOL,
     RANK_RTOL,
+    block_matrix,
     dag,
     exceeds,
     frob,
@@ -450,12 +451,8 @@ def induced_density(state: PositiveMap) -> np.ndarray:
 def diagonal_compression(d: int, domain: MatrixStarAlgebra | None = None) -> PositiveMap:
     """Conditional expectation keeping the diagonal of a d x d matrix."""
     dom = full_matrix_algebra(d) if domain is None else domain
-    cod_basis = np.zeros((d, d, d), dtype=complex)
-    for k in range(d):
-        cod_basis[k, k, k] = 1.0
-    cod = MatrixStarAlgebra(cod_basis)
     images = np.stack([np.diag(np.diagonal(b)) for b in dom.basis])
-    return map_from_images(dom, cod, images, MapKind.CONDITIONAL_EXPECTATION)
+    return map_from_images(dom, diagonal_algebra(d), images, MapKind.CONDITIONAL_EXPECTATION)
 
 
 def average_with_involution(domain: MatrixStarAlgebra, u: np.ndarray) -> PositiveMap:
@@ -551,10 +548,8 @@ def cp_kernel(pmap: PositiveMap) -> np.ndarray:
     b = pmap.domain.basis
     n = pmap.domain.dim
     products = np.einsum("iba,jbc->ijac", b.conj(), b).reshape(n * n, *b.shape[1:])
-    images = pmap.apply_many(products)
     d2 = pmap.codomain.ambient_dim
-    blocks = images.reshape(n, n, d2, d2)
-    return blocks.transpose(0, 2, 1, 3).reshape(n * d2, n * d2)
+    return block_matrix(pmap.apply_many(products).reshape(n, n, d2, d2))
 
 
 def choi_matrix(pmap: PositiveMap) -> np.ndarray:
@@ -565,17 +560,10 @@ def choi_matrix(pmap: PositiveMap) -> np.ndarray:
     d = pmap.domain.ambient_dim
     if not pmap.domain.spans_ambient:
         raise StructuralError("Choi matrix needs the full matrix algebra as domain")
-    units = np.zeros((d * d, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            units[i * d + j, i, j] = 1.0
-    images = pmap.apply_many(units)
+    # the matrix units E_ij, i-major
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     d2 = pmap.codomain.ambient_dim
-    out = np.zeros((d * d2, d * d2), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            out[i * d2 : (i + 1) * d2, j * d2 : (j + 1) * d2] = images[i * d + j]
-    return out
+    return block_matrix(pmap.apply_many(units).reshape(d, d, d2, d2))
 
 
 def _embed_codomain(pmap: PositiveMap, tol: float) -> np.ndarray:

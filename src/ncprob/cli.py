@@ -24,11 +24,12 @@ from .algebra_core import StructuralError
 from .demos import DEMO_NAMES, run_demo
 from .hilbert_module import gns_construct
 from .independence import (
+    WORD_STACK,
     conditional_monotone_embed,
-    conditional_monotone_moment_formula,
-    monotone_moment_formula,
+    conditional_monotone_moment_formulas,
+    monotone_moment_formulas,
     monotone_realize,
-    tensor_moment_formula,
+    tensor_moment_formulas,
     tensor_realize,
 )
 from .linalg import frob
@@ -287,30 +288,30 @@ def cmd_moments(args: argparse.Namespace) -> int:
     construction = scenario["construction"]
     if construction == "monotone":
         real = monotone_realize(s1, s2)
-        formula = lambda w: monotone_moment_formula(w, s1.functional, s2.functional)
+        formulas = monotone_moment_formulas
     elif construction == "tensor":
         real = tensor_realize(s1, s2)
-        formula = lambda w: tensor_moment_formula(w, s1.functional, s2.functional)
+        formulas = tensor_moment_formulas
     else:  # conditional-monotone; the loader rejects anything else
         e1 = gns_construct(s1.functional, verify=False)
         e2 = gns_construct(s2.functional, verify=False)
         real = conditional_monotone_embed(e1, e2, s1.algebra, s2.algebra)
-        formula = lambda w: conditional_monotone_moment_formula(
-            w, s1.functional, s2.functional
-        )
+        formulas = conditional_monotone_moment_formulas
 
     base_valued = construction == "conditional-monotone"
+    # per stack of words, one stacked realization and one stacked formula
+    values = []
+    for start in range(0, len(words), WORD_STACK):
+        chunk = words[start : start + WORD_STACK]
+        values += zip(real.moments(chunk), formulas(chunk, s1.functional, s2.functional))
     moments = []
-    for i, word in enumerate(words):
+    for i, (word, (got, want)) in enumerate(zip(words, values)):
         label = f"{i}: {word.label()}"
         if base_valued:
-            got = real.moment(word)
-            want = formula(word)
             residual = float(frob(got - want))
             got_json, want_json = matrix_to_json(got), matrix_to_json(want)
         else:
-            got = complex(real.scalar_moment(word))
-            want = complex(formula(word))
+            got, want = complex(got[0, 0]), complex(want)
             residual = float(abs(got - want))
             got_json, want_json = complex_to_json(got), complex_to_json(want)
         moments.append(

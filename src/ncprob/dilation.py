@@ -34,9 +34,13 @@ Every lift ``theta``, identification and isometry ``V`` is one of the
 contractions ``tensor_extend``/``tensor_lift``/``tensor_isometry`` that the
 independence realizations share, with the base's left action on a power of
 the fiber; each level's left action and unit are built by the same lift and
-identification from the level below.  The product-system check is one Gram
-identity per level pair ``(m, n)``: the Gram of ``E_{m+n}`` against the raw
-Gram of ``E_m (x) E_n`` (:func:`~ncprob.hilbert_module.tensor_gram`).
+identification from the level below.  The fourth, ``tensor_slot``, gives
+the id (x) f of a Markov observable at a letter slot; unlike the lift
+S (x) id, it exists only for an f that commutes with the base action on
+the fiber, which ``require_base_commutant`` decides first.  The
+product-system check is one Gram identity per level pair ``(m, n)``: the
+Gram of ``E_{m+n}`` against the raw Gram of ``E_m (x) E_n``
+(:func:`~ncprob.hilbert_module.tensor_gram`).
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ from .hilbert_module import (
     tensor_gram,
     tensor_isometry,
     tensor_lift,
+    tensor_slot,
     vector_norm,
     verify_module,
 )
@@ -167,10 +172,7 @@ class DiscreteProductSystem:
         fiber, _ = quotient_module(fiber)
         n1 = fiber.rank
 
-        e0_gram = base.unit[None, None]
-        e0_left = LeftAction(base, base.basis[:, None, None])
-        e0 = HilbertModule(base, e0_gram, e0_left, {"unit": base.unit[None]})
-
+        _, e0 = central_unit_fiber(base, 1)
         powers: list[HilbertModule] = [e0, fiber]
         # word numbers reach n1**horizon; past int64 they stay Python integers
         exact = np.int64 if n1**horizon < 2**63 else object
@@ -728,11 +730,10 @@ class MarkovModel:
         """theta_{time-1}(id (x) f) on E_level, 0 < time < level, for the
         blocks ``f_op`` of f on the fiber; linear in f and unguarded."""
         system = self.system
-        inner_level = level - time + 1
-        # id (x) f on E_{inner-1} (x) E_1: f's blocks between kept pairs (i, u) sharing i
-        i, u = system._kept(inner_level - 1, 1)
-        slot = np.where((i[:, None] == i)[..., None, None], f_op[np.ix_(u, u)], 0)
-        return system.theta_blocks(slot, inner_level, time - 1)
+        # id (x) f on E_below (x) E_1, on its kept pairs, lifted to E_level
+        below = level - time
+        slot = tensor_slot(f_op, system.powers[below].rank, system._kept(below, 1))
+        return system.theta_blocks(slot, below + 1, time - 1)
 
     def _basis_operators(self, time: int, level: int):
         """The flat operator on E_level at ``time`` > 0 of each element of the
@@ -817,13 +818,23 @@ class MarkovModel:
             values = w * self.transition.dot(values)
         return np.diag(values)
 
-    def module_moment(self, observables: list[tuple[np.ndarray, int]]) -> np.ndarray:
+    def module_moments(self, samples: list[list[tuple[np.ndarray, int]]]) -> list[np.ndarray]:
+        """<xi_N, f_k(X_{t_k}) ... f_1(X_{t_1}) xi_N> for each list of
+        (observable, time) pairs, the module side of :meth:`path_moment`:
+        one :meth:`_observe` per position from the last observable."""
         system = self.system
-        xi = system.units[system.horizon]
-        v = xi
-        for f, time in reversed(observables):
-            v = apply_blocks(self.process_operator(f, time), v)
-        return system.powers[system.horizon].inner(xi, v)
+        n = system.horizon
+        xi = system.units[n]
+        vectors = [xi] * len(samples)
+        for p in range(1, max(map(len, samples), default=0) + 1):
+            at = [j for j, obs in enumerate(samples) if len(obs) >= p]
+            for j, v in zip(at, self._observe([(*samples[j][-p], n, vectors[j]) for j in at])):
+                vectors[j] = v
+        return [system.powers[n].inner(xi, v) for v in vectors]
+
+    def module_moment(self, observables: list[tuple[np.ndarray, int]]) -> np.ndarray:
+        """:meth:`module_moments` of one list of observables."""
+        return self.module_moments([observables])[0]
 
     def verify(
         self, tol: float = DEFAULT_TOL, seed: int = 0, trials: int = 25
@@ -832,8 +843,7 @@ class MarkovModel:
 
         Every sample is drawn first, in the order of one sample at a time;
         the observables of all samples are then applied by
-        :meth:`_observe`, the module moments' one position at a time from
-        the last observable, as :meth:`module_moment` applies them.
+        :meth:`module_moments`.
         """
         report = VerificationReport()
         rng = np.random.default_rng(seed)
@@ -849,14 +859,9 @@ class MarkovModel:
                 (np.diag(rng.uniform(-1, 1, size=s)).astype(complex), int(rng.integers(0, n + 1)))
                 for _ in range(count)
             ])
-        vectors = [xi] * trials
-        for p in range(1, max(map(len, samples), default=0) + 1):
-            at = [j for j, obs in enumerate(samples) if len(obs) >= p]
-            for j, v in zip(at, self._observe([(*samples[j][-p], n, vectors[j]) for j in at])):
-                vectors[j] = v
         worst = 0.0
-        for obs, v in zip(samples, vectors):
-            worst = residual_max(worst, frob(self.path_moment(obs) - system.powers[n].inner(xi, v)))
+        for obs, m in zip(samples, self.module_moments(samples)):
+            worst = residual_max(worst, frob(self.path_moment(obs) - m))
         report.add("path-space-agreement", worst, tol)
 
         shifts = []

@@ -51,7 +51,9 @@ from .algebra_core import (
     PositiveMap,
     StructuralError,
     VerificationReport,
+    cp_kernel,
     scalar_algebra,
+    verify_positive_map,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -88,6 +90,7 @@ __all__ = [
     "tensor_gram",
     "tensor_extend",
     "tensor_lift",
+    "tensor_slot",
     "tensor_isometry",
     "tensor_over_base",
     "ModuleTensor",
@@ -391,16 +394,13 @@ def gns_construct(pmap: PositiveMap, reduce: bool = True, verify: bool = True) -
     non-positive kernel is exactly a non-positive Gram matrix.
     """
     if verify:
-        from .algebra_core import verify_positive_map
-
         verify_positive_map(pmap).raise_on_failure(
             "refusing to build a module over an unverified map"
         )
     dom, cod = pmap.domain, pmap.codomain
     n, d0 = dom.dim, cod.ambient_dim
     b = dom.basis
-    products = np.einsum("iba,jbc->ijac", b.conj(), b).reshape(n * n, *b.shape[1:])
-    gram = pmap.apply_many(products).reshape(n, n, d0, d0)
+    gram = unblock(cp_kernel(pmap), d0)
 
     # left action: a_k . [a_j] = [a_k a_j], expanded over the symbol basis
     prod_coords, res = dom.coords_many(
@@ -485,6 +485,24 @@ def tensor_lift(left: LeftAction, blocks: np.ndarray, kept: tuple | None = None)
     return unblock(lifted.reshape(*lifted.shape[:-2], -1), d0)
 
 
+def tensor_slot(blocks: np.ndarray, n: int, kept: tuple | None = None) -> np.ndarray:
+    """Blocks of id (x) S on E (x)_B F, per operator S of a stack (..., n_F,
+    n_F, d0, d0) on F, where E has ``n`` generators: S[u, u'] between the
+    pairs (i, u) and (i, u') of ``kept`` (all ``n * n_F`` pairs, row-major,
+    when None), and zero between pairs of different i.  Unguarded: id (x) S
+    exists only for S commuting with the base action on F, which callers
+    decide with :func:`require_base_commutant`, while S (x) id
+    (:func:`tensor_lift`) always exists.  A view of its flat matrix.
+    """
+    n_f, d0 = blocks.shape[-3], blocks.shape[-1]
+    i, u = np.divmod(np.arange(n * n_f), n_f) if kept is None else kept
+    # S between every two pairs that share their generator of E
+    rows, cols = np.nonzero(i[:, None] == i)
+    flat = np.zeros((*blocks.shape[:-4], len(i) * d0, len(i) * d0), dtype=complex)
+    unblock(flat, d0)[..., rows, cols, :, :] = blocks[..., u[rows], u[cols], :, :]
+    return unblock(flat, d0)
+
+
 def tensor_isometry(
     left: LeftAction, xi: np.ndarray, gram: np.ndarray, kept: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -509,12 +527,14 @@ class ModuleTensor:
     """E1 (x)_B E2 on all ``n1 * n2`` pairs e_i o e_j, row-major, null ones
     included: the semi-inner product already fixes inner products and
     adjointable operators on them.  The maps are the tower's contractions
-    with no kept pairs.  :meth:`tensor_vector` takes a vector of each
-    factor; :meth:`op_left` takes the blocks of an operator on the left
-    factor and :meth:`op_right` those of one on the right factor, and each
-    returns the blocks of the operator on the product.  The class and
-    :func:`tensor_over_base` stay only because ``perfbench`` traces their
-    names; they go with those traces.
+    with no kept pairs (``tensor_extend``, ``tensor_lift``, ``tensor_slot``;
+    ``tensor_isometry`` is the fourth).  :meth:`tensor_vector` takes a
+    vector of each factor; :meth:`op_left` takes the blocks of an operator
+    S on the left factor and returns those of S (x) id, which always
+    exists; :meth:`op_right` takes those of an S on the right factor and
+    returns those of id (x) S, which exists only when S commutes with the
+    base action there.  The class and :func:`tensor_over_base` stay only
+    because ``perfbench`` traces their names; they go with those traces.
     """
 
     module: HilbertModule
@@ -532,9 +552,7 @@ class ModuleTensor:
     def op_right(self, blocks: np.ndarray) -> np.ndarray:
         """id o S; requires S to commute with the base action on the right factor."""
         require_base_commutant(self.right_factor, blocks)
-        # (id o S)(e_i o e_j) = e_i o S e_j: S on the right slot of every e_i
-        raw = np.kron(np.eye(self.left_factor.rank), block_matrix(blocks))
-        return unblock(raw, self.module.base.ambient_dim)
+        return tensor_slot(blocks, self.left_factor.rank)
 
 
 def tensor_gram(e1: HilbertModule, e2: HilbertModule) -> np.ndarray:

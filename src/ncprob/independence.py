@@ -18,11 +18,15 @@ Four constructions are provided, each as an explicit operator model on a
 Each leg of a model is a left action of its algebra on the carrier, the raw
 product E1 (x)_B E2: the operators of the algebra's basis, as for a
 module's own left action, and one check, ``representation_gaps``, decides
-for both whether they are *-representations.  ``a (x) id`` is the carrier's
-own left action, which ``tensor_over_base`` lifts from E1; ``id (x) a``
-places E2's basis operators on every generator of E1; the monotone leg 1 is
-``a (x) id`` times the vacuum projection ``id (x) |1><1|``, and the
-conditional monotone leg 2 is ``V a2 V*`` with ``V y = 1 o y``.
+for both whether they are *-representations.  They are built from the four
+contractions of :mod:`~ncprob.hilbert_module`: ``a (x) id`` is the
+carrier's own left action, which ``tensor_over_base`` lifts from E1 with
+``tensor_lift``; ``id (x) a`` is ``tensor_slot`` of E2's basis operators,
+after ``require_base_commutant``, since id (x) S exists only for S
+commuting with the base action on E2, while S (x) id always does; the
+monotone leg 1 is ``a (x) id`` times the vacuum projection
+``id (x) |1><1|``; and the conditional monotone leg 2 is ``V a2 V*`` with
+``V y = 1 o y``, from ``tensor_isometry`` (built on ``tensor_extend``).
 
 A unit letter fed to a non-unitally embedded leg acts as a projection, not
 as the identity.  This is the single most error-prone consequence of
@@ -32,6 +36,7 @@ lose value when an explicit unit letter is inserted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -63,6 +68,7 @@ from .hilbert_module import (
     restrict_left_action,
     tensor_isometry,
     tensor_over_base,
+    tensor_slot,
     trivial_left_action,
 )
 from .linalg import (
@@ -94,7 +100,6 @@ __all__ = [
     "ConditionalTensorProduct",
     "coins_game",
     "classical_coins_oracle",
-    "random_hermitian_element",
     "random_hermitian_elements",
     "random_alternating_word",
     "random_alternating_words",
@@ -310,30 +315,18 @@ def _with_base_action(e: HilbertModule, base) -> HilbertModule:
     return HilbertModule(e.base, e.gram, action, e.distinguished)
 
 
-def _on_second_slot(e2: HilbertModule, blocks: np.ndarray, n1: int) -> np.ndarray:
-    """Blocks of id (x) S on the raw pairs e_i o e_j of E1 (x)_B E2, for a
-    stack (..., n2, n2, d0, d0) of operators S on ``e2``: S on the second
-    slot of each of E1's ``n1`` generators, ``kron(1, S)``.  Raises unless
-    every S commutes with the base action on ``e2``, which is what makes
-    id (x) S well defined; one stacked check decides them all."""
-    require_base_commutant(e2, blocks)
-    flat = block_matrix(blocks)
-    n = n1 * flat.shape[-1]
-    raw = np.eye(n1)[:, None, :, None] * flat[..., None, :, None, :]
-    return unblock(raw.reshape(*flat.shape[:-2], n, n), blocks.shape[-1])
-
-
 def _slot_legs(
     s1: QuantumProbabilitySpace, s2: QuantumProbabilitySpace, e1: HilbertModule, e2: HilbertModule
 ):
     """E1 (x)_B E2 on the raw pairs, E2 with only the base's action, and the
     two slot legs: a (x) id, the carrier's own left action, which
     ``tensor_over_base`` lifts from E1, and id (x) a, E2's basis operators
-    on the second slot."""
+    on the second slot, which must commute with the base action on E2."""
     e2b = _with_base_action(e2, e1.base)
     carrier = tensor_over_base(e1, e2b).module
     leg1 = LeftAction(s1.algebra, carrier.left.blocks)
-    leg2 = LeftAction(s2.algebra, _on_second_slot(e2b, e2.left.blocks, e1.rank))
+    require_base_commutant(e2b, e2.left.blocks)
+    leg2 = LeftAction(s2.algebra, tensor_slot(e2.left.blocks, e1.rank))
     return carrier, e2b, leg1, leg2
 
 
@@ -357,8 +350,9 @@ def monotone_realize(
     e1 = _scalar_gns(s1)
     carrier, e2b, lifted, leg2 = _slot_legs(s1, s2, e1, _scalar_gns(s2))
     xi2 = e2b.distinguished["unit"]
-    vacuum_projection = _on_second_slot(e2b, rank_one_blocks(e2b.gram, xi2, xi2), e1.rank)
-    leg1 = LeftAction(s1.algebra, compose_blocks(lifted.blocks, vacuum_projection))
+    vacuum_projection = rank_one_blocks(e2b.gram, xi2, xi2)
+    require_base_commutant(e2b, vacuum_projection)
+    leg1 = LeftAction(s1.algebra, compose_blocks(lifted.blocks, tensor_slot(vacuum_projection, e1.rank)))
     return JointRealization(carrier, carrier.distinguished["unit"], leg1, leg2, (False, True))
 
 
@@ -373,26 +367,14 @@ def _normalized_stacks(words: list[AlternatingWord]):
         yield at, [(leg, np.stack([normal[j][p][1] for j in at])) for p, leg in enumerate(legs)]
 
 
-def _ordered_product(mats: list[np.ndarray]) -> np.ndarray:
-    """mats[0] @ mats[1] @ ..., left to right; the matrices may be stacks."""
-    prod = mats[0]
-    for mat in mats[1:]:
-        prod = prod @ mat
-    return prod
-
-
 def tensor_moment_formula(
     word: AlternatingWord,
     phi1: PositiveMap,
     phi2: PositiveMap,
 ) -> complex:
-    """phi1(ordered product of leg-1 letters) * phi2(same for leg 2)."""
-    val = 1.0 + 0.0j
-    for leg, phi in ((1, phi1), (2, phi2)):
-        own = [mat for letter_leg, mat in word.letters if letter_leg == leg]
-        if own:
-            val *= complex(phi.apply(_ordered_product(own))[0, 0])
-    return val
+    """phi1(ordered product of leg-1 letters) * phi2(same for leg 2): the
+    one-word case of :func:`tensor_moment_formulas`."""
+    return complex(tensor_moment_formulas([word], phi1, phi2)[0])
 
 
 def tensor_moment_formulas(
@@ -400,13 +382,10 @@ def tensor_moment_formulas(
     phi1: PositiveMap,
     phi2: PositiveMap,
 ) -> np.ndarray:
-    """:func:`tensor_moment_formula` of each word, as one complex array.
-
-    Per leg, the words with the same number of letters on it form one
-    stack: one stacked product per letter, in order, and one ``apply_many``.
-    The two factors of a word multiply as Python complex numbers, as in
-    :func:`tensor_moment_formula`, so each value has its bits.
-    """
+    """phi1(ordered product of leg-1 letters) * phi2(same for leg 2) of each
+    word, as one complex array.  Per leg, the words with the same number of
+    letters on it form one stack: one stacked product per letter, in order,
+    and one ``apply_many``."""
     factors: list[list[complex]] = [[] for _ in words]
     for leg, phi in ((1, phi1), (2, phi2)):
         mats = [[mat for letter_leg, mat in word.letters if letter_leg == leg] for word in words]
@@ -415,16 +394,13 @@ def tensor_moment_formulas(
             if own:
                 groups.setdefault(len(own), []).append(j)
         for count, at in groups.items():
-            prod = _ordered_product([np.stack([mats[j][i] for j in at]) for i in range(count)])
+            prod = np.stack([mats[j][0] for j in at])
+            for i in range(1, count):
+                prod = prod @ np.stack([mats[j][i] for j in at])
             for j, value in zip(at, phi.apply_many(prod)[:, 0, 0]):
                 factors[j].append(complex(value))
-    out = np.empty(len(words), dtype=complex)
-    for j, own in enumerate(factors):
-        val = 1.0 + 0.0j
-        for value in own:
-            val *= value
-        out[j] = val
-    return out
+    # each word's factors multiply in order as Python complex numbers
+    return np.array([math.prod(own, start=1.0 + 0.0j) for own in factors], dtype=complex)
 
 
 def _monotone_factorization(letters, phi1: PositiveMap, phi2: PositiveMap) -> np.ndarray:
@@ -792,23 +768,19 @@ def word_stacks(trials: int):
         yield min(WORD_STACK, trials - done)
 
 
-def random_hermitian_element(algebra: MatrixStarAlgebra, rng: np.random.Generator) -> np.ndarray:
-    """Hermitian element of ``algebra``: the Hermitian part of the projection
-    of a random Hermitian matrix with spectrum inside [-2, 2] onto its span."""
-    return random_hermitian_elements([algebra], rng)[0]
-
-
 def random_hermitian_elements(
     algebras: list[MatrixStarAlgebra], rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """One :func:`random_hermitian_element` of each algebra in ``algebras``, in
-    order, with the draws of as many single calls: one ``rng.normal``, then
-    one stack per algebra."""
+    """One random Hermitian element of each algebra in ``algebras``, in order:
+    the Hermitian part of the projection onto the algebra's span of a random
+    Hermitian matrix with spectrum inside [-2, 2].  One ``rng.normal`` draws
+    them all, 2 d^2 normals per element in order, then one stack per
+    algebra makes them."""
     return _hermitian_elements(algebras, rng.normal(size=sum(2 * a.ambient_dim**2 for a in algebras)))
 
 
 def _hermitian_elements(algebras: list[MatrixStarAlgebra], draws: np.ndarray) -> list[np.ndarray]:
-    """The elements :func:`random_hermitian_element` makes of the flat normal
+    """The elements :func:`random_hermitian_elements` makes of the flat normal
     ``draws``, element k from the next 2 d_k^2 of them: one scaling,
     projection and combine per algebra."""
     sizes = (2 * a.ambient_dim**2 for a in algebras)
@@ -832,7 +804,7 @@ def random_alternating_word(
 ) -> AlternatingWord:
     """Random word with letters drawn from the two algebras.
 
-    Letters are :func:`random_hermitian_element` draws, which keep long
+    Letters are :func:`random_hermitian_elements` draws, which keep long
     products well-scaled.  After the legs, one ``rng.normal`` draws every
     letter in order (per letter its real block, then its imaginary block).
     """

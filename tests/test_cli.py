@@ -328,6 +328,19 @@ def test_moments_wrong_letter_shape_reports_pointer(tmp_path, capsys):
     assert "/words/0/letters/0/element" in err
 
 
+def test_moments_letter_outside_its_leg_algebra_is_a_usage_error(tmp_path, capsys):
+    # the right shape, but off the diagonal: the stack of words stops at the
+    # letter's position, counted from the end of its word
+    off = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    x = np.diag([1.0, -1.0]).astype(complex)
+    word = word_to_json(AlternatingWord([(1, off), (2, x)]))
+    scenario = _write(tmp_path, "scenario.json", _scenario_doc(words=[_x_word(1, 2), word]))
+    code, out, err = run_cli(capsys, "moments", scenario)
+    assert code == 2
+    assert out == ""
+    assert "letter -2 (from the end) is not in the algebra of leg 1" in err
+
+
 def test_moments_unnormalized_state_fails_verification(tmp_path, capsys):
     doc = _scenario_doc(words=[_x_word(1)])
     # a "state" that maps the unit to 0.9: rejected before any moments

@@ -43,6 +43,7 @@ from ncprob.hilbert_module import (
     identity_blocks,
     inner_product,
     tensor_over_base,
+    tensor_slot,
     trivial_left_action,
 )
 from ncprob.independence import (
@@ -235,10 +236,29 @@ def test_op_right_matches_loop(chain):
     # has exactly null pairs, from its zero transition
     pruned = markov_scenario(np.array([[1.0, 0.0], [0.5, 0.5]]), 3).system
     pruned_tensor = raw(pruned, 2)
-    assert len(kept_pairs(pruned, 2)) < pruned_tensor.module.rank
+    kept = kept_pairs(pruned, 2)
+    assert len(kept) < pruned_tensor.module.rank
     s_blocks = chain.fiber.left.blocks_of(np.diag([0.3, -1.2]).astype(complex))
     for tensor in (raw(chain, 2), pruned_tensor):
-        assert frob(tensor.op_right(s_blocks) - loop_op_right(tensor, s_blocks)) < 1e-12
+        want = loop_op_right(tensor, s_blocks)
+        assert frob(tensor.op_right(s_blocks) - want) < 1e-12
+        # the contraction itself, on the raw pairs
+        got = tensor_slot(s_blocks, tensor.left_factor.rank)
+        assert frob(got - want) < 1e-12
+        assert np.shares_memory(block_matrix(got), got)
+    # on the kept pairs (i, u), against the loop restricted to them
+    i, u = pruned._kept(2, 1)
+    assert np.array_equal(i * pruned.fiber.rank + u, kept)
+    got = tensor_slot(s_blocks, pruned.powers[2].rank, (i, u))
+    assert frob(got - loop_op_right(pruned_tensor, s_blocks)[np.ix_(kept, kept)]) < 1e-12
+    assert np.shares_memory(block_matrix(got), got)
+    # a stack of two operators gives the stack of their slot operators
+    t_blocks = chain.fiber.left.blocks_of(np.diag([-0.7, 2.0]).astype(complex))
+    stack = tensor_slot(np.stack([s_blocks, t_blocks]), pruned.powers[2].rank, (i, u))
+    assert stack.shape == (2, *got.shape)
+    assert np.shares_memory(block_matrix(stack), stack)
+    for one, blocks in zip(stack, (s_blocks, t_blocks)):
+        assert frob(one - loop_op_right(pruned_tensor, blocks)[np.ix_(kept, kept)]) < 1e-12
 
 
 def test_tower_drops_exactly_the_null_words(tower):

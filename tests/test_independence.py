@@ -44,7 +44,7 @@ from ncprob import (
     verify_independence,
     verify_positive_map,
 )
-from ncprob import demos, independence, suites
+from ncprob import demos, dilation, hilbert_module, independence, suites
 from ncprob.hilbert_module import (
     HilbertModule,
     LeftAction,
@@ -308,6 +308,39 @@ def test_a_misbuilt_monotone_leg_fails_the_formula(mutate, monkeypatch):
     assert rows["realization-matches-formula"]["residual"] > 1e-3
     own = [r for name, r in rows.items() if name.startswith("monotone-realization:")]
     assert len(own) == 7 and all(r["passed"] for r in own)
+
+
+def _slot_on_every_pair(blocks, n, kept=None):
+    """id (x) S without its "same generator of E" condition: S[u, u']
+    between every two pairs (i, u) and (i', u'), whatever i and i'."""
+    n_f, d0 = blocks.shape[-3], blocks.shape[-1]
+    _, u = np.divmod(np.arange(n * n_f), n_f) if kept is None else kept
+    return unblock(block_matrix(blocks[..., u[:, None], u, :, :]), d0)
+
+
+def test_id_tensor_s_on_every_pair_fails_its_rows(monkeypatch):
+    """Negative control for ``tensor_slot``, the one id (x) S: the tensor and
+    monotone legs, the monotone vacuum projection and the Markov letter
+    slots all take it, so each of their comparisons must catch S placed
+    between pairs of different generators of E."""
+    config = suites.RunConfig(seed=7)
+    mono_rows = ("realization-matches-formula", "tensor-realization-matches-formula")
+
+    def rows():
+        return {r["name"]: r for r in suites.suite_monotone(config) + suites.suite_markov(config)}
+
+    honest = rows()
+    assert all(honest[name]["passed"] for name in (*mono_rows, "chain:path-space-agreement"))
+    suites.coins_identities(7)
+    for module in (hilbert_module, independence, dilation):
+        monkeypatch.setattr(module, "tensor_slot", _slot_on_every_pair)
+    mutant = rows()
+    for name in (*mono_rows, "chain:path-space-agreement"):
+        assert not mutant[name]["passed"] and mutant[name]["residual"] > 1.0, name
+    # the coins' amalgamated algebra, read off the legs, no longer holds the
+    # image of the base, so its expectation is rejected
+    with pytest.raises(StructuralError, match="codomain is not contained"):
+        suites.coins_identities(7)
 
 
 def test_monotone_unit_letter_is_projection(coin_pair):

@@ -44,7 +44,6 @@ from ncprob.independence import (
     monotone_moment_formulas,
     monotone_realize,
     random_alternating_words,
-    tensor_moment_formula,
     tensor_moment_formulas,
     tensor_realize,
 )
@@ -142,13 +141,27 @@ def _within_scale(got, want):
     return bool(np.all(gap <= 1e-15 * scale)), float(np.max(gap / scale))
 
 
+def _tensor_formula_word_by_word(word, phi1, phi2):
+    """phi1(ordered leg-1 product) * phi2(ordered leg-2 product) of one word,
+    each factor from ``apply``."""
+    val = 1.0 + 0.0j
+    for leg, phi in ((1, phi1), (2, phi2)):
+        own = [mat for letter_leg, mat in word.letters if letter_leg == leg]
+        if own:
+            prod = own[0]
+            for mat in own[1:]:
+                prod = prod @ mat
+            val *= complex(phi.apply(prod)[0, 0])
+    return val
+
+
 @pytest.mark.parametrize("which", ["monotone", "tensor"])
 def test_stacked_scalar_formulas_match_the_word_by_word_formulas(which):
     s1, s2 = _states(seed=12)
     words = _words(s1.algebra, s2.algebra, seed=4)
     single, stacked = {
         "monotone": (monotone_moment_formula, monotone_moment_formulas),
-        "tensor": (tensor_moment_formula, tensor_moment_formulas),
+        "tensor": (_tensor_formula_word_by_word, tensor_moment_formulas),
     }[which]
     want = np.array([single(w, s1.functional, s2.functional) for w in words])
     got = stacked(words, s1.functional, s2.functional)
@@ -392,6 +405,17 @@ def test_require_base_commutant_decides_each_operator_of_a_stack():
         require_base_commutant(fiber, blocks[1])
 
 
+def _module_moment_in_sequence(model, observables):
+    """< xi_N, f_k(X_{t_k}) ... f_1(X_{t_1}) xi_N >, one process operator
+    applied at a time from the last observable."""
+    system = model.system
+    xi = system.units[system.horizon]
+    v = xi
+    for f, time in reversed(observables):
+        v = apply_blocks(model.process_operator(f, time), v)
+    return system.powers[system.horizon].inner(xi, v)
+
+
 def test_stacked_markov_verify_matches_the_module_moments():
     model = CHAINS["2-state-h3"]()
     report = {c.name: c for c in model.verify(tol=1e-9, seed=2, trials=15).checks}
@@ -401,7 +425,7 @@ def test_stacked_markov_verify_matches_the_module_moments():
     for _ in range(15):
         count = int(rng.integers(1, 4))
         obs = [(np.diag(rng.uniform(-1, 1, size=s)).astype(complex), int(rng.integers(0, n + 1))) for _ in range(count)]
-        worst = residual_max(worst, frob(model.path_moment(obs) - model.module_moment(obs)))
+        worst = residual_max(worst, frob(model.path_moment(obs) - _module_moment_in_sequence(model, obs)))
     assert report["path-space-agreement"].residual == pytest.approx(worst, abs=1e-15)
 
 
