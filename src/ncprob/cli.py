@@ -20,6 +20,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .algebra_core import StructuralError
 from .demos import DEMO_NAMES, run_demo
 from .hilbert_module import gns_construct
@@ -32,7 +34,7 @@ from .independence import (
     tensor_moment_formulas,
     tensor_realize,
 )
-from .linalg import frob
+from .linalg import GUARD_TOL, exceeds, frob
 from .serialization import (
     SCHEMA_TAG,
     SchemaError,
@@ -275,15 +277,29 @@ def cmd_moments(args: argparse.Namespace) -> int:
                 )
             return 1
 
-    dims = {1: s1.algebra.ambient_dim, 2: s2.algebra.ambient_dim}
+    algebras = {1: s1.algebra, 2: s2.algebra}
+    by_leg: dict[int, list] = {1: [], 2: []}
     for i, word in enumerate(words):
         for j, (leg, element) in enumerate(word.letters):
-            want = (dims[leg], dims[leg])
+            want = (algebras[leg].ambient_dim,) * 2
             if element.shape != want:
                 raise SchemaError(
                     f"letter has shape {element.shape}, leg {leg} needs {want}",
                     f"/words/{i}/letters/{j}/element",
                 )
+            by_leg[leg].append(element)
+    # membership: one stacked test per leg; only when a leg fails is the
+    # first letter off its leg's algebra located, in file order
+    for leg, letters in by_leg.items():
+        if letters and exceeds(algebras[leg].coords_many(np.stack(letters))[1], GUARD_TOL):
+            for i, word in enumerate(words):
+                for j, (letter_leg, element) in enumerate(word.letters):
+                    res = algebras[letter_leg].span_residual(element)
+                    if exceeds(res, GUARD_TOL):
+                        raise SchemaError(
+                            f"letter is not in the algebra of leg {letter_leg} (residual {res:.3e})",
+                            f"/words/{i}/letters/{j}/element",
+                        )
 
     construction = scenario["construction"]
     if construction == "monotone":

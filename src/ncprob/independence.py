@@ -848,8 +848,7 @@ def verify_independence(
 ) -> VerificationReport:
     """Compare vacuum expectations against the formula oracle, one row per word."""
     report = VerificationReport()
-    for k, word in enumerate(words):
-        got = realization.moment(word)
+    for k, (word, got) in enumerate(zip(words, realization.moments(words))):
         want = np.asarray(oracle(word))
         if want.shape == ():
             want = want.reshape(1, 1)

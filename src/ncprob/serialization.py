@@ -1,4 +1,4 @@
-"""JSON schemas for algebras, maps, modules, and words, plus deterministic emission.
+"""JSON schemas for algebras, maps, words, spaces and independence scenarios.
 
 The wire format is deliberately plain: complex numbers are ``[re, im]``
 pairs, matrices are nested row-major lists of those pairs, and every
@@ -25,7 +25,6 @@ from .algebra_core import (
     StructuralError,
     scalar_algebra,
 )
-from .hilbert_module import HilbertModule, LeftAction
 from .independence import AlternatingWord, QuantumProbabilitySpace
 
 __all__ = [
@@ -37,14 +36,11 @@ __all__ = [
     "algebra_from_json",
     "map_to_json",
     "map_from_json",
-    "module_to_json",
-    "module_from_json",
     "word_to_json",
     "word_from_json",
     "words_from_json",
     "space_from_json",
     "independence_scenario_from_json",
-    "dilation_scenario_from_json",
     "load_json_file",
 ]
 
@@ -369,109 +365,6 @@ def map_from_json(
 
 
 # ---------------------------------------------------------------------------
-# modules
-
-
-def module_to_json(module: HilbertModule) -> dict:
-    n = module.rank
-    gram = [[matrix_to_json(module.gram[i, j]) for j in range(n)] for i in range(n)]
-    left = None
-    if module.left is not None:
-        left = {
-            "algebra": algebra_to_json(module.left.algebra),
-            "blocks": [
-                [[matrix_to_json(blk[i, j]) for j in range(n)] for i in range(n)]
-                for blk in module.left.blocks
-            ],
-        }
-    distinguished = {
-        name: [matrix_to_json(c) for c in coords]
-        for name, coords in sorted(module.distinguished.items())
-    }
-    return {
-        "base": algebra_to_json(module.base),
-        "gram": gram,
-        "left_action": left,
-        "distinguished": distinguished,
-    }
-
-
-def _block_table_from_json(node: Any, n: int, d0: int, pointer: str) -> np.ndarray:
-    rows = _expect(node, list, "a block table", pointer)
-    if len(rows) != n:
-        raise SchemaError(f"expected {n} block rows, got {len(rows)}", pointer)
-    out = np.zeros((n, n, d0, d0), dtype=complex)
-    for i, row in enumerate(rows):
-        cells = _expect(row, list, "a block row", f"{pointer}/{i}")
-        if len(cells) != n:
-            raise SchemaError(f"expected {n} blocks, got {len(cells)}", f"{pointer}/{i}")
-        for j, cell in enumerate(cells):
-            out[i, j] = _square_matrix_from_json(cell, d0, f"{pointer}/{i}/{j}")
-    return out
-
-
-def module_from_json(node: Any, pointer: str = "") -> HilbertModule:
-    obj = _expect(node, dict, "a module object", pointer)
-    base = algebra_from_json(_field(obj, "base", pointer), f"{pointer}/base")
-    d0 = base.ambient_dim
-    gram_node = _expect(_field(obj, "gram", pointer), list, "a gram table", f"{pointer}/gram")
-    n = len(gram_node)
-    if n == 0:
-        raise SchemaError("gram table must not be empty", f"{pointer}/gram")
-    gram = _block_table_from_json(gram_node, n, d0, f"{pointer}/gram")
-    left_node = obj.get("left_action")
-    left = None
-    if left_node is not None:
-        lobj = _expect(left_node, dict, "a left action object", f"{pointer}/left_action")
-        algebra = algebra_from_json(
-            _field(lobj, "algebra", f"{pointer}/left_action"), f"{pointer}/left_action/algebra"
-        )
-        if algebra.ambient_dim != d0:
-            raise SchemaError(
-                "left action algebra must share the base's ambient dimension",
-                f"{pointer}/left_action/algebra",
-            )
-        blocks_node = _expect(
-            _field(lobj, "blocks", f"{pointer}/left_action"),
-            list,
-            "a list of block tables",
-            f"{pointer}/left_action/blocks",
-        )
-        if len(blocks_node) != algebra.dim:
-            raise SchemaError(
-                f"expected one block table per algebra basis element "
-                f"({algebra.dim}), got {len(blocks_node)}",
-                f"{pointer}/left_action/blocks",
-            )
-        blocks = np.stack(
-            [
-                _block_table_from_json(b, n, d0, f"{pointer}/left_action/blocks/{m}")
-                for m, b in enumerate(blocks_node)
-            ]
-        )
-        left = LeftAction(algebra, blocks)
-    dist_node = obj.get("distinguished", {})
-    dist_obj = _expect(dist_node, dict, "a distinguished-vector table", f"{pointer}/distinguished")
-    distinguished = {}
-    for name, coords_node in dist_obj.items():
-        coords = _expect(
-            coords_node, list, "a coefficient list", f"{pointer}/distinguished/{name}"
-        )
-        if len(coords) != n:
-            raise SchemaError(
-                f"expected {n} coefficients, got {len(coords)}",
-                f"{pointer}/distinguished/{name}",
-            )
-        distinguished[name] = np.stack(
-            [
-                _square_matrix_from_json(c, d0, f"{pointer}/distinguished/{name}/{i}")
-                for i, c in enumerate(coords)
-            ]
-        )
-    return HilbertModule(base, gram, left, distinguished)
-
-
-# ---------------------------------------------------------------------------
 # words and scenarios
 
 
@@ -580,66 +473,3 @@ def independence_scenario_from_json(node: Any, pointer: str = "") -> dict:
         "words": words,
     }
 
-
-def dilation_scenario_from_json(node: Any, pointer: str = "") -> dict:
-    """Decode {"cp_map"|"stochastic"|"white_noise_fiber", "horizon", "checks"}.
-
-    Returns {"kind", "build", "horizon", "checks"} where ``build(budget)``
-    constructs the scenario (markov scenarios come wrapped in their model).
-    """
-    from .dilation import dilate_discrete, markov_scenario, white_noise_scenario
-
-    obj = _expect(node, dict, "a dilation scenario object", pointer)
-    horizon = _expect_int(_field(obj, "horizon", pointer), "horizon", f"{pointer}/horizon")
-    if horizon < 1:
-        raise SchemaError("horizon must be >= 1", f"{pointer}/horizon")
-    sources = [k for k in ("cp_map", "stochastic", "white_noise_fiber") if k in obj]
-    if len(sources) != 1:
-        raise SchemaError(
-            "exactly one of 'cp_map', 'stochastic', 'white_noise_fiber' is required", pointer
-        )
-    source = sources[0]
-    known_checks = ("product-system", "dilation", "markov", "increments")
-    if source == "stochastic":
-        default_checks = list(known_checks)
-    else:
-        default_checks = ["product-system", "dilation", "increments"]
-    checks = _expect(
-        obj.get("checks", default_checks), list, "a check-name list", f"{pointer}/checks"
-    )
-    for i, name in enumerate(checks):
-        if name not in known_checks:
-            raise SchemaError(
-                f"unknown check {name!r}; expected one of {', '.join(known_checks)}",
-                f"{pointer}/checks/{i}",
-            )
-        if name == "markov" and source != "stochastic":
-            raise SchemaError(
-                "the 'markov' check needs a stochastic scenario", f"{pointer}/checks/{i}"
-            )
-
-    if source == "cp_map":
-        mobj = _expect(obj["cp_map"], dict, "a map object", f"{pointer}/cp_map")
-        algebra = algebra_from_json(
-            _field(mobj, "algebra", f"{pointer}/cp_map"), f"{pointer}/cp_map/algebra"
-        )
-        cp = map_from_json(mobj, algebra, algebra, f"{pointer}/cp_map")
-
-        def build(budget: int):
-            return dilate_discrete(cp, horizon, budget)
-
-    elif source == "stochastic":
-        rows = matrix_from_json(obj["stochastic"], f"{pointer}/stochastic")
-        if np.abs(rows.imag).max() > 0:
-            raise SchemaError("stochastic rows must be real", f"{pointer}/stochastic")
-
-        def build(budget: int):
-            return markov_scenario(rows.real, horizon, budget)
-
-    else:
-        fiber = module_from_json(obj["white_noise_fiber"], f"{pointer}/white_noise_fiber")
-
-        def build(budget: int):
-            return white_noise_scenario(fiber.base, fiber, horizon, budget)
-
-    return {"kind": source, "build": build, "horizon": horizon, "checks": list(checks)}

@@ -375,7 +375,7 @@ def suite_conditional_tensor(config: RunConfig) -> list[dict]:
 
     # frozen value: both coins show head with conditional probability 0.21
     head = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-    got = product.realization.moment(AlternatingWord([(1, head), (2, head)]))
+    got = product.realization.moments([AlternatingWord([(1, head), (2, head)])])[0]
     frozen = frob(got - np.diag([0.21, 0.21, 0.21, 0.21]).astype(complex))
     report.add("frozen-head-head-value", frozen, exact_tol, "fixed tolerance 1e-12")
     report.add("expectation-factorizes", coins.worst_split, exact_tol, "16 indicator pairs; fixed tolerance 1e-12")

@@ -329,8 +329,8 @@ def test_moments_wrong_letter_shape_reports_pointer(tmp_path, capsys):
 
 
 def test_moments_letter_outside_its_leg_algebra_is_a_usage_error(tmp_path, capsys):
-    # the right shape, but off the diagonal: the stack of words stops at the
-    # letter's position, counted from the end of its word
+    # the right shape, but off the diagonal: the input check names the
+    # letter by its word and its place in that word
     off = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     x = np.diag([1.0, -1.0]).astype(complex)
     word = word_to_json(AlternatingWord([(1, off), (2, x)]))
@@ -338,7 +338,40 @@ def test_moments_letter_outside_its_leg_algebra_is_a_usage_error(tmp_path, capsy
     code, out, err = run_cli(capsys, "moments", scenario)
     assert code == 2
     assert out == ""
-    assert "letter -2 (from the end) is not in the algebra of leg 1" in err
+    assert "letter is not in the algebra of leg 1" in err
+    assert "(at /words/1/letters/0/element)" in err
+
+
+def test_moments_names_the_first_letter_off_its_algebra_in_file_order(tmp_path, capsys):
+    # a bad leg-2 letter in word 0 comes before a bad leg-1 letter in word 1,
+    # though leg 1's letters are tested first
+    off = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    x = np.diag([1.0, -1.0]).astype(complex)
+    words = [
+        word_to_json(AlternatingWord([(1, x), (2, off)])),
+        word_to_json(AlternatingWord([(1, off), (2, x)])),
+    ]
+    scenario = _write(tmp_path, "scenario.json", _scenario_doc(words=words))
+    code, out, err = run_cli(capsys, "moments", scenario)
+    assert code == 2
+    assert out == ""
+    assert "letter is not in the algebra of leg 2" in err
+    assert "(at /words/0/letters/1/element)" in err
+
+
+def test_moments_accepts_a_letter_within_the_guard_of_its_algebra(tmp_path, capsys):
+    # off the diagonal by far less than the guard tolerance: the input check
+    # lets the letter through, as the realization's own guard does
+    x = np.diag([1.0, -1.0]).astype(complex)
+    near = x + 1e-12 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    word = word_to_json(AlternatingWord([(1, near), (2, x), (1, near)]))
+    scenario = _write(tmp_path, "scenario.json", _scenario_doc(words=[word, _x_word(1, 2, 1)]))
+    code, out, err = run_cli(capsys, "moments", scenario)
+    assert code == 0, err
+    near_row, exact_row = json.loads(out)["moments"]
+    # phi2(x) * phi1(x^2) = 0.4
+    assert abs(near_row["realization"][0] - exact_row["realization"][0]) <= 1e-9
+    assert abs(exact_row["realization"][0] - 0.4) <= 1e-12
 
 
 def test_moments_unnormalized_state_fails_verification(tmp_path, capsys):

@@ -269,6 +269,34 @@ def test_a_collapse_without_the_mean_fails_its_row(monkeypatch):
     assert rows["collapse-identity"]["residual"] > 1e-3
 
 
+def test_two_time_tables_hold_the_word_by_word_values(monkeypatch):
+    """``demo two-time`` evaluates each table in one stacked call; every cell
+    is the bits of ``scalar_moment`` and ``tensor_moment_formula`` on its own
+    word."""
+    made = []
+    honest = demos.monotone_realize
+
+    def kept(s1, s2):
+        made.append((honest(s1, s2), s1.functional, s2.functional))
+        return made[-1][0]
+
+    monkeypatch.setattr(demos, "monotone_realize", kept)
+    ordered, reversed_ = demos.demo_two_time(suites.RunConfig(seed=7))["tables"][:2]
+    [(real, phi1, phi2)] = made
+    named = {
+        "x": np.diag([1.0, -1.0]).astype(complex),
+        "up": np.diag([1.0, 0.0]).astype(complex),
+        "down": np.diag([0.0, 1.0]).astype(complex),
+    }
+    assert len(ordered["rows"]) == 9 and len(reversed_["rows"]) == 18
+    for f, g, joint, *_ in ordered["rows"]:
+        assert joint == complex(real.scalar_moment(AlternatingWord([(1, named[f]), (2, named[g])]))).real
+    for g, f, gp, joint, naive, _ in reversed_["rows"]:
+        word = AlternatingWord([(2, named[g]), (1, named[f]), (2, named[gp])])
+        assert joint == complex(real.scalar_moment(word)).real
+        assert naive == complex(tensor_moment_formula(word, phi1, phi2)).real
+
+
 def _leg2_on_the_first_slot(monkeypatch):
     # id (x) a replaced by the lifted action a (x) id
     honest = independence._slot_legs
@@ -689,7 +717,8 @@ def _realization_of(kind: str):
 def _paper_letters(kind: str):
     """The raw product E1 (x)_B E2 of ``kind``'s GNS modules, its vacuum, and
     per leg the operator of one letter by the paper's definition, built for
-    that letter alone: a (x) id by ``op_left``, id (x) a by ``op_right``,
+    that letter alone: a (x) id by ``op_left``, id (x) a by its definition on
+    the raw pairs (not by ``tensor_slot``, which the legs are built with),
     the monotone leg 1 as (a (x) id)(id (x) |xi2><xi2|), and the conditional
     monotone leg 2 as x1 o x2 -> 1 o a <1, x1> x2, that is V a V* with
     V y = 1 o y.  No leg of a realization is used."""
@@ -698,16 +727,25 @@ def _paper_letters(kind: str):
     tensor = tensor_over_base(e1, independence._with_base_action(e2, e1.base))
     product = tensor.module
 
+    def id_tensor(s):
+        # the pairs (i, u) run row-major: S[u, u'] between (i, u) and (i, u'),
+        # zero between pairs of different generators i of E1
+        n2 = e2.rank
+        out = np.zeros((e1.rank * n2, e1.rank * n2, *s.shape[2:]), dtype=complex)
+        for i in range(e1.rank):
+            out[i * n2 : (i + 1) * n2, i * n2 : (i + 1) * n2] = s
+        return out
+
     def first(a):
         return tensor.op_left(e1.left.blocks_of(a))
 
     def second(a):
-        return tensor.op_right(e2.left.blocks_of(a))
+        return id_tensor(e2.left.blocks_of(a))
 
     letters = {1: first, 2: second}
     if kind == "monotone":
         xi2 = e2.distinguished["unit"]
-        projection = tensor.op_right(rank_one_blocks(e2.gram, xi2, xi2))
+        projection = id_tensor(rank_one_blocks(e2.gram, xi2, xi2))
         letters[1] = lambda a: compose_blocks(first(a), projection)
     elif kind == "conditional-monotone":
         xi1 = e1.distinguished["unit"]
@@ -798,6 +836,21 @@ def test_moment_matches_the_coordinate_path(kind):
         scale = np.prod([np.linalg.norm(mat, 2) for _, mat in word.letters])
         gap = frob(real.moment(word) - _coordinate_path_moment(real, word))
         assert gap <= MOMENT_RTOL * max(1.0, scale)
+
+
+@pytest.mark.parametrize("kind", ["tensor", "monotone", "conditional-monotone"])
+def test_verify_independence_rows_are_the_word_by_word_moments(kind):
+    # the report evaluates its words in one stacked call; with the
+    # word-by-word moment as oracle it has one row per word, in order, each
+    # reading exactly 0, and an oracle read one word off fails
+    real = _realization_of(kind)
+    words = random_alternating_words(real.algebra1, real.algebra2, np.random.default_rng(17), 40)
+    report = verify_independence(real, real.moment, words, tol=0.0)
+    assert [c.name for c in report.checks] == [f"word {k}: {w.label()}" for k, w in enumerate(words)]
+    assert all(c.residual == 0.0 for c in report.checks)
+    next_word = {id(w): words[(k + 1) % len(words)] for k, w in enumerate(words)}
+    shifted = verify_independence(real, lambda w: real.moment(next_word[id(w)]), words)
+    assert not shifted.passed
 
 
 def test_a_stale_vacuum_bra_fails_parity():

@@ -1,5 +1,8 @@
 """Wire-format round trips and schema rejection with exact pointers."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -11,24 +14,21 @@ from ncprob import (
     algebra_to_json,
     diagonal_algebra,
     diagonal_compression,
-    dilation_scenario_from_json,
     emit_json,
     full_matrix_algebra,
-    gns_construct,
     independence_scenario_from_json,
     load_json_file,
     map_from_json,
     map_to_json,
     matrix_from_json,
     matrix_to_json,
-    module_from_json,
-    module_to_json,
     pauli_algebra,
     state_from_density,
     word_from_json,
     word_to_json,
     words_from_json,
 )
+from ncprob import serialization
 from ncprob.linalg import frob
 
 
@@ -142,41 +142,6 @@ def test_map_unknown_kind_and_wrong_shape():
 
 
 # ---------------------------------------------------------------------------
-# modules
-
-
-def test_module_round_trip_preserves_structure():
-    m2 = full_matrix_algebra(2)
-    e = gns_construct(diagonal_compression(2, m2))
-    again = module_from_json(module_to_json(e))
-    assert again.rank == e.rank
-    assert frob(again.gram - e.gram) == 0.0
-    assert frob(again.left.blocks - e.left.blocks) == 0.0
-    assert set(again.distinguished) == set(e.distinguished)
-    assert frob(again.distinguished["unit"] - e.distinguished["unit"]) == 0.0
-
-
-def test_module_block_count_mismatch():
-    m2 = full_matrix_algebra(2)
-    e = gns_construct(diagonal_compression(2, m2))
-    doc = module_to_json(e)
-    doc["left_action"]["blocks"] = doc["left_action"]["blocks"][:-1]
-    with pytest.raises(SchemaError) as err:
-        module_from_json(doc, "")
-    assert err.value.pointer == "/left_action/blocks"
-
-
-def test_module_distinguished_length_checked():
-    m2 = full_matrix_algebra(2)
-    e = gns_construct(diagonal_compression(2, m2))
-    doc = module_to_json(e)
-    doc["distinguished"]["unit"] = doc["distinguished"]["unit"][:-1]
-    with pytest.raises(SchemaError) as err:
-        module_from_json(doc)
-    assert err.value.pointer == "/distinguished/unit"
-
-
-# ---------------------------------------------------------------------------
 # words
 
 
@@ -242,57 +207,6 @@ def test_conditional_monotone_scenario_requires_base():
     assert err.value.pointer == "/base"
 
 
-def test_dilation_scenario_stochastic_builds_and_recovers():
-    doc = {
-        "stochastic": matrix_to_json(np.array([[0.5, 0.5], [0.3, 0.7]])),
-        "horizon": 2,
-    }
-    sc = dilation_scenario_from_json(doc)
-    assert sc["kind"] == "stochastic"
-    assert sc["checks"] == ["product-system", "dilation", "markov", "increments"]
-    model = sc["build"](4096)
-    assert model.verify(1e-9).passed
-
-
-def test_dilation_scenario_needs_exactly_one_source():
-    p = matrix_to_json(np.array([[0.5, 0.5], [0.3, 0.7]]))
-    with pytest.raises(SchemaError, match="exactly one"):
-        dilation_scenario_from_json({"horizon": 2})
-    with pytest.raises(SchemaError, match="exactly one"):
-        dilation_scenario_from_json(
-            {"stochastic": p, "cp_map": {}, "horizon": 2}
-        )
-
-
-def test_dilation_scenario_markov_check_needs_stochastic():
-    m2 = full_matrix_algebra(2)
-    comp = diagonal_compression(2, m2)
-    # any unital CP self-map works; reuse the compression composed into M2
-    doc = {
-        "cp_map": {
-            "algebra": algebra_to_json(m2),
-            "kind": "cp_map",
-            "matrix": matrix_to_json(np.eye(4)),
-        },
-        "horizon": 2,
-        "checks": ["markov"],
-    }
-    with pytest.raises(SchemaError) as err:
-        dilation_scenario_from_json(doc)
-    assert err.value.pointer == "/checks/0"
-    assert comp.is_unital  # silence the unused-variable lint in spirit
-
-
-def test_dilation_scenario_complex_stochastic_rejected():
-    doc = {
-        "stochastic": matrix_to_json(np.array([[0.5 + 1e-3j, 0.5], [0.3, 0.7]])),
-        "horizon": 2,
-    }
-    with pytest.raises(SchemaError) as err:
-        dilation_scenario_from_json(doc)
-    assert err.value.pointer == "/stochastic"
-
-
 # ---------------------------------------------------------------------------
 # files
 
@@ -313,3 +227,16 @@ def test_load_json_file_rejects_non_finite_literals(tmp_path, literal):
     with pytest.raises(SchemaError, match=f"non-finite number {literal}") as err:
         load_json_file(str(path))
     assert err.value.pointer == "/words/0/letters/0/element/0/0/0"
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+
+
+def test_serialization_imports_only_the_algebra_and_independence_modules():
+    # the wire formats are algebras, maps, words, spaces and independence
+    # scenarios; no import, at module level or inside a function, reaches a
+    # module, dilation or other package module
+    tree = ast.parse(pathlib.Path(serialization.__file__).read_text(encoding="utf-8"))
+    package = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level > 0}
+    assert package == {"algebra_core", "independence"}
