@@ -46,7 +46,6 @@ __all__ = [
     "scalar_algebra",
     "algebra_from_basis",
     "verify_algebra",
-    "subalgebra_project",
     "map_from_images",
     "independent_columns",
     "state_from_density",
@@ -61,6 +60,7 @@ __all__ = [
     "compose_maps",
     "iterate_map",
     "cp_kernel",
+    "cp_kernels",
     "choi_matrix",
     "verify_positive_map",
 ]
@@ -303,20 +303,6 @@ def algebra_from_basis(basis, unit=None) -> MatrixStarAlgebra:
     return MatrixStarAlgebra(np.asarray(basis, dtype=complex), unit)
 
 
-def subalgebra_project(algebra: MatrixStarAlgebra, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares projection of ``x`` onto the algebra span.
-
-    Returns the projected matrix and the Frobenius norm of what was cut off.
-    """
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (algebra.ambient_dim, algebra.ambient_dim):
-        raise StructuralError(
-            f"matrix shape {x.shape} does not match ambient dimension {algebra.ambient_dim}"
-        )
-    c, res = algebra.coords(x)
-    return algebra.combine(c), res
-
-
 def verify_algebra(algebra: MatrixStarAlgebra, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Check closure under products and adjoints and the unit laws."""
     b = algebra.basis
@@ -393,14 +379,20 @@ class PositiveMap:
         one of them is not in the domain span.  Each row of coordinates
         meets the kernel in its own product, so each image has the bits
         :meth:`apply` gives it, whatever the size of the stack."""
-        c, res = self.domain.coords_many(xs)
-        if exceeds(res, GUARD_TOL):
-            raise StructuralError(f"argument is not in the domain span (residual {res:.3e})")
         d = self.codomain.ambient_dim
-        return (c[:, None, :] @ self._kernel).reshape(-1, d, d)
+        return (_domain_coords(self.domain, xs)[:, None, :] @ self._kernel).reshape(-1, d, d)
 
     def is_unital(self) -> bool:
         return frob(self.apply(self.domain.unit) - self.codomain.unit) <= DEFAULT_TOL
+
+
+def _domain_coords(domain: MatrixStarAlgebra, xs: np.ndarray) -> np.ndarray:
+    """Coordinates of a stack of map arguments; raises, as
+    :meth:`PositiveMap.apply` does, if one of them is not in the domain span."""
+    c, res = domain.coords_many(xs)
+    if exceeds(res, GUARD_TOL):
+        raise StructuralError(f"argument is not in the domain span (residual {res:.3e})")
+    return c
 
 
 def map_from_images(
@@ -539,17 +531,35 @@ def iterate_map(t: PositiveMap, n: int) -> PositiveMap:
 
 
 def cp_kernel(pmap: PositiveMap) -> np.ndarray:
-    """Block matrix [ map(b_i^* b_j) ]_{ij}.
+    """Block matrix [ map(b_i^* b_j) ]_{ij}: the one-map case of :func:`cp_kernels`.
 
     Positive semidefiniteness of this kernel is equivalent to complete
     positivity and works for maps defined on proper subalgebras, where the
     usual Choi matrix is unavailable.
     """
-    b = pmap.domain.basis
-    n = pmap.domain.dim
+    return cp_kernels([pmap])[0]
+
+
+def cp_kernels(pmaps: list[PositiveMap]) -> np.ndarray:
+    """The kernels of maps that share their domain and codomain, as one stack
+    (K, n*d, n*d) of :func:`cp_kernel` block matrices.
+
+    The products b_i^* b_j are put in coordinates once, and every map's
+    images of them come from one stacked product, each with the bits
+    :meth:`PositiveMap.apply_many` gives it.  Raises, naming the map, when
+    one does not share the first map's domain and codomain.
+    """
+    first = pmaps[0]
+    dom, cod = first.domain, first.codomain
+    for k, pmap in enumerate(pmaps):
+        if not (pmap.domain.same_basis(dom) and pmap.codomain.same_basis(cod)):
+            raise StructuralError(f"map #{k} does not share the domain and codomain of map #0")
+    b = dom.basis
+    n, d2 = dom.dim, cod.ambient_dim
     products = np.einsum("iba,jbc->ijac", b.conj(), b).reshape(n * n, *b.shape[1:])
-    d2 = pmap.codomain.ambient_dim
-    return block_matrix(pmap.apply_many(products).reshape(n, n, d2, d2))
+    kernels = np.stack([pmap._kernel for pmap in pmaps])
+    images = _domain_coords(dom, products)[:, None, :] @ kernels[:, None]
+    return block_matrix(images.reshape(len(pmaps), n, n, d2, d2))
 
 
 def choi_matrix(pmap: PositiveMap) -> np.ndarray:
@@ -576,8 +586,14 @@ def _embed_codomain(pmap: PositiveMap, tol: float) -> np.ndarray:
     return coords
 
 
-def verify_positive_map(pmap: PositiveMap, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Run the checks appropriate for the map's declared kind."""
+def verify_positive_map(
+    pmap: PositiveMap, tol: float = DEFAULT_TOL, kernel: np.ndarray | None = None
+) -> VerificationReport:
+    """Run the checks appropriate for the map's declared kind.
+
+    ``kernel`` is the map's :func:`cp_kernel`, for a caller that has it
+    already; complete positivity is decided on it.
+    """
     report = VerificationReport()
     eig_floor = min(EIG_FLOOR, -tol)
 
@@ -608,11 +624,13 @@ def verify_positive_map(pmap: PositiveMap, tol: float = DEFAULT_TOL) -> Verifica
                 rhs = np.einsum("ab,kbc,cd->kad", bi, dom_images, bj)
                 worst = residual_max(worst, float(np.linalg.norm(lhs - rhs)))
         report.add("bimodule", worst, tol)
-        report.add("completely-positive", residual_max(-min_eig(cp_kernel(pmap))), -eig_floor)
+        kernel = cp_kernel(pmap) if kernel is None else kernel
+        report.add("completely-positive", residual_max(-min_eig(kernel)), -eig_floor)
         return report
 
     # general CP map
-    report.add("completely-positive", residual_max(-min_eig(cp_kernel(pmap))), -eig_floor)
+    kernel = cp_kernel(pmap) if kernel is None else kernel
+    report.add("completely-positive", residual_max(-min_eig(kernel)), -eig_floor)
     unital_res = frob(pmap.apply(pmap.domain.unit) - pmap.codomain.unit)
     report.checks.append(
         CheckResult("unital", unital_res, tol, True, "informational: unitality is not required of a CP map")

@@ -100,7 +100,6 @@ __all__ = [
     "white_noise_scenario",
     "random_unital_cp",
     "random_unital_cps",
-    "random_window_operator",
     "white_noise_increment_check",
     "MarkovModel",
     "markov_scenario",
@@ -443,18 +442,6 @@ def _window_blocks(system: DiscreteProductSystem, widths: list[int], draws: np.n
     return out
 
 
-def random_window_operator(
-    system: DiscreteProductSystem, width: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Blocks of a random finite-rank operator on E_width with base-valued coefficients.
-
-    The sum of two rank-ones between dense random vectors, so the operator has
-    a generically nonzero overlap with every generator and with the unit.
-    """
-    (blocks,) = _window_blocks(system, [width], _window_draws(system, [width], rng))
-    return blocks
-
-
 # ---------------------------------------------------------------------------
 # verification
 
@@ -577,7 +564,7 @@ def _random_increment_words(
     on the future window [s, t] and leg 2 on the past [r, s].
 
     Each word draws its length, its first leg, then all its vectors with one
-    ``rng.normal``, as :func:`random_window_operator` would draw its letters
+    ``rng.normal``, as one :func:`_window_draws` per letter would draw them
     one after another.  The vectors of every word are then made with one
     product, and the operators with one product per width.
     """
@@ -755,24 +742,31 @@ class MarkovModel:
         for b in system.base.basis:
             yield block_matrix(self._slot_operator(system.fiber.left.blocks_of(b), time, level))
 
-    def _observe(self, items: list[tuple[np.ndarray, int, int, np.ndarray]]) -> list[np.ndarray]:
+    def _observe(
+        self,
+        items: list[tuple[np.ndarray, int, int, np.ndarray]],
+        operators: dict | None = None,
+    ) -> list[np.ndarray]:
         """f(X_time) x for each (f, time, level, x) of ``items``, x a vector of E_level.
 
         The items are evaluated by (time, level).  A pair with at least as
-        many observables as the base has basis elements builds each of
-        :meth:`_basis_operators` once, multiplies all the pair's vectors
-        with it at once, and combines the products with the coordinates:
-        ``base.dim`` operators in place of one per observable.  The span
-        guard of every ``f`` is one ``coords_many`` and a letter slot keeps
-        the base-commutant guard of each ``f``.  The basis operators are
-        built on demand and dropped after use, so at most one is held, as
-        when :meth:`process_operator` builds one per observable.  A pair
-        with fewer observables, as most pairs of a chain with many states
-        have, builds one :meth:`process_operator` per observable, which is
-        fewer operators; so does time 0, on its ``kron`` path.
+        many observables as the base has basis elements multiplies all the
+        pair's vectors with each of :meth:`_basis_operators` at once, and
+        combines the products with the coordinates: ``base.dim`` operators
+        in place of one per observable.  The span guard of every ``f`` is
+        one ``coords_many`` and a letter slot keeps the base-commutant
+        guard of each ``f``.  ``operators`` holds each pair's basis
+        operators once built, for the caller's other calls (a fresh dict
+        when None): :meth:`verify` and :meth:`module_moments` keep one for
+        the length of their call, so each pair's are built once per call and
+        freed when it returns.  A pair with fewer observables, as most pairs
+        of a chain with many states have, builds one :meth:`process_operator`
+        per observable, which is fewer operators; so does time 0, on its
+        diagonal path.
         """
         system = self.system
         d0 = system.base.ambient_dim
+        operators = {} if operators is None else operators
         out: list[np.ndarray] = [None] * len(items)
         groups: dict[tuple[int, int], list[int]] = {}
         for j, (_, time, level, _) in enumerate(items):
@@ -790,9 +784,11 @@ class MarkovModel:
                 require_base_commutant(fiber, unblock(fiber.left.operators(fs), d0))
             # the vectors side by side, (M, K, d0), and sum_k c_k P_k of them
             xs = np.stack([items[j][3].reshape(-1, d0) for j in at], axis=1)
+            if (time, level) not in operators:
+                operators[time, level] = list(self._basis_operators(time, level))
             new = sum(
                 ck[:, None] * op.dot(xs.reshape(len(xs), -1)).reshape(xs.shape)
-                for ck, op in zip(c.T, self._basis_operators(time, level))
+                for ck, op in zip(c.T, operators[time, level])
             )
             for j, x in zip(at, new.swapaxes(0, 1)):
                 out[j] = x.reshape(-1, d0, d0)
@@ -818,17 +814,22 @@ class MarkovModel:
             values = w * self.transition.dot(values)
         return np.diag(values)
 
-    def module_moments(self, samples: list[list[tuple[np.ndarray, int]]]) -> list[np.ndarray]:
+    def module_moments(
+        self, samples: list[list[tuple[np.ndarray, int]]], operators: dict | None = None
+    ) -> list[np.ndarray]:
         """<xi_N, f_k(X_{t_k}) ... f_1(X_{t_1}) xi_N> for each list of
         (observable, time) pairs, the module side of :meth:`path_moment`:
-        one :meth:`_observe` per position from the last observable."""
+        one :meth:`_observe` per position from the last observable, all
+        sharing ``operators`` (see :meth:`_observe`)."""
         system = self.system
         n = system.horizon
         xi = system.units[n]
+        operators = {} if operators is None else operators
         vectors = [xi] * len(samples)
         for p in range(1, max(map(len, samples), default=0) + 1):
             at = [j for j, obs in enumerate(samples) if len(obs) >= p]
-            for j, v in zip(at, self._observe([(*samples[j][-p], n, vectors[j]) for j in at])):
+            items = [(*samples[j][-p], n, vectors[j]) for j in at]
+            for j, v in zip(at, self._observe(items, operators)):
                 vectors[j] = v
         return [system.powers[n].inner(xi, v) for v in vectors]
 
@@ -843,9 +844,11 @@ class MarkovModel:
 
         Every sample is drawn first, in the order of one sample at a time;
         the observables of all samples are then applied by
-        :meth:`module_moments`.
+        :meth:`module_moments`.  The basis operators of each (time, level)
+        pair are built once for the whole call (see :meth:`_observe`).
         """
         report = VerificationReport()
+        operators: dict = {}
         rng = np.random.default_rng(seed)
         system = self.system
         n = system.horizon
@@ -860,7 +863,7 @@ class MarkovModel:
                 for _ in range(count)
             ])
         worst = 0.0
-        for obs, m in zip(samples, self.module_moments(samples)):
+        for obs, m in zip(samples, self.module_moments(samples, operators)):
             worst = residual_max(worst, frob(self.path_moment(obs) - m))
         report.add("path-space-agreement", worst, tol)
 
@@ -874,10 +877,12 @@ class MarkovModel:
             q_time = int(rng.integers(1, tw + 1))
             shifts.append((sw, tw, f, g, p_time, q_time))
         units = system.units
-        us = self._observe([(f, p, sw, units[sw]) for sw, _, f, _, p, _ in shifts])
-        vs = self._observe([(g, q, tw, units[tw]) for _, tw, _, g, _, q in shifts])
-        later = self._observe([(g, q, n, xi) for _, _, _, g, _, q in shifts])
-        direct = self._observe([(f, p + tw, n, w) for (_, tw, f, _, p, _), w in zip(shifts, later)])
+        us = self._observe([(f, p, sw, units[sw]) for sw, _, f, _, p, _ in shifts], operators)
+        vs = self._observe([(g, q, tw, units[tw]) for _, tw, _, g, _, q in shifts], operators)
+        later = self._observe([(g, q, n, xi) for _, _, _, g, _, q in shifts], operators)
+        direct = self._observe(
+            [(f, p + tw, n, w) for (_, tw, f, _, p, _), w in zip(shifts, later)], operators
+        )
         worst = 0.0
         if shifts:
             # u (x) v - direct per sample, from one extend of the stacked u's

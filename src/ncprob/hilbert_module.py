@@ -37,7 +37,10 @@ Since generators may be dependent, equality of vectors and operators is
 always decided through the inner product, never through raw coefficients.
 The :func:`quotient_null_space` routine extracts a minimal generating subset
 (over the base algebra) and rewrites everything else in terms of it; the
-surviving generators keep their original inner products verbatim.
+surviving generators keep their original inner products verbatim.  GNS
+modules and quotients are also built for a stack at once
+(:func:`gns_construct_many`, :func:`quotient_null_spaces`), each module with
+the bits of its own one-module call.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .algebra_core import (
     PositiveMap,
     StructuralError,
     VerificationReport,
-    cp_kernel,
+    cp_kernels,
     scalar_algebra,
     verify_positive_map,
 )
@@ -85,8 +88,10 @@ __all__ = [
     "adjoint_gap",
     "extended_gram",
     "quotient_null_space",
+    "quotient_null_spaces",
     "quotient_module",
     "gns_construct",
+    "gns_construct_many",
     "tensor_gram",
     "tensor_extend",
     "tensor_lift",
@@ -274,15 +279,19 @@ def extended_gram(module: HilbertModule) -> np.ndarray:
     ``tau`` is the normalized ambient trace; positivity and base-linear
     dependence questions about the generators reduce to this matrix.
     """
-    beta = module.base.basis
-    d0 = module.base.ambient_dim
+    return _extended_grams(module.base, np.ascontiguousarray(module.gram)[None])[0]
+
+
+def _extended_grams(base: MatrixStarAlgebra, grams: np.ndarray) -> np.ndarray:
+    """:func:`extended_gram` of each Gram of a C-ordered stack (K, n, n, d0, d0)."""
+    beta = base.basis
+    k, n, nb, d0 = len(grams), grams.shape[1], base.dim, base.ambient_dim
     # tau(beta_m^dag G beta_p) = sum_{b,c} G[b,c] (beta_p beta_m^dag)[c,b];
     # einsum's summation order follows the memory layout, so rank decisions
     # are taken on one fixed (C-ordered) layout
     pair = np.einsum("pcx,mbx->mpcb", beta, beta.conj())
-    s = np.einsum("ijbc,mpcb->imjp", np.ascontiguousarray(module.gram), pair) / d0
-    n, nb = module.rank, module.base.dim
-    return s.reshape(n * nb, n * nb)
+    s = np.einsum("kijbc,mpcb->kimjp", grams, pair) / d0
+    return s.reshape(k, n * nb, n * nb)
 
 
 @dataclass
@@ -302,61 +311,99 @@ class QuotientInfo:
 
 
 def quotient_null_space(module: HilbertModule) -> QuotientInfo:
-    """Greedy minimal generating subset over the base algebra.
+    """Greedy minimal generating subset over the base algebra: the one-module
+    case of :func:`quotient_null_spaces`, with the same survivors and bits."""
+    return quotient_null_spaces([module])[0]
 
-    Pivoted block Cholesky on the extended Gram: repeatedly claim the
+
+def quotient_null_spaces(modules: list[HilbertModule]) -> list[QuotientInfo]:
+    """Greedy minimal generating subsets of modules of one rank over one base.
+
+    Pivoted block Cholesky on each extended Gram: repeatedly claim the
     generator with the largest remaining quadratic form and eliminate its
     block.  Dropped generators are then expressed over the survivors with
     base-algebra coefficients.
-    """
-    base = module.base
-    n, nb, d0 = module.rank, base.dim, base.ambient_dim
-    s_ext = extended_gram(module)
-    # the extended Gram is Hermitian PSD: its 2-norm is its top eigenvalue
-    scale = float(np.linalg.eigvalsh(s_ext)[-1]) if s_ext.size else 0.0
-    threshold = scale * RANK_RTOL
-    work = s_ext.copy()
-    survivors: list[int] = []
-    remaining = list(range(n))
-    while remaining:
-        # each remaining generator's score is the trace of its diagonal block
-        scores = np.einsum("iaia->i", work.reshape(n, nb, n, nb)).real[remaining]
-        k = int(np.argmax(scores))
-        if scores[k] <= threshold or scores[k] <= 0.0:
-            break
-        i = remaining.pop(k)
-        survivors.append(i)
-        sl = slice(i * nb, (i + 1) * nb)
-        # the pivot's pseudo-inverse, with pinv's cutoff 1e-12 * max |eigenvalue|
-        w, v = np.linalg.eigh(work[sl, sl])
-        large = np.abs(w) > 1e-12 * np.abs(w).max()
-        inv = (v[:, large] / w[large]).dot(v[:, large].conj().T)
-        work -= work[:, sl].dot(inv).dot(work[sl, :])
 
-    survivors.sort()
-    idx = [i * nb + m for i in survivors for m in range(nb)]
-    rewrite = np.zeros((len(survivors), n, d0, d0), dtype=complex)
-    dropped = [i for i in range(n) if i not in survivors]
-    residual = 0.0
-    rewrite[np.arange(len(survivors)), survivors] = base.unit
-    if dropped:
-        s_surv = s_ext[np.ix_(idx, idx)]
-        # <e_s beta_p, e_i>_tau = tau(beta_p^dag G[s, i])
-        sub = np.ascontiguousarray(module.gram)[np.ix_(survivors, dropped)]
-        # tau(beta_p^dag G) = (1/d0) sum_{b,c} conj(beta_p[b,c]) G[b,c]
-        rhs = np.einsum("sibc,pbc->spi", sub, base.basis.conj()).reshape(
-            len(idx), len(dropped)
-        ) / d0
-        gamma, *_ = np.linalg.lstsq(s_surv, rhs, rcond=RANK_RTOL)
-        # residual of each dropped generator in the tau-norm
-        self_norms = np.array(
-            [np.trace(module.gram[i, i]).real / d0 for i in dropped]
-        )
-        cross = np.real(np.einsum("ki,ki->i", rhs.conj(), gamma))
-        residual = float(np.sqrt(np.abs(self_norms - cross).max(initial=0.0)))
-        coeffs = gamma.reshape(len(survivors), nb, len(dropped))
-        rewrite[:, dropped] = np.einsum("apj,pcd->ajcd", coeffs, base.basis)
-    return QuotientInfo(survivors, rewrite, residual, threshold)
+    All modules are eliminated at once: each pivot round is one stacked
+    score sum, one stacked ``eigh`` of the pivot blocks and one stacked rank
+    update, over the modules that have not stopped.  The rewrites are then
+    made per set of survivors, one least-squares solve per module.  Each
+    module gets the survivors and the bits its one-module call gives it,
+    whatever the stack: every stacked step makes the same arithmetic per
+    module as a call on that module alone.  Raises when the modules differ
+    in rank or base.
+    """
+    base = modules[0].base
+    n, nb, d0 = modules[0].rank, base.dim, base.ambient_dim
+    for k, module in enumerate(modules):
+        if module.rank != n or not module.base.same_basis(base):
+            raise StructuralError(f"module #{k} differs from module #0 in rank or base")
+    grams = np.array([module.gram for module in modules])  # C-ordered
+    s_ext = _extended_grams(base, grams)
+    count, size = s_ext.shape[:2]
+    # the extended Gram is Hermitian PSD: its 2-norm is its top eigenvalue
+    thresholds = (np.linalg.eigvalsh(s_ext)[:, -1] if size else np.zeros(count)) * RANK_RTOL
+    # a module stops at a top score <= its threshold or <= 0, and a NaN
+    # score goes on, as in ``not (top <= threshold or top <= 0)``
+    floors = np.fmax(thresholds, 0.0)
+    work = s_ext.copy()
+    blocks = work.reshape(count, n, nb, n, nb)
+    claimed = np.zeros((count, n), dtype=bool)
+    running = np.ones(count, dtype=bool)
+    for _ in range(n):
+        # each remaining generator's score is the trace of its diagonal block
+        scores = np.einsum("kiaia->ki", blocks).real
+        scores[claimed] = -np.inf
+        running[scores.max(axis=1) <= floors] = False
+        at = running.nonzero()[0]
+        if not len(at):
+            break
+        pick = scores[at].argmax(axis=1)
+        claimed[at, pick] = True
+        rows, cols = blocks[at, pick], blocks[at, :, :, pick]
+        # the pivot's pseudo-inverse, with pinv's cutoff 1e-12 * max |eigenvalue|;
+        # an eigenvalue under it divides by inf, so its column drops out
+        w, v = np.linalg.eigh(rows[np.arange(len(at)), :, pick])
+        size_w = np.abs(w)
+        kept_w = np.where(size_w > 1e-12 * size_w.max(axis=-1, keepdims=True), w, np.inf)
+        inv = (v / kept_w[:, None]) @ v.conj().swapaxes(-1, -2)
+        update = (cols.reshape(len(at), size, nb) @ inv) @ rows.reshape(len(at), nb, size)
+        if len(at) == count:
+            work -= update
+        else:
+            work[at] -= update
+
+    infos: list[QuotientInfo] = [None] * count
+    groups: dict[bytes, list[int]] = {}
+    for k, mask in enumerate(claimed):
+        groups.setdefault(mask.tobytes(), []).append(k)
+    for members in groups.values():
+        kept = claimed[members[0]]
+        survivors, dropped = kept.nonzero()[0], (~kept).nonzero()[0]
+        rewrite = np.zeros((len(members), len(survivors), n, d0, d0), dtype=complex)
+        rewrite[:, np.arange(len(survivors)), survivors] = base.unit
+        residuals = np.zeros(len(members))
+        if len(dropped):
+            own = grams[members]
+            idx = (survivors[:, None] * nb + np.arange(nb)).ravel()
+            # <e_s beta_p, e_i>_tau = tau(beta_p^dag G[s, i])
+            sub = own[:, survivors[:, None], dropped]
+            # tau(beta_p^dag G) = (1/d0) sum_{b,c} conj(beta_p[b,c]) G[b,c]
+            rhs = np.einsum("ksibc,pbc->kspi", sub, base.basis.conj()).reshape(
+                len(members), len(idx), len(dropped)
+            ) / d0
+            s_surv = s_ext[members][:, idx[:, None], idx]
+            gamma = np.array([np.linalg.lstsq(a, b, rcond=RANK_RTOL)[0] for a, b in zip(s_surv, rhs)])
+            # residual of each dropped generator in the tau-norm
+            self_norms = np.trace(own[:, dropped, dropped], axis1=-2, axis2=-1).real / d0
+            cross = np.real(np.einsum("kxi,kxi->ki", rhs.conj(), gamma))
+            residuals = np.sqrt(np.abs(self_norms - cross).max(axis=1))
+            coeffs = gamma.reshape(len(members), len(survivors), nb, len(dropped))
+            rewrite[:, :, dropped] = np.einsum("kapj,pcd->kajcd", coeffs, base.basis)
+        survivors = survivors.tolist()
+        for k, r, residual in zip(members, rewrite, residuals.tolist()):
+            infos[k] = QuotientInfo(survivors, r, residual, float(thresholds[k]))
+    return infos
 
 
 def quotient_module(module: HilbertModule) -> tuple[HilbertModule, QuotientInfo]:
@@ -366,14 +413,22 @@ def quotient_module(module: HilbertModule) -> tuple[HilbertModule, QuotientInfo]
     table unchanged; dropped generators are rewritten over the survivors.
     """
     info = quotient_null_space(module)
-    gram = module.gram[np.ix_(info.survivors, info.survivors)]
-    left = None
-    if module.left is not None:
-        # R blocks J, with J keeping the survivors' columns
-        blocks = compose_blocks(info.rewrite, module.left.blocks[..., info.survivors, :, :])
-        left = LeftAction(module.left.algebra, blocks)
-    distinguished = {k: info.rewrite_vector(v) for k, v in module.distinguished.items()}
-    return HilbertModule(module.base, gram, left, distinguished), info
+    return _quotients([module], [info])[0], info
+
+
+def _quotients(modules: list[HilbertModule], infos: list[QuotientInfo]) -> list[HilbertModule]:
+    """Each module on the survivors of its quotient info (see :func:`quotient_module`)."""
+    out = []
+    for module, info in zip(modules, infos):
+        gram = module.gram[np.ix_(info.survivors, info.survivors)]
+        left = None
+        if module.left is not None:
+            # R blocks J, with J keeping the survivors' columns
+            blocks = compose_blocks(info.rewrite, module.left.blocks[..., info.survivors, :, :])
+            left = LeftAction(module.left.algebra, blocks)
+        distinguished = {k: info.rewrite_vector(v) for k, v in module.distinguished.items()}
+        out.append(HilbertModule(module.base, gram, left, distinguished))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +436,19 @@ def quotient_module(module: HilbertModule) -> tuple[HilbertModule, QuotientInfo]
 
 
 def gns_construct(pmap: PositiveMap, reduce: bool = True, verify: bool = True) -> HilbertModule:
-    """Generators-and-relations representation of a completely positive map.
+    """Generators-and-relations representation of a completely positive map:
+    the one-map case of :func:`gns_construct_many`, with the same bits.  It
+    reduces through :func:`quotient_module`, the one-module call, which is
+    the quotient ``perfbench``'s tracer counts."""
+    module = gns_construct_many([pmap], reduce=False, verify=verify)[0]
+    return quotient_module(module)[0] if reduce else module
+
+
+def gns_construct_many(
+    pmaps: list[PositiveMap], reduce: bool = True, verify: bool = True
+) -> list[HilbertModule]:
+    """Generators-and-relations representations of maps that share their
+    domain and codomain, in order.
 
     For ``T : A -> B`` the module is spanned by symbols, one per basis
     element of ``A``, with inner products ``<a_i, a_j> = T(a_i^* a_j)``,
@@ -389,18 +456,25 @@ def gns_construct(pmap: PositiveMap, reduce: bool = True, verify: bool = True) -
     the unit of ``A`` as the distinguished cyclic vector ("unit").  Then
     ``<unit, a . unit> = T(a)`` by construction.
 
-    The map is verified first (complete positivity through its kernel, and
-    the declared kind's axioms); a failing map is rejected, since a
-    non-positive kernel is exactly a non-positive Gram matrix.
+    Every map's Gram comes from one :func:`~ncprob.algebra_core.cp_kernels`
+    product; the left action and the unit vector depend only on ``A`` and
+    the unit of ``B``, so the unreduced modules share one of each.  Each map
+    is verified first (complete positivity on that same kernel, and the
+    declared kind's axioms); a failing map is rejected by its index, since
+    a non-positive kernel is exactly a non-positive Gram matrix.  With
+    ``reduce`` the modules are quotiented by one :func:`quotient_null_spaces`
+    call.  Each module has the bits :func:`gns_construct` gives its map
+    alone.
     """
+    kernels = cp_kernels(pmaps)
     if verify:
-        verify_positive_map(pmap).raise_on_failure(
-            "refusing to build a module over an unverified map"
-        )
-    dom, cod = pmap.domain, pmap.codomain
+        for k, (pmap, kernel) in enumerate(zip(pmaps, kernels)):
+            verify_positive_map(pmap, kernel=kernel).raise_on_failure(
+                f"refusing to build a module over unverified map #{k}"
+            )
+    dom, cod = pmaps[0].domain, pmaps[0].codomain
     n, d0 = dom.dim, cod.ambient_dim
     b = dom.basis
-    gram = unblock(cp_kernel(pmap), d0)
 
     # left action: a_k . [a_j] = [a_k a_j], expanded over the symbol basis
     prod_coords, res = dom.coords_many(
@@ -409,18 +483,15 @@ def gns_construct(pmap: PositiveMap, reduce: bool = True, verify: bool = True) -
     if exceeds(res, 1e-9):
         raise StructuralError("domain basis is not multiplicatively closed")
     struct = prod_coords.reshape(n, n, n)  # struct[k, j, l]: a_k a_j = sum_l . a_l
-    blocks = np.einsum("kjl,ab->kljab", struct, cod.unit)
-    left = LeftAction(dom, blocks)
+    left = LeftAction(dom, np.einsum("kjl,ab->kljab", struct, cod.unit))
 
     unit_coords, res = dom.coords(dom.unit)
     if exceeds(res, 1e-9):
         raise StructuralError("the domain unit is not in the domain span")
     xi = np.einsum("i,ab->iab", unit_coords, cod.unit)
 
-    module = HilbertModule(cod, gram, left, {"unit": xi})
-    if reduce:
-        module, _ = quotient_module(module)
-    return module
+    modules = [HilbertModule(cod, unblock(kernel, d0), left, {"unit": xi}) for kernel in kernels]
+    return _quotients(modules, quotient_null_spaces(modules)) if reduce else modules
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,13 @@ def unblock(mat: np.ndarray, d: int) -> np.ndarray:
 
 def diagonal_blocks(n: int, block: np.ndarray) -> np.ndarray:
     """The (n, n, d, d) blocks with the (d, d) ``block`` on the diagonal and
-    zeros elsewhere; a stack (..., d, d) gives the stack (..., n, n, d, d)."""
-    return unblock(np.kron(np.eye(n), block), block.shape[-1])
+    zeros elsewhere; a stack (..., d, d) gives the stack (..., n, n, d, d).
+    A view of its flat matrix."""
+    *lead, d, _ = block.shape
+    flat = np.zeros((*lead, n * d, n * d), dtype=np.result_type(float, block))
+    blocks = unblock(flat, d)
+    blocks[..., range(n), range(n), :, :] = block[..., None, :, :]
+    return blocks
 
 
 def scaled_hermitian(draws: np.ndarray) -> np.ndarray:

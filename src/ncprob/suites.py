@@ -44,7 +44,13 @@ from .dilation import (
     white_noise_increment_check,
     white_noise_scenario,
 )
-from .hilbert_module import compose_blocks, gns_construct, operator_distance, tensor_over_base, verify_module
+from .hilbert_module import (
+    compose_blocks,
+    gns_construct_many,
+    operator_distance,
+    tensor_over_base,
+    verify_module,
+)
 # unused here, but perfbench's tracer self-test rewraps this second binding
 from .hilbert_module import apply_blocks  # noqa: F401
 from .independence import (
@@ -141,6 +147,26 @@ def suite_algebra(config: RunConfig) -> list[dict]:
     return report.rows()
 
 
+def _gns_by_spaces(maps: list) -> list:
+    """The reduced GNS module of each map, in order: one
+    :func:`gns_construct_many` call per set of maps that share their domain
+    and codomain."""
+    groups: list[list[int]] = []
+    for k, pmap in enumerate(maps):
+        for group in groups:
+            first = maps[group[0]]
+            if first.domain.same_basis(pmap.domain) and first.codomain.same_basis(pmap.codomain):
+                group.append(k)
+                break
+        else:
+            groups.append([k])
+    modules = [None] * len(maps)
+    for group in groups:
+        for k, module in zip(group, gns_construct_many([maps[k] for k in group])):
+            modules[k] = module
+    return modules
+
+
 def suite_module(config: RunConfig) -> list[dict]:
     report = VerificationReport()
     rng = np.random.default_rng(config.seed)
@@ -160,8 +186,7 @@ def suite_module(config: RunConfig) -> list[dict]:
             maps.append(state_from_density(m2, random_density(2, rng)))
     worst = 0.0
     worst_label = ""
-    for k, pmap in enumerate(maps):
-        module = gns_construct(pmap)
+    for k, (pmap, module) in enumerate(zip(maps, _gns_by_spaces(maps))):
         moments = module.vector_functional(module.distinguished["unit"], pmap.domain.basis)
         for b, moment in zip(pmap.domain.basis, moments):
             gap = frob(moment - pmap.apply(b))
@@ -172,9 +197,9 @@ def suite_module(config: RunConfig) -> list[dict]:
     # tensor associativity on raw (unreduced) grams (fixed sharper bound)
     assoc_tol = 1e-10
     worst = 0.0
-    triple_maps = random_unital_cps(2, rng, 30)
+    triples = gns_construct_many(random_unital_cps(2, rng, 30))
     for k in range(10):
-        e1, e2, e3 = (gns_construct(pmap, reduce=True) for pmap in triple_maps[3 * k : 3 * k + 3])
+        e1, e2, e3 = triples[3 * k : 3 * k + 3]
         left_first = tensor_over_base(e1, e2)
         right_first = tensor_over_base(e2, e3)
         g_left = tensor_over_base(left_first.module, e3).module.gram
@@ -184,9 +209,8 @@ def suite_module(config: RunConfig) -> list[dict]:
 
     # reductions preserve moments
     worst = 0.0
-    for pmap in random_unital_cps(2, rng, 5):
-        full = gns_construct(pmap, reduce=False)
-        reduced = gns_construct(pmap, reduce=True)
+    pmaps = random_unital_cps(2, rng, 5)
+    for full, reduced in zip(gns_construct_many(pmaps, reduce=False), gns_construct_many(pmaps)):
         lhs = full.vector_functional(full.distinguished["unit"], m2.basis)
         rhs = reduced.vector_functional(reduced.distinguished["unit"], m2.basis)
         worst = residual_max(worst, *(frob(l - r) for l, r in zip(lhs, rhs)))
@@ -281,8 +305,7 @@ def suite_conditional_monotone(config: RunConfig) -> list[dict]:
     comp = diagonal_compression(2, m2)
     base = comp.codomain
 
-    e1 = gns_construct(comp)
-    e2 = gns_construct(comp)
+    e1, e2 = gns_construct_many([comp, comp])
     joint = conditional_monotone_embed(e1, e2, m2, m2)
 
     worst = 0.0

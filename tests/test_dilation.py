@@ -47,14 +47,13 @@ from ncprob.dilation import (
     dilate_discrete,
     markov_scenario,
     random_unital_cp,
-    random_window_operator,
     scalar_fiber,
     verify_dilation,
     verify_product_system,
     white_noise_increment_check,
     white_noise_scenario,
 )
-from ncprob.dilation import _random_increment_words
+from ncprob.dilation import _random_increment_words, _window_blocks, _window_draws
 from ncprob.independence import conditional_monotone_factorization
 from ncprob.hilbert_module import (
     apply_blocks,
@@ -64,6 +63,14 @@ from ncprob.hilbert_module import (
     verify_module,
 )
 from ncprob.linalg import block_matrix, frob
+
+
+def random_window_operator(system, width: int, rng: np.random.Generator) -> np.ndarray:
+    """Blocks of a random finite-rank operator on E_width, drawn as the
+    stacked window letters are drawn: the sum of two rank-ones between dense
+    random vectors."""
+    (blocks,) = _window_blocks(system, [width], _window_draws(system, [width], rng))
+    return blocks
 
 
 @pytest.fixture(scope="module")

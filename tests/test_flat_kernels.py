@@ -33,8 +33,8 @@ from ncprob.dilation import (
     dilate_discrete,
     markov_scenario,
     random_unital_cp,
-    random_window_operator,
 )
+from ncprob.dilation import _window_blocks, _window_draws
 from ncprob.hilbert_module import (
     HilbertModule,
     apply_blocks,
@@ -55,6 +55,14 @@ from ncprob.independence import (
     tensor_realize,
 )
 from ncprob.linalg import block_matrix, frob, random_density, unblock
+
+
+def random_window_operator(system, width: int, rng: np.random.Generator) -> np.ndarray:
+    """Blocks of a random finite-rank operator on E_width, drawn as the
+    stacked window letters are drawn: the sum of two rank-ones between dense
+    random vectors."""
+    (blocks,) = _window_blocks(system, [width], _window_draws(system, [width], rng))
+    return blocks
 
 
 def ref_inner(gram, x, y):

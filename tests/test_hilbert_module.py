@@ -21,14 +21,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncprob import hilbert_module
 from ncprob.algebra_core import (
     MapKind,
     StructuralError,
+    cp_from_kraus,
     cp_from_stochastic,
     diagonal_algebra,
     diagonal_compression,
     full_matrix_algebra,
     identity_map,
+    map_from_images,
     normalized_trace_state,
     scalar_algebra,
     state_from_density,
@@ -42,11 +45,13 @@ from ncprob.hilbert_module import (
     dagger_blocks,
     extended_gram,
     gns_construct,
+    gns_construct_many,
     identity_blocks,
     inner_product,
     operator_distance,
     quotient_module,
     quotient_null_space,
+    quotient_null_spaces,
     rank_one_blocks,
     tensor_over_base,
     trivial_left_action,
@@ -55,6 +60,7 @@ from ncprob.hilbert_module import (
 )
 from ncprob.dilation import random_unital_cps
 from ncprob.linalg import RANK_RTOL, dag, frob, random_density
+from ncprob.suites import RunConfig, suite_module
 
 
 def module_over_self(alg):
@@ -442,3 +448,114 @@ def test_verify_module_on_a_wide_fiber_stays_within_a_row_of_pairs():
         tracemalloc.stop()
     assert report.passed, report.failures
     assert peak < 12 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# stacked GNS construction and quotient
+
+
+def _kraus_maps(ranks, rng):
+    """Maps on M2 with the given Kraus ranks: rank r keeps r of the 4 GNS
+    generators, so the quotient drops 4 - r."""
+    m2 = full_matrix_algebra(2)
+    return [
+        cp_from_kraus(m2, list(rng.normal(size=(r, 2, 2)) + 1j * rng.normal(size=(r, 2, 2))))
+        for r in ranks
+    ]
+
+
+def _stack_of(label):
+    rng = np.random.default_rng(11)
+    m2, m3 = full_matrix_algebra(2), full_matrix_algebra(3)
+    if label == "m3-states":
+        # a pure state keeps 3 of the 9 generators, a faithful one all 9
+        pure = np.zeros((3, 3), dtype=complex)
+        pure[0, 0] = 1.0
+        return [state_from_density(m3, random_density(3, rng)), normalized_trace_state(m3),
+                state_from_density(m3, pure)]
+    if label == "m2-compressions":
+        return [diagonal_compression(2, m2), diagonal_compression(2, m2)]
+    if label == "stochastic":
+        return [cp_from_stochastic(p) for p in (
+            np.array([[0.2, 0.3, 0.5], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]]),
+            (np.ones((3, 3)) - np.eye(3)) / 2,
+            np.eye(3),
+        )]
+    if label == "m2-cps":
+        return random_unital_cps(2, rng, 6) + [identity_map(m2)]
+    # Kraus ranks 4, 3, 2 and 1: modules dropping 0, 1, 2 and 3 generators
+    return _kraus_maps([4, 2, 3, 1, 4], rng)
+
+
+STACKS = ["m3-states", "m2-compressions", "stochastic", "m2-cps", "mixed-survivors"]
+
+
+def _bits(a):
+    return a.shape, np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("reduce", [False, True])
+@pytest.mark.parametrize("label", STACKS)
+def test_each_module_of_a_stack_has_the_bits_of_its_count_1_call(label, reduce):
+    maps = _stack_of(label)
+    for pmap, module in zip(maps, gns_construct_many(maps, reduce=reduce), strict=True):
+        alone = gns_construct(pmap, reduce=reduce)
+        assert _bits(module.gram) == _bits(alone.gram)
+        assert _bits(module.left.blocks) == _bits(alone.left.blocks)
+        assert _bits(module.distinguished["unit"]) == _bits(alone.distinguished["unit"])
+    raw = gns_construct_many(maps, reduce=False)
+    for module, info in zip(raw, quotient_null_spaces(raw), strict=True):
+        alone = quotient_null_space(module)
+        assert info.survivors == alone.survivors
+        assert _bits(info.rewrite) == _bits(alone.rewrite)
+        assert (info.residual, info.threshold) == (alone.residual, alone.threshold)
+
+
+def test_one_stack_holds_modules_that_drop_different_numbers_of_generators():
+    maps = _stack_of("mixed-survivors")
+    infos = quotient_null_spaces(gns_construct_many(maps, reduce=False))
+    assert [len(info.survivors) for info in infos] == [4, 2, 3, 1, 4]
+    # the shared left action and unit survive each module's own rewrite
+    for pmap, module in zip(maps, gns_construct_many(maps)):
+        moments = module.vector_functional(module.distinguished["unit"], pmap.domain.basis)
+        assert frob(moments - pmap.apply_many(pmap.domain.basis)) < 1e-10
+
+
+def test_a_stack_names_the_map_it_rejects():
+    m2 = full_matrix_algebra(2)
+    # the transpose is positive but not completely positive
+    transpose = map_from_images(m2, m2, m2.basis.transpose(0, 2, 1), MapKind.CP_MAP)
+    maps = random_unital_cps(2, np.random.default_rng(3), 2) + [transpose]
+    with pytest.raises(StructuralError, match="unverified map #2: completely-positive"):
+        gns_construct_many(maps)
+    # the unverified build keeps it, and a map of another codomain is refused
+    assert len(gns_construct_many(maps, verify=False)) == 3
+    with pytest.raises(StructuralError, match="map #1 does not share"):
+        gns_construct_many([maps[0], normalized_trace_state(m2)])
+    other_base = gns_construct(identity_map(diagonal_algebra(2)), reduce=False)
+    with pytest.raises(StructuralError, match="module #1 differs"):
+        quotient_null_spaces([gns_construct(maps[0], reduce=False), other_base])
+
+
+def test_refusing_the_last_non_null_pivot_fails_quotient_preserves_moments(monkeypatch):
+    """Negative control: a quotient that treats its last surviving generator
+    as null, dropping it with no rewrite, must fail the module suite's
+    moment check at seed 7.  A module with one survivor keeps it."""
+    def rows():
+        return {row["name"]: row for row in suite_module(RunConfig(seed=7))}
+
+    assert rows()["quotient-preserves-moments"]["passed"]
+    real = hilbert_module.quotient_null_spaces
+
+    def refuse_last_pivot(modules):
+        out = []
+        for info in real(modules):
+            keep = max(len(info.survivors) - 1, 1)
+            out.append(hilbert_module.QuotientInfo(
+                info.survivors[:keep], info.rewrite[:keep], info.residual, info.threshold
+            ))
+        return out
+
+    monkeypatch.setattr(hilbert_module, "quotient_null_spaces", refuse_last_pivot)
+    row = rows()["quotient-preserves-moments"]
+    assert not row["passed"] and row["residual"] > 1e-3

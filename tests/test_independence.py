@@ -38,7 +38,6 @@ from ncprob import (
     random_alternating_word,
     random_alternating_words,
     state_from_density,
-    subalgebra_project,
     tensor_moment_formula,
     tensor_realize,
     verify_independence,
@@ -717,15 +716,29 @@ def _realization_of(kind: str):
 def _paper_letters(kind: str):
     """The raw product E1 (x)_B E2 of ``kind``'s GNS modules, its vacuum, and
     per leg the operator of one letter by the paper's definition, built for
-    that letter alone: a (x) id by ``op_left``, id (x) a by its definition on
-    the raw pairs (not by ``tensor_slot``, which the legs are built with),
-    the monotone leg 1 as (a (x) id)(id (x) |xi2><xi2|), and the conditional
-    monotone leg 2 as x1 o x2 -> 1 o a <1, x1> x2, that is V a V* with
-    V y = 1 o y.  No leg of a realization is used."""
+    that letter alone: a (x) id and id (x) a by their definitions on the raw
+    pairs (not by ``tensor_lift`` or ``tensor_slot``, which the legs are
+    built with), the monotone leg 1 as (a (x) id)(id (x) |xi2><xi2|), and the
+    conditional monotone leg 2 as x1 o x2 -> 1 o a <1, x1> x2, that is
+    V a V* with V y = 1 o y.  Elementary tensors are x o y = sum_i e_i o x[i] y,
+    with the base acting on E2 by its left action.  No leg of a realization
+    is used."""
     s1, s2 = _spaces_of(kind)
     e1, e2 = gns_construct(s1.functional), gns_construct(s2.functional)
     tensor = tensor_over_base(e1, independence._with_base_action(e2, e1.base))
     product = tensor.module
+    action = tensor.right_factor.left
+    pairs = list(itertools.product(range(e1.rank), range(e2.rank)))
+
+    def elementary(x, y):
+        # x o y on the raw pairs (i, u), row-major: (x[i] y)[u] at (i, u)
+        return np.concatenate([apply_blocks(action.blocks_of(x[i]), y) for i in range(e1.rank)])
+
+    def lift(s):
+        # S (x) id: column (w, u) is (S e_w) o e_u
+        return np.stack(
+            [elementary(apply_blocks(s, e1.generator(w)), e2.generator(u)) for w, u in pairs], axis=1
+        )
 
     def id_tensor(s):
         # the pairs (i, u) run row-major: S[u, u'] between (i, u) and (i, u'),
@@ -737,7 +750,7 @@ def _paper_letters(kind: str):
         return out
 
     def first(a):
-        return tensor.op_left(e1.left.blocks_of(a))
+        return lift(e1.left.blocks_of(a))
 
     def second(a):
         return id_tensor(e2.left.blocks_of(a))
@@ -749,9 +762,7 @@ def _paper_letters(kind: str):
         letters[1] = lambda a: compose_blocks(first(a), projection)
     elif kind == "conditional-monotone":
         xi1 = e1.distinguished["unit"]
-        action = tensor.right_factor.left
-        pairs = list(itertools.product(range(e1.rank), range(e2.rank)))
-        v = np.stack([tensor.tensor_vector(xi1, e2.generator(u)) for u in range(e2.rank)], axis=1)
+        v = np.stack([elementary(xi1, e2.generator(u)) for u in range(e2.rank)], axis=1)
         v_star = np.stack(
             [apply_blocks(action.blocks_of(e1.inner(xi1, e1.generator(p))), e2.generator(u)) for p, u in pairs],
             axis=1,
@@ -867,8 +878,9 @@ def test_a_moment_outside_the_shared_base_is_rejected():
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sz = np.diag([1.0, -1.0]).astype(complex)
     ixz = algebra_from_basis([I2, sx, sz])
+    # each basis matrix's least-squares projection onto the span
     onto = map_from_images(
-        m2, ixz, np.stack([subalgebra_project(ixz, b)[0] for b in m2.basis]),
+        m2, ixz, np.stack([ixz.combine(ixz.coords(b)[0]) for b in m2.basis]),
         MapKind.CONDITIONAL_EXPECTATION,
     )
     word = AlternatingWord([(1, sx), (2, sz)])

@@ -441,8 +441,11 @@ def test_shift_row_equals_the_per_sample_gluing(label, monkeypatch):
     rng = np.random.default_rng(5)
     calls = []
 
-    def perturbed(items):
-        out = [v + 1e-3 * rng.normal(size=v.shape[:-1])[..., None] * eye for v in MarkovModel._observe(model, items)]
+    def perturbed(items, operators=None):
+        out = [
+            v + 1e-3 * rng.normal(size=v.shape[:-1])[..., None] * eye
+            for v in MarkovModel._observe(model, items, operators)
+        ]
         calls.append((items, out))
         return out
 

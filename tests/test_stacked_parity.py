@@ -32,10 +32,10 @@ from ncprob.dilation import (
     markov_scenario,
     random_unital_cp,
     random_unital_cps,
-    random_window_operator,
     scalar_fiber,
     white_noise_scenario,
 )
+from ncprob.dilation import _window_blocks, _window_draws
 from ncprob.hilbert_module import rank_one_blocks, tensor_gram
 from ncprob.independence import (
     random_alternating_word,
@@ -43,6 +43,15 @@ from ncprob.independence import (
     random_hermitian_elements,
 )
 from ncprob.linalg import block_matrix
+
+
+def random_window_operator(system, width: int, rng: np.random.Generator) -> np.ndarray:
+    """Blocks of a random finite-rank operator on E_width, drawn as the
+    stacked window letters are drawn: the sum of two rank-ones between dense
+    random vectors."""
+    (blocks,) = _window_blocks(system, [width], _window_draws(system, [width], rng))
+    return blocks
+
 
 # ---------------------------------------------------------------------------
 # the references
