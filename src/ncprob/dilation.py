@@ -17,6 +17,19 @@ recovers the semigroup.  The endomorphisms ``theta_n(a) = a (x) id`` make
 the whole tower one reversible system in which the original irreversible
 dynamics sits compressed in a corner.
 
+Towers of maps on one algebra are built as a stack
+(:func:`dilate_discrete_many`, :meth:`DiscreteProductSystem.build_many`):
+the fiber stage, where most of a small tower's time goes, is one
+``gns_construct_many`` call (one kernel product, on which complete
+positivity is also decided), one ``verify_modules`` call and one
+``quotient_null_spaces`` call for all the fibers.  :func:`dilate_discrete`,
+:meth:`DiscreteProductSystem.build` and ``verify_module`` are the count-1
+calls of these, so there is one build path, and each tower of a stack has
+the bits of its own count-1 call.  The levels E_2 ... E_N are built tower
+by tower: a prototype that stacked their lifts held every tower's lift
+temporaries at once (about 1.9 MB for ten M2 towers at horizon 3) and
+measured 5.3 % more peak RSS on ``verify all`` for a 2 % shorter pass.
+
 Time-window subalgebras embed through the projected form: an operator ``x``
 on ``E_{s-r}`` becomes ``theta_r(V x V*)`` where ``V y = xi (x) y`` pastes
 the far future back on as the unit vector.  The embedding takes a stack of
@@ -67,12 +80,13 @@ from .algebra_core import (
 from .hilbert_module import (
     HilbertModule,
     LeftAction,
+    _quotients,
     adjoint_gap,
     apply_blocks,
     compose_blocks,
-    gns_construct,
+    gns_construct_many,
     identity_blocks,
-    quotient_module,
+    quotient_null_spaces,
     rank_one_blocks,
     require_base_commutant,
     tensor_extend,
@@ -81,7 +95,7 @@ from .hilbert_module import (
     tensor_lift,
     tensor_slot,
     vector_norm,
-    verify_module,
+    verify_modules,
 )
 from .independence import conditional_monotone_factorization, word_stacks
 from .linalg import DEFAULT_TOL, block_matrix, diagonal_blocks, frob, residual_max, unblock
@@ -92,6 +106,7 @@ __all__ = [
     "DiscreteProductSystem",
     "DilationScenario",
     "dilate_discrete",
+    "dilate_discrete_many",
     "verify_product_system",
     "semigroup_gaps",
     "verify_dilation",
@@ -126,8 +141,11 @@ class BudgetExceededError(StructuralError):
 class DiscreteProductSystem:
     """The tower E_0, ..., E_N with its units and identifications.
 
-    ``fiber`` is E_1 on a minimal generating subset, the tower's one
-    quotient.  ``powers[k]`` is its k-th tensor power ``E_k = E_{k-1} (x)
+    :meth:`build_many` builds the towers of a stack of fibers over one
+    base: one stacked verification and one stacked quotient of the fibers,
+    then the levels tower by tower (see the module notes); :meth:`build` is
+    its count-1 call.  ``fiber`` is E_1 on a minimal generating subset, the
+    tower's one quotient.  ``powers[k]`` is its k-th tensor power ``E_k = E_{k-1} (x)
     E_1`` less the pairs whose Gram diagonal block is exactly zero: its
     Gram is :func:`~ncprob.hilbert_module.tensor_gram` on the other pairs,
     its left action the lift of ``E_{k-1}``'s by :meth:`theta_blocks` and
@@ -159,18 +177,49 @@ class DiscreteProductSystem:
         horizon: int,
         budget: int = 4096,
     ) -> "DiscreteProductSystem":
+        """The tower of one fiber: :meth:`build_many` of a stack of one."""
+        return cls.build_many(base, [fiber], horizon, budget)[0]
+
+    @classmethod
+    def build_many(
+        cls,
+        base: MatrixStarAlgebra,
+        fibers: list[HilbertModule],
+        horizon: int,
+        budget: int = 4096,
+    ) -> list["DiscreteProductSystem"]:
+        """The towers of fibers of one rank over ``base``, in order.
+
+        The fiber stage is one stack: one :func:`~ncprob.hilbert_module.verify_modules`
+        call, whose failing fiber is refused by its index, and one
+        :func:`~ncprob.hilbert_module.quotient_null_spaces` for all the
+        quotients.  The levels E_2 ... E_N are then built tower by tower,
+        so only one tower's lift temporaries are held at a time.  Each tower
+        has the bits of its own :meth:`build` call, and an over-budget power
+        raises where that call raises, with the same dimension.
+        """
         if horizon < 1:
             raise StructuralError("horizon must be at least 1")
-        if not fiber.base.same_basis(base):
-            raise StructuralError("fiber is not a module over the stated base")
-        if fiber.left is None or not fiber.left.algebra.same_basis(base):
-            raise StructuralError("fiber must carry a left action of the base")
-        if "unit" not in fiber.distinguished:
-            raise StructuralError("fiber has no distinguished unit vector")
-        verify_module(fiber).raise_on_failure("fiber failed verification")
-        fiber, _ = quotient_module(fiber)
-        n1 = fiber.rank
+        for k, fiber in enumerate(fibers):
+            if not fiber.base.same_basis(base):
+                raise StructuralError(f"fiber #{k} is not a module over the stated base")
+            if fiber.left is None or not fiber.left.algebra.same_basis(base):
+                raise StructuralError(f"fiber #{k} must carry a left action of the base")
+            if "unit" not in fiber.distinguished:
+                raise StructuralError(f"fiber #{k} has no distinguished unit vector")
+        for k, report in enumerate(verify_modules(fibers)):
+            report.raise_on_failure(f"fiber #{k} failed verification")
+        return [
+            cls._tower(base, fiber, horizon, budget)
+            for fiber in _quotients(fibers, quotient_null_spaces(fibers))
+        ]
 
+    @classmethod
+    def _tower(
+        cls, base: MatrixStarAlgebra, fiber: HilbertModule, horizon: int, budget: int
+    ) -> "DiscreteProductSystem":
+        """The levels E_0 ... E_horizon over a verified, quotiented fiber."""
+        n1 = fiber.rank
         _, e0 = central_unit_fiber(base, 1)
         powers: list[HilbertModule] = [e0, fiber]
         # word numbers reach n1**horizon; past int64 they stay Python integers
@@ -315,15 +364,31 @@ class DilationScenario:
 def dilate_discrete(
     cp_map: PositiveMap, horizon: int, budget: int = 4096
 ) -> DilationScenario:
-    """Dilation of a verified unital CP map up to the given horizon."""
-    if not cp_map.domain.same_basis(cp_map.codomain):
-        raise StructuralError("only endomaps of one algebra can be dilated")
-    verify_positive_map(cp_map).raise_on_failure("map failed verification")
-    if not cp_map.is_unital():
-        raise StructuralError("the map is not unital; its dilation has no unit vector")
-    fiber = gns_construct(cp_map, reduce=False, verify=False)
-    system = DiscreteProductSystem.build(cp_map.domain, fiber, horizon, budget)
-    return DilationScenario(cp_map, system)
+    """Dilation of a verified unital CP map: :func:`dilate_discrete_many` of
+    a stack of one."""
+    return dilate_discrete_many([cp_map], horizon, budget)[0]
+
+
+def dilate_discrete_many(
+    cp_maps: list[PositiveMap], horizon: int, budget: int = 4096
+) -> list[DilationScenario]:
+    """Dilations of verified unital CP maps on one shared algebra, in order.
+
+    One :func:`~ncprob.hilbert_module.gns_construct_many` call builds every
+    fiber from one ``cp_kernels`` product and decides each map's complete
+    positivity on its kernel there; a map that is not an endomap, not CP or
+    not unital is refused by its index, in that order of checks.
+    :meth:`DiscreteProductSystem.build_many` then builds the towers.
+    """
+    for k, cp_map in enumerate(cp_maps):
+        if not cp_map.domain.same_basis(cp_map.codomain):
+            raise StructuralError(f"map #{k} is not an endomap; only endomaps of one algebra can be dilated")
+    fibers = gns_construct_many(cp_maps, reduce=False)
+    for k, cp_map in enumerate(cp_maps):
+        if not cp_map.is_unital():
+            raise StructuralError(f"map #{k} is not unital; its dilation has no unit vector")
+    systems = DiscreteProductSystem.build_many(cp_maps[0].domain, fibers, horizon, budget)
+    return [DilationScenario(cp_map, system) for cp_map, system in zip(cp_maps, systems)]
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +553,9 @@ def semigroup_gaps(scenario: DilationScenario) -> list[list[float]]:
     basis = system.base.basis
     gaps = []
     for n in range(system.horizon + 1):
-        tn = iterate_map(scenario.cp_map, n)
+        images = iterate_map(scenario.cp_map, n).apply_many(basis)
         via_module = system.powers[n].vector_functional(system.units[n], basis)
-        gaps.append([frob(tn.apply(b) - m) for b, m in zip(basis, via_module)])
+        gaps.append([frob(t - m) for t, m in zip(images, via_module)])
     return gaps
 
 
@@ -670,6 +735,12 @@ def white_noise_increment_check(
 # ---------------------------------------------------------------------------
 # Markov chains
 
+# The most bytes of letter-slot basis operators that one MarkovModel.verify
+# or module_moments call keeps for reuse.  A two-state chain keeps every
+# pair up to horizon 6; at horizon 8, where a top-level pair takes 8 MiB and
+# keeping all seven of them doubled the peak memory, it keeps none of them.
+OPERATOR_CACHE_BYTES = 4 * 2**20
+
 
 @dataclass
 class MarkovModel:
@@ -755,14 +826,17 @@ class MarkovModel:
         combines the products with the coordinates: ``base.dim`` operators
         in place of one per observable.  The span guard of every ``f`` is
         one ``coords_many`` and a letter slot keeps the base-commutant
-        guard of each ``f``.  ``operators`` holds each pair's basis
+        guard of each ``f``.  ``operators`` holds a letter slot's basis
         operators once built, for the caller's other calls (a fresh dict
-        when None): :meth:`verify` and :meth:`module_moments` keep one for
-        the length of their call, so each pair's are built once per call and
-        freed when it returns.  A pair with fewer observables, as most pairs
-        of a chain with many states have, builds one :meth:`process_operator`
-        per observable, which is fewer operators; so does time 0, on its
-        diagonal path.
+        when None), while all it holds stays within ``OPERATOR_CACHE_BYTES``:
+        :meth:`verify` and :meth:`module_moments` keep one for the length of
+        their call, so a pair that fits is built once per call and freed
+        when it returns.  A pair that does not fit is built here one
+        operator at a time, once per call of this method; E_level's own
+        action is read from its stored blocks.  A pair with fewer
+        observables, as most pairs of a chain with many states have, builds
+        one :meth:`process_operator` per observable, which is fewer
+        operators; so does time 0, on its diagonal path.
         """
         system = self.system
         d0 = system.base.ambient_dim
@@ -784,11 +858,18 @@ class MarkovModel:
                 require_base_commutant(fiber, unblock(fiber.left.operators(fs), d0))
             # the vectors side by side, (M, K, d0), and sum_k c_k P_k of them
             xs = np.stack([items[j][3].reshape(-1, d0) for j in at], axis=1)
-            if (time, level) not in operators:
-                operators[time, level] = list(self._basis_operators(time, level))
+            ops = operators.get((time, level))
+            if ops is None:
+                ops = self._basis_operators(time, level)
+                # E_level's own action is views of its blocks: nothing to keep
+                n_flat = system.powers[level].rank * d0
+                size = system.base.dim * n_flat**2 * np.dtype(complex).itemsize
+                held = sum(op.nbytes for kept in operators.values() for op in kept)
+                if time < level and held + size <= OPERATOR_CACHE_BYTES:
+                    ops = operators[time, level] = list(ops)
             new = sum(
                 ck[:, None] * op.dot(xs.reshape(len(xs), -1)).reshape(xs.shape)
-                for ck, op in zip(c.T, operators[time, level])
+                for ck, op in zip(c.T, ops)
             )
             for j, x in zip(at, new.swapaxes(0, 1)):
                 out[j] = x.reshape(-1, d0, d0)
@@ -845,7 +926,8 @@ class MarkovModel:
         Every sample is drawn first, in the order of one sample at a time;
         the observables of all samples are then applied by
         :meth:`module_moments`.  The basis operators of each (time, level)
-        pair are built once for the whole call (see :meth:`_observe`).
+        pair are built once for the whole call while they fit the cache
+        (see :meth:`_observe`).
         """
         report = VerificationReport()
         operators: dict = {}

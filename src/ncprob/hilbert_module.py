@@ -38,9 +38,10 @@ always decided through the inner product, never through raw coefficients.
 The :func:`quotient_null_space` routine extracts a minimal generating subset
 (over the base algebra) and rewrites everything else in terms of it; the
 surviving generators keep their original inner products verbatim.  GNS
-modules and quotients are also built for a stack at once
-(:func:`gns_construct_many`, :func:`quotient_null_spaces`), each module with
-the bits of its own one-module call.
+modules and quotients are also built, and modules verified, for a stack at
+once (:func:`gns_construct_many`, :func:`quotient_null_spaces`,
+:func:`verify_modules`), each module with the bits of its own one-module
+call.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from .linalg import (
     diagonal_blocks,
     exceeds,
     frob,
-    min_eig,
+    hermitian_part,
     residual_max,
     unblock,
 )
@@ -104,6 +105,7 @@ __all__ = [
     "trivial_left_action",
     "representation_gaps",
     "verify_module",
+    "verify_modules",
 ]
 
 
@@ -138,8 +140,9 @@ def compose_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def dagger_blocks(m: np.ndarray) -> np.ndarray:
-    """Blockwise adjoint: (M^*)[i, j] = M[j, i]^dag."""
-    return m.transpose(1, 0, 3, 2).conj()
+    """Blockwise adjoint: (M^*)[i, j] = M[j, i]^dag; a stack (..., n, n, d0,
+    d0) of operators gives the stack of their adjoints."""
+    return m.swapaxes(-4, -3).swapaxes(-2, -1).conj()
 
 
 # ---------------------------------------------------------------------------
@@ -343,35 +346,41 @@ def quotient_null_spaces(modules: list[HilbertModule]) -> list[QuotientInfo]:
     count, size = s_ext.shape[:2]
     # the extended Gram is Hermitian PSD: its 2-norm is its top eigenvalue
     thresholds = (np.linalg.eigvalsh(s_ext)[:, -1] if size else np.zeros(count)) * RANK_RTOL
-    # a module stops at a top score <= its threshold or <= 0, and a NaN
-    # score goes on, as in ``not (top <= threshold or top <= 0)``
-    floors = np.fmax(thresholds, 0.0)
-    work = s_ext.copy()
-    blocks = work.reshape(count, n, nb, n, nb)
     claimed = np.zeros((count, n), dtype=bool)
-    running = np.ones(count, dtype=bool)
+    # the modules still eliminating, as indices into the stack, with their
+    # claims, floors and eliminated extended Grams; a module that stops
+    # leaves them, so every round works on all of them.  Generator p of the
+    # k-th of them is row k*n + p of ``taken`` and of the row bands.
+    at = np.arange(count)
+    taken, floors, work = claimed.copy(), np.fmax(thresholds, 0.0), s_ext.copy()
     for _ in range(n):
         # each remaining generator's score is the trace of its diagonal block
-        scores = np.einsum("kiaia->ki", blocks).real
-        scores[claimed] = -np.inf
-        running[scores.max(axis=1) <= floors] = False
-        at = running.nonzero()[0]
-        if not len(at):
-            break
-        pick = scores[at].argmax(axis=1)
-        claimed[at, pick] = True
-        rows, cols = blocks[at, pick], blocks[at, :, :, pick]
+        scores = np.einsum("kiaia->ki", work.reshape(len(at), n, nb, n, nb)).real
+        scores[taken] = -np.inf
+        # a module stops at a top score <= its threshold or <= 0, and a NaN
+        # score goes on, as in ``not (top <= threshold or top <= 0)``
+        stop = scores.max(axis=1) <= floors
+        if np.count_nonzero(stop):
+            claimed[at[stop]] = taken[stop]
+            if stop.all():
+                break
+            go = ~stop
+            at, taken, floors, work, scores = at[go], taken[go], floors[go], work[go], scores[go]
+        row = np.arange(len(at))
+        pick = scores.argmax(axis=1)
+        claim = row * n + pick
+        taken.put(claim, True)
+        # the pivot's row band (nb, size), column band (size, nb) and block
+        rows = work.reshape(-1, nb, size).take(claim, axis=0)
+        cols = work.reshape(len(at), size, n, nb)[row, :, pick]
         # the pivot's pseudo-inverse, with pinv's cutoff 1e-12 * max |eigenvalue|;
         # an eigenvalue under it divides by inf, so its column drops out
-        w, v = np.linalg.eigh(rows[np.arange(len(at)), :, pick])
+        w, v = np.linalg.eigh(cols.reshape(-1, nb, nb).take(claim, axis=0))
         size_w = np.abs(w)
         kept_w = np.where(size_w > 1e-12 * size_w.max(axis=-1, keepdims=True), w, np.inf)
         inv = (v / kept_w[:, None]) @ v.conj().swapaxes(-1, -2)
-        update = (cols.reshape(len(at), size, nb) @ inv) @ rows.reshape(len(at), nb, size)
-        if len(at) == count:
-            work -= update
-        else:
-            work[at] -= update
+        work -= (cols @ inv) @ rows
+    claimed[at] = taken
 
     infos: list[QuotientInfo] = [None] * count
     groups: dict[bytes, list[int]] = {}
@@ -693,59 +702,100 @@ def trivial_left_action(rank: int, base: MatrixStarAlgebra) -> LeftAction:
 
 
 def representation_gaps(module: HilbertModule, action: LeftAction) -> tuple[float, float]:
-    """How far ``action`` is from a *-representation on ``module``.
+    """How far ``action`` is from a *-representation on ``module``: the
+    worst multiplicative and star residuals of :func:`_representation_gaps`
+    for one module, with the same bits as in a stack."""
+    mult, star = _representation_gaps(
+        block_matrix(module.gram)[None], block_matrix(action.blocks)[None], action
+    )
+    return mult[0], star[0]
 
-    Returns the worst multiplicative residual ``frob(G (L(b_k b_l) -
-    L(b_k) L(b_l)))`` and the worst star residual, :func:`adjoint_gap` of
-    ``L(b_k)`` and ``L(b_k*)``, over the basis of the acting algebra.  Each
-    row of pairs is one stacked product, so the size of ``action.blocks``
-    at most.
+
+def _representation_gaps(
+    grams: np.ndarray, acts: np.ndarray, action: LeftAction
+) -> tuple[list[float], list[float]]:
+    """Per module of a stack, how far its action is from a *-representation.
+
+    ``grams`` stacks the flat Grams (K, n*d0, n*d0) of K modules of one rank
+    and ``acts`` the flat operators (K, m, n*d0, n*d0) of the basis of one
+    algebra on them, that of ``action``.  Returns, per module, the worst
+    multiplicative residual ``frob(G (L(b_k b_l) - L(b_k) L(b_l)))`` and the
+    worst star residual, :func:`adjoint_gap` of ``L(b_k)`` and ``L(b_k*)``,
+    over the basis of the acting algebra.  The coordinates of ``b_k*`` and
+    of the products ``b_k b_l`` depend on the algebra alone, so ``action``
+    takes them once; each row of pairs is then one stacked product for all
+    the modules, K times the size of one action's blocks at most.
     """
-    alg = action.algebra
-    acts, gm = block_matrix(action.blocks), block_matrix(module.gram)
-    worst_mult = worst_star = 0.0
+    alg, d0 = action.algebra, action.blocks.shape[-1]
+    flat_acts = acts.reshape(*acts.shape[:2], -1)
+    worst_mult, worst_star = [0.0] * len(acts), [0.0] * len(acts)
     for k in range(alg.dim):
-        star = action.blocks_of(dag(alg.basis[k]))
-        worst_star = residual_max(worst_star, adjoint_gap(module, action.blocks[k], star))
-        prods = action.operators(alg.basis[k] @ alg.basis)
-        worst_mult = residual_max(worst_mult, *map(frob, gm @ (prods - acts[k] @ acts)))
+        star = (action.coords_of(dag(alg.basis[k])[None]) @ flat_acts).reshape(grams.shape)
+        star_gaps = unblock(grams @ star, d0) - dagger_blocks(unblock(grams @ acts[:, k], d0))
+        prods = (action.coords_of(alg.basis[k] @ alg.basis) @ flat_acts).reshape(acts.shape)
+        mult_gaps = grams[:, None] @ (prods - acts[:, k, None] @ acts)
+        for j in range(len(acts)):
+            worst_star[j] = residual_max(worst_star[j], frob(star_gaps[j]))
+            worst_mult[j] = residual_max(worst_mult[j], *map(frob, mult_gaps[j]))
     return worst_mult, worst_star
 
 
 def verify_module(module: HilbertModule, tol: float = DEFAULT_TOL) -> VerificationReport:
-    report = VerificationReport()
-    g = module.gram
-    base = module.base
-    n = module.rank
+    """The rows of :func:`verify_modules` for one module."""
+    return verify_modules([module], tol)[0]
 
-    report.add("gram-hermitian", frob(g - dagger_blocks(g)), tol)
 
-    flat = g.reshape(n * n, *g.shape[2:])
-    _, res = base.coords_many(flat)
-    report.add("gram-in-base", res, tol)
+def verify_modules(modules: list[HilbertModule], tol: float = DEFAULT_TOL) -> list[VerificationReport]:
+    """One report per module of a stack of one rank over one base, whose
+    left actions, if any, share their acting algebra.
 
+    Rows: the Gram is Hermitian, in the base and positive; each
+    distinguished vector is in the base, and the unit one normalized; the
+    unit of the acting algebra acts as the identity, and the action is a
+    *-representation (:func:`representation_gaps`).  The smallest
+    eigenvalues of all the Grams come from one stacked ``eigvalsh``, and
+    every left-action row from one stacked product per basis element of
+    the acting algebra; each module's report has the bits of its own
+    :func:`verify_module` call.  Raises when a module differs from the
+    first in rank, base or acting algebra.
+    """
+    first = modules[0]
+    base, n, d0 = first.base, first.rank, first.base.ambient_dim
+    algebra = None if first.left is None else first.left.algebra
+    for k, module in enumerate(modules):
+        acts_alike = (module.left is None) if algebra is None else (
+            module.left is not None and module.left.algebra.same_basis(algebra)
+        )
+        if module.rank != n or not module.base.same_basis(base) or not acts_alike:
+            raise StructuralError(f"module #{k} differs from module #0 in rank, base or acting algebra")
+    flat = np.array([block_matrix(module.gram) for module in modules])
+    grams = unblock(flat, d0)
+    hermitian_gaps = grams - dagger_blocks(grams)
+    lowest = np.linalg.eigvalsh(hermitian_part(flat))[:, 0]
     floor = min(EIG_FLOOR, -tol)
-    report.add("gram-positive", residual_max(-min_eig(block_matrix(g))), -floor)
 
-    for name, v in module.distinguished.items():
-        _, res = base.coords_many(v)
-        report.add(f"vector-in-base[{name}]", res, tol)
-    if "unit" in module.distinguished:
-        xi = module.distinguished["unit"]
-        report.add(
-            "unit-vector-normalized",
-            frob(module.inner(xi, xi) - base.unit),
-            tol,
-        )
+    reports = []
+    for module, gap, low in zip(modules, hermitian_gaps, lowest.tolist()):
+        report = VerificationReport()
+        report.add("gram-hermitian", frob(gap), tol)
+        _, res = base.coords_many(module.gram.reshape(n * n, d0, d0))
+        report.add("gram-in-base", res, tol)
+        report.add("gram-positive", residual_max(-low), -floor)
+        for name, v in module.distinguished.items():
+            _, res = base.coords_many(v)
+            report.add(f"vector-in-base[{name}]", res, tol)
+        if "unit" in module.distinguished:
+            xi = module.distinguished["unit"]
+            report.add("unit-vector-normalized", frob(module.inner(xi, xi) - base.unit), tol)
+        reports.append(report)
 
-    if module.left is not None:
-        unit_op = module.left.blocks_of(module.left.algebra.unit)
-        report.add(
-            "left-unit-acts-as-identity",
-            frob(compose_blocks(g, unit_op) - g),
-            tol,
-        )
-        worst_mult, worst_star = representation_gaps(module, module.left)
-        report.add("left-action-multiplicative", worst_mult, tol)
-        report.add("left-action-star", worst_star, tol)
-    return report
+    if algebra is not None:
+        acts = np.array([block_matrix(module.left.blocks) for module in modules])
+        unit = first.left.coords_of(algebra.unit[None]) @ acts.reshape(len(acts), algebra.dim, -1)
+        unit_gaps = unblock(flat @ unit.reshape(flat.shape), d0) - grams
+        worst_mult, worst_star = _representation_gaps(flat, acts, first.left)
+        for report, gap, mult, star in zip(reports, unit_gaps, worst_mult, worst_star):
+            report.add("left-unit-acts-as-identity", frob(gap), tol)
+            report.add("left-action-multiplicative", mult, tol)
+            report.add("left-action-star", star, tol)
+    return reports

@@ -34,6 +34,7 @@ from .dilation import (
     BudgetExceededError,
     central_unit_fiber,
     dilate_discrete,
+    dilate_discrete_many,
     markov_scenario,
     random_unital_cp,
     random_unital_cps,
@@ -415,8 +416,12 @@ def suite_dilation(config: RunConfig) -> list[dict]:
     m2 = full_matrix_algebra(2)
     horizon = config.horizon
 
+    # the trivial tower and the random unital CP towers, from one stack of
+    # rank-4 fibers
+    pmaps = random_unital_cps(2, rng, 10)
+    trivial, *randoms = dilate_discrete_many([identity_map(m2), *pmaps], horizon, config.budget)
+
     # the trivial tower is trivial on the nose
-    trivial = dilate_discrete(identity_map(m2), horizon, config.budget)
     ranks_ok = all(p.rank == 1 for p in trivial.system.powers)
     grams_ok = all(
         np.array_equal(p.gram, m2.unit[None, None]) for p in trivial.system.powers
@@ -432,8 +437,7 @@ def suite_dilation(config: RunConfig) -> list[dict]:
     worst = 0.0
     worst_label = ""
     scenarios = [("stochastic", markov_scenario(np.array([[0.5, 0.5], [0.3, 0.7]]), horizon, config.budget).scenario)]
-    for k, pmap in enumerate(random_unital_cps(2, rng, 10)):
-        scenarios.append((f"random-cp-{k}", dilate_discrete(pmap, horizon, config.budget)))
+    scenarios += [(f"random-cp-{k}", scenario) for k, scenario in enumerate(randoms)]
     for label, scenario in scenarios:
         for n, gaps in enumerate(semigroup_gaps(scenario)):
             for gap in gaps:

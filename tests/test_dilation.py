@@ -21,6 +21,7 @@ Reference points computed independently of the module code:
 
 import dataclasses
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,6 +384,54 @@ def test_slot_observables_need_to_commute_with_the_base(m2_noise):
         central = model.process_operator(2.0 * np.eye(2, dtype=complex), time)
         top = m2_noise.system.powers[3]
         assert operator_distance(top, central, 2.0 * identity_blocks(top)) < 1e-12
+
+
+def _count_basis_builds(monkeypatch):
+    """Per ``_observe`` call, the letter-slot pairs whose basis operators it builds."""
+    builds: list[list[tuple[int, int]]] = []
+    observe, basis = MarkovModel._observe, MarkovModel._basis_operators
+
+    def counted_observe(self, items, operators=None):
+        builds.append([])
+        return observe(self, items, operators)
+
+    def counted_basis(self, time, level):
+        if time < level:
+            builds[-1].append((time, level))
+        return basis(self, time, level)
+
+    monkeypatch.setattr(MarkovModel, "_observe", counted_observe)
+    monkeypatch.setattr(MarkovModel, "_basis_operators", counted_basis)
+    return builds
+
+
+def test_markov_verify_builds_each_pair_that_fits_once(monkeypatch):
+    # up to horizon 6 every pair of a two-state chain fits the cache
+    model = markov_scenario(np.array([[0.5, 0.5], [0.3, 0.7]]), 6)
+    builds = _count_basis_builds(monkeypatch)
+    assert model.verify(seed=7, trials=25).passed
+    pairs = [pair for call in builds for pair in call]
+    assert pairs and len(pairs) == len(set(pairs))
+
+
+def test_markov_verify_holds_at_most_its_cache_budget(monkeypatch):
+    # at horizon 8 a top-level pair takes 8 MB; one verify call held all
+    # seven of them (66 MB above its start, traced) before the cache had a
+    # byte budget, and holds 15 MB with it; a pair that does not fit is
+    # built at most once per _observe call
+    model = markov_scenario(np.array([[0.5, 0.5], [0.3, 0.7]]), 8)
+    builds = _count_basis_builds(monkeypatch)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = model.verify(seed=7, trials=25)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert report.passed, report.failures
+    assert peak < 24 * 2**20
+    assert all(len(call) == len(set(call)) for call in builds)
+    assert max(len(call) for call in builds) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@ from ncprob.hilbert_module import (
     trivial_left_action,
     vector_norm,
     verify_module,
+    verify_modules,
 )
 from ncprob.dilation import random_unital_cps
 from ncprob.linalg import RANK_RTOL, dag, frob, random_density
@@ -559,3 +560,34 @@ def test_refusing_the_last_non_null_pivot_fails_quotient_preserves_moments(monke
     monkeypatch.setattr(hilbert_module, "quotient_null_spaces", refuse_last_pivot)
     row = rows()["quotient-preserves-moments"]
     assert not row["passed"] and row["residual"] > 1e-3
+
+
+@pytest.mark.parametrize("reduce", [False, True])
+@pytest.mark.parametrize("label", STACKS)
+def test_each_report_of_a_stack_has_the_bits_of_its_count_1_call(label, reduce):
+    modules = gns_construct_many(_stack_of(label), reduce=reduce)
+    # a quotient stack keeps a shared rank only where every map keeps it
+    if len({m.rank for m in modules}) > 1:
+        modules = [m for m in modules if m.rank == modules[0].rank]
+    for module, report in zip(modules, verify_modules(modules), strict=True):
+        alone = verify_module(module)
+        assert [(c.name, c.residual, c.tolerance, c.passed) for c in report.checks] == [
+            (c.name, c.residual, c.tolerance, c.passed) for c in alone.checks
+        ]
+        assert len(report.checks) == 8
+
+
+def test_a_stack_reports_each_module_on_its_own():
+    m2 = full_matrix_algebra(2)
+    good = gns_construct_many(random_unital_cps(2, np.random.default_rng(5), 3), reduce=False)
+    # a left action that is not multiplicative: one basis element's operator doubled
+    blocks = good[1].left.blocks.copy()
+    blocks[1] *= 2
+    bad = HilbertModule(good[1].base, good[1].gram, LeftAction(m2, blocks), good[1].distinguished)
+    reports = verify_modules([good[0], bad, good[2]])
+    assert [r.passed for r in reports] == [True, False, True]
+    assert {c.name for c in reports[1].failures} >= {"left-action-multiplicative"}
+    with pytest.raises(StructuralError, match="module #1 differs"):
+        verify_modules([good[0], gns_construct(identity_map(m2))])
+    with pytest.raises(StructuralError, match="module #1 differs"):
+        verify_modules([good[0], HilbertModule(m2, good[0].gram)])

@@ -15,20 +15,39 @@ by vector, as the package did before it drew each word as one stack, and
 package did before it drew a check's maps as one stack.  The stacked draws
 must give the same samples, bit for bit, and leave the random stream in the
 same state: k samples from one call equal k single draws.
+
+``dilate_discrete_many`` builds the towers of a stack of maps with one
+fiber stage; each tower must have the bits of its own ``dilate_discrete``
+call (Gram, left action, unit and word codes at every level), a failing map
+or fiber is refused by its index, an over-budget power raises where the
+count-1 call raises, and a dilation computes one kernel product.
 """
 
 import numpy as np
 import pytest
 
-from ncprob import independence, suites
-from ncprob.algebra_core import cp_from_kraus, diagonal_algebra, full_matrix_algebra, pauli_algebra
+from ncprob import algebra_core, hilbert_module, independence, suites
+from ncprob.algebra_core import (
+    MapKind,
+    StructuralError,
+    cp_from_kraus,
+    cp_from_stochastic,
+    diagonal_algebra,
+    full_matrix_algebra,
+    identity_map,
+    map_from_images,
+    pauli_algebra,
+)
 from ncprob.dilation import (
+    BudgetExceededError,
+    DiscreteProductSystem,
     _random_increment_words,
     _window_draws,
     _window_operators,
     _window_vectors,
     central_unit_fiber,
     dilate_discrete,
+    dilate_discrete_many,
     markov_scenario,
     random_unital_cp,
     random_unital_cps,
@@ -36,7 +55,7 @@ from ncprob.dilation import (
     white_noise_scenario,
 )
 from ncprob.dilation import _window_blocks, _window_draws
-from ncprob.hilbert_module import rank_one_blocks, tensor_gram
+from ncprob.hilbert_module import HilbertModule, rank_one_blocks, tensor_gram
 from ncprob.independence import (
     random_alternating_word,
     random_alternating_words,
@@ -423,3 +442,110 @@ def test_the_stack_size_does_not_change_a_report(monkeypatch, suite):
     monkeypatch.setattr(independence, "WORD_STACK", 7)
     assert list(independence.word_stacks(30)) == [7, 7, 7, 7, 2]
     assert suites.run_suite(suite, config) == want
+
+
+# ---------------------------------------------------------------------------
+# stacked dilation: one fiber stage for a stack of maps
+
+
+def _tower_bits(system):
+    return [
+        (p.gram.shape, p.gram.tobytes(), p.left.blocks.tobytes(), u.tobytes(), c.tolist())
+        for p, u, c in zip(system.powers, system.units, system.codes, strict=True)
+    ]
+
+
+def _stack_of_maps(label):
+    m2 = full_matrix_algebra(2)
+    if label.startswith("random-cps"):
+        return random_unital_cps(2, np.random.default_rng(7), 10)
+    if label == "identity-and-rank-3":
+        # the identity keeps 1 of the 4 GNS generators, a random map 3
+        maps = random_unital_cps(2, np.random.default_rng(42), 3)
+        return [identity_map(m2), maps[0], identity_map(m2), *maps[1:]]
+    # 3-state chains with one zero per row: their towers drop null words,
+    # so every level is built on the kept pairs
+    return [
+        cp_from_stochastic(p)
+        for p in (
+            np.array([[0.0, 0.5, 0.5], [0.3, 0.0, 0.7], [0.6, 0.4, 0.0]]),
+            np.array([[0.2, 0.0, 0.8], [0.0, 0.5, 0.5], [0.1, 0.9, 0.0]]),
+        )
+    ]
+
+
+@pytest.mark.parametrize(
+    "label, horizon",
+    [("random-cps-h3", 3), ("random-cps-h4", 4), ("identity-and-rank-3", 3), ("sparse-chains", 4)],
+)
+def test_each_tower_of_a_stack_has_the_bits_of_its_count_1_call(label, horizon):
+    maps = _stack_of_maps(label)
+    scenarios = dilate_discrete_many(maps, horizon)
+    for pmap, scenario in zip(maps, scenarios, strict=True):
+        assert scenario.cp_map is pmap
+        assert _tower_bits(scenario.system) == _tower_bits(dilate_discrete(pmap, horizon).system)
+    ranks = [s.system.fiber.rank for s in scenarios]
+    if label == "identity-and-rank-3":
+        assert ranks == [1, 3, 1, 3, 3]
+    if label == "sparse-chains":
+        # a null word is dropped: fewer generators than the full power
+        assert all(s.system.powers[horizon].rank < 3**horizon for s in scenarios)
+
+
+def test_a_stack_refuses_a_map_by_its_index():
+    m2 = full_matrix_algebra(2)
+    maps = random_unital_cps(2, np.random.default_rng(3), 3)
+    # the transpose is positive but not completely positive
+    transpose = map_from_images(m2, m2, m2.basis.transpose(0, 2, 1), MapKind.CP_MAP)
+    with pytest.raises(StructuralError, match="map #2: completely-positive"):
+        dilate_discrete_many([maps[0], maps[1], transpose], 2)
+    # a CP map that is not unital: one Kraus operator of norm 1/2
+    shrink = cp_from_kraus(m2, [np.eye(2) / 2])
+    with pytest.raises(StructuralError, match="map #1 is not unital"):
+        dilate_discrete_many([maps[0], shrink, maps[2]], 2)
+    # the CP check comes first, as in the count-1 call
+    with pytest.raises(StructuralError, match="map #2: completely-positive"):
+        dilate_discrete_many([maps[0], shrink, transpose], 2)
+
+
+def test_a_stack_refuses_a_fiber_by_its_index():
+    base, fiber = central_unit_fiber(full_matrix_algebra(2), 2)
+    gram = fiber.gram.copy()
+    gram[0, 1] = base.basis[1]  # no longer Hermitian
+    broken = HilbertModule(base, gram, fiber.left, fiber.distinguished)
+    with pytest.raises(StructuralError, match="fiber #1 failed verification: gram-hermitian"):
+        DiscreteProductSystem.build_many(base, [fiber, broken, fiber], 2)
+    stripped = HilbertModule(base, fiber.gram, fiber.left, {})
+    with pytest.raises(StructuralError, match="fiber #2 has no distinguished unit vector"):
+        DiscreteProductSystem.build_many(base, [fiber, fiber, stripped], 2)
+
+
+def test_an_over_budget_power_raises_as_in_the_count_1_call():
+    m2 = full_matrix_algebra(2)
+    rank_3 = random_unital_cps(2, np.random.default_rng(5), 1)[0]
+    # the identity's tower needs 4 dimensions per power; the rank-3 tower
+    # needs 36 at E_2 and 108 at E_3
+    with pytest.raises(BudgetExceededError) as alone:
+        dilate_discrete(rank_3, 3, budget=40)
+    with pytest.raises(BudgetExceededError) as stacked:
+        dilate_discrete_many([identity_map(m2), rank_3, identity_map(m2)], 3, budget=40)
+    assert str(stacked.value) == str(alone.value) == "power 3 would need 108 scalarized dimensions (budget 40)"
+    assert stacked.value.dimension == alone.value.dimension == 108
+    assert len(dilate_discrete_many([identity_map(m2), rank_3], 2, budget=40)) == 2
+
+
+def test_a_dilation_computes_one_cp_kernel_product(monkeypatch):
+    calls = []
+    real = algebra_core.cp_kernels
+
+    def counted(pmaps):
+        calls.append(len(pmaps))
+        return real(pmaps)
+
+    monkeypatch.setattr(algebra_core, "cp_kernels", counted)
+    monkeypatch.setattr(hilbert_module, "cp_kernels", counted)
+    dilate_discrete(random_unital_cp(2, np.random.default_rng(7)), 3)
+    assert calls == [1]
+    calls.clear()
+    dilate_discrete_many(random_unital_cps(2, np.random.default_rng(7), 10), 3)
+    assert calls == [10]
