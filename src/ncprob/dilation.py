@@ -137,6 +137,15 @@ class BudgetExceededError(StructuralError):
 # the product system
 
 
+def _sorted_members(values: np.ndarray, ascending: np.ndarray) -> np.ndarray:
+    """Whether each entry of ``values`` is in the ascending array
+    ``ascending``: ``np.isin``'s answer, by one binary search."""
+    at = np.searchsorted(ascending, values)
+    found = at < len(ascending)
+    found[found] = ascending[at[found]] == values[found]
+    return found
+
+
 @dataclass
 class DiscreteProductSystem:
     """The tower E_0, ..., E_N with its units and identifications.
@@ -243,8 +252,9 @@ class DiscreteProductSystem:
                 words = words[nonnull]
                 gram = gram[np.ix_(nonnull, nonnull)]
             # a word whose tail is null is null, so every split of a kept
-            # word is a pair of kept words
-            if not np.isin(words % n1 ** (k - 1), codes[k - 1]).all():
+            # word is a pair of kept words; a full E_{k-1} holds every tail
+            full = len(codes[k - 1]) == n1 ** (k - 1)
+            if not (full or _sorted_members(words % n1 ** (k - 1), codes[k - 1]).all()):
                 raise StructuralError(f"E_{k} keeps a word whose tail E_{k - 1} dropped as null")
             codes.append(words)
             units.append(system.identify(k - 1, 1, units[k - 1], units[1]))
@@ -258,7 +268,11 @@ class DiscreteProductSystem:
         pairs = self._kept_pairs.get((level, steps))
         if pairs is None:
             words = self.codes[level][:, None] * self.fiber.rank**steps + self.codes[steps]
-            pairs = np.nonzero(np.isin(words, self.codes[level + steps]))
+            kept = self.codes[level + steps]
+            # every generator of E_{level+steps} splits into a kept pair, so
+            # as many generators as pairs means every pair is kept
+            full = len(kept) == words.size
+            pairs = np.nonzero(np.ones(words.shape, bool) if full else _sorted_members(words, kept))
             for index in pairs:
                 index.flags.writeable = False
             self._kept_pairs[level, steps] = pairs

@@ -60,6 +60,7 @@ from .hilbert_module import (
     compose_blocks,
     extended_gram,
     gns_construct,
+    gns_construct_many,
     identity_blocks,
     operator_distance,
     rank_one_blocks,
@@ -615,6 +616,40 @@ class ConditionalTensorProduct:
     realization: JointRealization
 
 
+def _right_base_coords(base: MatrixStarAlgebra):
+    """The map X -> [coordinates of X beta_p over the base basis]_p, from a
+    stack of blocks (..., d0, d0) to (..., nb, nb), ``[..., p, q]`` the q-th
+    coordinate of X beta_p.
+
+    X beta_p is linear in the entries of X, so the coordinates of E_ab beta_p
+    for every matrix unit E_ab of M_d0, and the residuals of those
+    coordinates, are computed once, here.  A stack then takes one product
+    for its coordinates and one for its residuals.  It raises when some
+    X beta_p leaves the base span (residual above ``GUARD_TOL``) or an entry
+    of X is not finite.
+    """
+    d2, nb = base.ambient_dim**2, base.dim
+    units = np.eye(d2, dtype=complex).reshape(d2, 1, *base.unit.shape)
+    products = (units @ base.basis).reshape(d2 * nb, d2).T  # columns vec(E_ab beta_p), (ab, p)
+    coords = base._pinv.dot(products)
+    coords_map = coords.T.reshape(d2, nb * nb)
+    residual_map = (base._stack.dot(coords) - products).T.reshape(d2, nb * d2)
+
+    def worst_residual(flat: np.ndarray) -> float:
+        r = flat.dot(residual_map).reshape(-1, d2)  # one row per X beta_p
+        return float(np.sqrt(np.add.reduce((r.conj() * r).real, axis=1)).max(initial=0.0))
+
+    def base_coords(blocks: np.ndarray) -> np.ndarray:
+        flat = blocks.reshape(-1, d2)
+        # a finiteness test first: a BLAS may skip a zero row of the
+        # residual map, NaN and all
+        if not np.isfinite(flat).all() or exceeds(worst_residual(flat), GUARD_TOL):
+            raise StructuralError("operator blocks left the base algebra span")
+        return flat.dot(coords_map).reshape(*blocks.shape[:-2], nb, nb)
+
+    return base_coords
+
+
 def conditional_tensor_realize(
     s1: QuantumProbabilitySpace, s2: QuantumProbabilitySpace
 ) -> ConditionalTensorProduct:
@@ -624,6 +659,16 @@ def conditional_tensor_realize(
     a1 a0 (x) a2 = a1 (x) a0 a2 is incompatible with a multiplication on the
     amalgamated tensor product except in degenerate cases, because the two
     module orders E1 (x) E2 and E2 (x) E1 are genuinely non-isomorphic.
+
+    Both GNS modules come from one ``gns_construct_many`` call when the two
+    expectations share their domain basis (one call each otherwise).  The
+    faithful matrix model writes each operator X over the extended family
+    e_j beta_p, which needs the base coordinates of every X beta_p.  These
+    are linear in the entries of X: :func:`_right_base_coords` computes the
+    coordinates of E_ab beta_p for every matrix unit E_ab, and their
+    residuals, once, so each operator takes one product for its
+    coordinates and one for its span guard, which raises "operator blocks
+    left the base algebra span".
     """
     for s, name in ((s1, "first"), (s2, "second")):
         if s.functional.kind is not MapKind.CONDITIONAL_EXPECTATION:
@@ -640,7 +685,12 @@ def conditional_tensor_realize(
     if not s2.functional.codomain.same_basis(base):
         raise StructuralError("the two expectations must share the same base algebra")
 
-    carrier, _, leg1, leg2 = _slot_legs(s1, s2, gns_construct(s1.functional), gns_construct(s2.functional))
+    f1, f2 = s1.functional, s2.functional
+    if f2.domain.same_basis(f1.domain):
+        e1, e2 = gns_construct_many([f1, f2])
+    else:
+        e1, e2 = gns_construct(f1), gns_construct(f2)
+    carrier, _, leg1, leg2 = _slot_legs(s1, s2, e1, e2)
     real = JointRealization(carrier, carrier.distinguished["unit"], leg1, leg2, (True, True), base)
 
     # faithful matrix model on the range of the scalarized Gram, read off
@@ -654,17 +704,14 @@ def conditional_tensor_realize(
 
     nb = base.dim
     n = carrier.rank
+    base_coords = _right_base_coords(base)
+    compress_left, compress_right = u.conj().T * root[:, None], u / root[None, :]
 
     def flatten(blocks: np.ndarray) -> np.ndarray:
         # blocks act on the extended family e_j beta_p; express the results
         # over the same family and compress onto the range of the Gram
-        coeffs, res = base.coords_many(
-            np.einsum("ijab,pbc->ijpac", blocks, base.basis).reshape(-1, *base.unit.shape)
-        )
-        if exceeds(res, GUARD_TOL):
-            raise StructuralError("operator blocks left the base algebra span")
-        k = coeffs.reshape(n, n, nb, nb).transpose(0, 3, 1, 2).reshape(n * nb, n * nb)
-        return (u.conj().T * root[:, None]).dot(k).dot(u / root[None, :])
+        k = base_coords(blocks).transpose(0, 3, 1, 2).reshape(n * nb, n * nb)
+        return compress_left.dot(k).dot(compress_right)
 
     # leg1(b) leg2(c) for every pair of basis elements, b-major: one
     # stacked product of the legs' basis operators

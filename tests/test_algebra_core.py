@@ -19,8 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncprob import algebra_core
 from ncprob.algebra_core import (
     MapKind,
+    MatrixStarAlgebra,
     PositiveMap,
     StructuralError,
     algebra_from_basis,
@@ -44,8 +46,14 @@ from ncprob.algebra_core import (
     verify_algebra,
     verify_positive_map,
 )
-from ncprob.independence import AlternatingWord, QuantumProbabilitySpace, monotone_realize
-from ncprob.linalg import dag, frob, min_eig, random_density, scaled_hermitian
+from ncprob.independence import (
+    AlternatingWord,
+    QuantumProbabilitySpace,
+    coins_game,
+    conditional_tensor_realize,
+    monotone_realize,
+)
+from ncprob.linalg import dag, frob, min_eig, random_density, residual_max, scaled_hermitian
 
 RNG = np.random.default_rng(20260817)
 
@@ -233,6 +241,116 @@ class TestConditionalExpectations:
         ce = map_from_images(dom, cod, images, MapKind.CONDITIONAL_EXPECTATION)
         report = verify_positive_map(ce)
         assert any(c.name in ("bimodule", "idempotent") and not c.passed for c in report.checks)
+
+
+def _not_bimodular():
+    """x -> diag(x11 + x12 + x21, x22 - x12 - x21) from M2 onto diag(2): unital
+    and idempotent (it fixes the diagonal), but E(E11 x) != E11 E(x) for
+    x = E12."""
+    dom = full_matrix_algebra(2)
+
+    def image(x):
+        return np.diag([x[0, 0] + x[0, 1] + x[1, 0], x[1, 1] - x[0, 1] - x[1, 0]])
+
+    images = np.stack([image(b) for b in dom.basis])
+    return map_from_images(dom, diagonal_algebra(2), images, MapKind.CONDITIONAL_EXPECTATION)
+
+
+def _bimodule_pair_loop(pmap):
+    """The bimodule row's per-pair norms, one three-operand einsum and one
+    apply_many per pair (b_i, b_j), i-major: the reference for the stack."""
+    dom_b = pmap.domain.basis
+    dom_images = pmap.apply_many(dom_b)
+    gaps = []
+    for bi in pmap.codomain.basis:
+        for bj in pmap.codomain.basis:
+            lhs = pmap.apply_many(np.einsum("ab,kbc,cd->kad", bi, dom_b, bj))
+            rhs = np.einsum("ab,kbc,cd->kad", bi, dom_images, bj)
+            gaps.append(float(np.linalg.norm(lhs - rhs)))
+    return np.array(gaps)
+
+
+def _real_expectations():
+    s1, s2, _ = coins_game()
+    return {
+        "diag-compression-3": diagonal_compression(3),
+        "average-sz-m3": average_with_involution(full_matrix_algebra(3), np.diag([1.0, -1.0, 1.0])),
+        "coins-amalgamated": conditional_tensor_realize(s1, s2).expectation,
+    }
+
+
+class TestBimoduleStack:
+    def test_a_unital_idempotent_map_that_is_not_bimodular_fails_only_bimodule(self):
+        rows = {c.name: c for c in verify_positive_map(_not_bimodular()).checks}
+        for name in ("unit-match", "expectation-unital", "idempotent"):
+            assert rows[name].passed and rows[name].residual == 0.0, name
+        assert not rows["bimodule"].passed
+        # E(E11 E12 E22) = E(E12) = diag(1, -1) against E11 E(E12) E22 = 0
+        assert rows["bimodule"].residual == pytest.approx(np.sqrt(2), rel=1e-15)
+
+    @pytest.mark.parametrize("name", ["not-bimodular", *_real_expectations()])
+    def test_the_stack_matches_the_pair_loop(self, name):
+        pmap = _not_bimodular() if name == "not-bimodular" else _real_expectations()[name]
+        got = algebra_core._bimodule_gaps(pmap)
+        want = _bimodule_pair_loop(pmap)
+        assert got.shape == want.shape == (pmap.codomain.dim**2,)
+        top = want.max()
+        assert np.abs(got - want).max() <= 1e-15 * top
+        row = {c.name: c for c in verify_positive_map(pmap).checks}["bimodule"]
+        assert abs(row.residual - top) <= 1e-15 * top
+        assert row.tolerance == 1e-9 and row.passed == (name != "not-bimodular")
+
+    def test_a_nan_map_gives_a_nan_bimodule_residual(self):
+        ce = diagonal_compression(2)
+        matrix = np.array(ce.matrix)
+        matrix[0, 1] = np.nan
+        broken = PositiveMap(ce.domain, ce.codomain, matrix, MapKind.CONDITIONAL_EXPECTATION)
+        gaps = algebra_core._bimodule_gaps(broken)
+        assert np.isnan(gaps).any()
+        # the row is residual_max of the gaps, which a NaN anywhere makes NaN
+        assert np.isnan(residual_max(*gaps))
+
+    def test_the_apply_many_calls_do_not_grow_with_the_codomain(self, monkeypatch):
+        calls = []
+        honest = PositiveMap.apply_many
+
+        def counted(self, xs):
+            calls.append(len(xs))
+            return honest(self, xs)
+
+        monkeypatch.setattr(PositiveMap, "apply_many", counted)
+        counts = []
+        for d in (2, 3, 4):
+            ce = diagonal_compression(d)
+            calls.clear()
+            assert verify_positive_map(ce).passed
+            counts.append(len(calls))
+        assert counts == [2, 2, 2]
+
+
+class TestSharedAlgebras:
+    def test_the_standard_algebras_are_built_once(self):
+        assert full_matrix_algebra(2) is full_matrix_algebra(2)
+        assert diagonal_algebra(3) is diagonal_algebra(3)
+        assert scalar_algebra() is scalar_algebra()
+        assert full_matrix_algebra(2) is not full_matrix_algebra(3)
+
+    @pytest.mark.parametrize("make", [lambda: full_matrix_algebra(2), lambda: diagonal_algebra(3), scalar_algebra])
+    def test_a_shared_algebra_is_read_only(self, make):
+        alg = make()
+        for held in (alg.unit, alg.basis, alg._pinv, alg._zero):
+            assert not held.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 7
+
+    def test_the_constructor_copies_the_unit(self):
+        proj = np.diag([1.0, 0.0]).astype(complex)
+        unit = proj.copy()
+        alg = MatrixStarAlgebra(proj[None], unit)
+        assert unit.flags.writeable
+        unit[1, 1] = 5.0
+        assert np.array_equal(alg.unit, proj)
+        assert verify_algebra(alg).passed
 
 
 class TestCpMaps:

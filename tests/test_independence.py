@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 from ncprob import (
     AlternatingWord,
     MapKind,
+    MatrixStarAlgebra,
+    PositiveMap,
     algebra_from_basis,
     QuantumProbabilitySpace,
     StructuralError,
@@ -35,6 +37,7 @@ from ncprob import (
     monotone_moment_formula,
     monotone_realize,
     operator_distance,
+    pauli_algebra,
     random_alternating_word,
     random_alternating_words,
     state_from_density,
@@ -55,7 +58,7 @@ from ncprob.hilbert_module import (
     tensor_over_base,
 )
 from ncprob.independence import JointRealization
-from ncprob.linalg import block_matrix, dag, frob, random_density, scaled_hermitian, unblock
+from ncprob.linalg import GUARD_TOL, block_matrix, dag, exceeds, frob, random_density, scaled_hermitian, unblock
 
 X = np.diag([1.0, -1.0]).astype(complex)
 I2 = np.eye(2, dtype=complex)
@@ -669,6 +672,92 @@ def test_coins_model_keeps_its_size_on_a_carrier_with_null_vectors(monkeypatch):
     assert raw.algebra.dim == reduced.algebra.dim == 8
     assert raw.expectation.codomain.dim == reduced.expectation.codomain.dim
     assert frob(raw.expectation.matrix - reduced.expectation.matrix) < 1e-12
+
+
+def _einsum_base_coords(base):
+    """The per-operator flatten the model was built with before its linear
+    map: one einsum for every X beta_p and one coords_many, with the same
+    span guard; the reference for :func:`independence._right_base_coords`."""
+
+    def base_coords(blocks):
+        products = np.einsum("ijab,pbc->ijpac", blocks, base.basis)
+        coeffs, res = base.coords_many(products.reshape(-1, *base.unit.shape))
+        if exceeds(res, GUARD_TOL):
+            raise StructuralError("operator blocks left the base algebra span")
+        return coeffs.reshape(*blocks.shape[:2], base.dim, base.dim)
+
+    return base_coords
+
+
+@pytest.mark.parametrize("biases", [(0.7, 0.3), (0.6, 0.2), (0.9, 0.5)])
+def test_the_amalgamated_model_has_the_bits_of_the_einsum_flatten(monkeypatch, biases):
+    s1, s2, _ = coins_game(*biases)
+    got = conditional_tensor_realize(s1, s2)
+    monkeypatch.setattr(independence, "_right_base_coords", _einsum_base_coords)
+    want = conditional_tensor_realize(s1, s2)
+    assert got.algebra.dim == want.algebra.dim == 8
+    assert np.array_equal(got.algebra.basis, want.algebra.basis)
+    assert np.array_equal(got.expectation.matrix, want.expectation.matrix)
+    assert np.array_equal(got.expectation.codomain.basis, want.expectation.codomain.basis)
+
+
+@pytest.mark.parametrize("make_base", [lambda: coins_game()[2], lambda: full_matrix_algebra(2), pauli_algebra])
+def test_the_base_coordinate_map_matches_the_einsum(make_base):
+    base = make_base()
+    rng = np.random.default_rng(33)
+    # blocks whose products with the base stay in it: elements of the base
+    # (on M2 and its Pauli basis, X beta_p has coordinates off p = q too)
+    blocks = base.combine(rng.normal(size=(3, 2, base.dim)) + 1j * rng.normal(size=(3, 2, base.dim)))
+    got = independence._right_base_coords(base)(blocks)
+    assert got.shape == (3, 2, base.dim, base.dim)
+    assert frob(got - _einsum_base_coords(base)(blocks)) <= 1e-15 * frob(got)
+
+
+def test_the_base_coordinate_map_keeps_its_guard():
+    _, _, base = coins_game()
+    rng = np.random.default_rng(33)
+    diag = base.combine(rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2)))
+    # an off-diagonal entry takes X beta_p out of the diagonal base
+    for bad in (np.eye(4, k=1), np.where(np.eye(4) > 0, np.nan, 0.0), np.diag([np.inf, 0, 0, 0])):
+        blocks = diag.copy()
+        blocks[1, 0] += bad
+        for base_coords in (independence._right_base_coords(base), _einsum_base_coords(base)):
+            with np.errstate(invalid="ignore"), pytest.raises(StructuralError, match="left the base algebra span"):
+                base_coords(blocks)
+
+
+def test_the_conditional_tensor_model_makes_one_gns_call(monkeypatch):
+    calls = []
+
+    def counted(name):
+        honest = getattr(independence, name)
+
+        def call(pmaps, *args, **kwargs):
+            calls.append((name, len(pmaps) if isinstance(pmaps, list) else 1))
+            return honest(pmaps, *args, **kwargs)
+
+        return call
+
+    for name in ("gns_construct", "gns_construct_many"):
+        monkeypatch.setattr(independence, name, counted(name))
+    s1, s2, _ = coins_game()
+    conditional_tensor_realize(s1, s2)
+    assert calls == [("gns_construct_many", 2)]
+
+
+def test_two_expectations_on_different_bases_of_one_algebra_still_combine():
+    # the second space's algebra lists the same points in reverse: its
+    # expectation shares no basis with the first, so the two GNS modules are
+    # built one at a time, and the model and its moments are the same
+    s1, s2, _ = coins_game()
+    reverse = MatrixStarAlgebra(s2.algebra.basis[::-1])
+    f2 = PositiveMap(reverse, s2.functional.codomain, s2.functional.matrix[:, ::-1], MapKind.CONDITIONAL_EXPECTATION)
+    want = conditional_tensor_realize(s1, s2)
+    got = conditional_tensor_realize(s1, QuantumProbabilitySpace(reverse, f2))
+    assert got.algebra.dim == 8 and verify_positive_map(got.expectation).passed
+    for i, j in itertools.product(range(4), repeat=2):
+        word = AlternatingWord([(1, indicator4(i)), (2, indicator4(j))])
+        assert frob(got.realization.moment(word) - want.realization.moment(word)) < 1e-12
 
 
 def test_conditional_tensor_rejects_noncommutative():

@@ -26,7 +26,7 @@ count-1 call raises, and a dilation computes one kernel product.
 import numpy as np
 import pytest
 
-from ncprob import algebra_core, hilbert_module, independence, suites
+from ncprob import algebra_core, dilation, hilbert_module, independence, suites
 from ncprob.algebra_core import (
     MapKind,
     StructuralError,
@@ -42,6 +42,7 @@ from ncprob.dilation import (
     BudgetExceededError,
     DiscreteProductSystem,
     _random_increment_words,
+    _sorted_members,
     _window_draws,
     _window_operators,
     _window_vectors,
@@ -432,6 +433,69 @@ def test_kept_pairs_are_memoised_read_only(build, drops):
             assert again[0] is i and again[1] is u
             dropped |= len(i) < words.size
     assert dropped == drops
+
+
+@pytest.mark.parametrize(
+    "build, drops",
+    [
+        (lambda: markov_scenario((np.ones((3, 3)) - np.eye(3)) / 2, 4).system, True),
+        (lambda: dilate_discrete(random_unital_cp(2, np.random.default_rng(7)), 3).system, False),
+    ],
+    ids=["chain-zero-diagonal-h4", "random-cp-h3"],
+)
+def test_tower_membership_makes_no_isin_call(monkeypatch, build, drops):
+    # a full level's pairs are the whole grid; otherwise a binary search on
+    # the ascending codes finds them; the tail check of a level over a full
+    # E_{k-1} is skipped
+    def no_isin(*args, **kwargs):
+        raise AssertionError("np.isin called on the tower path")
+
+    monkeypatch.setattr(np, "isin", no_isin)
+    system = build()
+    n1 = system.fiber.rank
+    grid = [(level, steps) for level in range(system.horizon + 1) for steps in range(system.horizon - level + 1)]
+    got = {key: system._kept(*key) for key in grid}
+    monkeypatch.undo()
+    assert all(np.all(np.diff(codes) > 0) for codes in system.codes)
+    full = 0
+    for (level, steps), (i, u) in got.items():
+        words = system.codes[level][:, None] * n1**steps + system.codes[steps]
+        want_i, want_u = np.nonzero(np.isin(words, system.codes[level + steps]))
+        assert i.dtype == want_i.dtype and u.dtype == want_u.dtype
+        assert np.array_equal(i, want_i) and np.array_equal(u, want_u)
+        assert not i.flags.writeable and not u.flags.writeable
+        full += len(i) == words.size
+    assert 0 < full < len(grid) if drops else full == len(grid)
+
+
+def test_a_word_whose_tail_was_dropped_is_still_refused(monkeypatch):
+    # E_2 drops the word (0, 1) by fiat; E_3 then keeps (0, 0, 1), whose
+    # tail E_2 dropped, and the tail check over the no longer full E_2 refuses it
+    honest = dilation.tensor_gram
+
+    def dropping(left, right):
+        gram = honest(left, right)
+        if left.rank == right.rank:
+            gram = gram.copy()
+            gram[1], gram[:, 1] = 0, 0
+        return gram
+
+    monkeypatch.setattr(dilation, "tensor_gram", dropping)
+    cp = random_unital_cp(2, np.random.default_rng(7))
+    two = dilate_discrete(cp, 2).system
+    assert list(two.codes[2]) == [w for w in range(two.fiber.rank**2) if w != 1]
+    with pytest.raises(StructuralError, match="E_3 keeps a word whose tail E_2 dropped as null"):
+        dilate_discrete(cp, 3)
+
+
+def test_sorted_members_is_isin():
+    rng = np.random.default_rng(2003)
+    for _ in range(300):
+        ascending = np.unique(rng.integers(0, 40, size=rng.integers(0, 12)))
+        values = rng.integers(-2, 44, size=(rng.integers(0, 4), rng.integers(0, 5)))
+        for dtype in (np.int64, object):
+            a, v = ascending.astype(dtype), values.astype(dtype)
+            assert np.array_equal(_sorted_members(v, a), np.isin(v, a))
 
 
 @pytest.mark.parametrize("suite", ["monotone", "conditional-monotone", "white-noise"])
