@@ -369,6 +369,8 @@ class PositiveMap:
             raise StructuralError(
                 f"map matrix shape {matrix.shape} does not match (codomain {codomain.dim}, domain {domain.dim})"
             )
+        if not np.isfinite(matrix).all():
+            raise StructuralError("map matrix has a non-finite entry")
         matrix.flags.writeable = False
         self.domain = domain
         self.codomain = codomain

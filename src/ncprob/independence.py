@@ -36,6 +36,7 @@ lose value when an explicit unit letter is inserted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -185,14 +186,15 @@ class JointRealization:
     # first and the last factor of every moment
     _ket: np.ndarray = field(init=False, repr=False, compare=False)
     _bra: np.ndarray = field(init=False, repr=False, compare=False)
-    # leg -> (its algebra, its basis operators as one flat (dim, N, N) stack)
+    # leg -> (its algebra, its basis operators M_k as one (dim·N, N) matrix,
+    # M_0 stacked on M_1 on ...: one product with it gives every M_k v)
     _legs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._ket = self.vacuum.reshape(-1, self.vacuum.shape[-1])
         self._bra = self._ket.conj().T.dot(block_matrix(self.carrier.gram))
         self._legs = {
-            leg: (action.algebra, np.ascontiguousarray(block_matrix(action.blocks)))
+            leg: (action.algebra, np.ascontiguousarray(block_matrix(action.blocks)).reshape(-1, len(self._ket)))
             for leg, action in ((1, self.leg1), (2, self.leg2))
         }
 
@@ -228,8 +230,7 @@ class JointRealization:
                 raise StructuralError(
                     f"letter {k} is not in the algebra of leg {leg} (residual {res:.3e})"
                 )
-            moved = images.reshape(-1, v.shape[0]).dot(v)  # every M_k v, stacked
-            v = c.dot(moved.reshape(len(c), -1)).reshape(v.shape)
+            v = c.dot(images.dot(v).reshape(len(c), -1)).reshape(v.shape)
         return self._bra.dot(v)
 
     def moments(self, words: list[AlternatingWord]) -> np.ndarray:
@@ -257,8 +258,8 @@ class JointRealization:
                     raise StructuralError(
                         f"letter {-p} (from the end) is not in the algebra of leg {leg} (residual {res:.3e})"
                     )
-                moved = images @ v[at][:, None]  # every M_k v, per word
-                v[at] = (c[:, None] @ moved.reshape(len(at), len(images), -1)).reshape(-1, *v.shape[1:])
+                moved = images @ v[at]  # every M_k v, per word
+                v[at] = (c[:, None] @ moved.reshape(*c.shape, -1)).reshape(-1, *v.shape[1:])
         return self._bra @ v
 
     def scalar_moment(self, word: AlternatingWord) -> complex:
@@ -404,17 +405,22 @@ def tensor_moment_formulas(
     return np.array([math.prod(own, start=1.0 + 0.0j) for own in factors], dtype=complex)
 
 
+# the scalar 1 as a 1x1 base value, the unit of a missing end
+_ONE = np.ones((1, 1), dtype=complex)
+_ONE.flags.writeable = False
+
+
 def _monotone_factorization(letters, phi1: PositiveMap, phi2: PositiveMap) -> np.ndarray:
     """The factorization of :func:`monotone_moment_formula` on normalized
     ``letters``, matrices or stacks (K, d, d) of them, with the legs swapped."""
-    unit1 = phi1.domain.unit
     many = bool(letters) and letters[0][1].ndim == 3
     return conditional_monotone_factorization(
         [(3 - leg, x) for leg, x in letters],
         phi2.apply_many if many else phi2.apply,
         phi1.apply_many if many else phi1.apply,
-        lambda v: v * unit1,
-        np.ones((1, 1), dtype=complex),
+        # v -> v * unit1: a scalar expectation times leg 1's unit
+        phi1.domain.unit.__rmul__,
+        _ONE,
     )
 
 
@@ -529,6 +535,17 @@ def conditional_monotone_factorization(letters, expect1, expect2, insert, unit):
     return mul(mul(left, expect2(chain)), right)
 
 
+def _as_is(value: np.ndarray) -> np.ndarray:
+    return value
+
+
+def _refuse_insert(amb: int, value: np.ndarray) -> np.ndarray:
+    raise StructuralError(
+        "base values cannot be multiplied into the second algebra: "
+        f"ambient dimensions {value.shape[-1]} vs {amb}"
+    )
+
+
 def _conditional_monotone_values(letters, expect1: PositiveMap, expect2: PositiveMap):
     """The factorization of :func:`conditional_monotone_moment_formula` on
     normalized ``letters``, matrices or stacks (K, d, d) of them, guarded
@@ -536,21 +553,16 @@ def _conditional_monotone_values(letters, expect1: PositiveMap, expect2: Positiv
     cod = expect1.codomain
     if not expect2.codomain.same_basis(cod):
         raise StructuralError("the two expectations must share their codomain")
+    # interior expectations, values of shape cod.unit.shape, multiply inside
+    # the second algebra; over a matrix base the value is already an element
+    # of it, over a scalar base it means "scalar times the unit"
     amb = expect2.domain.ambient_dim
-
-    def insert(value: np.ndarray) -> np.ndarray:
-        # interior expectations multiply inside the second algebra; over a
-        # scalar base that means "scalar times the unit", over a matrix base
-        # the value is already an element of it
-        if value.shape[-2:] == (amb, amb):
-            return value
-        if value.shape[-2:] == (1, 1):
-            return value * expect2.domain.unit
-        raise StructuralError(
-            "base values cannot be multiplied into the second algebra: "
-            f"ambient dimensions {value.shape[-1]} vs {amb}"
-        )
-
+    if cod.ambient_dim == amb:
+        insert = _as_is
+    elif cod.ambient_dim == 1:
+        insert = expect2.domain.unit.__rmul__
+    else:
+        insert = functools.partial(_refuse_insert, amb)
     many = bool(letters) and letters[0][1].ndim == 3
     apply1, apply2 = (expect1.apply_many, expect2.apply_many) if many else (expect1.apply, expect2.apply)
     value = conditional_monotone_factorization(letters, apply1, apply2, insert, cod.unit)

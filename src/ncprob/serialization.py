@@ -1,18 +1,28 @@
 """JSON schemas for algebras, maps, words, spaces and independence scenarios.
 
 The wire format is deliberately plain: complex numbers are ``[re, im]``
-pairs, matrices are nested row-major lists of those pairs, and every
-structured object is a JSON object with fixed field names.  Parsing
-errors carry a JSON pointer to the offending field so the CLI can report
-exactly what was wrong.  Emission is byte-deterministic: fixed key order,
-floats printed with 17 significant digits, no timestamps.
+pairs of finite numbers, matrices are nested row-major lists of those
+pairs, and every structured object is a JSON object with fixed field
+names.  Parsing errors carry a JSON pointer to the offending field so the
+CLI can report exactly what was wrong.  A words list is decoded by a bulk
+check: a few passes over all its letters, rows, cells and numbers at once,
+and then one complex array per letter size.  Only when that check fails
+does a per-field walker run, to locate the first bad field in file order;
+the walker is the one source of schema errors.  Emission is
+byte-deterministic: fixed key order, floats printed with 17 significant
+digits, no timestamps.
 """
 
 from __future__ import annotations
 
+import cmath
+import contextlib
+import gc
 import json
 import math
-from itertools import chain
+import sys
+from itertools import chain, compress, islice
+from operator import itemgetter
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
@@ -85,12 +95,17 @@ def _emit(obj: Any, indent: int) -> str:
         if not obj:
             return "[]"
         if len(obj) == 2 and type(obj[0]) is float and type(obj[1]) is float:
-            # an [re, im] pair, the most common list: the rule below, decided
-            # on two items, keeps it inline exactly when both are short
-            items = [_fmt_float(obj[0]), _fmt_float(obj[1])]
-            if len(items[0]) < 24 and len(items[1]) < 24:
-                return f"[{items[0]}, {items[1]}]"
-            return _block("[", items, "]", indent)
+            # an [re, im] pair, the most common list, formatted inline as
+            # _fmt_float does: "%.17g" gives the bytes of format(x, ".17g")
+            # and x + 0.0 turns -0.0 into 0.0; a non-finite member takes the
+            # general path below, where _fmt_float raises.  The rule below,
+            # decided on two items, keeps it inline exactly when both are short
+            re, im = obj
+            if math.isfinite(re) and math.isfinite(im):
+                re, im = "%.17g" % (re + 0.0), "%.17g" % (im + 0.0)
+                if len(re) < 24 and len(im) < 24:
+                    return f"[{re}, {im}]"
+                return _block("[", [re, im], "]", indent)
         items = [_emit(v, indent + 1) for v in obj]
         if sum(map(len, items)) < 72 and all(len(it) < 24 and "\n" not in it for it in items):
             return "[" + ", ".join(items) + "]"
@@ -179,8 +194,28 @@ def _non_finite_pointer(node: Any, pointer: str = "") -> str | None:
     return None
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, and restore its state on exit.
+
+    For code that builds many objects, none of them in a cycle, as a JSON
+    parse or a words decode does: the collector has nothing to find in
+    them, but the allocations would start its passes, which traverse them.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def load_json_file(path: str) -> Any:
-    """Parse a JSON file; NaN and Infinity literals are rejected, not read."""
+    """Parse a JSON file; NaN and Infinity literals are rejected, not read.
+
+    A literal too large for a float, such as ``1e309``, parses to inf; the
+    matrix decoders reject it."""
     seen: list[str] = []
 
     def non_finite(literal: str) -> _NonFinite:
@@ -188,7 +223,7 @@ def load_json_file(path: str) -> Any:
         return _NonFinite(literal)
 
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _collector_paused(), open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=non_finite)
     except OSError as err:
         raise SchemaError(f"cannot read file: {err}", "") from err
@@ -215,7 +250,13 @@ def _complex_from_json(node: Any, pointer: str) -> complex:
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in node)
     ):
         raise SchemaError("expected a [re, im] pair of numbers", pointer)
-    return complex(node[0], node[1])
+    try:
+        z = complex(node[0], node[1])
+        if cmath.isfinite(z):
+            return z
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise SchemaError("expected a [re, im] pair of finite numbers", pointer)
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -224,12 +265,14 @@ def matrix_to_json(m: np.ndarray) -> list:
     return m.view(float).reshape(*m.shape, 2).tolist()
 
 
-_REAL = (float, int)
+_REAL = frozenset((float, int))
+_MAX = sys.float_info.max
 
 
 def _matrix_rows(node: Any, pointer: str) -> list:
     """The rows of a matrix node, every cell checked and made a [re, im] pair
-    of floats or ints; raises :class:`SchemaError` at the first bad field.
+    of finite floats or ints; raises :class:`SchemaError` at the first bad
+    field.
 
     A node whose cells are all such pairs already, as in a parsed document,
     is returned itself: a words file keeps every letter's rows until its
@@ -251,10 +294,14 @@ def _matrix_rows(node: Any, pointer: str) -> list:
                 f"{pointer}/{i}",
             )
         for j, c in enumerate(cells):
-            # a parsed document's cells are [float|int, float|int] lists; any
-            # other cell is rejected by _complex_from_json, or is a numpy
-            # scalar pair it accepts
-            if not (type(c) is list and len(c) == 2 and type(c[0]) in _REAL and type(c[1]) in _REAL):
+            # a parsed document's cells are [float|int, float|int] lists of
+            # numbers within the float range; any other cell is rejected by
+            # _complex_from_json, or is a numpy scalar pair or an int just
+            # beyond that range that it accepts
+            if not (
+                type(c) is list and len(c) == 2 and type(c[0]) in _REAL and type(c[1]) in _REAL
+                and abs(c[0]) <= _MAX and abs(c[1]) <= _MAX
+            ):
                 z = _complex_from_json(c, f"{pointer}/{i}/{j}")
                 if cells is row:
                     cells = list(row)
@@ -376,16 +423,78 @@ def word_to_json(word: AlternatingWord) -> dict:
     }
 
 
-def _decode_words(located: list) -> list[AlternatingWord]:
-    """The words of ``(node, pointer)`` pairs, in order.
+def _exactly(kind: type, items) -> bool:
+    """Whether every item is of type ``kind`` itself, not a subclass: one
+    C-level pass."""
+    return set(map(type, items)) <= {kind}
 
-    Every letter is checked before any array is built, so the first bad
-    field raises, with its pointer.  The letters of one size then share one
-    complex array for the whole list, and each letter is a C-contiguous view
-    of it.
+
+def _cells(elements: list) -> chain:
+    """The cells of a list of matrix nodes, chained in file order."""
+    return chain.from_iterable(chain.from_iterable(elements))
+
+
+def _bulk_words(nodes: list) -> list[AlternatingWord] | None:
+    """The words of ``nodes`` when every field is well formed and every
+    number finite; None, with nothing raised, when any is not.
+
+    Each test is one C-level pass of ``type``, ``len`` or ``set`` over the
+    letters, rows, cells or numbers of all the words at once, per letter
+    size.  The passes chain the parsed lists afresh each time, so no flat
+    copy of the numbers is held.  The array of each size is built as the
+    walker builds it, so it has the walker's bits, and each letter is a
+    C-contiguous view of it.
+    """
+    if not _exactly(dict, nodes):
+        return None
+    try:
+        letter_lists = list(map(itemgetter("letters"), nodes))
+        if not _exactly(list, letter_lists):
+            return None
+        entries = list(chain.from_iterable(letter_lists))
+        if not _exactly(dict, entries):
+            return None
+        legs = list(map(itemgetter("leg"), entries))
+        elements = list(map(itemgetter("element"), entries))
+    except KeyError:
+        return None
+    if not (_exactly(int, legs) and set(legs) <= {1, 2} and _exactly(list, elements)):
+        return None
+    sizes = list(map(len, elements))
+    views = {}
+    for d in set(sizes):
+        group = list(compress(elements, map(d.__eq__, sizes)))
+        # a row of the wrong length, or a cell that is not a pair, could
+        # leave the count of numbers right and shift every entry after it
+        if not (
+            _exactly(list, chain.from_iterable(group))
+            and set(map(len, chain.from_iterable(group))) == {d}
+            and _exactly(list, _cells(group))
+            and set(map(len, _cells(group))) == {2}
+            and set(map(type, chain.from_iterable(_cells(group)))) <= _REAL
+        ):
+            return None
+        try:
+            array = _complex_array(group, (len(group), d, d))
+        except OverflowError:  # an int beyond the float range
+            return None
+        if not np.isfinite(array).all():  # 1e309 parses to inf
+            return None
+        views[d] = iter(array)
+    letters = zip(legs, map(next, map(views.__getitem__, sizes)))
+    return [AlternatingWord(islice(letters, n)) for n in map(len, letter_lists)]
+
+
+def _walk_words(nodes: list, pointers) -> list[AlternatingWord]:
+    """The words of ``nodes``, at the JSON pointers ``pointers`` yields, field
+    by field: the first bad field, in file order, raises, with its pointer.
+
+    Every letter is checked before any array is built.  The letters of one
+    size then share one complex array for the whole list, and each letter
+    is a C-contiguous view of it.
     """
     rows_by_size: dict[int, list] = {}
-    for node, pointer in located:
+    for node, pointer in zip(nodes, pointers):
         obj = _expect(node, dict, "a word object", pointer)
         letters_node = _expect(
             _field(obj, "letters", pointer), list, "a letter list", f"{pointer}/letters"
@@ -403,22 +512,34 @@ def _decode_words(located: list) -> list[AlternatingWord]:
     views = {d: iter(_complex_array(rows, (len(rows), d, d))) for d, rows in rows_by_size.items()}
     return [
         AlternatingWord([(e["leg"], next(views[len(e["element"])])) for e in node["letters"]])
-        for node, _ in located
+        for node in nodes
     ]
+
+
+def _decode_words(nodes: list, pointers) -> list[AlternatingWord]:
+    """The words of ``nodes``: the bulk check's, or, when it fails, the
+    walker's, which raises at the first bad field.  ``pointers`` yields the
+    nodes' JSON pointers, and is read only by the walker."""
+    words = _bulk_words(nodes)
+    return _walk_words(nodes, pointers) if words is None else words
 
 
 def _words_from_list(node: Any, pointer: str) -> list[AlternatingWord]:
     words_node = _expect(node, list, "a word list", pointer)
-    return _decode_words([(w, f"{pointer}/{i}") for i, w in enumerate(words_node)])
+    return _decode_words(words_node, (f"{pointer}/{i}" for i in range(len(words_node))))
 
 
 def word_from_json(node: Any, pointer: str = "") -> AlternatingWord:
-    return _decode_words([(node, pointer)])[0]
+    return _decode_words([node], [pointer])[0]
 
 
 def words_from_json(node: Any, pointer: str = "") -> list[AlternatingWord]:
-    obj = _expect(node, dict, "a words document", pointer)
-    return _words_from_list(_field(obj, "words", pointer), f"{pointer}/words")
+    # paused before anything is allocated, since any allocation may start a
+    # collection: a document parsed by load_json_file and released after
+    # this call is then never traversed by the collector
+    with _collector_paused():
+        obj = _expect(node, dict, "a words document", pointer)
+        return _words_from_list(_field(obj, "words", pointer), f"{pointer}/words")
 
 
 def space_from_json(node: Any, codomain: MatrixStarAlgebra | None, pointer: str = "") -> QuantumProbabilitySpace:

@@ -304,7 +304,14 @@ class TestBimoduleStack:
         ce = diagonal_compression(2)
         matrix = np.array(ce.matrix)
         matrix[0, 1] = np.nan
-        broken = PositiveMap(ce.domain, ce.codomain, matrix, MapKind.CONDITIONAL_EXPECTATION)
+        with pytest.raises(StructuralError, match="map matrix has a non-finite entry"):
+            PositiveMap(ce.domain, ce.codomain, matrix, MapKind.CONDITIONAL_EXPECTATION)
+        # the constructor refuses that matrix, so the NaN goes into the kernel
+        # the map applies: the row 1 the matrix's NaN column would make
+        broken = PositiveMap(ce.domain, ce.codomain, ce.matrix, MapKind.CONDITIONAL_EXPECTATION)
+        kernel = np.array(broken._kernel)
+        kernel[1] = np.nan
+        broken._kernel = kernel
         gaps = algebra_core._bimodule_gaps(broken)
         assert np.isnan(gaps).any()
         # the row is residual_max of the gaps, which a NaN anywhere makes NaN

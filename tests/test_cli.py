@@ -396,6 +396,26 @@ def test_moments_nan_state_density_is_malformed_input(tmp_path, capsys):
     assert "/space2/functional/matrix/0/1/0" in err
 
 
+@pytest.mark.parametrize(
+    "where, pointer",
+    [("state", "/space2/functional/matrix/0/1"), ("letter", "/words/1/letters/2/element/1/1")],
+)
+def test_moments_out_of_range_number_is_malformed_input(tmp_path, capsys, where, pointer):
+    # 1e309 parses to inf, past the loader's NaN/Infinity hook; the matrix
+    # decoders refuse it at its cell, before any moment is computed
+    doc = _scenario_doc(words=[_x_word(1, 2), _x_word(2, 1, 2)])
+    if where == "state":
+        doc["space2"]["functional"]["matrix"][0][1] = [12345.5, 0.0]
+    else:
+        doc["words"][1]["letters"][2]["element"][1][1] = [12345.5, 0.0]
+    path = tmp_path / "scenario.json"
+    path.write_text(emit_json(doc).replace("12345.5", "1e309") + "\n")
+    code, out, err = run_cli(capsys, "moments", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.strip().endswith(f"expected a [re, im] pair of finite numbers (at {pointer})")
+
+
 def test_moments_domain_not_closed_under_adjoints_is_malformed_input(tmp_path, capsys):
     # upper-triangular 2x2 matrices with the trace state: no GNS module exists
     doc = _scenario_doc(words=[_x_word(1)])

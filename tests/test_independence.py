@@ -982,6 +982,27 @@ def test_a_moment_outside_the_shared_base_is_rejected():
     assert frob(value - I2) <= 1e-15
 
 
+def test_an_interior_base_value_that_cannot_enter_the_second_algebra_is_refused():
+    # E2 maps M3 into the 2x2 diagonal base, which no 3x3 product can take
+    # in: a word refuses only when a leg-1 letter lies between leg-2 letters
+    i3 = np.eye(3, dtype=complex)
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    corner = map_from_images(
+        full_matrix_algebra(3), diagonal_algebra(2),
+        np.stack([np.diag([b[0, 0], b[1, 1]]) for b in full_matrix_algebra(3).basis]), MapKind.CP_MAP,
+    )
+    diag = diagonal_compression(2)
+    outer = AlternatingWord([(1, sz), (2, i3), (1, sz)])
+    assert frob(conditional_monotone_moment_formula(outer, diag, corner) - I2) == 0.0
+    inner = AlternatingWord([(2, i3), (1, sz), (2, i3)])
+    for evaluate in (
+        lambda: conditional_monotone_moment_formula(inner, diag, corner),
+        lambda: independence.conditional_monotone_moment_formulas([outer, inner], diag, corner),
+    ):
+        with pytest.raises(StructuralError, match="ambient dimensions 2 vs 3"):
+            evaluate()
+
+
 # ---------------------------------------------------------------------------
 # word mechanics
 

@@ -17,10 +17,12 @@ from ncprob.algebra_core import (
     CheckResult,
     MapKind,
     MatrixStarAlgebra,
+    PositiveMap,
     StructuralError,
     VerificationReport,
     cp_from_stochastic,
     diagonal_algebra,
+    diagonal_compression,
     full_matrix_algebra,
     identity_map,
     map_from_images,
@@ -167,6 +169,11 @@ def _inf_quietly(guard):
         guard()
 
 
+def _non_finite_expectation(value):
+    ce = diagonal_compression(2)
+    return PositiveMap(ce.domain, ce.codomain, _nan_in(ce.matrix, value), ce.kind)
+
+
 _NAN_GUARDS = {
     "element": lambda: diagonal_algebra(2).element(_nan_in([[0, 1], [0, 0]])),
     "PositiveMap.apply": lambda: state_from_density(diagonal_algebra(2), np.eye(2) / 2).apply(
@@ -175,6 +182,10 @@ _NAN_GUARDS = {
     "LeftAction.coords_of": lambda: gns_construct(identity_map(full_matrix_algebra(2))).left.coords_of(
         _nan_in(np.eye(2))[None]
     ),
+    # a conditional expectation with a non-finite matrix entry, which
+    # verify_positive_map would otherwise meet as numpy's LinAlgError
+    "PositiveMap": lambda: _non_finite_expectation(NAN),
+    "PositiveMap-inf": lambda: _non_finite_expectation(float("inf")),
     "map_from_images": lambda: map_from_images(
         diagonal_algebra(2), diagonal_algebra(2), np.stack([_nan_in(np.eye(2)), np.eye(2)]), MapKind.CP_MAP
     ),
